@@ -260,6 +260,9 @@ def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray:
             "ID_OUT_OF_RANGE",
             f"active ids must lie in [0, {config.dataset_size})",
         )
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if len(repeated):
+        raise ScheduleError("DUPLICATE_ID", f"active id {repeated[0]} is listed more than once")
     return ids
 
 

@@ -14,18 +14,48 @@ than a separate code path.
 
 Optimizer updates and forward passes are tracked separately: filtering
 cuts updates, but monitoring removed samples still costs forward passes.
+
+The state is a struct of arrays over sample ids ``0..N-1``, so recording a
+batch is one fancy-index write and an epoch transition is whole-array
+logic, with no Python work per sample:
+
+- ``removed`` ``bool[N]``: the active/removed partition;
+- a ``window``-wide ring of the latest evaluations: ``ring_epoch``
+  ``int64[N, W]``, ``ring_correct`` ``bool[N, W]`` and ``ring_confidence``
+  ``float64[N, W]``;
+- ``ring_count`` ``int64[N]``: evaluations since the sample was last
+  re-added. The next one goes to slot ``ring_count % W`` and the ring holds
+  the last ``min(ring_count, W)`` of them; re-adding sets it to 0.
+
+Errors are ``SetError`` with a code:
+
+- ``UNKNOWN_SAMPLE``, ``CONFIDENCE_OUT_OF_RANGE``, ``LENGTH_MISMATCH``:
+  a record names no tracked id, has a confidence outside [0, 1], or a batch
+  whose id, correctness and confidence arrays differ in shape;
+- ``DUPLICATE_RECORD``: a second record for one id in one epoch, whether
+  across calls or twice in one batch;
+- ``MISSING_RECORDS``: finalize_epoch with active samples left unrecorded;
+- ``BAD_SCHEMA``, ``BAD_STATE``: a checkpoint of another schema version, or
+  one that is malformed or inconsistent (a size, epoch or counter that is
+  not an integer >= 0, ids not exactly ``0..N-1`` once each, unknown
+  status, a history longer than ``window`` or whose epochs do not strictly
+  increase within ``[0, epoch]``);
+- ``TAU_OUT_OF_RANGE``, ``ZERO_WINDOW``, ``NEGATIVE_START``,
+  ``ZERO_STRIDE``: an invalid ``SetConfig``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections import deque
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 SCHEMA_VERSION = 1
 
@@ -70,12 +100,12 @@ class SampleStatus(str, Enum):
     REMOVED = "removed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleRecord:
-    """Rolling evidence for one sample: (epoch, correct, confidence)."""
+    """Snapshot of one sample's evidence, oldest first: (epoch, correct, confidence)."""
 
     sample_id: int
-    history: deque
+    history: tuple[tuple[int, bool, float], ...]
     status: SampleStatus = SampleStatus.ACTIVE
 
     def latest(self) -> tuple[int, bool, float] | None:
@@ -106,8 +136,37 @@ class EpochTransition:
         )
 
 
+class _RecordView(Mapping):
+    """``state.records[sid]``: read-only SampleRecord snapshots of the arrays."""
+
+    def __init__(self, state: "SetState"):
+        self._state = state
+
+    def __getitem__(self, sample_id) -> SampleRecord:
+        state = self._state
+        window = state.config.window
+        if not (isinstance(sample_id, (int, np.integer)) and 0 <= sample_id < state.num_samples):
+            raise KeyError(sample_id)
+        count = int(state.ring_count[sample_id])
+        start = count % window if count >= window else 0
+        slots = [(start + k) % window for k in range(min(count, window))]
+        history = zip(
+            state.ring_epoch[sample_id, slots].tolist(),
+            state.ring_correct[sample_id, slots].tolist(),
+            state.ring_confidence[sample_id, slots].tolist(),
+        )
+        status = SampleStatus.REMOVED if state.removed[sample_id] else SampleStatus.ACTIVE
+        return SampleRecord(int(sample_id), tuple(history), status)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._state.num_samples))
+
+    def __len__(self) -> int:
+        return self._state.num_samples
+
+
 class SetState:
-    """Per-sample histories plus the active/removed partition.
+    """Per-sample evaluation rings plus the active/removed partition, as arrays.
 
     Not internally locked: concurrent evaluation workers may call
     record_prediction only if calls are externally ordered per sample id,
@@ -118,45 +177,97 @@ class SetState:
         self.config = config
         self.num_samples = num_samples
         self.epoch = 0
-        self.records = {
-            i: SampleRecord(i, deque(maxlen=config.window)) for i in range(num_samples)
-        }
+        window = config.window
+        self.removed = np.zeros(num_samples, dtype=bool)
+        self.ring_epoch = np.zeros((num_samples, window), dtype=np.int64)
+        self.ring_correct = np.zeros((num_samples, window), dtype=bool)
+        self.ring_confidence = np.zeros((num_samples, window), dtype=np.float64)
+        self.ring_count = np.zeros(num_samples, dtype=np.int64)
         self.removed_count = 0
         self.readded_count = 0
         self.forward_passes = 0
 
+    @property
+    def records(self) -> Mapping[int, SampleRecord]:
+        return _RecordView(self)
+
     # -- recording ---------------------------------------------------
 
     def record_prediction(self, sample_id: int, correct: bool, confidence: float) -> None:
-        if sample_id not in self.records:
+        try:
+            sid = operator.index(sample_id)
+        except TypeError:
+            sid = -1
+        if not 0 <= sid < self.num_samples:
             raise SetError("UNKNOWN_SAMPLE", f"sample {sample_id} not tracked")
         if not (0.0 <= confidence <= 1.0):
             raise SetError(
                 "CONFIDENCE_OUT_OF_RANGE", f"confidence {confidence} outside [0, 1]"
             )
-        self.records[sample_id].history.append((self.epoch, bool(correct), float(confidence)))
+        window = self.config.window
+        count = int(self.ring_count[sid])
+        if count and self.ring_epoch[sid, (count - 1) % window] == self.epoch:
+            raise SetError(
+                "DUPLICATE_RECORD", f"sample {sid} already has an epoch-{self.epoch} record"
+            )
+        slot = count % window
+        self.ring_epoch[sid, slot] = self.epoch
+        self.ring_correct[sid, slot] = bool(correct)
+        self.ring_confidence[sid, slot] = float(confidence)
+        self.ring_count[sid] = count + 1
         self.forward_passes += 1
 
     def record_batch(
-        self, sample_ids: Iterable[int], correct: Sequence[bool], confidence: Sequence[float]
+        self, sample_ids: ArrayLike, correct: ArrayLike, confidence: ArrayLike
     ) -> None:
-        for sid, ok, conf in zip(sample_ids, correct, confidence):
-            self.record_prediction(int(sid), bool(ok), float(conf))
+        """Record one batch; nothing is written unless the whole batch is valid."""
+        ids = np.asarray(sample_ids)
+        ok = np.asarray(correct, dtype=bool)
+        conf = np.asarray(confidence, dtype=np.float64)
+        if not (ids.ndim == 1 and ok.shape == ids.shape and conf.shape == ids.shape):
+            raise SetError(
+                "LENGTH_MISMATCH",
+                f"ids, correct and confidence shapes differ: {ids.shape}, {ok.shape}, {conf.shape}",
+            )
+        if not len(ids):
+            return
+        if ids.dtype.kind not in "iu":
+            raise SetError("UNKNOWN_SAMPLE", f"sample ids must be integers, got {ids.dtype}")
+        unknown = (ids < 0) | (ids >= self.num_samples)
+        if unknown.any():
+            raise SetError("UNKNOWN_SAMPLE", f"sample {ids[unknown][0]} not tracked")
+        in_range = (conf >= 0.0) & (conf <= 1.0)
+        if not in_range.all():
+            raise SetError(
+                "CONFIDENCE_OUT_OF_RANGE", f"confidence {conf[~in_range][0]} outside [0, 1]"
+            )
+        ordered = np.sort(ids)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            raise SetError("DUPLICATE_RECORD", f"sample {repeated[0]} appears twice in one batch")
+        window = self.config.window
+        count = self.ring_count[ids]
+        again = (count > 0) & (self.ring_epoch[ids, (count - 1) % window] == self.epoch)
+        if again.any():
+            raise SetError(
+                "DUPLICATE_RECORD",
+                f"sample {ids[again][0]} already has an epoch-{self.epoch} record",
+            )
+        slot = count % window
+        self.ring_epoch[ids, slot] = self.epoch
+        self.ring_correct[ids, slot] = ok
+        self.ring_confidence[ids, slot] = conf
+        self.ring_count[ids] = count + 1
+        self.forward_passes += len(ids)
 
     # -- queries -----------------------------------------------------
 
     def active_samples(self) -> np.ndarray:
         """Sorted ids currently in the training set."""
-        return np.asarray(
-            sorted(i for i, r in self.records.items() if r.status is SampleStatus.ACTIVE),
-            dtype=np.int64,
-        )
+        return np.flatnonzero(~self.removed)
 
     def removed_samples(self) -> np.ndarray:
-        return np.asarray(
-            sorted(i for i, r in self.records.items() if r.status is SampleStatus.REMOVED),
-            dtype=np.int64,
-        )
+        return np.flatnonzero(self.removed)
 
     def reevaluation_plan(self) -> np.ndarray:
         """Removed ids due a forward-only evaluation this epoch."""
@@ -166,64 +277,56 @@ class SetState:
 
     # -- epoch transition ----------------------------------------------
 
-    def _is_easy(self, entry: tuple[int, bool, float]) -> bool:
-        _, correct, confidence = entry
-        return correct and confidence > self.config.tau
-
     def finalize_epoch(self) -> EpochTransition:
         """Apply the removal/re-add rules and advance to the next epoch."""
         cfg = self.config
         epoch = self.epoch
-        active_now = 0
-        missing = []
-        newly_removed = []
-        readded = []
-        removal_open = epoch >= cfg.start_epoch + cfg.window - 1
-        for sid, rec in self.records.items():
-            if rec.status is SampleStatus.ACTIVE:
-                active_now += 1
-                last = rec.latest()
-                if last is None or last[0] != epoch:
-                    missing.append(sid)
-                    continue
-                if (
-                    removal_open
-                    and len(rec.history) == cfg.window
-                    and all(self._is_easy(entry) for entry in rec.history)
-                ):
-                    newly_removed.append(sid)
-            else:
-                last = rec.latest()
-                if last is not None and not self._is_easy(last):
-                    readded.append(sid)
-        if missing:
+        count = self.ring_count
+        active = ~self.removed
+        seen = count > 0
+        latest = ((count - 1) % cfg.window)[:, None]
+        latest_epoch = np.take_along_axis(self.ring_epoch, latest, axis=1)[:, 0]
+        missing = np.flatnonzero(active & ~(seen & (latest_epoch == epoch)))
+        if len(missing):
             shown = ", ".join(str(i) for i in missing[:10])
             more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
             raise SetError(
                 "MISSING_RECORDS", f"active samples without epoch-{epoch} records: {shown}{more}"
             )
-        for sid in newly_removed:
-            self.records[sid].status = SampleStatus.REMOVED
-        for sid in readded:
-            rec = self.records[sid]
-            rec.status = SampleStatus.ACTIVE
-            rec.history.clear()  # fresh window after re-adding
+        easy = self.ring_correct & (self.ring_confidence > cfg.tau)
+        if epoch >= cfg.start_epoch + cfg.window - 1:
+            newly_removed = np.flatnonzero(active & (count >= cfg.window) & easy.all(axis=1))
+        else:
+            newly_removed = np.empty(0, dtype=np.int64)
+        latest_easy = np.take_along_axis(easy, latest, axis=1)[:, 0]
+        readded = np.flatnonzero(self.removed & seen & ~latest_easy)
+        active_now = int(np.count_nonzero(active))
+        self.removed[newly_removed] = True
+        self.removed[readded] = False
+        count[readded] = 0  # fresh window after re-adding
         self.removed_count += len(newly_removed)
         self.readded_count += len(readded)
         self.epoch += 1
-        active_next = active_now - len(newly_removed) + len(readded)
         return EpochTransition(
             epoch=epoch,
-            newly_removed=np.asarray(sorted(newly_removed), dtype=np.int64),
-            readded=np.asarray(sorted(readded), dtype=np.int64),
+            newly_removed=newly_removed,
+            readded=readded,
             active_count=active_now,
-            active_next=active_next,
+            active_next=active_now - len(newly_removed) + len(readded),
             forward_passes=self.forward_passes,
         )
 
     # -- serialization -------------------------------------------------
 
     def to_payload(self) -> dict:
+        window, count = self.config.window, self.ring_count
+        start = np.where(count >= window, count % window, 0)
+        order = (start[:, None] + np.arange(window)) % window  # ring slots, oldest first
+        lengths = np.minimum(count, window)
+        epochs = np.take_along_axis(self.ring_epoch, order, axis=1).tolist()
+        correct = np.take_along_axis(self.ring_correct, order, axis=1).tolist()
+        confidence = np.take_along_axis(self.ring_confidence, order, axis=1).tolist()
+        status = (SampleStatus.ACTIVE.value, SampleStatus.REMOVED.value)
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "set_state",
@@ -243,42 +346,93 @@ class SetState:
             "samples": [
                 {
                     "id": sid,
-                    "status": rec.status.value,
-                    "history": [[e, c, conf] for (e, c, conf) in rec.history],
+                    "status": status[gone],
+                    "history": list(map(list, zip(ep[:n], ok[:n], conf[:n]))),
                 }
-                for sid, rec in sorted(self.records.items())
+                for sid, (gone, n, ep, ok, conf) in enumerate(
+                    zip(self.removed.tolist(), lengths.tolist(), epochs, correct, confidence)
+                )
             ],
         }
 
     def dump(self, fp: IO[str]) -> None:
-        json.dump(self.to_payload(), fp, separators=(",", ":"))
+        # json.dumps takes the C encoder; json.dump streams through the pure
+        # Python one, ~4x slower for the same bytes.
+        fp.write(json.dumps(self.to_payload(), separators=(",", ":")))
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SetState":
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
             raise SetError("BAD_SCHEMA", f"unsupported set_state schema_version {version!r}")
-        cfg = payload["config"]
-        state = cls(
-            payload["num_samples"],
-            SetConfig(
-                tau=cfg["tau"],
-                window=cfg["window"],
-                start_epoch=cfg["start_epoch"],
-                reeval_stride=cfg["reeval_stride"],
-            ),
-        )
-        state.epoch = payload["epoch"]
-        counters = payload["counters"]
-        state.removed_count = counters["removed_count"]
-        state.readded_count = counters["readded_count"]
-        state.forward_passes = counters["forward_passes"]
-        for sample in payload["samples"]:
-            rec = state.records[sample["id"]]
-            rec.status = SampleStatus(sample["status"])
-            for epoch, correct, confidence in sample["history"]:
-                rec.history.append((epoch, bool(correct), float(confidence)))
+        try:
+            cfg = payload["config"]
+            counters = payload["counters"]
+            counts = [payload["num_samples"], payload["epoch"]] + [
+                counters[key] for key in ("removed_count", "readded_count", "forward_passes")
+            ]
+            if not all(type(c) is int and c >= 0 for c in counts):
+                raise SetError(
+                    "BAD_STATE", f"num_samples, epoch and counters must be integers >= 0: {counts}"
+                )
+            state = cls(
+                payload["num_samples"],
+                SetConfig(
+                    tau=cfg["tau"],
+                    window=cfg["window"],
+                    start_epoch=cfg["start_epoch"],
+                    reeval_stride=cfg["reeval_stride"],
+                ),
+            )
+            state.epoch = payload["epoch"]
+            state.removed_count = counters["removed_count"]
+            state.readded_count = counters["readded_count"]
+            state.forward_passes = counters["forward_passes"]
+            state._load_samples(payload["samples"])
+        except SetError:
+            raise
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise SetError("BAD_STATE", f"malformed set_state payload: {exc!r}") from exc
         return state
+
+    def _load_samples(self, samples: list) -> None:
+        """Fill the arrays from v1 ``samples`` entries, rejecting inconsistent ones."""
+        n, window = self.num_samples, self.config.window
+        ids = np.asarray([s["id"] for s in samples])
+        if len(ids) != n or (n and ids.dtype.kind not in "iu"):
+            raise SetError("BAD_STATE", f"samples must list the ids 0..{n - 1}, got {len(ids)} entries")
+        if not np.array_equal(np.sort(ids), np.arange(n)):
+            raise SetError("BAD_STATE", f"sample ids must be 0..{n - 1}, each exactly once")
+        ids = ids.astype(np.int64)
+        statuses = [s["status"] for s in samples]
+        unknown = set(statuses) - {status.value for status in SampleStatus}
+        if unknown:
+            raise SetError("BAD_STATE", f"unknown sample status {sorted(map(repr, unknown))[0]}")
+        histories = [s["history"] for s in samples]
+        lengths = np.asarray([len(h) for h in histories], dtype=np.int64)
+        if (lengths > window).any():
+            raise SetError("BAD_STATE", f"a sample history is longer than the window {window}")
+        flat = [entry for h in histories for entry in h]
+        entries = np.asarray(flat, dtype=np.float64)
+        if flat and entries.shape != (len(flat), 3):
+            raise SetError("BAD_STATE", "history entries must be [epoch, correct, confidence]")
+        epochs, correct, confidence = entries.reshape(len(flat), 3).T
+        if not np.all((epochs == np.floor(epochs)) & (epochs >= 0) & (epochs <= self.epoch)):
+            raise SetError("BAD_STATE", f"history epochs must be integers in [0, {self.epoch}]")
+        starts = np.cumsum(lengths) - lengths
+        first = np.zeros(len(flat), dtype=bool)
+        first[starts[lengths > 0]] = True
+        if (~first[1:] & (np.diff(epochs) <= 0)).any():
+            raise SetError("BAD_STATE", "history epochs must strictly increase")
+        if not np.all((confidence >= 0.0) & (confidence <= 1.0)):
+            raise SetError("BAD_STATE", "history confidences must lie in [0, 1]")
+        rows = np.repeat(ids, lengths)
+        slots = np.arange(len(flat)) - np.repeat(starts, lengths)
+        self.removed[ids] = [status == SampleStatus.REMOVED.value for status in statuses]
+        self.ring_count[ids] = lengths
+        self.ring_epoch[rows, slots] = epochs
+        self.ring_correct[rows, slots] = correct != 0
+        self.ring_confidence[rows, slots] = confidence
 
     @classmethod
     def load(cls, fp: IO[str]) -> "SetState":

@@ -500,10 +500,18 @@ def load_params(fp: IO[bytes]) -> tuple[np.ndarray, int, int]:
     magic = fp.read(4)
     if magic != CHECKPOINT_MAGIC:
         raise TrainerError("BAD_CHECKPOINT", f"bad magic {magic!r}")
-    version, num_classes, grid, count = struct.unpack("<III Q", fp.read(20))
+    header = fp.read(20)
+    if len(header) != 20:
+        raise TrainerError("BAD_CHECKPOINT", f"truncated header: {len(header)} of 20 bytes")
+    version, num_classes, grid, count = struct.unpack("<III Q", header)
     if version != CHECKPOINT_VERSION:
         raise TrainerError("BAD_CHECKPOINT", f"unsupported checkpoint version {version}")
-    theta = np.frombuffer(fp.read(count * 8), dtype="<f8").astype(np.float64)
+    body = fp.read(count * 8)
+    if len(body) != count * 8 or fp.read(1):
+        raise TrainerError(
+            "BAD_CHECKPOINT", f"header says {count} parameters, body does not hold exactly that"
+        )
+    theta = np.frombuffer(body, dtype="<f8").astype(np.float64)
     return theta, num_classes, grid
 
 

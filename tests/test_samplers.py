@@ -240,6 +240,13 @@ def test_active_ids_out_of_range_rejected():
     assert err.value.code == "ID_OUT_OF_RANGE"
 
 
+def test_duplicate_active_ids_rejected():
+    config = make_config(dataset_size=100, base_batch=10, drop_last=False)
+    with pytest.raises(ScheduleError) as err:
+        plan_epoch(config, 0, active_ids=[1, 1, 1, 2])
+    assert err.value.code == "DUPLICATE_ID"
+
+
 def test_adding_larger_resolution_raises_fbs_peak_not_vbs():
     small = ResolutionSet.squares([128, 192, 224])
     big = ResolutionSet.squares([128, 192, 224, 288, 320])

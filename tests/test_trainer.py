@@ -405,6 +405,16 @@ def test_checkpoint_round_trip_bitwise():
     assert np.array_equal(theta, report.final_params)
 
 
+def test_checkpoint_rejects_truncated_or_padded_files():
+    buf = io.BytesIO()
+    save_params(buf, np.arange(10, dtype=np.float64), 10, 8)
+    data = buf.getvalue()
+    for damaged in (data[:-16], data + b"\0" * 8, data[:10]):
+        with pytest.raises(TrainerError) as err:
+            load_params(io.BytesIO(damaged))
+        assert err.value.code == "BAD_CHECKPOINT"
+
+
 def test_run_report_payload_is_json_ready():
     import json
 
