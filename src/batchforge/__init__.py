@@ -14,26 +14,20 @@ from .analysis import (
 from .core import (
     BatchRounding,
     ConfigValidationError,
-    Registry,
     Resolution,
     ResolutionSet,
     SamplerConfig,
     Strategy,
     ensure_valid,
-    lookup_strategy,
-    register_strategy,
     validate_config,
 )
 from .presets import load_preset, preset_names
-from .rng import SeededRng, StreamKey, rng_draw_choice
+from .rng import SeededRng, StreamKey
 from .samplers import (
     BatchPlan,
     EpochSchedule,
     VideoClipSpec,
     plan_epoch,
-    plan_msc_fbs,
-    plan_msc_vbs,
-    plan_ssc_fbs,
     plan_video_vbs,
     scaled_batch_size,
     shard_for_rank,
@@ -61,7 +55,6 @@ __all__ = [
     "EpochSchedule",
     "MemoryProxy",
     "PooledLinearModel",
-    "Registry",
     "Resolution",
     "ResolutionSet",
     "RunReport",
@@ -83,16 +76,10 @@ __all__ = [
     "input_memory_proxy",
     "label_smoothed_ce",
     "load_preset",
-    "lookup_strategy",
     "make_synthetic_task",
     "plan_epoch",
-    "plan_msc_fbs",
-    "plan_msc_vbs",
-    "plan_ssc_fbs",
     "plan_video_vbs",
     "preset_names",
-    "register_strategy",
-    "rng_draw_choice",
     "scaled_batch_size",
     "sgd_momentum_step",
     "shard_for_rank",

@@ -15,16 +15,15 @@ absolute values.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import SamplerConfig, Strategy, ensure_valid
 from .rng import derive_seed
-from .samplers import EpochSchedule, epoch_batch_shapes, scaled_size_table
+from .samplers import EpochSchedule, epoch_batch_shapes, resolution_size_table
 
 
 class AnalysisError(ValueError):
@@ -57,24 +56,12 @@ class CostReport:
     updates_ratio: float | None = None
     peak_pixels_ratio: float | None = None
 
-    @property
-    def ratios_vs_baseline(self) -> dict:
-        return {"updates_ratio": self.updates_ratio, "peak_pixels_ratio": self.peak_pixels_ratio}
-
 
 @dataclass(frozen=True)
 class UpdateSimulation:
     mean: float
     stderr: float | None
     trials: int
-
-
-def _scaled_table(config: SamplerConfig) -> np.ndarray:
-    return scaled_size_table(
-        config,
-        [r.pixel_count() for r in config.resolutions],
-        config.base_resolution.pixel_count(),
-    )
 
 
 def closed_form_updates(config: SamplerConfig) -> float:
@@ -84,20 +71,41 @@ def closed_form_updates(config: SamplerConfig) -> float:
         per_epoch = n // batch if config.drop_last else math.ceil(n / batch)
         return float(config.epochs * per_epoch)
     if config.strategy is Strategy.MSC_VBS:
-        mean_batch = float(_scaled_table(config).mean())
+        mean_batch = float(resolution_size_table(config).mean())
         return config.epochs * n / mean_batch
     raise AnalysisError(
         "UNSUPPORTED_STRATEGY", f"no closed form for strategy {config.strategy.value}"
     )
 
 
+def _epoch_shapes(config: SamplerConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each epoch's (resolution indices, batch sizes) over the whole dataset, one at a time."""
+    for epoch in range(config.epochs):
+        yield epoch_batch_shapes(config, epoch, config.dataset_size)
+
+
+def _volume_stats(volumes: Iterable[np.ndarray]) -> tuple[int, int, float]:
+    """(iterations, peak, mean) of per-iteration volumes, fed one epoch at a time."""
+    count, peak, total = 0, 0, 0.0
+    for chunk in volumes:
+        if len(chunk):
+            count += len(chunk)
+            peak = max(peak, int(chunk.max()))
+            total += float(chunk.sum())
+    if count == 0:
+        raise AnalysisError("EMPTY_SCHEDULE", "no iterations to account for")
+    return count, peak, total / count
+
+
+def _plan_volumes(schedules: Iterable[EpochSchedule], scale: int) -> Iterator[np.ndarray]:
+    for schedule in schedules:
+        yield np.asarray([p.pixel_volume() for p in schedule.plans], dtype=np.int64) * scale
+
+
 def count_updates(config: SamplerConfig) -> UpdateCount:
     """Exact (generated) and closed-form total optimizer updates."""
     ensure_valid(config)
-    exact = 0
-    for epoch in range(config.epochs):
-        _, batches = epoch_batch_shapes(config, epoch, config.dataset_size)
-        exact += len(batches)
+    exact = sum(len(batches) for _, batches in _epoch_shapes(config))
     return UpdateCount(exact=exact, closed_form=closed_form_updates(config))
 
 
@@ -122,39 +130,19 @@ def input_memory_proxy(
     bytes_per_element: int = 4,
 ) -> MemoryProxy:
     """Peak and mean input-tensor bytes over a schedule's iterations."""
-    schedules = [schedule] if isinstance(schedule, EpochSchedule) else list(schedule)
-    volumes = [p.pixel_volume() for s in schedules for p in s.plans]
-    if not volumes:
-        raise AnalysisError("EMPTY_SCHEDULE", "schedule has no batch plans")
-    per_iter = np.asarray(volumes, dtype=np.float64) * channels * bytes_per_element
-    return MemoryProxy(peak_bytes=int(per_iter.max()), mean_bytes=float(per_iter.mean()))
-
-
-def _pixel_stats(config: SamplerConfig, channels: int) -> tuple[int, int, float]:
-    """(updates, peak elements, mean elements) over the whole run."""
-    px_table = np.asarray([r.pixel_count() for r in config.resolutions], dtype=np.int64)
-    base_px = config.base_resolution.pixel_count()
-    updates = 0
-    peak = 0
-    total = 0.0
-    for epoch in range(config.epochs):
-        res_idx, batches = epoch_batch_shapes(config, epoch, config.dataset_size)
-        if len(batches) == 0:
-            continue
-        px = np.where(res_idx < 0, base_px, px_table[np.maximum(res_idx, 0)])
-        elems = batches * px * channels
-        updates += len(batches)
-        peak = max(peak, int(elems.max()))
-        total += float(elems.sum())
-    if updates == 0:
-        raise AnalysisError("EMPTY_SCHEDULE", "configuration yields no iterations")
-    return updates, peak, total / updates
+    schedules = [schedule] if isinstance(schedule, EpochSchedule) else schedule
+    _, peak, mean = _volume_stats(_plan_volumes(schedules, channels * bytes_per_element))
+    return MemoryProxy(peak_bytes=peak, mean_bytes=mean)
 
 
 def strategy_cost(config: SamplerConfig, channels: int = 3) -> CostReport:
     """Cost row for one configuration (ratios left unset)."""
     ensure_valid(config)
-    updates, peak, mean = _pixel_stats(config, channels)
+    # resolution index -1 (single scale) picks the base resolution, appended last
+    px = np.append([r.pixel_count() for r in config.resolutions], config.base_resolution.pixel_count())
+    updates, peak, mean = _volume_stats(
+        batches * px[res_idx] * channels for res_idx, batches in _epoch_shapes(config)
+    )
     return CostReport(
         strategy=config.strategy,
         total_updates=updates,
@@ -198,21 +186,11 @@ def compare_strategies(
         else:
             configs.append(base_config.with_strategy(Strategy(entry)))
     baseline = strategy_cost(base_config.with_strategy(Strategy.SSC_FBS), channels)
-    reports = []
-    for cfg in configs:
-        row = baseline if cfg.strategy is Strategy.SSC_FBS else strategy_cost(cfg, channels)
-        reports.append(
-            CostReport(
-                strategy=row.strategy,
-                total_updates=row.total_updates,
-                expected_updates=row.expected_updates,
-                peak_input_pixels=row.peak_input_pixels,
-                mean_input_pixels=row.mean_input_pixels,
-                updates_ratio=row.total_updates / baseline.total_updates,
-                peak_pixels_ratio=row.peak_input_pixels / baseline.peak_input_pixels,
-            )
-        )
-    return reports
+    rows = [
+        baseline if cfg.strategy is Strategy.SSC_FBS else strategy_cost(cfg, channels)
+        for cfg in configs
+    ]
+    return with_ratios(rows, baseline=baseline)
 
 
 def schedule_cost(
@@ -221,18 +199,13 @@ def schedule_cost(
     channels: int = 3,
 ) -> CostReport:
     """Cost row computed from already-materialized schedules."""
-    updates = sum(s.total_updates for s in schedules)
-    if updates == 0:
-        raise AnalysisError("EMPTY_SCHEDULE", "no batch plans in the given schedules")
-    elems = np.asarray(
-        [p.pixel_volume() * channels for s in schedules for p in s.plans], dtype=np.int64
-    )
+    updates, peak, mean = _volume_stats(_plan_volumes(schedules, channels))
     return CostReport(
         strategy=strategy,
         total_updates=updates,
         expected_updates=float(updates),
-        peak_input_pixels=int(elems.max()),
-        mean_input_pixels=float(elems.mean()),
+        peak_input_pixels=peak,
+        mean_input_pixels=mean,
     )
 
 
@@ -243,12 +216,8 @@ def with_ratios(
     if baseline is None:
         baseline = next((r for r in reports if r.strategy is Strategy.SSC_FBS), reports[0])
     return [
-        CostReport(
-            strategy=r.strategy,
-            total_updates=r.total_updates,
-            expected_updates=r.expected_updates,
-            peak_input_pixels=r.peak_input_pixels,
-            mean_input_pixels=r.mean_input_pixels,
+        replace(
+            r,
             updates_ratio=r.total_updates / baseline.total_updates,
             peak_pixels_ratio=r.peak_input_pixels / baseline.peak_input_pixels,
         )
@@ -289,8 +258,3 @@ def write_cost_csv(fp: IO[str], reports: Iterable[CostReport], bytes_per_element
                 "" if r.peak_pixels_ratio is None else f"{r.peak_pixels_ratio:.6f}",
             ]
         )
-
-
-def write_cost_json(fp: IO[str], reports: Iterable[CostReport], bytes_per_element: int = 4) -> None:
-    json.dump(cost_reports_payload(reports, bytes_per_element), fp, indent=2)
-    fp.write("\n")

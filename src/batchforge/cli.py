@@ -19,12 +19,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import analysis, schedule_io
 from .core import (
-    BatchRounding,
     ConfigValidationError,
     Resolution,
     ResolutionSet,
@@ -51,17 +49,6 @@ from .trainer import (
 SEED_ENV_VAR = "BATCHFORGE_SEED"
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    """One parsed command: a single subcommand plus its settings."""
-
-    subcommand: str
-    config_path: str | None
-    overrides: dict
-    output: str | None
-    output_format: str
-
-
 def _default_sampler() -> SamplerConfig:
     seed = int(os.environ.get(SEED_ENV_VAR, "0"))
     return SamplerConfig(
@@ -73,21 +60,6 @@ def _default_sampler() -> SamplerConfig:
         epochs=1,
         seed=seed,
     )
-
-
-_SAMPLER_FLAGS = {
-    "strategy": Strategy.parse,
-    "dataset_size": int,
-    "base_batch": int,
-    "base_resolution": Resolution.parse,
-    "resolutions": ResolutionSet.parse,
-    "epochs": int,
-    "world_size": int,
-    "seed": int,
-    "drop_last": lambda v: v,
-    "batch_rounding": BatchRounding.parse,
-    "min_batch": int,
-}
 
 
 def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
@@ -126,22 +98,16 @@ def _sampler_from_args(args: argparse.Namespace) -> SamplerConfig:
     if getattr(args, "config", None):
         mapping = parse_flat_config(Path(args.config).read_text())
         config = sampler_config_from_mapping(mapping, base=config)
-    overrides = {}
-    for name, parser in _SAMPLER_FLAGS.items():
-        raw = getattr(args, name, None)
-        if raw is None:
-            continue
-        if name == "drop_last":
-            overrides[name] = raw == "true"
-        elif isinstance(raw, str):
-            overrides[name] = parser(raw)
-        else:
-            overrides[name] = raw
-    if "min_batch" not in overrides and "world_size" in overrides and config.min_batch == config.world_size:
-        overrides["min_batch"] = overrides["world_size"]
-    if overrides:
-        config = replace(config, **overrides)
-    return ensure_valid(config)
+    # Flags parse like config-file keys; unset (None) flags are skipped.
+    flags = dict(vars(args))
+    if args.min_batch is None and config.min_batch == config.world_size:
+        flags["min_batch"] = args.world_size  # a min_batch tied to world_size moves with it
+    return ensure_valid(sampler_config_from_mapping(flags, base=config))
+
+
+def _config_header(config: dict) -> str:
+    """The ``# schema_version=1 config=...`` first line of CSV artifacts."""
+    return f"# schema_version=1 config={json.dumps(config, separators=(',', ':'))}\n"
 
 
 def _open_output(path: str | None):
@@ -209,7 +175,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             json.dump(payload, fp, indent=2)
             fp.write("\n")
         else:
-            fp.write(f"# schema_version=1 config={json.dumps(config_echo, separators=(',', ':'))}\n")
+            fp.write(_config_header(config_echo))
             analysis.write_cost_csv(fp, reports, args.bytes_per_element)
     finally:
         if close:
@@ -281,14 +247,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     header = {
         "sampler": sampler_config_to_mapping(sampler),
         "trainer": trainer_config.__dict__,
-        "set": None
-        if set_config is None
-        else {
-            "tau": set_config.tau,
-            "window": set_config.window,
-            "start_epoch": set_config.start_epoch,
-            "reeval_stride": set_config.reeval_stride,
-        },
+        "set": None if set_config is None else set_config.__dict__,
         "task": {
             "samples": args.samples,
             "classes": args.classes,
@@ -305,7 +264,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             fp.close()
     if args.csv:
         with open(args.csv, "w") as cf:
-            cf.write(f"# schema_version=1 config={json.dumps(header, separators=(',', ':'))}\n")
+            cf.write(_config_header(header))
             write_run_report_csv(cf, report)
     if args.checkpoint:
         with open(args.checkpoint, "wb") as ck:
@@ -326,7 +285,7 @@ def _cmd_set_report(args: argparse.Namespace) -> int:
         fp, close = _open_output(args.output)
         try:
             if "config" in payload:
-                fp.write(f"# schema_version=1 config={json.dumps(payload['config'], separators=(',', ':'))}\n")
+                fp.write(_config_header(payload["config"]))
             fp.write("epoch,active,removed,readded,forward_passes\n")
             for row in rows:
                 fp.write(
@@ -365,7 +324,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     try:
         if args.output_format == "csv":
             if header:
-                fp.write(f"# schema_version=1 config={json.dumps(header, separators=(',', ':'))}\n")
+                fp.write(_config_header(header))
             fp.write("epoch,iteration,height,width,batch_size\n")
             for schedule in schedules:
                 for plan in schedule.plans:
@@ -454,21 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.set_defaults(handler=_cmd_export)
 
     return parser
-
-
-def invocation_from_args(args: argparse.Namespace) -> CliInvocation:
-    filtered = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in {"handler", "subcommand", "config", "output", "output_format"} and v is not None
-    }
-    return CliInvocation(
-        subcommand=args.subcommand,
-        config_path=getattr(args, "config", None),
-        overrides=filtered,
-        output=getattr(args, "output", None),
-        output_format=getattr(args, "output_format", "json"),
-    )
 
 
 def run(argv: list[str] | None = None) -> int:

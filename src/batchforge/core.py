@@ -1,4 +1,4 @@
-"""Shared domain types, configuration validation, and the strategy registry.
+"""Shared domain types, configuration validation, and flat config parsing.
 
 Everything here is immutable after construction. Validation never raises on
 bad field values while building a config; :func:`validate_config` returns
@@ -25,11 +25,7 @@ class Strategy(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Strategy":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            known = ", ".join(s.value for s in cls)
-            raise ValueError(f"unknown strategy {text!r} (known: {known})") from None
+        return _parse_member(cls, text, "strategy")
 
 
 class BatchRounding(str, Enum):
@@ -41,11 +37,15 @@ class BatchRounding(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "BatchRounding":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            known = ", ".join(r.value for r in cls)
-            raise ValueError(f"unknown batch_rounding {text!r} (known: {known})") from None
+        return _parse_member(cls, text, "batch_rounding")
+
+
+def _parse_member(cls: type[Enum], text: str, what: str):
+    try:
+        return cls(text.strip().lower())
+    except ValueError:
+        known = ", ".join(m.value for m in cls)
+        raise ValueError(f"unknown {what} {text!r} (known: {known})") from None
 
 
 @dataclass(frozen=True, order=True)
@@ -229,51 +229,6 @@ def ensure_valid(config: SamplerConfig) -> SamplerConfig:
     if violations:
         raise ConfigValidationError(violations)
     return config
-
-
-class RegistryError(KeyError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-
-
-class Registry:
-    """Named component registry; duplicate names are rejected."""
-
-    def __init__(self, kind: str = "component"):
-        self._kind = kind
-        self._entries: dict[str, Callable] = {}
-
-    def register(self, name: str, factory: Callable) -> Callable:
-        if not name:
-            raise RegistryError("EMPTY_NAME", f"{self._kind} name must be non-empty")
-        if name in self._entries:
-            raise RegistryError("DUPLICATE_NAME", f"{self._kind} {name!r} already registered")
-        self._entries[name] = factory
-        return factory
-
-    def lookup(self, name: str) -> Callable:
-        try:
-            return self._entries[name]
-        except KeyError:
-            known = ", ".join(sorted(self._entries)) or "<none>"
-            raise RegistryError(
-                "UNKNOWN_NAME", f"no {self._kind} named {name!r} (known: {known})"
-            ) from None
-
-    def names(self) -> list[str]:
-        return sorted(self._entries)
-
-
-STRATEGIES = Registry("strategy")
-
-
-def register_strategy(name: str, factory: Callable) -> Callable:
-    return STRATEGIES.register(name, factory)
-
-
-def lookup_strategy(name: str) -> Callable:
-    return STRATEGIES.lookup(name)
 
 
 # --- flat key/value config files ----------------------------------------

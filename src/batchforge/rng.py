@@ -153,11 +153,6 @@ def permutation(seed: int, key: StreamKey, n: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def rng_draw_choice(rng: SeededRng, set_size: int) -> int:
-    """Uniform index in [0, set_size) from the given stream."""
-    return rng.choice(set_size)
-
-
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for independent trials/streams."""
     return _mix64(_mix64(seed & _MASK64) ^ (index & _MASK64))

@@ -1,12 +1,15 @@
 """Per-epoch batch schedule generation and distributed sharding.
 
-Three image strategies plus a video variant:
+:func:`plan_epoch` plans the three image strategies and
+:func:`plan_video_vbs` the video variant:
 
 * single scale, fixed batch: one resolution, one batch size;
 * multi scale, fixed batch: resolution drawn per iteration, batch fixed;
 * multi scale, variable batch: resolution drawn per iteration, batch
   rescaled so batch x pixel-count stays constant;
 * video: like variable batch, with frames x clips x pixels as the volume.
+
+Both planners validate the config first (:func:`batchforge.core.ensure_valid`).
 
 A schedule is a pure function of (config, epoch, active id set). Resolution
 draws are keyed by (epoch, iteration) only, never by rank, so every rank
@@ -29,7 +32,6 @@ from .core import (
     SamplerConfig,
     Strategy,
     ensure_valid,
-    register_strategy,
 )
 from .rng import StreamKey, choice_at, permutation
 
@@ -179,6 +181,15 @@ def scaled_size_table(config: SamplerConfig, units: list[int], base_units: int) 
     return np.asarray(sizes, dtype=np.int64)
 
 
+def resolution_size_table(config: SamplerConfig) -> np.ndarray:
+    """Scaled global batch size for each entry of ``config.resolutions``."""
+    return scaled_size_table(
+        config,
+        [r.pixel_count() for r in config.resolutions],
+        config.base_resolution.pixel_count(),
+    )
+
+
 def _fixed_batch_counts(n_active: int, batch: int, drop_last: bool) -> np.ndarray:
     """Batch sizes for a fixed-batch epoch over ``n_active`` ids."""
     full, rem = divmod(n_active, batch)
@@ -239,11 +250,7 @@ def epoch_batch_shapes(
         )
         return draws, sizes
     if strategy is Strategy.MSC_VBS:
-        table = scaled_size_table(
-            config,
-            [r.pixel_count() for r in config.resolutions],
-            config.base_resolution.pixel_count(),
-        )
+        table = resolution_size_table(config)
         return _variable_batch_counts(config, epoch, n_active, table, RESOLUTION_DRAW_TAG)
     raise ScheduleError(
         "UNSUPPORTED_STRATEGY",
@@ -307,27 +314,6 @@ def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSched
     return _assemble(config, epoch, ids, res_indices, batch_sizes)
 
 
-def plan_ssc_fbs(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSchedule:
-    """Fixed batch at the base resolution every iteration."""
-    if config.strategy is not Strategy.SSC_FBS:
-        raise ScheduleError("WRONG_STRATEGY", f"config strategy is {config.strategy.value}")
-    return plan_epoch(config, epoch, active_ids)
-
-
-def plan_msc_fbs(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSchedule:
-    """Fixed batch; resolution drawn uniformly from the set per iteration."""
-    if config.strategy is not Strategy.MSC_FBS:
-        raise ScheduleError("WRONG_STRATEGY", f"config strategy is {config.strategy.value}")
-    return plan_epoch(config, epoch, active_ids)
-
-
-def plan_msc_vbs(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSchedule:
-    """Resolution drawn per iteration; batch rescaled to hold pixels constant."""
-    if config.strategy is not Strategy.MSC_VBS:
-        raise ScheduleError("WRONG_STRATEGY", f"config strategy is {config.strategy.value}")
-    return plan_epoch(config, epoch, active_ids)
-
-
 def plan_video_vbs(
     config: SamplerConfig,
     specs: list[VideoClipSpec],
@@ -340,6 +326,7 @@ def plan_video_vbs(
     ``config.base_batch`` is paired with ``base``; any other spec's batch
     is scaled by the volume ratio under the configured rounding rules.
     """
+    ensure_valid(config)
     if not specs:
         raise ScheduleError("EMPTY_SPEC_SET", "video planning needs at least one clip spec")
     if base not in specs:
@@ -377,9 +364,3 @@ def shard_for_rank(schedule: EpochSchedule, rank: int, world_size: int) -> Epoch
             )
         )
     return EpochSchedule.build(schedule.epoch, tuple(plans))
-
-
-register_strategy(Strategy.SSC_FBS.value, plan_ssc_fbs)
-register_strategy(Strategy.MSC_FBS.value, plan_msc_fbs)
-register_strategy(Strategy.MSC_VBS.value, plan_msc_vbs)
-register_strategy(Strategy.VIDEO_VBS.value, plan_video_vbs)

@@ -15,7 +15,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .core import Resolution, SamplerConfig, sampler_config_to_mapping
-from .samplers import BatchPlan, EpochSchedule, VideoClipSpec
+from .samplers import BatchPlan, EpochSchedule, ScheduleError, VideoClipSpec
 
 SCHEMA_VERSION = 1
 
@@ -90,7 +90,9 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
     """Parse a schedule JSONL stream back into EpochSchedule objects.
 
     Returns the header's config mapping (if present) and one schedule per
-    epoch, in file order.
+    epoch, in file order. A plan whose ``batch_size`` is not its id count
+    raises ``ScheduleError("BATCH_SIZE_MISMATCH")``; iterations that do not
+    run 0, 1, 2, ... within an epoch raise ``ScheduleError("ITERATION_ORDER")``.
     """
     header_config: dict | None = None
     per_epoch: dict[int, list[BatchPlan]] = {}
@@ -120,17 +122,29 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
                 clips_per_video=record["clip"]["clips_per_video"],
                 resolution=Resolution(record["height"], record["width"]),
             )
-        plan = BatchPlan(
-            iteration=record["iteration"],
-            resolution=Resolution(record["height"], record["width"]),
-            batch_size=record["batch_size"],
-            sample_ids=ids,
-            clip=clip,
-        )
-        epoch = record["epoch"]
+        epoch, iteration, batch_size = record["epoch"], record["iteration"], record["batch_size"]
+        if batch_size != len(ids):
+            raise ScheduleError(
+                "BATCH_SIZE_MISMATCH",
+                f"epoch {epoch} iteration {iteration}: batch_size {batch_size} but {len(ids)} ids",
+            )
         if epoch not in per_epoch:
             per_epoch[epoch] = []
             order.append(epoch)
-        per_epoch[epoch].append(plan)
+        plans = per_epoch[epoch]
+        if iteration != len(plans):
+            raise ScheduleError(
+                "ITERATION_ORDER",
+                f"epoch {epoch}: iteration {iteration} where {len(plans)} was expected",
+            )
+        plans.append(
+            BatchPlan(
+                iteration=iteration,
+                resolution=Resolution(record["height"], record["width"]),
+                batch_size=batch_size,
+                sample_ids=ids,
+                clip=clip,
+            )
+        )
     schedules = [EpochSchedule.build(e, tuple(per_epoch[e])) for e in order]
     return header_config, schedules

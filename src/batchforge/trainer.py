@@ -378,17 +378,17 @@ def train(
     Per epoch: plan batches over the active ids, take one SGD-M step per
     batch with the warmup/cosine learning rate, maintain the parameter
     EMA, record each trained sample's correctness and confidence, give
-    removed samples a forward-only evaluation at the base resolution,
-    then apply the removal/re-add rules.
+    removed samples and the active ids a ``drop_last`` schedule left out a
+    forward-only evaluation at the base resolution, then apply the
+    removal/re-add rules.
 
     Any of the four strategies works; the video variant needs
     ``clip_specs`` and ``base_clip``, and the model sees each clip's
     spatial resolution (frames/clips only shape the batch sizes).
     """
+    ensure_valid(sampler_config)
     video = sampler_config.strategy is Strategy.VIDEO_VBS
-    if not video:
-        ensure_valid(sampler_config)
-    elif not clip_specs or base_clip is None:
+    if video and (not clip_specs or base_clip is None):
         raise TrainerError("MISSING_CLIP_SPECS", "video training needs clip_specs and base_clip")
     if sampler_config.epochs != trainer_config.total_epochs:
         raise TrainerError(
@@ -446,6 +446,11 @@ def train(
 
         if state:
             reeval = state.reevaluation_plan()
+            if schedule.total_samples < len(active_ids):
+                # active ids in the dropped tail still owe this epoch a record
+                trained = np.concatenate([np.empty(0, np.int64), *(p.sample_ids for p in schedule)])
+                tail = np.setdiff1d(active_ids, trained, assume_unique=True)
+                reeval = np.concatenate([reeval, tail])
             if len(reeval):
                 logits = model.forward(
                     dataset.features[reeval], sampler_config.base_resolution

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from batchforge.cli import build_parser, invocation_from_args, run
+from batchforge.cli import build_parser, run
 from batchforge.presets import PresetError, load_preset, preset_names
 
 
@@ -270,13 +270,3 @@ def test_set_report_state_summary(tmp_path):
         "readded_count": 0,
         "forward_passes": 10,
     }
-
-
-def test_invocation_record_shape():
-    parser = build_parser()
-    args = parser.parse_args(["plan", "--seed", "4", "--epochs", "2", "-o", "out.jsonl"])
-    invocation = invocation_from_args(args)
-    assert invocation.subcommand == "plan"
-    assert invocation.output == "out.jsonl"
-    assert invocation.overrides["seed"] == 4
-    assert invocation.output_format == "jsonl"

@@ -5,8 +5,6 @@ import pytest
 
 from batchforge.core import (
     BatchRounding,
-    Registry,
-    RegistryError,
     Resolution,
     ResolutionSet,
     SamplerConfig,
@@ -120,39 +118,11 @@ def test_min_batch_defaults_to_world_size():
     assert make_config(min_batch=2, world_size=4, dataset_size=1024).min_batch == 2
 
 
-def test_registry_round_trip():
-    reg = Registry("strategy")
-    factory = object()
-    reg.register("msc_vbs", factory)
-    assert reg.lookup("msc_vbs") is factory
+def test_public_names_resolve_once():
+    import batchforge
 
-
-def test_registry_unknown_name():
-    reg = Registry()
-    with pytest.raises(RegistryError) as err:
-        reg.lookup("bogus")
-    assert err.value.code == "UNKNOWN_NAME"
-
-
-def test_registry_duplicate_name():
-    reg = Registry()
-    reg.register("msc_vbs", object())
-    with pytest.raises(RegistryError) as err:
-        reg.register("msc_vbs", object())
-    assert err.value.code == "DUPLICATE_NAME"
-
-
-def test_registry_empty_name():
-    with pytest.raises(RegistryError) as err:
-        Registry().register("", object())
-    assert err.value.code == "EMPTY_NAME"
-
-
-def test_default_strategies_registered():
-    from batchforge.core import lookup_strategy
-
-    for name in ("ssc_fbs", "msc_fbs", "msc_vbs", "video_vbs"):
-        assert callable(lookup_strategy(name))
+    assert len(batchforge.__all__) == len(set(batchforge.__all__))
+    assert [name for name in batchforge.__all__ if not hasattr(batchforge, name)] == []
 
 
 def test_flat_config_parsing():

@@ -8,7 +8,6 @@ from batchforge.rng import (
     choice_at,
     derive_seed,
     permutation,
-    rng_draw_choice,
     stream_at,
     stream_fill,
     tag_hash,
@@ -88,11 +87,6 @@ def test_choice_rejects_empty_set():
     assert err.value.code == "ZERO_SET_SIZE"
     with pytest.raises(RngError):
         choice_at(0, 0, np.arange(3), "res", 0)
-
-
-def test_rng_draw_choice_delegates():
-    key = StreamKey(2, 2, "res")
-    assert rng_draw_choice(SeededRng(8, key), 7) == SeededRng(8, key).choice(7)
 
 
 def test_choice_uniformity_chi_squared():

@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchforge.core import BatchRounding, Resolution, ResolutionSet, SamplerConfig, Strategy
+from batchforge.core import (
+    BatchRounding,
+    ConfigValidationError,
+    Resolution,
+    ResolutionSet,
+    SamplerConfig,
+    Strategy,
+)
 from batchforge.samplers import (
     ScheduleError,
     VideoClipSpec,
     epoch_batch_shapes,
     plan_epoch,
-    plan_msc_fbs,
-    plan_msc_vbs,
-    plan_ssc_fbs,
     plan_video_vbs,
     scaled_batch_size,
     shard_for_rank,
@@ -110,7 +114,7 @@ def test_min_batch_clamp():
 
 def test_ssc_drop_last_leaves_remainder():
     config = make_config(strategy=Strategy.SSC_FBS, dataset_size=10, base_batch=4, drop_last=True)
-    schedule = plan_ssc_fbs(config, 0)
+    schedule = plan_epoch(config, 0)
     assert schedule.total_updates == 2
     assert all(p.batch_size == 4 for p in schedule.plans)
     assert schedule.total_samples == 8
@@ -118,7 +122,7 @@ def test_ssc_drop_last_leaves_remainder():
 
 def test_ssc_exact_division_covers_everything():
     config = make_config(strategy=Strategy.SSC_FBS, dataset_size=8, base_batch=4, drop_last=False)
-    schedule = plan_ssc_fbs(config, 0)
+    schedule = plan_epoch(config, 0)
     assert schedule.total_updates == 2
     ids = np.concatenate([p.sample_ids for p in schedule.plans])
     assert np.array_equal(np.sort(ids), np.arange(8))
@@ -126,7 +130,7 @@ def test_ssc_exact_division_covers_everything():
 
 def test_ssc_uses_base_resolution_everywhere():
     config = make_config(strategy=Strategy.SSC_FBS, dataset_size=100, base_batch=10)
-    schedule = plan_ssc_fbs(config, 3)
+    schedule = plan_epoch(config, 3)
     assert {p.resolution for p in schedule.plans} == {Resolution(224, 224)}
 
 
@@ -138,16 +142,9 @@ def test_ssc_imagenet_updates_match_published_count():
         resolutions=ResolutionSet.squares([224]),
         drop_last=True,
     )
-    schedule = plan_ssc_fbs(config, 0)
+    schedule = plan_epoch(config, 0)
     assert schedule.total_updates == 1251
     assert schedule.total_updates * 300 == 375_300  # the 300-epoch recipe's ~375k
-
-
-def test_wrong_strategy_rejected():
-    config = make_config(strategy=Strategy.MSC_VBS)
-    with pytest.raises(ScheduleError) as err:
-        plan_ssc_fbs(config, 0)
-    assert err.value.code == "WRONG_STRATEGY"
 
 
 # -- multi scale fixed batch -------------------------------------------------
@@ -156,7 +153,7 @@ def test_wrong_strategy_rejected():
 def test_msc_fbs_keeps_batch_fixed_and_matches_ssc_updates():
     fbs = make_config(strategy=Strategy.MSC_FBS, dataset_size=4096, base_batch=64)
     ssc = make_config(strategy=Strategy.SSC_FBS, dataset_size=4096, base_batch=64)
-    a, b = plan_msc_fbs(fbs, 0), plan_ssc_fbs(ssc, 0)
+    a, b = plan_epoch(fbs, 0), plan_epoch(ssc, 0)
     assert a.total_updates == b.total_updates
     assert all(p.batch_size == 64 for p in a.plans)
 
@@ -165,7 +162,7 @@ def test_msc_fbs_degenerate_set_equals_ssc():
     single = ResolutionSet.squares([224])
     fbs = make_config(strategy=Strategy.MSC_FBS, resolutions=single, drop_last=False)
     ssc = make_config(strategy=Strategy.SSC_FBS, resolutions=single, drop_last=False)
-    assert list(plan_msc_fbs(fbs, 2).plans) == list(plan_ssc_fbs(ssc, 2).plans)
+    assert list(plan_epoch(fbs, 2).plans) == list(plan_epoch(ssc, 2).plans)
 
 
 def test_msc_fbs_resolution_frequencies_uniform():
@@ -173,7 +170,7 @@ def test_msc_fbs_resolution_frequencies_uniform():
         strategy=Strategy.MSC_FBS, dataset_size=160_000, base_batch=8, drop_last=True
     )
     counts = {res: 0 for res in STANDARD}
-    schedule = plan_msc_fbs(config, 0)
+    schedule = plan_epoch(config, 0)
     assert schedule.total_updates == 20_000
     for plan in schedule.plans:
         counts[plan.resolution] += 1
@@ -186,7 +183,7 @@ def test_msc_fbs_resolution_frequencies_uniform():
 
 def test_msc_vbs_pixel_volume_constant_within_slack():
     config = make_config(dataset_size=65536, base_batch=1024, world_size=1, drop_last=True)
-    schedule = plan_msc_vbs(config, 0)
+    schedule = plan_epoch(config, 0)
     base_volume = 1024 * 224 * 224
     for plan in schedule.plans:
         slack = plan.resolution.pixel_count() * config.world_size
@@ -197,7 +194,7 @@ def test_msc_vbs_pixel_volume_slack_with_world_size():
     config = make_config(
         dataset_size=65536, base_batch=128, world_size=8, drop_last=True
     )
-    schedule = plan_msc_vbs(config, 0)
+    schedule = plan_epoch(config, 0)
     base_volume = config.effective_batch() * 224 * 224
     for plan in schedule.plans:
         slack = plan.resolution.pixel_count() * config.world_size
@@ -207,7 +204,7 @@ def test_msc_vbs_pixel_volume_slack_with_world_size():
 
 def test_msc_vbs_epoch_stops_at_exhaustion():
     config = make_config(dataset_size=10_000, base_batch=64, drop_last=True)
-    schedule = plan_msc_vbs(config, 0)
+    schedule = plan_epoch(config, 0)
     table_max = 64 * 224 * 224 // (128 * 128)
     leftover = config.dataset_size - schedule.total_samples
     assert 0 <= leftover < table_max
@@ -217,7 +214,7 @@ def test_msc_vbs_epoch_stops_at_exhaustion():
 
 def test_msc_vbs_keep_last_covers_every_id():
     config = make_config(dataset_size=10_000, base_batch=64, drop_last=False)
-    schedule = plan_msc_vbs(config, 0)
+    schedule = plan_epoch(config, 0)
     ids = np.concatenate([p.sample_ids for p in schedule.plans])
     assert np.array_equal(np.sort(ids), np.arange(10_000))
     # every plan except possibly the last is full-size for its resolution
@@ -228,7 +225,7 @@ def test_msc_vbs_keep_last_covers_every_id():
 def test_msc_vbs_respects_active_subset():
     config = make_config(dataset_size=1000, base_batch=16, drop_last=False)
     active = np.arange(0, 1000, 3)
-    schedule = plan_msc_vbs(config, 0, active_ids=active)
+    schedule = plan_epoch(config, 0, active_ids=active)
     ids = np.concatenate([p.sample_ids for p in schedule.plans])
     assert np.array_equal(np.sort(ids), active)
 
@@ -280,7 +277,7 @@ def test_msc_vbs_update_expectation_matches_simulation():
 
 def test_planned_schedule_matches_shape_arrays():
     config = make_config(dataset_size=20_000, base_batch=32, drop_last=True)
-    schedule = plan_msc_vbs(config, 4)
+    schedule = plan_epoch(config, 4)
     res_idx, batches = epoch_batch_shapes(config, 4, config.dataset_size)
     assert schedule.total_updates == len(batches)
     assert [p.batch_size for p in schedule.plans] == batches.tolist()
@@ -333,6 +330,9 @@ def test_video_requires_specs_and_base_membership():
     with pytest.raises(ScheduleError) as err:
         plan_video_vbs(video_config(), SPECS[:2], SPECS[2], 0)
     assert err.value.code == "BASE_SPEC_NOT_IN_SET"
+    with pytest.raises(ConfigValidationError) as err:
+        plan_video_vbs(video_config(base_batch=0, dataset_size=100), SPECS, SPECS[1], 0)
+    assert err.value.codes == ["ZERO_BATCH"]
 
 
 def test_video_coverage():

@@ -1,9 +1,11 @@
 import io
+import json
 
 import numpy as np
+import pytest
 
 from batchforge.core import Resolution, ResolutionSet, SamplerConfig, Strategy, sampler_config_from_mapping
-from batchforge.samplers import VideoClipSpec, plan_epoch, plan_video_vbs
+from batchforge.samplers import ScheduleError, VideoClipSpec, plan_epoch, plan_video_vbs
 from batchforge.schedule_io import _id_runs, _ids_from_runs, read_schedules, write_schedules
 
 
@@ -95,3 +97,30 @@ def test_reader_rejects_unknown_schema():
         assert "schema_version" in str(err)
     else:
         raise AssertionError("expected a schema error")
+
+
+def exported_records(config):
+    text = export_text([plan_epoch(config, 0)], config, compact=False)
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def read_records(records):
+    return read_schedules(io.StringIO("".join(json.dumps(r) + "\n" for r in records)))
+
+
+def test_reader_rejects_batch_size_that_differs_from_ids():
+    records = exported_records(make_config(epochs=1))
+    records[2]["batch_size"] += 1
+    with pytest.raises(ScheduleError) as err:
+        read_records(records)
+    assert err.value.code == "BATCH_SIZE_MISMATCH"
+
+
+def test_reader_rejects_iterations_out_of_order():
+    records = exported_records(make_config(epochs=1))
+    swapped = [records[0], records[2], records[1], *records[3:]]
+    gap = [records[0], records[1], *records[3:]]
+    for bad in (swapped, gap):
+        with pytest.raises(ScheduleError) as err:
+            read_records(bad)
+        assert err.value.code == "ITERATION_ORDER"

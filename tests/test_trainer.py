@@ -358,6 +358,16 @@ def test_forward_passes_exceed_updates_with_filtering():
     assert report.total_forward_passes >= sum(r.active_count for r in report.per_epoch)
 
 
+def test_filtering_with_drop_last_evaluates_the_dropped_tail():
+    # active ids the drop_last tail leaves out get a forward-only record, so
+    # every id costs one forward pass per epoch with or without drop_last
+    for drop_last in (True, False):
+        report = run_toy(tau=0.7, drop_last=drop_last)
+        assert [r.forward_passes for r in report.per_epoch] == [2000 * (e + 1) for e in range(10)]
+        assert report.total_forward_passes == 10 * 2000
+        assert report.removed_count > 0
+
+
 def test_video_strategy_trains():
     from batchforge.samplers import VideoClipSpec
 
