@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import SamplerConfig, Strategy, ensure_valid
 from .rng import derive_seed
-from .samplers import EpochSchedule, epoch_batch_shapes, resolution_size_table
+from .samplers import EpochSchedule, epoch_batch_shapes, resolution_size_table, unit_volume
 
 
 class AnalysisError(ValueError):
@@ -99,7 +99,8 @@ def _volume_stats(volumes: Iterable[np.ndarray]) -> tuple[int, int, float]:
 
 def _plan_volumes(schedules: Iterable[EpochSchedule], scale: int) -> Iterator[np.ndarray]:
     for schedule in schedules:
-        yield np.asarray([p.pixel_volume() for p in schedule.plans], dtype=np.int64) * scale
+        unit = np.array([unit_volume(shape) for shape in schedule.shapes], dtype=np.int64)
+        yield np.diff(schedule.offsets) * unit[schedule.shape_idx] * scale
 
 
 def count_updates(config: SamplerConfig) -> UpdateCount:
@@ -138,8 +139,7 @@ def input_memory_proxy(
 def strategy_cost(config: SamplerConfig, channels: int = 3) -> CostReport:
     """Cost row for one configuration (ratios left unset)."""
     ensure_valid(config)
-    # resolution index -1 (single scale) picks the base resolution, appended last
-    px = np.append([r.pixel_count() for r in config.resolutions], config.base_resolution.pixel_count())
+    px = np.array([r.pixel_count() for r in config.resolutions], dtype=np.int64)
     updates, peak, mean = _volume_stats(
         batches * px[res_idx] * channels for res_idx, batches in _epoch_shapes(config)
     )

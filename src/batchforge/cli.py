@@ -24,8 +24,6 @@ from pathlib import Path
 from . import analysis, schedule_io
 from .core import (
     ConfigValidationError,
-    Resolution,
-    ResolutionSet,
     SamplerConfig,
     Strategy,
     ensure_valid,
@@ -93,15 +91,29 @@ def _add_output_flags(parser: argparse.ArgumentParser, formats: list[str]) -> No
     )
 
 
-def _sampler_from_args(args: argparse.Namespace) -> SamplerConfig:
-    config = load_preset(args.preset).sampler if getattr(args, "preset", None) else _default_sampler()
-    if getattr(args, "config", None):
+# The desk-scale run ``train`` does when neither flags nor file say otherwise.
+_TRAIN_DEFAULTS = {
+    "dataset_size": "10000",
+    "base_batch": "128",
+    "base_resolution": "16x16",
+    "resolutions": "8x8,16x16,32x32",
+    "epochs": "30",
+    "drop_last": "false",
+}
+
+
+def _sampler_from_args(
+    args: argparse.Namespace, defaults: SamplerConfig | None = None
+) -> SamplerConfig:
+    preset = getattr(args, "preset", None)
+    config = load_preset(preset).sampler if preset else (defaults or _default_sampler())
+    if args.config:
         mapping = parse_flat_config(Path(args.config).read_text())
         config = sampler_config_from_mapping(mapping, base=config)
     # Flags parse like config-file keys; unset (None) flags are skipped.
     flags = dict(vars(args))
-    if args.min_batch is None and config.min_batch == config.world_size:
-        flags["min_batch"] = args.world_size  # a min_batch tied to world_size moves with it
+    if flags.get("min_batch") is None and config.min_batch == config.world_size:
+        flags["min_batch"] = flags.get("world_size")  # a min_batch tied to world_size moves with it
     return ensure_valid(sampler_config_from_mapping(flags, base=config))
 
 
@@ -133,7 +145,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     schedules = (plan_epoch(config, epoch) for epoch in range(config.epochs))
     fp, close = _open_output(args.output)
     try:
-        schedule_io.write_schedules(fp, schedules, config=config, compact=args.compact)
+        schedule_io.write_schedules(fp, schedules, config=config)
     finally:
         if close:
             fp.close()
@@ -183,7 +195,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trainer_from_args(args: argparse.Namespace, mapping: dict) -> TrainerConfig:
+def _trainer_from_args(args: argparse.Namespace, mapping: dict, epochs: int) -> TrainerConfig:
     def pick(key, cast, default):
         flag = getattr(args, key, None)
         if flag is not None:
@@ -195,7 +207,7 @@ def _trainer_from_args(args: argparse.Namespace, mapping: dict) -> TrainerConfig
     return TrainerConfig(
         max_lr=pick("max_lr", float, 0.2),
         warmup_epochs=pick("warmup_epochs", int, 3),
-        total_epochs=args.epochs if args.epochs is not None else int(mapping.get("epochs", 30)),
+        total_epochs=epochs,
         min_lr=pick("min_lr", float, 0.0),
         momentum=pick("momentum", float, 0.9),
         weight_decay=pick("weight_decay", float, 1e-4),
@@ -205,26 +217,9 @@ def _trainer_from_args(args: argparse.Namespace, mapping: dict) -> TrainerConfig
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    sampler = _sampler_from_args(args, sampler_config_from_mapping(_TRAIN_DEFAULTS, base=_default_sampler()))
     mapping = parse_flat_config(Path(args.config).read_text()) if args.config else {}
-    epochs = args.epochs if args.epochs is not None else int(mapping.get("epochs", 30))
-    seed = (
-        args.seed
-        if args.seed is not None
-        else int(mapping.get("seed", os.environ.get(SEED_ENV_VAR, "0")))
-    )
-    sampler = SamplerConfig(
-        strategy=Strategy.parse(args.strategy),
-        dataset_size=args.samples,
-        base_batch=args.batch,
-        base_resolution=Resolution.parse(args.base_resolution),
-        resolutions=ResolutionSet.parse(args.resolutions),
-        epochs=epochs,
-        world_size=1,
-        seed=seed,
-        drop_last=False,
-    )
-    ensure_valid(sampler)
-    trainer_config = _trainer_from_args(args, mapping)
+    trainer_config = _trainer_from_args(args, mapping, sampler.epochs)
     set_config = None
     if args.tau is not None:
         set_config = SetConfig(
@@ -234,10 +229,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
             reeval_stride=args.reeval_stride,
         )
     dataset, eval_dataset = make_synthetic_task(
-        num_samples=args.samples,
+        num_samples=sampler.dataset_size,
         num_classes=args.classes,
         grid=args.grid,
-        seed=seed,
+        seed=sampler.seed,
         eval_samples=args.eval_samples,
         noise_scale=args.noise_scale,
     )
@@ -249,7 +244,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "trainer": trainer_config.__dict__,
         "set": None if set_config is None else set_config.__dict__,
         "task": {
-            "samples": args.samples,
+            "samples": sampler.dataset_size,
             "classes": args.classes,
             "grid": args.grid,
             "eval_samples": args.eval_samples,
@@ -270,7 +265,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         with open(args.checkpoint, "wb") as ck:
             save_params(ck, report.final_params, args.classes, args.grid)
     print(
-        f"trained {epochs} epochs: {report.total_updates} updates, "
+        f"trained {sampler.epochs} epochs: {report.total_updates} updates, "
         f"{report.total_forward_passes} forward passes, "
         f"final eval accuracy {report.final_eval_accuracy:.4f}",
         file=sys.stderr,
@@ -333,7 +328,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
                         f"{plan.resolution.width},{plan.batch_size}\n"
                     )
         else:
-            schedule_io.write_schedules(fp, schedules, config=config, compact=args.compact)
+            schedule_io.write_schedules(fp, schedules, config=config)
     finally:
         if close:
             fp.close()
@@ -352,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="generate a schedule and write it as JSONL")
     _add_sampler_flags(p_plan)
-    p_plan.add_argument("--compact", action="store_true", help="store ids as contiguous ranges")
     _add_output_flags(p_plan, ["jsonl"])
     p_plan.set_defaults(handler=_cmd_plan)
 
@@ -372,16 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("train", help="train the synthetic task with the toy learner")
     p_tr.add_argument("--config", help="flat key=value config file")
-    p_tr.add_argument("--samples", type=int, default=10_000)
+    p_tr.add_argument("--samples", type=int, dest="dataset_size")
     p_tr.add_argument("--classes", type=int, default=10)
     p_tr.add_argument("--grid", type=int, default=8)
     p_tr.add_argument("--eval-samples", type=int, dest="eval_samples", default=2000)
     p_tr.add_argument("--noise-scale", type=float, dest="noise_scale", default=1.15)
     p_tr.add_argument("--epochs", type=int)
-    p_tr.add_argument("--batch", type=int, default=128)
-    p_tr.add_argument("--strategy", default="msc_vbs")
-    p_tr.add_argument("--resolutions", default="8x8,16x16,32x32")
-    p_tr.add_argument("--base-resolution", dest="base_resolution", default="16x16")
+    p_tr.add_argument("--batch", type=int, dest="base_batch")
+    p_tr.add_argument("--strategy")
+    p_tr.add_argument("--resolutions")
+    p_tr.add_argument("--base-resolution", dest="base_resolution")
     p_tr.add_argument("--seed", type=int)
     p_tr.add_argument("--max-lr", type=float, dest="max_lr")
     p_tr.add_argument("--warmup-epochs", type=int, dest="warmup_epochs")
@@ -408,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ex = sub.add_parser("export", help="re-emit an exported schedule (jsonl or csv)")
     p_ex.add_argument("--schedule", required=True)
-    p_ex.add_argument("--compact", action="store_true")
     _add_output_flags(p_ex, ["jsonl", "csv"])
     p_ex.set_defaults(handler=_cmd_export)
 

@@ -220,6 +220,17 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
             f"({config.base_batch} x {config.world_size}) with drop_last",
         )
 
+    # With several ranks every batch must split evenly, whatever the active set.
+    world = config.world_size
+    if not bad and world > 1 and config.strategy is Strategy.MSC_VBS:
+        from .samplers import resolution_size_table  # samplers imports this module
+
+        sizes = resolution_size_table(config)
+        if (sizes % world).any():
+            flag("UNSHARDABLE_BATCH", f"batch sizes {sizes.tolist()} are not all multiples of world_size {world}")
+    if world > 1 and not config.drop_last:
+        flag("UNSHARDABLE_TAIL", f"drop_last=false leaves a last batch that world_size {world} need not divide")
+
     return bad
 
 

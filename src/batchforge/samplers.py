@@ -18,11 +18,19 @@ regenerates the same shape sequence; ids are dealt round-robin to ranks by
 
 One id permutation is drawn per epoch and consumed sequentially; the epoch
 ends when it runs out (a final short batch is kept unless ``drop_last``).
+
+An :class:`EpochSchedule` stores the epoch as arrays for every strategy,
+video included: the scheduled ids in order, per-iteration offsets into
+them, and per-iteration indices into a table of shapes (resolutions, or
+clip specs for video). :class:`BatchPlan` objects are read-only views of
+one iteration, built on first use of :attr:`EpochSchedule.plans`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -70,8 +78,7 @@ class BatchPlan:
 
     def pixel_volume(self) -> int:
         """batch x H x W (x frames x clips for video)."""
-        per_sample = self.clip.volume() if self.clip else self.resolution.pixel_count()
-        return self.batch_size * per_sample
+        return self.batch_size * unit_volume(self.clip or self.resolution)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BatchPlan):
@@ -85,37 +92,55 @@ class BatchPlan:
         )
 
 
+def unit_volume(shape: Resolution | VideoClipSpec) -> int:
+    """Input volume of one sample: H x W, times frames x clips for video."""
+    return shape.volume() if isinstance(shape, VideoClipSpec) else shape.pixel_count()
+
+
 @dataclass(frozen=True, eq=False)
 class EpochSchedule:
-    """Ordered batch plans for one pass over the active samples."""
+    """One pass over the active samples, stored as arrays.
+
+    Iteration ``t`` trains ``ids[offsets[t]:offsets[t + 1]]`` at
+    ``shapes[shape_idx[t]]``. ``shapes`` holds ``Resolution``s for the image
+    strategies and ``VideoClipSpec``s for video.
+    """
 
     epoch: int
-    plans: tuple[BatchPlan, ...]
-    total_samples: int
-    total_updates: int
+    ids: np.ndarray  # int64, the scheduled ids in order
+    offsets: np.ndarray  # int64[T + 1], from 0 to len(ids)
+    shape_idx: np.ndarray  # int64[T]
+    shapes: tuple[Resolution | VideoClipSpec, ...]
 
-    @classmethod
-    def build(cls, epoch: int, plans: tuple[BatchPlan, ...]) -> "EpochSchedule":
-        return cls(
-            epoch=epoch,
-            plans=plans,
-            total_samples=int(sum(p.batch_size for p in plans)),
-            total_updates=len(plans),
-        )
+    @property
+    def total_samples(self) -> int:
+        return int(self.offsets[-1])
+
+    @property
+    def total_updates(self) -> int:
+        return len(self.shape_idx)
+
+    @cached_property
+    def plans(self) -> tuple[BatchPlan, ...]:
+        """Per-iteration views, built on first access; ``sample_ids`` are slices of ``ids``."""
+        bounds = self.offsets.tolist()
+        plans = []
+        for t, k in enumerate(self.shape_idx.tolist()):
+            clip = self.shapes[k] if isinstance(self.shapes[k], VideoClipSpec) else None
+            ids = self.ids[bounds[t] : bounds[t + 1]]
+            plans.append(BatchPlan(t, clip.resolution if clip else self.shapes[k], len(ids), ids, clip))
+        return tuple(plans)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpochSchedule):
             return NotImplemented
         return (
             self.epoch == other.epoch
-            and self.total_samples == other.total_samples
-            and self.total_updates == other.total_updates
-            and len(self.plans) == len(other.plans)
-            and all(a == b for a, b in zip(self.plans, other.plans))
+            and np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.offsets, other.offsets)
+            and [self.shapes[k] for k in self.shape_idx.tolist()]
+            == [other.shapes[k] for k in other.shape_idx.tolist()]
         )
-
-    def __iter__(self):
-        return iter(self.plans)
 
 
 def scaled_batch_size(
@@ -235,14 +260,14 @@ def epoch_batch_shapes(
 
     This is the arithmetic skeleton the planners flesh out with sample
     ids; cost accounting walks it directly so counted updates are the
-    updates a materialized schedule would perform.
-
-    Resolution index -1 means "the base resolution" (single-scale).
+    updates a materialized schedule would perform. Single scale uses the
+    base resolution's index throughout.
     """
     strategy = config.strategy
     if strategy is Strategy.SSC_FBS:
         sizes = _fixed_batch_counts(n_active, config.effective_batch(), config.drop_last)
-        return np.full(len(sizes), -1, dtype=np.int64), sizes
+        base = config.resolutions.index_of(config.base_resolution)
+        return np.full(len(sizes), base, dtype=np.int64), sizes
     if strategy is Strategy.MSC_FBS:
         sizes = _fixed_batch_counts(n_active, config.effective_batch(), config.drop_last)
         draws = choice_at(
@@ -277,33 +302,14 @@ def _assemble(
     config: SamplerConfig,
     epoch: int,
     ids: np.ndarray,
-    res_indices: np.ndarray,
+    shape_idx: np.ndarray,
     batch_sizes: np.ndarray,
-    clips: list[VideoClipSpec] | None = None,
+    shapes: Iterable[Resolution | VideoClipSpec],
 ) -> EpochSchedule:
+    offsets = np.zeros(len(batch_sizes) + 1, dtype=np.int64)
+    np.cumsum(batch_sizes, out=offsets[1:])
     order = permutation(config.seed, StreamKey(epoch, 0, PERMUTATION_TAG), len(ids))
-    shuffled = ids[order]
-    offsets = np.concatenate([[0], np.cumsum(batch_sizes)])
-    plans = []
-    for t in range(len(batch_sizes)):
-        idx = int(res_indices[t])
-        if clips is not None:
-            clip = clips[idx]
-            resolution = clip.resolution
-        else:
-            clip = None
-            resolution = config.base_resolution if idx < 0 else config.resolutions[idx]
-        chunk = shuffled[offsets[t] : offsets[t + 1]]
-        plans.append(
-            BatchPlan(
-                iteration=t,
-                resolution=resolution,
-                batch_size=int(batch_sizes[t]),
-                sample_ids=chunk,
-                clip=clip,
-            )
-        )
-    return EpochSchedule.build(epoch, tuple(plans))
+    return EpochSchedule(epoch, ids[order[: offsets[-1]]], offsets, shape_idx, tuple(shapes))
 
 
 def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSchedule:
@@ -311,7 +317,7 @@ def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSched
     ensure_valid(config)
     ids = _resolve_active_ids(config, active_ids)
     res_indices, batch_sizes = epoch_batch_shapes(config, epoch, len(ids))
-    return _assemble(config, epoch, ids, res_indices, batch_sizes)
+    return _assemble(config, epoch, ids, res_indices, batch_sizes, config.resolutions)
 
 
 def plan_video_vbs(
@@ -333,34 +339,38 @@ def plan_video_vbs(
         raise ScheduleError("BASE_SPEC_NOT_IN_SET", "the base clip spec must be in the spec list")
     ids = _resolve_active_ids(config, active_ids)
     table = scaled_size_table(config, [s.volume() for s in specs], base.volume())
+    if (table % config.world_size).any():
+        raise ScheduleError(
+            "UNSHARDABLE_BATCH",
+            f"clip batch sizes {table.tolist()} are not all multiples of world_size {config.world_size}",
+        )
     draws, batch_sizes = _variable_batch_counts(config, epoch, len(ids), table, CLIP_DRAW_TAG)
-    return _assemble(config, epoch, ids, draws, batch_sizes, clips=list(specs))
+    return _assemble(config, epoch, ids, draws, batch_sizes, specs)
 
 
 def shard_for_rank(schedule: EpochSchedule, rank: int, world_size: int) -> EpochSchedule:
     """Slice a global schedule down to one rank's share.
 
-    Rank r takes the r-th stride of each plan's ids; iteration count and
-    resolutions are identical across ranks, and the rank shards of a plan
-    partition its ids.
+    Rank r takes the r-th stride of each iteration's ids; iteration count
+    and shapes are identical across ranks, and the rank shards of an
+    iteration partition its ids. Every batch is a multiple of
+    ``world_size``, so one stride over the whole id array is each
+    iteration's stride; the shard's ids are a view, not a copy.
     """
     if not (0 <= rank < world_size):
         raise ScheduleError("RANK_OUT_OF_RANGE", f"rank {rank} not in [0, {world_size})")
-    plans = []
-    for plan in schedule.plans:
-        if plan.batch_size % world_size != 0:
-            raise ScheduleError(
-                "INDIVISIBLE_BATCH",
-                f"iteration {plan.iteration} batch {plan.batch_size} is not divisible by {world_size}",
-            )
-        ids = plan.sample_ids[rank::world_size]
-        plans.append(
-            BatchPlan(
-                iteration=plan.iteration,
-                resolution=plan.resolution,
-                batch_size=len(ids),
-                sample_ids=ids,
-                clip=plan.clip,
-            )
+    sizes = np.diff(schedule.offsets)
+    indivisible = np.flatnonzero(sizes % world_size)
+    if len(indivisible):
+        t = int(indivisible[0])
+        raise ScheduleError(
+            "INDIVISIBLE_BATCH",
+            f"iteration {t} batch {sizes[t]} is not divisible by {world_size}",
         )
-    return EpochSchedule.build(schedule.epoch, tuple(plans))
+    return EpochSchedule(
+        schedule.epoch,
+        schedule.ids[rank::world_size],
+        schedule.offsets // world_size,
+        schedule.shape_idx,
+        schedule.shapes,
+    )

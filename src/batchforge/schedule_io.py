@@ -1,102 +1,66 @@
 """JSONL export/import of epoch schedules.
 
 One JSON object per line. The first line is a header carrying the schema
-version and the effective config; each following line is one batch plan.
-Sample ids are stored either verbatim (``sample_ids``) or, in compact
-mode, as half-open contiguous runs (``id_runs``). Export of an imported
+version and the effective config; each following line is one iteration:
+its shape, its batch size and its ``sample_ids``. Export of an imported
 schedule reproduces the original bytes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
 from .core import Resolution, SamplerConfig, sampler_config_to_mapping
-from .samplers import BatchPlan, EpochSchedule, ScheduleError, VideoClipSpec
+from .samplers import EpochSchedule, ScheduleError, VideoClipSpec
 
 SCHEMA_VERSION = 1
-
-
-def _id_runs(ids: np.ndarray) -> list[list[int]]:
-    """Maximal consecutive runs as [start, end) pairs."""
-    if len(ids) == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(ids) != 1)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [len(ids) - 1]])
-    return [[int(ids[s]), int(ids[e]) + 1] for s, e in zip(starts, ends)]
-
-
-def _ids_from_runs(runs: list[list[int]]) -> np.ndarray:
-    if not runs:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([np.arange(s, e, dtype=np.int64) for s, e in runs])
-
-
-def _plan_record(epoch: int, plan: BatchPlan, compact: bool) -> dict:
-    record: dict = {
-        "kind": "plan",
-        "epoch": epoch,
-        "iteration": plan.iteration,
-        "height": plan.resolution.height,
-        "width": plan.resolution.width,
-        "batch_size": plan.batch_size,
-    }
-    if plan.clip is not None:
-        record["clip"] = {
-            "num_frames": plan.clip.num_frames,
-            "clips_per_video": plan.clip.clips_per_video,
-        }
-    if compact:
-        record["id_runs"] = _id_runs(plan.sample_ids)
-    else:
-        record["sample_ids"] = [int(i) for i in plan.sample_ids]
-    return record
-
-
-def schedule_lines(
-    schedules: Iterable[EpochSchedule],
-    config: SamplerConfig | None = None,
-    compact: bool = False,
-    extra_header: dict | None = None,
-) -> Iterator[str]:
-    """Yield the JSONL lines for a sequence of epoch schedules."""
-    header: dict = {"schema_version": SCHEMA_VERSION, "kind": "header"}
-    if config is not None:
-        header["config"] = sampler_config_to_mapping(config)
-    if extra_header:
-        header.update(extra_header)
-    yield json.dumps(header, separators=(",", ":"))
-    for schedule in schedules:
-        for plan in schedule.plans:
-            yield json.dumps(_plan_record(schedule.epoch, plan, compact), separators=(",", ":"))
 
 
 def write_schedules(
     fp: IO[str],
     schedules: Iterable[EpochSchedule],
     config: SamplerConfig | None = None,
-    compact: bool = False,
-    extra_header: dict | None = None,
 ) -> None:
-    for line in schedule_lines(schedules, config, compact, extra_header):
-        fp.write(line + "\n")
+    """Write the JSONL lines for a sequence of epoch schedules."""
+    header: dict = {"schema_version": SCHEMA_VERSION, "kind": "header"}
+    if config is not None:
+        header["config"] = sampler_config_to_mapping(config)
+    fp.write(json.dumps(header, separators=(",", ":")) + "\n")
+    for schedule in schedules:
+        for plan in schedule.plans:
+            record: dict = {
+                "kind": "plan",
+                "epoch": schedule.epoch,
+                "iteration": plan.iteration,
+                "height": plan.resolution.height,
+                "width": plan.resolution.width,
+                "batch_size": plan.batch_size,
+            }
+            if plan.clip is not None:
+                record["clip"] = {
+                    "num_frames": plan.clip.num_frames,
+                    "clips_per_video": plan.clip.clips_per_video,
+                }
+            record["sample_ids"] = plan.sample_ids.tolist()
+            fp.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
     """Parse a schedule JSONL stream back into EpochSchedule objects.
 
     Returns the header's config mapping (if present) and one schedule per
-    epoch, in file order. A plan whose ``batch_size`` is not its id count
-    raises ``ScheduleError("BATCH_SIZE_MISMATCH")``; iterations that do not
-    run 0, 1, 2, ... within an epoch raise ``ScheduleError("ITERATION_ORDER")``.
+    epoch, in file order. A plan without ``sample_ids`` raises
+    ``ScheduleError("MISSING_IDS")``; a plan whose ``batch_size`` is not its
+    id count raises ``ScheduleError("BATCH_SIZE_MISMATCH")``; iterations that
+    do not run 0, 1, 2, ... within an epoch raise
+    ``ScheduleError("ITERATION_ORDER")``.
     """
     header_config: dict | None = None
-    per_epoch: dict[int, list[BatchPlan]] = {}
-    order: list[int] = []
+    # per epoch: ids, offsets, shape indices, and the shape table as {shape: index}
+    per_epoch: dict[int, tuple[np.ndarray, list[int], list[int], dict]] = {}
     for raw in fp:
         line = raw.strip()
         if not line:
@@ -111,40 +75,50 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
             continue
         if kind != "plan":
             raise ValueError(f"unexpected record kind {kind!r}")
-        if "sample_ids" in record:
-            ids = np.asarray(record["sample_ids"], dtype=np.int64)
-        else:
-            ids = _ids_from_runs(record.get("id_runs", []))
-        clip = None
-        if "clip" in record:
-            clip = VideoClipSpec(
-                num_frames=record["clip"]["num_frames"],
-                clips_per_video=record["clip"]["clips_per_video"],
-                resolution=Resolution(record["height"], record["width"]),
-            )
         epoch, iteration, batch_size = record["epoch"], record["iteration"], record["batch_size"]
+        if "sample_ids" not in record:
+            raise ScheduleError(
+                "MISSING_IDS", f"epoch {epoch} iteration {iteration}: the plan has no sample_ids"
+            )
+        ids = record["sample_ids"]
         if batch_size != len(ids):
             raise ScheduleError(
                 "BATCH_SIZE_MISMATCH",
                 f"epoch {epoch} iteration {iteration}: batch_size {batch_size} but {len(ids)} ids",
             )
         if epoch not in per_epoch:
-            per_epoch[epoch] = []
-            order.append(epoch)
-        plans = per_epoch[epoch]
-        if iteration != len(plans):
+            # One id buffer, so an epoch's ids are never held twice. 4M ids (32 MiB) is
+            # glibc's largest mmap threshold: the buffer is mapped apart from the heap,
+            # the OS backs only the pages written, and it grows and shrinks in place.
+            per_epoch[epoch] = (np.empty(1 << 22, dtype=np.int64), [0], [], {})
+        epoch_ids, offsets, shape_idx, shapes = per_epoch[epoch]
+        if iteration != len(shape_idx):
             raise ScheduleError(
                 "ITERATION_ORDER",
-                f"epoch {epoch}: iteration {iteration} where {len(plans)} was expected",
+                f"epoch {epoch}: iteration {iteration} where {len(shape_idx)} was expected",
             )
-        plans.append(
-            BatchPlan(
-                iteration=iteration,
-                resolution=Resolution(record["height"], record["width"]),
-                batch_size=batch_size,
-                sample_ids=ids,
-                clip=clip,
+        shape = Resolution(record["height"], record["width"])
+        if "clip" in record:
+            shape = VideoClipSpec(
+                num_frames=record["clip"]["num_frames"],
+                clips_per_video=record["clip"]["clips_per_video"],
+                resolution=shape,
             )
+        end = offsets[-1] + len(ids)
+        if end > len(epoch_ids):
+            epoch_ids.resize(2 * end, refcheck=False)
+        epoch_ids[offsets[-1] : end] = ids
+        offsets.append(end)
+        shape_idx.append(shapes.setdefault(shape, len(shapes)))
+    for epoch_ids, offsets, _, _ in per_epoch.values():
+        epoch_ids.resize(offsets[-1], refcheck=False)
+    return header_config, [
+        EpochSchedule(
+            epoch,
+            epoch_ids,
+            np.asarray(offsets, dtype=np.int64),
+            np.asarray(shape_idx, dtype=np.int64),
+            tuple(shapes),
         )
-    schedules = [EpochSchedule.build(e, tuple(per_epoch[e])) for e in order]
-    return header_config, schedules
+        for epoch, (epoch_ids, offsets, shape_idx, shapes) in per_epoch.items()
+    ]

@@ -448,8 +448,7 @@ def train(
             reeval = state.reevaluation_plan()
             if schedule.total_samples < len(active_ids):
                 # active ids in the dropped tail still owe this epoch a record
-                trained = np.concatenate([np.empty(0, np.int64), *(p.sample_ids for p in schedule)])
-                tail = np.setdiff1d(active_ids, trained, assume_unique=True)
+                tail = np.setdiff1d(active_ids, schedule.ids, assume_unique=True)
                 reeval = np.concatenate([reeval, tail])
             if len(reeval):
                 logits = model.forward(

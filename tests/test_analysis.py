@@ -17,7 +17,7 @@ from batchforge.analysis import (
     write_cost_csv,
 )
 from batchforge.core import Resolution, ResolutionSet, SamplerConfig, Strategy
-from batchforge.samplers import BatchPlan, EpochSchedule, plan_epoch
+from batchforge.samplers import EpochSchedule, plan_epoch
 
 STANDARD = ResolutionSet.squares([128, 192, 224, 288, 320])
 
@@ -76,15 +76,16 @@ def test_exact_vs_closed_form_within_one_percent_for_large_n():
 
 
 def test_memory_proxy_trivial_single_plan():
-    plan = BatchPlan(0, Resolution(1, 1), 1, np.array([0]))
-    schedule = EpochSchedule.build(0, (plan,))
+    one = np.array([0, 1])
+    schedule = EpochSchedule(0, ids=one[:1], offsets=one, shape_idx=one[:1], shapes=(Resolution(1, 1),))
     proxy = input_memory_proxy(schedule, channels=3, bytes_per_element=4)
     assert proxy.peak_bytes == 12 and proxy.mean_bytes == 12.0
 
 
 def test_memory_proxy_empty_schedule():
     with pytest.raises(AnalysisError) as err:
-        input_memory_proxy(EpochSchedule.build(0, ()))
+        none = np.zeros(1, dtype=np.int64)
+        input_memory_proxy(EpochSchedule(0, ids=none[1:], offsets=none, shape_idx=none[1:], shapes=()))
     assert err.value.code == "EMPTY_SCHEDULE"
 
 

@@ -109,9 +109,9 @@ def test_round_trip_plan_export_import_analyze(tmp_path):
     ]
     assert run_cli(["plan", *common, "-o", str(sched1)]) == 0
 
-    # export re-emits the schedule (compact), which must import back losslessly
+    # export re-emits the schedule, which must import back losslessly
     sched2 = tmp_path / "roundtrip.jsonl"
-    assert run_cli(["export", "--schedule", str(sched1), "--compact", "-o", str(sched2)]) == 0
+    assert run_cli(["export", "--schedule", str(sched1), "-o", str(sched2)]) == 0
     sched3 = tmp_path / "expanded.jsonl"
     assert run_cli(["export", "--schedule", str(sched2), "-o", str(sched3)]) == 0
     assert sched3.read_bytes() == sched1.read_bytes()
@@ -204,6 +204,25 @@ def test_train_writes_all_artifacts(tmp_path, capsys):
     assert lines[0].startswith("# schema_version=1 config=")
     assert lines[1] == "epoch,active,removed,readded,forward_passes"
     assert len(lines) == 2 + 6
+
+
+def test_train_reads_sampler_keys_from_config(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("strategy = ssc_fbs\nbase_batch = 64\ndataset_size = 600\nepochs = 2\nwarmup_epochs = 1\n")
+    out = tmp_path / "file.json"
+    assert run_cli(["train", "--config", str(cfg), "--eval-samples", "50", "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    sampler = payload["config"]["sampler"]
+    assert (sampler["strategy"], sampler["base_batch"], sampler["dataset_size"]) == ("ssc_fbs", 64, 600)
+    assert payload["config"]["task"]["samples"] == 600
+    assert payload["config"]["trainer"]["warmup_epochs"] == 1
+    assert [row["updates"] for row in payload["per_epoch"]] == [10, 10]  # ceil(600 / 64)
+
+    flags = tmp_path / "flags.json"
+    args = ["train", "--config", str(cfg), "--batch", "100", "--samples", "500", "--eval-samples", "50"]
+    assert run_cli([*args, "-o", str(flags)]) == 0
+    sampler = json.loads(flags.read_text())["config"]["sampler"]
+    assert (sampler["strategy"], sampler["base_batch"], sampler["dataset_size"]) == ("ssc_fbs", 100, 500)
 
 
 def test_train_determinism_across_invocations(tmp_path):

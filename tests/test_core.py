@@ -113,6 +113,27 @@ def test_validation_reports_all_violations_at_once():
     assert {"EMPTY_RESOLUTION_SET", "ZERO_BATCH", "ZERO_EPOCHS"} <= found
 
 
+def test_unshardable_configs_rejected():
+    # FLOOR scales 16 x 4 ids to 196 / 64 / 31, and 31 does not split four ways
+    floor = make_config(
+        dataset_size=1000,
+        base_batch=16,
+        resolutions=ResolutionSet.squares([128, 224, 320]),
+        world_size=4,
+        batch_rounding=BatchRounding.FLOOR,
+    )
+    assert codes(floor) == {"UNSHARDABLE_BATCH"}
+    assert codes(dataclasses.replace(floor, world_size=1, min_batch=1)) == set()
+    # a min_batch floor that binds must itself split across ranks
+    clamped = make_config(base_batch=8, world_size=4, min_batch=18)
+    assert codes(clamped) == {"UNSHARDABLE_BATCH"}
+    assert codes(dataclasses.replace(clamped, min_batch=20)) == set()
+    # the final short batch depends on the active set, so it cannot be sharded
+    assert codes(make_config(world_size=4, drop_last=False)) == {"UNSHARDABLE_TAIL"}
+    assert codes(make_config(world_size=1, drop_last=False)) == set()
+    assert codes(make_config(strategy=Strategy.SSC_FBS, world_size=4, min_batch=6)) == set()
+
+
 def test_min_batch_defaults_to_world_size():
     assert make_config(world_size=4, dataset_size=1024).min_batch == 4
     assert make_config(min_batch=2, world_size=4, dataset_size=1024).min_batch == 2

@@ -333,6 +333,13 @@ def test_video_requires_specs_and_base_membership():
     with pytest.raises(ConfigValidationError) as err:
         plan_video_vbs(video_config(base_batch=0, dataset_size=100), SPECS, SPECS[1], 0)
     assert err.value.codes == ["ZERO_BATCH"]
+    # FLOOR scales 5 x 3 clips at the base spec to 30 / 15 / 7, and 7 does not split three ways
+    sharded = video_config(
+        base_batch=5, world_size=3, batch_rounding=BatchRounding.FLOOR, drop_last=True
+    )
+    with pytest.raises(ScheduleError) as err:
+        plan_video_vbs(sharded, SPECS, SPECS[1], 0)
+    assert err.value.code == "UNSHARDABLE_BATCH"
 
 
 def test_video_coverage():
@@ -348,6 +355,20 @@ def test_shard_world_one_is_identity():
     config = make_config(dataset_size=1000, base_batch=50, drop_last=True)
     schedule = plan_epoch(config, 0)
     assert shard_for_rank(schedule, 0, 1) == schedule
+
+
+def test_shards_are_views_of_the_global_schedule():
+    config = make_config(dataset_size=65536, base_batch=64, world_size=8, drop_last=True)
+    schedule = plan_epoch(config, 0)
+    assert schedule.plans is schedule.plans
+    for rank in range(8):
+        shard = shard_for_rank(schedule, rank, 8)
+        assert np.shares_memory(shard.ids, schedule.ids)
+        assert shard.plans is shard.plans
+        assert all(
+            np.array_equal(mine.sample_ids, plan.sample_ids[rank::8])
+            for mine, plan in zip(shard.plans, schedule.plans)
+        )
 
 
 def test_shard_partitions_each_plan():

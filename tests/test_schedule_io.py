@@ -6,7 +6,7 @@ import pytest
 
 from batchforge.core import Resolution, ResolutionSet, SamplerConfig, Strategy, sampler_config_from_mapping
 from batchforge.samplers import ScheduleError, VideoClipSpec, plan_epoch, plan_video_vbs
-from batchforge.schedule_io import _id_runs, _ids_from_runs, read_schedules, write_schedules
+from batchforge.schedule_io import read_schedules, write_schedules
 
 
 def make_config(**overrides):
@@ -24,41 +24,29 @@ def make_config(**overrides):
     return SamplerConfig(**kwargs)
 
 
-def export_text(schedules, config, compact):
+def export_text(schedules, config):
     buf = io.StringIO()
-    write_schedules(buf, schedules, config=config, compact=compact)
+    write_schedules(buf, schedules, config=config)
     return buf.getvalue()
-
-
-def test_id_runs_round_trip_edge_cases():
-    for ids in ([], [5], [1, 2, 3], [1, 3, 5], [0, 1, 7, 8, 9, 42]):
-        arr = np.asarray(ids, dtype=np.int64)
-        assert np.array_equal(_ids_from_runs(_id_runs(arr)), arr)
-
-
-def test_id_runs_compact_contiguous():
-    assert _id_runs(np.arange(100, 200)) == [[100, 200]]
 
 
 def test_export_import_export_is_byte_identical():
     config = make_config()
     schedules = [plan_epoch(config, e) for e in range(config.epochs)]
-    for compact in (False, True):
-        text = export_text(schedules, config, compact)
-        header, back = read_schedules(io.StringIO(text))
-        assert header is not None
-        rebuilt_config = sampler_config_from_mapping(header)
-        assert rebuilt_config == config
-        assert export_text(back, rebuilt_config, compact) == text
+    text = export_text(schedules, config)
+    header, back = read_schedules(io.StringIO(text))
+    assert header is not None
+    rebuilt_config = sampler_config_from_mapping(header)
+    assert rebuilt_config == config
+    assert export_text(back, rebuilt_config) == text
 
 
 def test_import_reconstructs_equal_schedules():
     config = make_config()
     schedules = [plan_epoch(config, e) for e in range(config.epochs)]
-    for compact in (False, True):
-        _, back = read_schedules(io.StringIO(export_text(schedules, config, compact)))
-        assert len(back) == len(schedules)
-        assert all(a == b for a, b in zip(schedules, back))
+    _, back = read_schedules(io.StringIO(export_text(schedules, config)))
+    assert len(back) == len(schedules)
+    assert all(a == b for a, b in zip(schedules, back))
 
 
 def test_video_clip_round_trip():
@@ -72,7 +60,7 @@ def test_video_clip_round_trip():
         epochs=1,
     )
     schedule = plan_video_vbs(config, specs, specs[0], 0)
-    text = export_text([schedule], config, compact=False)
+    text = export_text([schedule], config)
     _, back = read_schedules(io.StringIO(text))
     assert back[0] == schedule
     assert back[0].plans[0].clip is not None
@@ -100,7 +88,7 @@ def test_reader_rejects_unknown_schema():
 
 
 def exported_records(config):
-    text = export_text([plan_epoch(config, 0)], config, compact=False)
+    text = export_text([plan_epoch(config, 0)], config)
     return [json.loads(line) for line in text.splitlines()]
 
 
@@ -124,3 +112,13 @@ def test_reader_rejects_iterations_out_of_order():
         with pytest.raises(ScheduleError) as err:
             read_records(bad)
         assert err.value.code == "ITERATION_ORDER"
+
+
+def test_reader_rejects_plans_without_sample_ids():
+    # files written by the removed compact mode stored ids as [start, end) runs
+    records = exported_records(make_config(epochs=1))
+    records[1] = {k: v for k, v in records[1].items() if k != "sample_ids"}
+    records[1]["id_runs"] = [[0, records[1]["batch_size"]]]
+    with pytest.raises(ScheduleError) as err:
+        read_records(records)
+    assert err.value.code == "MISSING_IDS"
