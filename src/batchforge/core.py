@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
+from .rng import MAX_PERMUTATION_SIZE
+
 _MAX_SEED = (1 << 64) - 1
 
 
@@ -213,6 +215,8 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
 
     if config.dataset_size < 1:
         flag("DATASET_TOO_SMALL", "dataset_size must be >= 1")
+    elif config.dataset_size > MAX_PERMUTATION_SIZE:
+        flag("DATASET_TOO_LARGE", f"dataset_size must be <= {MAX_PERMUTATION_SIZE} (2**24)")
     elif config.drop_last and config.world_size >= 1 and config.dataset_size < config.effective_batch():
         flag(
             "DATASET_TOO_SMALL",

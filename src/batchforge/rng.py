@@ -27,6 +27,9 @@ _MIX_B = 0x94D049BB133111EB
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
+# Largest n :func:`permutation` accepts; see its docstring for why.
+MAX_PERMUTATION_SIZE = 1 << 24
+
 
 class RngError(ValueError):
     """Raised for invalid draw requests (e.g. ZERO_SET_SIZE)."""
@@ -45,8 +48,10 @@ def _mix64(x: int) -> int:
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array (wrapping multiply)."""
-    x = x.astype(np.uint64, copy=True)
+    """splitmix64 finalizer over a uint64 array (wrapping multiply).
+
+    Mixes ``x`` in place and returns it; callers pass arrays they own.
+    """
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX_A)
     x ^= x >> np.uint64(27)
@@ -146,11 +151,30 @@ def choice_at(seed: int, epoch: int, iterations: np.ndarray, tag: str, set_size:
 def permutation(seed: int, key: StreamKey, n: int) -> np.ndarray:
     """Deterministic uniform permutation of [0, n) for the given stream.
 
-    Sorts n stream draws; stable sort makes the (astronomically rare)
-    key collision deterministic too.
+    Orders the indices by their stream draws through one sort of composite
+    keys: with ``b = max(1, (n - 1).bit_length())``, each draw keeps its top
+    ``64 - b`` bits and takes the index in its low ``b`` bits. The keys are
+    unique, so any sort order is deterministic, and the result is exactly
+    ``np.lexsort((np.arange(n), draws >> b))``: two indices whose draws share
+    their top ``64 - b`` bits keep index order, whatever their low bits.
+
+    Only ``64 - b`` random bits decide the order, so ties grow with n (about
+    n**3 / 2**65 tied pairs are expected); ``n`` is capped at
+    ``MAX_PERMUTATION_SIZE`` (2**24, 128 expected tied pairs) and larger
+    requests raise ``PERMUTATION_TOO_LARGE``.
     """
+    if n > MAX_PERMUTATION_SIZE:
+        raise RngError(
+            "PERMUTATION_TOO_LARGE",
+            f"permutation of {n} ids exceeds the {MAX_PERMUTATION_SIZE} supported",
+        )
+    low = np.uint64((1 << max(1, (int(n) - 1).bit_length())) - 1)
     keys = stream_fill(seed, key, n)
-    return np.argsort(keys, kind="stable")
+    keys &= ~low
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    keys &= low
+    return keys.view(np.int64)
 
 
 def derive_seed(seed: int, index: int) -> int:

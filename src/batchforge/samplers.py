@@ -16,8 +16,12 @@ draws are keyed by (epoch, iteration) only, never by rank, so every rank
 regenerates the same shape sequence; ids are dealt round-robin to ranks by
 :func:`shard_for_rank`.
 
-One id permutation is drawn per epoch and consumed sequentially; the epoch
-ends when it runs out (a final short batch is kept unless ``drop_last``).
+One id permutation is drawn per epoch (:func:`batchforge.rng.permutation`,
+one sort of composite draw-and-index keys) and consumed sequentially; the
+epoch ends when it runs out (a final short batch is kept unless
+``drop_last``). Active ids are sorted first, unless they already increase;
+when they are the whole dataset the permutation itself is the id order, so
+no gather is made.
 
 An :class:`EpochSchedule` stores the epoch as arrays for every strategy,
 video included: the scheduled ids in order, per-iteration offsets into
@@ -284,17 +288,22 @@ def epoch_batch_shapes(
 
 
 def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray:
+    """Active ids in increasing order; an increasing input is used as is."""
     if active_ids is None:
         return np.arange(config.dataset_size, dtype=np.int64)
-    ids = np.sort(np.asarray(active_ids, dtype=np.int64))
+    ids = np.asarray(active_ids, dtype=np.int64)
+    presorted = bool((ids[1:] > ids[:-1]).all())
+    if not presorted:
+        ids = np.sort(ids)
     if len(ids) and (ids[0] < 0 or ids[-1] >= config.dataset_size):
         raise ScheduleError(
             "ID_OUT_OF_RANGE",
             f"active ids must lie in [0, {config.dataset_size})",
         )
-    repeated = ids[1:][ids[1:] == ids[:-1]]
-    if len(repeated):
-        raise ScheduleError("DUPLICATE_ID", f"active id {repeated[0]} is listed more than once")
+    if not presorted:
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if len(repeated):
+            raise ScheduleError("DUPLICATE_ID", f"active id {repeated[0]} is listed more than once")
     return ids
 
 
@@ -308,8 +317,11 @@ def _assemble(
 ) -> EpochSchedule:
     offsets = np.zeros(len(batch_sizes) + 1, dtype=np.int64)
     np.cumsum(batch_sizes, out=offsets[1:])
-    order = permutation(config.seed, StreamKey(epoch, 0, PERMUTATION_TAG), len(ids))
-    return EpochSchedule(epoch, ids[order[: offsets[-1]]], offsets, shape_idx, tuple(shapes))
+    order = permutation(config.seed, StreamKey(epoch, 0, PERMUTATION_TAG), len(ids))[: offsets[-1]]
+    # Sorted, unique and in range: all dataset_size ids are arange(N), so
+    # the permutation already is the id order.
+    scheduled = order if len(ids) == config.dataset_size else ids[order]
+    return EpochSchedule(epoch, scheduled, offsets, shape_idx, tuple(shapes))
 
 
 def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSchedule:

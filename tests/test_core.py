@@ -96,6 +96,12 @@ def test_dataset_too_small_with_drop_last():
     assert "DATASET_TOO_SMALL" in codes(make_config(dataset_size=0))
 
 
+def test_dataset_too_large_for_the_permutation():
+    # Composite permutation keys keep 64 - 24 random bits at 2**24 ids.
+    assert "DATASET_TOO_LARGE" not in codes(make_config(dataset_size=2**24))
+    assert "DATASET_TOO_LARGE" in codes(make_config(dataset_size=2**24 + 1))
+
+
 def test_remaining_field_invariants():
     assert "ZERO_EPOCHS" in codes(make_config(epochs=0))
     assert "ZERO_WORLD" in codes(make_config(world_size=0))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import batchforge.rng as rng_module
 from batchforge.rng import (
+    MAX_PERMUTATION_SIZE,
     RngError,
     SeededRng,
     StreamKey,
@@ -110,6 +112,38 @@ def test_vectorised_choice_matches_scalar():
 def test_permutation_is_bijection():
     perm = permutation(5, StreamKey(0, 0, "perm"), 1000)
     assert np.array_equal(np.sort(perm), np.arange(1000))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 65535, 65536, 65537])
+def test_permutation_is_lexsort_of_draw_high_bits_then_index(n):
+    bits = np.uint64(max(1, (n - 1).bit_length()))
+    for seed in (0, 5, 2**64 - 1):
+        key = StreamKey(3, 0, "perm")
+        draws = stream_fill(seed, key, n)
+        perm = permutation(seed, key, n)
+        assert perm.dtype == np.int64
+        assert np.array_equal(perm, np.lexsort((np.arange(n), draws >> bits)))
+
+
+def test_permutation_ties_keep_index_order(monkeypatch):
+    # n = 4 keeps b = 2 low bits; draws equal above them tie, lower index first.
+    draws = np.array([(7 << 2) | 3, (7 << 2) | 0, (1 << 2) | 2, (7 << 2) | 1], dtype=np.uint64)
+    monkeypatch.setattr(rng_module, "stream_fill", lambda seed, key, count: draws.copy())
+    assert permutation(0, StreamKey(), 4).tolist() == [2, 0, 1, 3]
+    assert np.argsort(draws, kind="stable").tolist() == [2, 1, 3, 0]
+
+
+def test_permutation_size_is_bounded():
+    assert MAX_PERMUTATION_SIZE == 2**24
+    with pytest.raises(RngError) as err:
+        permutation(0, StreamKey(), MAX_PERMUTATION_SIZE + 1)
+    assert err.value.code == "PERMUTATION_TOO_LARGE"
+
+
+def test_stream_at_leaves_its_input_unchanged():
+    iters = np.arange(16, dtype=np.uint64)
+    stream_at(3, 1, iters, "res")
+    assert np.array_equal(iters, np.arange(16, dtype=np.uint64))
 
 
 def test_permutation_changes_with_epoch():

@@ -13,7 +13,9 @@ from batchforge.core import (
     SamplerConfig,
     Strategy,
 )
+from batchforge.rng import StreamKey, permutation
 from batchforge.samplers import (
+    PERMUTATION_TAG,
     ScheduleError,
     VideoClipSpec,
     epoch_batch_shapes,
@@ -232,16 +234,41 @@ def test_msc_vbs_respects_active_subset():
 
 def test_active_ids_out_of_range_rejected():
     config = make_config(dataset_size=100, base_batch=10, drop_last=False)
-    with pytest.raises(ScheduleError) as err:
-        plan_epoch(config, 0, active_ids=np.array([5, 100]))
-    assert err.value.code == "ID_OUT_OF_RANGE"
+    # Sorted or not; out of range wins over a duplicate.
+    for active in ([5, 100], [100, 5], [-1, 5], [5, -1], [7, 100, 7]):
+        with pytest.raises(ScheduleError) as err:
+            plan_epoch(config, 0, active_ids=np.array(active))
+        assert err.value.code == "ID_OUT_OF_RANGE"
 
 
 def test_duplicate_active_ids_rejected():
     config = make_config(dataset_size=100, base_batch=10, drop_last=False)
-    with pytest.raises(ScheduleError) as err:
-        plan_epoch(config, 0, active_ids=[1, 1, 1, 2])
-    assert err.value.code == "DUPLICATE_ID"
+    for active in ([1, 1, 1, 2], [1, 2, 2, 3], [3, 1, 2, 1]):
+        with pytest.raises(ScheduleError) as err:
+            plan_epoch(config, 0, active_ids=active)
+        assert err.value.code == "DUPLICATE_ID"
+
+
+def test_active_id_order_and_type_do_not_change_the_plan():
+    config = make_config(dataset_size=1000, base_batch=16, drop_last=False)
+    active = np.arange(0, 1000, 3)
+    shuffled = np.random.default_rng(0).permutation(active)
+    before = shuffled.copy()
+    expected = plan_epoch(config, 2, active_ids=active)
+    assert plan_epoch(config, 2, active_ids=shuffled) == expected
+    assert plan_epoch(config, 2, active_ids=active.astype(np.int32)) == expected
+    assert plan_epoch(config, 2, active_ids=active.tolist()) == expected
+    assert np.array_equal(shuffled, before)
+
+
+@pytest.mark.parametrize("drop_last", [False, True])
+def test_full_set_schedule_is_the_epoch_permutation(drop_last):
+    config = make_config(dataset_size=1000, base_batch=16, drop_last=drop_last)
+    schedule = plan_epoch(config, 4)
+    order = permutation(config.seed, StreamKey(4, 0, PERMUTATION_TAG), 1000)
+    assert np.array_equal(schedule.ids, order[: schedule.total_samples])
+    shuffled = np.random.default_rng(1).permutation(1000)
+    assert plan_epoch(config, 4, active_ids=shuffled) == schedule
 
 
 def test_adding_larger_resolution_raises_fbs_peak_not_vbs():
