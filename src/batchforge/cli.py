@@ -24,6 +24,7 @@ from pathlib import Path
 from . import analysis, schedule_io
 from .core import (
     ConfigValidationError,
+    ConfigViolation,
     SamplerConfig,
     Strategy,
     ensure_valid,
@@ -114,7 +115,18 @@ def _sampler_from_args(
     flags = dict(vars(args))
     if flags.get("min_batch") is None and config.min_batch == config.world_size:
         flags["min_batch"] = flags.get("world_size")  # a min_batch tied to world_size moves with it
-    return ensure_valid(sampler_config_from_mapping(flags, base=config))
+    config = sampler_config_from_mapping(flags, base=config)
+    _image_strategy(config.strategy)
+    return ensure_valid(config)
+
+
+def _image_strategy(strategy: Strategy) -> Strategy:
+    """Commands plan images only: none of them takes the clip table video needs."""
+    if strategy is Strategy.VIDEO_VBS:
+        raise ConfigValidationError(
+            [ConfigViolation("UNSUPPORTED_STRATEGY", "video_vbs needs a clip table, which no command takes")]
+        )
+    return strategy
 
 
 def _config_header(config: dict) -> str:
@@ -167,7 +179,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         config_echo = sampler_config_to_mapping(config)
     else:
         config = _sampler_from_args(args)
-        strategies = [Strategy.parse(s) for s in args.strategies.split(",") if s.strip()]
+        strategies = [_image_strategy(Strategy.parse(s)) for s in args.strategies.split(",") if s.strip()]
         reports = analysis.compare_strategies(config, strategies, channels=args.channels)
         config_echo = sampler_config_to_mapping(config)
 

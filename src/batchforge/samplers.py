@@ -219,42 +219,37 @@ def resolution_size_table(config: SamplerConfig) -> np.ndarray:
     )
 
 
-def _fixed_batch_counts(n_active: int, batch: int, drop_last: bool) -> np.ndarray:
-    """Batch sizes for a fixed-batch epoch over ``n_active`` ids."""
-    full, rem = divmod(n_active, batch)
-    sizes = np.full(full, batch, dtype=np.int64)
-    if rem and not drop_last:
-        sizes = np.append(sizes, rem)
-    return sizes
-
-
 def _variable_batch_counts(
     config: SamplerConfig,
     epoch: int,
     n_active: int,
+    shape_idx: np.ndarray,
     size_table: np.ndarray,
     tag: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw shapes until the epoch's ids run out.
+    """Draw table entries until the epoch's ids run out.
 
-    Returns (entry indices, batch sizes); the final batch is trimmed to
-    the leftover count when ``drop_last`` is false.
+    Entry ``k`` is a batch of ``size_table[k]`` ids at shape
+    ``shape_idx[k]``; a one-entry table needs no draw. Returns (shape
+    indices, batch sizes); the final batch is trimmed to the leftover count
+    when ``drop_last`` is false.
     """
     if n_active <= 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    min_size = int(size_table.min())
-    bound = n_active // min_size + 2  # no epoch can run longer
-    draws = choice_at(config.seed, epoch, np.arange(bound), tag, len(size_table))
+    bound = n_active // int(size_table.min()) + 2  # no epoch can run longer
+    if len(size_table) == 1:
+        draws = np.zeros(bound, dtype=np.int64)
+    else:
+        draws = choice_at(config.seed, epoch, np.arange(bound), tag, len(size_table))
     batches = size_table[draws]
     served = np.cumsum(batches)
     if config.drop_last:
         count = int(np.searchsorted(served, n_active, side="right"))
-        return draws[:count], batches[:count]
-    count = int(np.searchsorted(served, n_active, side="left")) + 1
-    count = min(count, bound)
-    clipped = np.minimum(served[:count], n_active)
-    batches = np.diff(clipped, prepend=0)
-    return draws[:count], batches
+        batches = batches[:count]
+    else:
+        count = min(int(np.searchsorted(served, n_active, side="left")) + 1, bound)
+        batches = np.diff(np.minimum(served[:count], n_active), prepend=0)
+    return shape_idx[draws[:count]], batches
 
 
 def epoch_batch_shapes(
@@ -264,27 +259,24 @@ def epoch_batch_shapes(
 
     This is the arithmetic skeleton the planners flesh out with sample
     ids; cost accounting walks it directly so counted updates are the
-    updates a materialized schedule would perform. Single scale uses the
-    base resolution's index throughout.
+    updates a materialized schedule would perform. Each strategy is the
+    one walk over its (resolution index, global batch) table.
     """
     strategy = config.strategy
+    every = np.arange(len(config.resolutions))
     if strategy is Strategy.SSC_FBS:
-        sizes = _fixed_batch_counts(n_active, config.effective_batch(), config.drop_last)
-        base = config.resolutions.index_of(config.base_resolution)
-        return np.full(len(sizes), base, dtype=np.int64), sizes
-    if strategy is Strategy.MSC_FBS:
-        sizes = _fixed_batch_counts(n_active, config.effective_batch(), config.drop_last)
-        draws = choice_at(
-            config.seed, epoch, np.arange(len(sizes)), RESOLUTION_DRAW_TAG, len(config.resolutions)
+        shape_idx = np.array([config.resolutions.index_of(config.base_resolution)])
+        sizes = np.array([config.effective_batch()])
+    elif strategy is Strategy.MSC_FBS:
+        shape_idx, sizes = every, np.full(len(every), config.effective_batch())
+    elif strategy is Strategy.MSC_VBS:
+        shape_idx, sizes = every, resolution_size_table(config)
+    else:
+        raise ScheduleError(
+            "UNSUPPORTED_STRATEGY",
+            f"epoch_batch_shapes handles image strategies, not {strategy.value}",
         )
-        return draws, sizes
-    if strategy is Strategy.MSC_VBS:
-        table = resolution_size_table(config)
-        return _variable_batch_counts(config, epoch, n_active, table, RESOLUTION_DRAW_TAG)
-    raise ScheduleError(
-        "UNSUPPORTED_STRATEGY",
-        f"epoch_batch_shapes handles image strategies, not {strategy.value}",
-    )
+    return _variable_batch_counts(config, epoch, n_active, shape_idx, sizes, RESOLUTION_DRAW_TAG)
 
 
 def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray:
@@ -356,7 +348,8 @@ def plan_video_vbs(
             "UNSHARDABLE_BATCH",
             f"clip batch sizes {table.tolist()} are not all multiples of world_size {config.world_size}",
         )
-    draws, batch_sizes = _variable_batch_counts(config, epoch, len(ids), table, CLIP_DRAW_TAG)
+    every = np.arange(len(specs))
+    draws, batch_sizes = _variable_batch_counts(config, epoch, len(ids), every, table, CLIP_DRAW_TAG)
     return _assemble(config, epoch, ids, draws, batch_sizes, specs)
 
 

@@ -1,12 +1,12 @@
 """Sample-efficient training: the easy/hard sample state machine.
 
 Each epoch every active sample gets one prediction record (was it
-classified correctly, and with what confidence). A sample whose last
-``window`` consecutive epochs were all correct with confidence strictly
-above ``tau`` is easy and is removed from training. Removed samples keep
-being evaluated forward-only; as soon as their latest evaluation is wrong
-or under-confident they rejoin the active set, with a fresh window so one
-lucky epoch cannot re-remove them immediately.
+classified correctly, and with what confidence). A record is easy when it
+is correct with confidence strictly above ``tau``. A sample whose last
+``window`` records were all easy is removed from training. Removed samples
+keep being evaluated forward-only; as soon as their latest evaluation is
+not easy they rejoin the active set, with a fresh window so one lucky
+epoch cannot re-remove them immediately.
 
 Setting ``tau`` to 1.0 disables removal entirely (confidence never
 exceeds 1), which makes the no-filtering baseline a special case rather
@@ -15,17 +15,25 @@ than a separate code path.
 Optimizer updates and forward passes are tracked separately: filtering
 cuts updates, but monitoring removed samples still costs forward passes.
 
-The state is a struct of arrays over sample ids ``0..N-1``, so recording a
-batch is one fancy-index write and an epoch transition is whole-array
-logic, with no Python work per sample:
+Both rules read one small number per sample, so the state is three arrays
+over sample ids ``0..N-1``, and recording a batch or ending an epoch is
+whole-array logic with no Python work per sample:
 
 - ``removed`` ``bool[N]``: the active/removed partition;
-- a ``window``-wide ring of the latest evaluations: ``ring_epoch``
-  ``int64[N, W]``, ``ring_correct`` ``bool[N, W]`` and ``ring_confidence``
-  ``float64[N, W]``;
-- ``ring_count`` ``int64[N]``: evaluations since the sample was last
-  re-added. The next one goes to slot ``ring_count % W`` and the ring holds
-  the last ``min(ring_count, W)`` of them; re-adding sets it to 0.
+- ``recorded`` ``bool[N]``: the sample has a record this epoch;
+- ``streak``: easy records in a row since the sample was last re-added,
+  capped at ``window``; a record that is not easy sets it to 0.
+
+At the end of epoch ``e``, once ``e >= start_epoch + window - 1``, active
+samples with ``streak >= window`` are removed. Removed samples with
+``streak == 0`` (their latest record was not easy) are re-added, and that
+streak of 0 is their fresh window.
+
+The checkpoint (schema version 2) is text JSON holding the settings, the
+counters and the three arrays: ``removed`` and ``recorded`` as base64 of
+``np.packbits``, ``streak`` as base64 of little-endian unsigned integers of
+the smallest width that holds ``window``. Schema version 1 checkpoints
+(per-sample histories) are rejected with ``BAD_SCHEMA``.
 
 Errors are ``SetError`` with a code:
 
@@ -37,27 +45,25 @@ Errors are ``SetError`` with a code:
 - ``MISSING_RECORDS``: finalize_epoch with active samples left unrecorded;
 - ``BAD_SCHEMA``, ``BAD_STATE``: a checkpoint of another schema version, or
   one that is malformed or inconsistent (a size, epoch or counter that is
-  not an integer >= 0, ids not exactly ``0..N-1`` once each, unknown
-  status, a history longer than ``window`` or whose epochs do not strictly
-  increase within ``[0, epoch]``);
+  not an integer >= 0, an array that is not base64 of the right length, a
+  streak above ``window`` or above the epochs recorded so far, a removed
+  sample whose streak no run can produce);
 - ``TAU_OUT_OF_RANGE``, ``ZERO_WINDOW``, ``NEGATIVE_START``,
   ``ZERO_STRIDE``: an invalid ``SetConfig``.
 """
 
 from __future__ import annotations
 
-import csv
+import base64
 import json
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass
-from enum import Enum
-from typing import IO, Iterable, Iterator
+from typing import IO
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class SetError(ValueError):
@@ -95,23 +101,6 @@ class SetConfig:
             raise SetError("ZERO_STRIDE", "reeval_stride must be >= 1")
 
 
-class SampleStatus(str, Enum):
-    ACTIVE = "active"
-    REMOVED = "removed"
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """Snapshot of one sample's evidence, oldest first: (epoch, correct, confidence)."""
-
-    sample_id: int
-    history: tuple[tuple[int, bool, float], ...]
-    status: SampleStatus = SampleStatus.ACTIVE
-
-    def latest(self) -> tuple[int, bool, float] | None:
-        return self.history[-1] if self.history else None
-
-
 @dataclass(frozen=True)
 class EpochTransition:
     """What finalize_epoch decided."""
@@ -136,37 +125,26 @@ class EpochTransition:
         )
 
 
-class _RecordView(Mapping):
-    """``state.records[sid]``: read-only SampleRecord snapshots of the arrays."""
+def _decode(text: str, nbytes: int, name: str) -> np.ndarray:
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != nbytes:
+        raise SetError("BAD_STATE", f"{name} holds {len(raw)} bytes, expected {nbytes}")
+    return np.frombuffer(raw, dtype=np.uint8)
 
-    def __init__(self, state: "SetState"):
-        self._state = state
 
-    def __getitem__(self, sample_id) -> SampleRecord:
-        state = self._state
-        window = state.config.window
-        if not (isinstance(sample_id, (int, np.integer)) and 0 <= sample_id < state.num_samples):
-            raise KeyError(sample_id)
-        count = int(state.ring_count[sample_id])
-        start = count % window if count >= window else 0
-        slots = [(start + k) % window for k in range(min(count, window))]
-        history = zip(
-            state.ring_epoch[sample_id, slots].tolist(),
-            state.ring_correct[sample_id, slots].tolist(),
-            state.ring_confidence[sample_id, slots].tolist(),
-        )
-        status = SampleStatus.REMOVED if state.removed[sample_id] else SampleStatus.ACTIVE
-        return SampleRecord(int(sample_id), tuple(history), status)
+def _unpack_bits(text: str, n: int, name: str) -> np.ndarray:
+    packed = _decode(text, (n + 7) // 8, name)
+    if n % 8 and packed[-1] & (0xFF >> n % 8):
+        raise SetError("BAD_STATE", f"{name} has bits set past sample {n - 1}")
+    return np.unpackbits(packed, count=n).view(bool)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._state.num_samples))
 
-    def __len__(self) -> int:
-        return self._state.num_samples
+def _b64(array: np.ndarray) -> str:
+    return base64.b64encode(array.tobytes()).decode("ascii")
 
 
 class SetState:
-    """Per-sample evaluation rings plus the active/removed partition, as arrays.
+    """The active/removed partition, this epoch's record bits and the easy streaks.
 
     Not internally locked: concurrent evaluation workers may call
     record_prediction only if calls are externally ordered per sample id,
@@ -177,19 +155,12 @@ class SetState:
         self.config = config
         self.num_samples = num_samples
         self.epoch = 0
-        window = config.window
         self.removed = np.zeros(num_samples, dtype=bool)
-        self.ring_epoch = np.zeros((num_samples, window), dtype=np.int64)
-        self.ring_correct = np.zeros((num_samples, window), dtype=bool)
-        self.ring_confidence = np.zeros((num_samples, window), dtype=np.float64)
-        self.ring_count = np.zeros(num_samples, dtype=np.int64)
+        self.recorded = np.zeros(num_samples, dtype=bool)
+        self.streak = np.zeros(num_samples, dtype=np.min_scalar_type(operator.index(config.window)))
         self.removed_count = 0
         self.readded_count = 0
         self.forward_passes = 0
-
-    @property
-    def records(self) -> Mapping[int, SampleRecord]:
-        return _RecordView(self)
 
     # -- recording ---------------------------------------------------
 
@@ -204,17 +175,13 @@ class SetState:
             raise SetError(
                 "CONFIDENCE_OUT_OF_RANGE", f"confidence {confidence} outside [0, 1]"
             )
-        window = self.config.window
-        count = int(self.ring_count[sid])
-        if count and self.ring_epoch[sid, (count - 1) % window] == self.epoch:
+        if self.recorded[sid]:
             raise SetError(
                 "DUPLICATE_RECORD", f"sample {sid} already has an epoch-{self.epoch} record"
             )
-        slot = count % window
-        self.ring_epoch[sid, slot] = self.epoch
-        self.ring_correct[sid, slot] = bool(correct)
-        self.ring_confidence[sid, slot] = float(confidence)
-        self.ring_count[sid] = count + 1
+        easy = bool(correct) and confidence > self.config.tau
+        self.streak[sid] = min(int(self.streak[sid]) + 1, self.config.window) if easy else 0
+        self.recorded[sid] = True
         self.forward_passes += 1
 
     def record_batch(
@@ -245,19 +212,17 @@ class SetState:
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if len(repeated):
             raise SetError("DUPLICATE_RECORD", f"sample {repeated[0]} appears twice in one batch")
-        window = self.config.window
-        count = self.ring_count[ids]
-        again = (count > 0) & (self.ring_epoch[ids, (count - 1) % window] == self.epoch)
+        again = self.recorded[ids]
         if again.any():
             raise SetError(
                 "DUPLICATE_RECORD",
                 f"sample {ids[again][0]} already has an epoch-{self.epoch} record",
             )
-        slot = count % window
-        self.ring_epoch[ids, slot] = self.epoch
-        self.ring_correct[ids, slot] = ok
-        self.ring_confidence[ids, slot] = conf
-        self.ring_count[ids] = count + 1
+        streak = np.minimum(self.streak[ids], self.config.window - 1)
+        streak += 1
+        streak *= ok & (conf > self.config.tau)  # a record that is not easy resets to 0
+        self.streak[ids] = streak
+        self.recorded[ids] = True
         self.forward_passes += len(ids)
 
     # -- queries -----------------------------------------------------
@@ -281,29 +246,23 @@ class SetState:
         """Apply the removal/re-add rules and advance to the next epoch."""
         cfg = self.config
         epoch = self.epoch
-        count = self.ring_count
         active = ~self.removed
-        seen = count > 0
-        latest = ((count - 1) % cfg.window)[:, None]
-        latest_epoch = np.take_along_axis(self.ring_epoch, latest, axis=1)[:, 0]
-        missing = np.flatnonzero(active & ~(seen & (latest_epoch == epoch)))
+        missing = np.flatnonzero(active & ~self.recorded)
         if len(missing):
             shown = ", ".join(str(i) for i in missing[:10])
             more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
             raise SetError(
                 "MISSING_RECORDS", f"active samples without epoch-{epoch} records: {shown}{more}"
             )
-        easy = self.ring_correct & (self.ring_confidence > cfg.tau)
         if epoch >= cfg.start_epoch + cfg.window - 1:
-            newly_removed = np.flatnonzero(active & (count >= cfg.window) & easy.all(axis=1))
+            newly_removed = np.flatnonzero(active & (self.streak >= cfg.window))
         else:
             newly_removed = np.empty(0, dtype=np.int64)
-        latest_easy = np.take_along_axis(easy, latest, axis=1)[:, 0]
-        readded = np.flatnonzero(self.removed & seen & ~latest_easy)
+        readded = np.flatnonzero(self.removed & (self.streak == 0))
         active_now = int(np.count_nonzero(active))
         self.removed[newly_removed] = True
-        self.removed[readded] = False
-        count[readded] = 0  # fresh window after re-adding
+        self.removed[readded] = False  # their streak of 0 is the fresh window
+        self.recorded[:] = False
         self.removed_count += len(newly_removed)
         self.readded_count += len(readded)
         self.epoch += 1
@@ -319,14 +278,6 @@ class SetState:
     # -- serialization -------------------------------------------------
 
     def to_payload(self) -> dict:
-        window, count = self.config.window, self.ring_count
-        start = np.where(count >= window, count % window, 0)
-        order = (start[:, None] + np.arange(window)) % window  # ring slots, oldest first
-        lengths = np.minimum(count, window)
-        epochs = np.take_along_axis(self.ring_epoch, order, axis=1).tolist()
-        correct = np.take_along_axis(self.ring_correct, order, axis=1).tolist()
-        confidence = np.take_along_axis(self.ring_confidence, order, axis=1).tolist()
-        status = (SampleStatus.ACTIVE.value, SampleStatus.REMOVED.value)
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "set_state",
@@ -343,21 +294,12 @@ class SetState:
                 "readded_count": self.readded_count,
                 "forward_passes": self.forward_passes,
             },
-            "samples": [
-                {
-                    "id": sid,
-                    "status": status[gone],
-                    "history": list(map(list, zip(ep[:n], ok[:n], conf[:n]))),
-                }
-                for sid, (gone, n, ep, ok, conf) in enumerate(
-                    zip(self.removed.tolist(), lengths.tolist(), epochs, correct, confidence)
-                )
-            ],
+            "removed": _b64(np.packbits(self.removed)),
+            "recorded": _b64(np.packbits(self.recorded)),
+            "streak": _b64(self.streak.astype(self.streak.dtype.newbyteorder("<"), copy=False)),
         }
 
     def dump(self, fp: IO[str]) -> None:
-        # json.dumps takes the C encoder; json.dump streams through the pure
-        # Python one, ~4x slower for the same bytes.
         fp.write(json.dumps(self.to_payload(), separators=(",", ":")))
 
     @classmethod
@@ -388,51 +330,33 @@ class SetState:
             state.removed_count = counters["removed_count"]
             state.readded_count = counters["readded_count"]
             state.forward_passes = counters["forward_passes"]
-            state._load_samples(payload["samples"])
+            n, streak = state.num_samples, state.streak
+            state.removed[:] = _unpack_bits(payload["removed"], n, "removed")
+            state.recorded[:] = _unpack_bits(payload["recorded"], n, "recorded")
+            raw = _decode(payload["streak"], n * streak.itemsize, "streak")
+            streak[:] = raw.view(streak.dtype.newbyteorder("<"))
         except SetError:
             raise
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise SetError("BAD_STATE", f"malformed set_state payload: {exc!r}") from exc
+        state._check_reachable()
         return state
 
-    def _load_samples(self, samples: list) -> None:
-        """Fill the arrays from v1 ``samples`` entries, rejecting inconsistent ones."""
-        n, window = self.num_samples, self.config.window
-        ids = np.asarray([s["id"] for s in samples])
-        if len(ids) != n or (n and ids.dtype.kind not in "iu"):
-            raise SetError("BAD_STATE", f"samples must list the ids 0..{n - 1}, got {len(ids)} entries")
-        if not np.array_equal(np.sort(ids), np.arange(n)):
-            raise SetError("BAD_STATE", f"sample ids must be 0..{n - 1}, each exactly once")
-        ids = ids.astype(np.int64)
-        statuses = [s["status"] for s in samples]
-        unknown = set(statuses) - {status.value for status in SampleStatus}
-        if unknown:
-            raise SetError("BAD_STATE", f"unknown sample status {sorted(map(repr, unknown))[0]}")
-        histories = [s["history"] for s in samples]
-        lengths = np.asarray([len(h) for h in histories], dtype=np.int64)
-        if (lengths > window).any():
-            raise SetError("BAD_STATE", f"a sample history is longer than the window {window}")
-        flat = [entry for h in histories for entry in h]
-        entries = np.asarray(flat, dtype=np.float64)
-        if flat and entries.shape != (len(flat), 3):
-            raise SetError("BAD_STATE", "history entries must be [epoch, correct, confidence]")
-        epochs, correct, confidence = entries.reshape(len(flat), 3).T
-        if not np.all((epochs == np.floor(epochs)) & (epochs >= 0) & (epochs <= self.epoch)):
-            raise SetError("BAD_STATE", f"history epochs must be integers in [0, {self.epoch}]")
-        starts = np.cumsum(lengths) - lengths
-        first = np.zeros(len(flat), dtype=bool)
-        first[starts[lengths > 0]] = True
-        if (~first[1:] & (np.diff(epochs) <= 0)).any():
-            raise SetError("BAD_STATE", "history epochs must strictly increase")
-        if not np.all((confidence >= 0.0) & (confidence <= 1.0)):
-            raise SetError("BAD_STATE", "history confidences must lie in [0, 1]")
-        rows = np.repeat(ids, lengths)
-        slots = np.arange(len(flat)) - np.repeat(starts, lengths)
-        self.removed[ids] = [status == SampleStatus.REMOVED.value for status in statuses]
-        self.ring_count[ids] = lengths
-        self.ring_epoch[rows, slots] = epochs
-        self.ring_correct[rows, slots] = correct != 0
-        self.ring_confidence[rows, slots] = confidence
+    def _check_reachable(self) -> None:
+        """Reject arrays that no sequence of records and epoch ends produces."""
+        window, streak = self.config.window, self.streak
+        # One record per epoch: the epochs so far, plus this one if recorded.
+        if (streak > np.minimum(window, min(self.epoch, window) + self.recorded)).any():
+            raise SetError("BAD_STATE", f"a streak exceeds the window {window} or the epochs so far")
+        # Removal needs a full streak, and a not-easy record re-adds at the epoch's end.
+        odd = self.removed & (streak != window) & ~(self.recorded & (streak == 0))
+        if odd.any():
+            sid = int(np.flatnonzero(odd)[0])
+            raise SetError(
+                "BAD_STATE",
+                f"removed sample {sid} has streak {streak[sid]}, not {window} "
+                "(or 0 after a not-easy record this epoch)",
+            )
 
     @classmethod
     def load(cls, fp: IO[str]) -> "SetState":
@@ -442,11 +366,3 @@ class SetState:
         if not isinstance(other, SetState):
             return NotImplemented
         return self.to_payload() == other.to_payload()
-
-
-def write_epoch_report_csv(fp: IO[str], transitions: Iterable[EpochTransition]) -> None:
-    """Per-epoch CSV: epoch, active, removed, readded, forward_passes."""
-    writer = csv.writer(fp)
-    writer.writerow(["epoch", "active", "removed", "readded", "forward_passes"])
-    for t in transitions:
-        writer.writerow([t.epoch, t.active_count, len(t.newly_removed), len(t.readded), t.forward_passes])

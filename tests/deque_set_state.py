@@ -11,16 +11,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from batchforge.set_training import (
-    SCHEMA_VERSION,
-    EpochTransition,
-    SampleStatus,
-    SetConfig,
-    SetError,
-)
+from batchforge.set_training import EpochTransition, SetConfig, SetError
+
+SCHEMA_VERSION = 1  # to_payload writes the per-sample history checkpoint
+
+
+class SampleStatus(str, Enum):
+    ACTIVE = "active"
+    REMOVED = "removed"
 
 
 @dataclass

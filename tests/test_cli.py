@@ -47,6 +47,23 @@ def test_plan_errors_json_is_machine_readable(capsys):
     assert payload["errors"][0]["code"] == "EMPTY_RESOLUTION_SET"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--strategy", "video_vbs"],
+        ["analyze", "--strategy", "video_vbs"],
+        ["analyze", "--strategies", "ssc_fbs,video_vbs"],
+        ["train", "--strategy", "video_vbs"],
+    ],
+    ids=["plan", "analyze", "analyze_strategies", "train"],
+)
+def test_video_strategy_is_a_config_error(argv, capsys):
+    # No command takes a clip table, so video_vbs is rejected before any work.
+    assert run_cli(argv + ["--errors-json"]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert [e["code"] for e in payload["errors"]] == ["UNSUPPORTED_STRATEGY"]
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["plan", "--bogus-flag", "1"])

@@ -1,6 +1,7 @@
 """The array-based SetState: record validation, checkpoint checks, and
 step-for-step equivalence with the deque-based oracle."""
 
+import base64
 import copy
 import io
 
@@ -8,18 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchforge.set_training import SampleStatus, SetConfig, SetError, SetState
+from batchforge.set_training import SetConfig, SetError, SetState
 from deque_set_state import DequeSetState
-
-
-def run_stream(state, epochs, seed=0):
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        ids = np.concatenate([state.active_samples(), state.reevaluation_plan()])
-        confidence = rng.random(len(ids))
-        state.record_batch(ids, confidence > 0.2, confidence)
-        state.finalize_epoch()
-    return state
 
 
 # -- one record per id per epoch ------------------------------------------------
@@ -35,8 +26,8 @@ def test_second_record_for_an_id_in_one_epoch_rejected():
         state.record_batch([1, 0], [True, True], [0.9, 0.9])
     assert err.value.code == "DUPLICATE_RECORD"
     assert state.forward_passes == 1
-    assert state.records[0].history == ((0, True, 0.9),)
-    assert state.records[1].history == ()  # a rejected batch writes nothing
+    assert state.recorded.tolist() == [True, False, False]  # a rejected batch writes nothing
+    assert state.streak.tolist() == [1, 0, 0]
     state.record_batch([1, 2], [True, True], [0.9, 0.9])
     state.finalize_epoch()
     state.record_prediction(0, True, 0.8)  # a new epoch takes a new record
@@ -49,7 +40,7 @@ def test_id_twice_in_one_batch_rejected():
         state.record_batch(np.array([2, 1, 2]), [True, True, False], [0.9, 0.8, 0.1])
     assert err.value.code == "DUPLICATE_RECORD"
     assert state.forward_passes == 0
-    assert all(record.history == () for record in state.records.values())
+    assert not state.recorded.any() and not state.streak.any()
 
 
 def test_duplicate_check_survives_a_mid_epoch_checkpoint():
@@ -85,6 +76,23 @@ def test_record_batch_validates_before_writing():
 # -- checkpoint consistency -----------------------------------------------------
 
 
+def _checkpoint_state():
+    """Mid-epoch state with every kind of sample: window 2, samples 0-3 easy.
+
+    Epochs 0-1 remove 0-3; epoch 2 re-adds 1 (a hard re-evaluation) and
+    leaves 2 and 3 unevaluated; epoch 3 has recorded 4 (easy), 5 (hard) and
+    removed 0 (hard, so due to be re-added).
+    """
+    state = SetState(10, SetConfig(tau=0.5, window=2, start_epoch=0))
+    for _ in range(2):
+        state.record_batch(np.arange(10), np.ones(10, bool), [0.9] * 4 + [0.1] * 6)
+        state.finalize_epoch()
+    state.record_batch([4, 5, 6, 7, 8, 9, 0, 1], np.ones(8, bool), [0.1] * 6 + [0.9, 0.1])
+    state.finalize_epoch()
+    state.record_batch([4, 5, 0], [True, True, False], [0.9, 0.1, 0.9])
+    return state
+
+
 def _set(path, value):
     def mutate(payload):
         target = payload
@@ -95,76 +103,125 @@ def _set(path, value):
     return mutate
 
 
-def _drop_last_sample(payload):
-    payload["samples"].pop()
+def _bits(*ids, n=10):
+    mask = np.zeros(n, dtype=bool)
+    mask[list(ids)] = True
+    return base64.b64encode(np.packbits(mask).tobytes()).decode()
 
 
-def _overlong_history(payload):
-    payload["samples"][0]["history"] = [[0, True, 0.9], [1, True, 0.9], [2, True, 0.9]]
+def _streak(*values):
+    return base64.b64encode(np.asarray(values, dtype="<u1").tobytes()).decode()
 
 
-def _unordered_history(payload):
-    payload["samples"][0]["history"] = [[2, True, 0.9], [1, True, 0.9]]
+def test_checkpoint_state_covers_every_kind_of_sample():
+    state = _checkpoint_state()
+    assert state.epoch == 3
+    assert state.removed_samples().tolist() == [0, 2, 3]
+    assert np.flatnonzero(state.recorded).tolist() == [0, 4, 5]
+    assert state.streak.tolist() == [0, 0, 2, 2, 1, 0, 0, 0, 0, 0]
+    assert state.to_payload()["removed"] == _bits(0, 2, 3)
+    assert state.to_payload()["streak"] == _streak(0, 0, 2, 2, 1, 0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        _set(("samples", 0, "id"), 99),
-        _set(("samples", 1, "id"), 0),
-        _set(("samples", 0, "id"), "0"),
-        _drop_last_sample,
-        _set(("samples", 0, "status"), "gone"),
-        _overlong_history,
-        _unordered_history,
-        _set(("samples", 0, "history"), [[1, True, 0.9], [1, True, 0.8]]),
-        _set(("samples", 0, "history"), [[4, True, 0.9]]),
-        _set(("samples", 0, "history"), [[-1, True, 0.9]]),
-        _set(("samples", 0, "history"), [[1.5, True, 0.9]]),
-        _set(("samples", 0, "history"), [[1, True]]),
-        _set(("samples", 0, "history"), [[1, True, 1.5]]),
+        _set(("removed",), _bits(0, 2, 3, n=24)),
+        _set(("recorded",), _bits(0, 4, 5, n=8)),
+        _set(("streak",), _streak(0, 0, 2, 2, 1, 0, 0, 0, 0)),
+        _set(("streak",), _streak(0, 0, 2, 2, 1, 0, 0, 0, 0, 0)[:-4]),
+        _set(("streak",), _streak(0, 0, 2, 2, 1, 0, 0, 0, 0, 0)[:-1]),
+        _set(("removed",), "not base64!"),
+        _set(("recorded",), 7),
+        _set(("removed",), _bits(0, 2, 3, 10, n=16)),
+        _set(("streak",), _streak(0, 0, 2, 2, 3, 0, 0, 0, 0, 0)),
+        _set(("epoch",), 1),
+        _set(("streak",), _streak(0, 0, 2, 1, 1, 0, 0, 0, 0, 0)),
+        _set(("recorded",), _bits(4, 5)),
+        _set(("streak",), _streak(1, 0, 2, 2, 1, 0, 0, 0, 0, 0)),
+        _set(("num_samples",), 11),
         _set(("counters",), {}),
         _set(("epoch",), 3.0),
         _set(("epoch",), -1),
         _set(("counters", "forward_passes"), -1),
         _set(("num_samples",), True),
+        _set(("config", "window"), 2.0),
     ],
     ids=[
-        "id_out_of_range",
-        "id_twice",
-        "id_not_integer",
+        "removed_wrong_length",
+        "recorded_wrong_length",
         "sample_missing",
-        "unknown_status",
-        "history_longer_than_window",
-        "history_epochs_decrease",
-        "history_epoch_repeated",
-        "history_epoch_after_state_epoch",
-        "history_epoch_negative",
-        "history_epoch_not_integer",
-        "history_entry_malformed",
-        "history_confidence_out_of_range",
+        "streak_truncated",
+        "streak_truncated_padding",
+        "removed_not_base64",
+        "recorded_not_a_string",
+        "id_out_of_range",
+        "streak_above_window",
+        "streak_above_epochs_so_far",
+        "removed_streak_not_window",
+        "removed_streak_zero_unrecorded",
+        "removed_recorded_streak_partial",
+        "num_samples_differs_from_arrays",
         "missing_key",
         "epoch_not_integer",
         "epoch_negative",
         "counter_negative",
         "num_samples_not_integer",
+        "window_not_integer",
     ],
 )
 def test_from_payload_rejects_inconsistent_checkpoints(mutate):
-    payload = run_stream(SetState(6, SetConfig(tau=0.5, window=2, start_epoch=0)), 3).to_payload()
-    assert payload["epoch"] == 3
-    SetState.from_payload(copy.deepcopy(payload))  # the unmutated payload loads
+    payload = _checkpoint_state().to_payload()
+    assert SetState.from_payload(copy.deepcopy(payload)).to_payload() == payload
     mutate(payload)
     with pytest.raises(SetError) as err:
         SetState.from_payload(payload)
     assert err.value.code == "BAD_STATE"
 
 
-def test_from_payload_accepts_any_sample_order():
-    state = run_stream(SetState(20, SetConfig(tau=0.4, window=2, start_epoch=0)), 5, seed=7)
-    payload = state.to_payload()
-    payload["samples"].reverse()
-    assert SetState.from_payload(payload) == state
+def test_v1_checkpoint_rejected():
+    old = DequeSetState(3, SetConfig(tau=0.5, window=2))
+    old.record_prediction(0, True, 0.9)
+    payload = old.to_payload()
+    assert payload["schema_version"] == 1 and "samples" in payload
+    for bad in (payload, {k: v for k, v in payload.items() if k != "schema_version"}):
+        with pytest.raises(SetError) as err:
+            SetState.from_payload(bad)
+        assert err.value.code == "BAD_SCHEMA"
+
+
+def test_imagenet_size_checkpoint_round_trips_under_10_mb():
+    n = 1_281_167
+    state = SetState(n, SetConfig(tau=0.7, window=2, start_epoch=0))
+    rng = np.random.default_rng(0)
+    ease = rng.random(n)
+    for epoch in range(3):
+        ids = np.concatenate([state.active_samples(), state.reevaluation_plan()])
+        confidence = np.clip(ease[ids] + 0.15 * rng.standard_normal(len(ids)), 0.0, 1.0)
+        if epoch == 2:  # end mid-epoch, half recorded
+            ids, confidence = ids[::2], confidence[::2]
+        state.record_batch(ids, confidence > 0.3, confidence)
+        if epoch < 2:
+            state.finalize_epoch()
+    assert len(state.removed_samples()) and state.recorded.any() and not state.recorded.all()
+    buf = io.StringIO()
+    state.dump(buf)
+    assert len(buf.getvalue()) < 10_000_000
+    restored = SetState.load(io.StringIO(buf.getvalue()))
+    assert restored.to_payload() == state.to_payload()
+    assert np.array_equal(restored.streak, state.streak)
+
+
+def test_large_window_round_trips():
+    state = SetState(5, SetConfig(tau=0.5, window=1000, start_epoch=0))
+    for epoch in range(300):  # streaks pass 255, so they need two bytes
+        state.record_batch(np.arange(5), [True] * 5, [0.9, 0.9, 0.9, 0.9, 0.1 if epoch == 299 else 0.9])
+        state.finalize_epoch()
+    assert state.streak.tolist() == [300, 300, 300, 300, 0]
+    buf = io.StringIO()
+    state.dump(buf)
+    restored = SetState.load(io.StringIO(buf.getvalue()))
+    assert restored == state and restored.streak.tolist() == [300, 300, 300, 300, 0]
 
 
 def test_empty_state_round_trips():
@@ -203,6 +260,7 @@ def _record(state, rng, ids, correct, confidence):
 
 
 def _assert_same(new, old):
+    """Same decisions so far, and the same evidence left to decide on."""
     assert new.epoch == old.epoch
     assert new.active_samples().tolist() == old.active_samples().tolist()
     assert new.removed_samples().tolist() == old.removed_samples().tolist()
@@ -212,7 +270,10 @@ def _assert_same(new, old):
         old.readded_count,
         old.forward_passes,
     )
-    assert new.to_payload() == old.to_payload()
+    for sid, record in old.records.items():  # streak: the oracle's trailing easy entries
+        easy = [old._is_easy(entry) for entry in record.history]
+        assert new.streak[sid] == (easy[::-1] + [False]).index(False)
+        assert new.recorded[sid] == (bool(record.history) and record.latest()[0] == old.epoch)
 
 
 @settings(max_examples=150, deadline=None)
@@ -244,28 +305,9 @@ def test_array_state_matches_deque_oracle(
             old.record_prediction(int(sid), bool(correct[sid]), float(confidence[sid]))
         _record(new, rng, ids, correct, confidence)
         if epoch == reload_at:  # mid-epoch checkpoint: recorded, not yet finalized
-            assert new.to_payload() == old.to_payload()
+            _assert_same(new, old)
             buf = io.StringIO()
             new.dump(buf)
             new = SetState.load(io.StringIO(buf.getvalue()))
         assert new.finalize_epoch() == old.finalize_epoch()
         _assert_same(new, old)
-    for sid, record in old.records.items():
-        snapshot = new.records[sid]
-        assert snapshot.history == tuple(record.history)
-        assert snapshot.status is record.status
-        assert snapshot.latest() == record.latest()
-    assert all(
-        (new.records[sid].status is SampleStatus.REMOVED) == (sid in set(new.removed_samples().tolist()))
-        for sid in range(n)
-    )
-
-
-def test_removed_sample_without_history_is_not_readded():
-    payload = SetState(2, SetConfig(tau=0.5, window=1, start_epoch=0)).to_payload()
-    payload["samples"][1]["status"] = "removed"
-    state = SetState.from_payload(payload)
-    state.record_prediction(0, False, 0.1)
-    transition = state.finalize_epoch()
-    assert transition.readded.tolist() == []
-    assert state.removed_samples().tolist() == [1]

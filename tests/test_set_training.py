@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchforge.set_training import (
-    SampleStatus,
-    SetConfig,
-    SetError,
-    SetState,
-    write_epoch_report_csv,
-)
+from batchforge.set_training import SetConfig, SetError, SetState
 
 
 def feed_epoch(state, easy_ids=(), conf_easy=0.9, conf_hard=0.3, correct_hard=False):
@@ -38,7 +32,8 @@ def test_config_validation():
 def test_record_appends_and_counts_forward_passes():
     state = SetState(5, SetConfig(tau=0.5, window=3, start_epoch=0))
     state.record_prediction(0, True, 0.9)
-    assert len(state.records[0].history) == 1
+    assert state.recorded.tolist() == [True, False, False, False, False]
+    assert state.streak.tolist() == [1, 0, 0, 0, 0]
     assert state.forward_passes == 1
 
 
@@ -57,13 +52,15 @@ def test_record_rejects_unknown_sample():
 
 
 def test_ring_buffer_evicts_beyond_window():
-    state = SetState(1, SetConfig(tau=0.99, window=3, start_epoch=0))
-    for epoch in range(4):
-        state.record_prediction(0, True, 0.5)
-        state.finalize_epoch()
-    history = state.records[0].history
-    assert len(history) == 3
-    assert [entry[0] for entry in history] == [1, 2, 3]
+    # Evidence older than the window stops counting: one hard epoch, then
+    # `window` easy ones, and the sample is removed.
+    state = SetState(1, SetConfig(tau=0.5, window=3, start_epoch=0))
+    removed_at = []
+    for epoch, conf in enumerate((0.3, 0.9, 0.9, 0.9)):
+        state.record_prediction(0, True, conf)
+        if len(state.finalize_epoch().newly_removed):
+            removed_at.append(epoch)
+    assert removed_at == [3]
 
 
 def test_window_one_removes_after_single_easy_epoch():
@@ -71,7 +68,7 @@ def test_window_one_removes_after_single_easy_epoch():
     feed_epoch(state, easy_ids=[1])
     transition = state.finalize_epoch()
     assert transition.newly_removed.tolist() == [1]
-    assert state.records[1].status is SampleStatus.REMOVED
+    assert state.removed_samples().tolist() == [1]
     assert state.active_samples().tolist() == [0, 2]
 
 
@@ -90,11 +87,11 @@ def test_one_weak_entry_blocks_removal():
     for conf in (0.9, 0.9, 0.4):
         state.record_prediction(0, True, conf)
         state.finalize_epoch()
-    assert state.records[0].status is SampleStatus.ACTIVE
+    assert state.active_samples().tolist() == [0]
     # one more strong epoch still is not enough (window holds .9, .4, .9)
     state.record_prediction(0, True, 0.9)
     state.finalize_epoch()
-    assert state.records[0].status is SampleStatus.ACTIVE
+    assert state.active_samples().tolist() == [0]
 
 
 def test_removal_requires_full_window_and_start_epoch_gate():
@@ -128,9 +125,27 @@ def test_readd_on_hard_evidence_and_window_reset():
     state.record_prediction(1, True, 0.2)
     transition = state.finalize_epoch()
     assert transition.readded.tolist() == [1]
-    assert state.records[1].status is SampleStatus.ACTIVE
-    assert len(state.records[1].history) == 0  # fresh window after re-add
+    assert state.active_samples().tolist() == [1]
     assert state.readded_count == 1
+    # fresh window after re-add: the easy epochs before removal do not count,
+    # so one more easy epoch (window 1) removes it again, and not before
+    state.record_prediction(0, True, 0.9)
+    state.record_prediction(1, True, 0.9)
+    assert state.finalize_epoch().newly_removed.tolist() == [1]
+
+
+def test_readded_sample_needs_a_full_window_again():
+    state = SetState(1, SetConfig(tau=0.5, window=3, start_epoch=0))
+    removed_at, readded_at = [], []
+    for epoch, conf in enumerate((0.9, 0.9, 0.9, 0.2, 0.9, 0.9, 0.9)):
+        state.record_prediction(0, True, conf)
+        transition = state.finalize_epoch()
+        removed_at += [epoch] * len(transition.newly_removed)
+        readded_at += [epoch] * len(transition.readded)
+    # removed after 3 easy epochs, re-added on the hard one, removed again
+    # only after 3 more easy epochs
+    assert removed_at == [2, 6]
+    assert readded_at == [3]
 
 
 def test_readd_on_incorrect_prediction():
@@ -197,22 +212,6 @@ def test_serialization_round_trip_bit_exact():
     buf2 = io.StringIO()
     restored.dump(buf2)
     assert buf2.getvalue() == buf.getvalue()
-
-
-def test_epoch_report_csv_shape():
-    state = SetState(10, SetConfig(tau=0.5, window=1, start_epoch=0))
-    transitions = []
-    for _ in range(3):
-        feed_epoch(state, easy_ids=[0, 1])
-        for sid in state.reevaluation_plan():
-            state.record_prediction(int(sid), True, 0.9)
-        transitions.append(state.finalize_epoch())
-    buf = io.StringIO()
-    write_epoch_report_csv(buf, transitions)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "epoch,active,removed,readded,forward_passes"
-    assert len(lines) == 4
-    assert lines[1].startswith("0,10,2,0,")
 
 
 @settings(max_examples=40, deadline=None)
