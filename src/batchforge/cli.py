@@ -34,10 +34,11 @@ from .core import (
 )
 from .presets import IMAGENET_TRAIN_SIZE, STANDARD_BASE, STANDARD_RESOLUTIONS, load_preset, preset_names
 from .samplers import plan_epoch
-from .set_training import SetConfig, SetState
+from .set_training import SetConfig, SetError, SetState
 from .trainer import (
     PooledLinearModel,
     TrainerConfig,
+    TrainerError,
     make_synthetic_task,
     save_params,
     train,
@@ -231,15 +232,19 @@ def _trainer_from_args(args: argparse.Namespace, mapping: dict, epochs: int) -> 
 def _cmd_train(args: argparse.Namespace) -> int:
     sampler = _sampler_from_args(args, sampler_config_from_mapping(_TRAIN_DEFAULTS, base=_default_sampler()))
     mapping = parse_flat_config(Path(args.config).read_text()) if args.config else {}
-    trainer_config = _trainer_from_args(args, mapping, sampler.epochs)
-    set_config = None
-    if args.tau is not None:
-        set_config = SetConfig(
-            tau=args.tau,
-            window=args.window,
-            start_epoch=args.start_epoch,
-            reeval_stride=args.reeval_stride,
-        )
+    try:
+        trainer_config = _trainer_from_args(args, mapping, sampler.epochs)
+        set_config = None
+        if args.tau is not None:
+            set_config = SetConfig(
+                tau=args.tau,
+                window=args.window,
+                start_epoch=args.start_epoch,
+                reeval_stride=args.reeval_stride,
+            )
+    except (TrainerError, SetError) as err:  # bad settings, not a failed run
+        message = str(err).removeprefix(f"{err.code}: ")
+        raise ConfigValidationError([ConfigViolation(err.code, message)]) from err
     dataset, eval_dataset = make_synthetic_task(
         num_samples=sampler.dataset_size,
         num_classes=args.classes,

@@ -48,8 +48,9 @@ Errors are ``SetError`` with a code:
   not an integer >= 0, an array that is not base64 of the right length, a
   streak above ``window`` or above the epochs recorded so far, a removed
   sample whose streak no run can produce);
-- ``TAU_OUT_OF_RANGE``, ``ZERO_WINDOW``, ``NEGATIVE_START``,
-  ``ZERO_STRIDE``: an invalid ``SetConfig``.
+- ``TAU_OUT_OF_RANGE``, ``NOT_INTEGER``, ``ZERO_WINDOW``,
+  ``NEGATIVE_START``, ``ZERO_STRIDE``: an invalid ``SetConfig``; a
+  checkpoint holding one raises ``BAD_STATE``.
 """
 
 from __future__ import annotations
@@ -91,10 +92,15 @@ class SetConfig:
     def __post_init__(self):
         if not (0.0 <= self.tau <= 1.0):
             raise SetError("TAU_OUT_OF_RANGE", f"tau must be in [0, 1], got {self.tau}")
-        if self.window < 1:
-            raise SetError("ZERO_WINDOW", "window must be >= 1")
         if self.start_epoch is None:
             object.__setattr__(self, "start_epoch", self.window)
+        for name in ("window", "start_epoch", "reeval_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SetError("NOT_INTEGER", f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.window < 1:
+            raise SetError("ZERO_WINDOW", "window must be >= 1")
         if self.start_epoch < 0:
             raise SetError("NEGATIVE_START", "start_epoch must be >= 0")
         if self.reeval_stride < 1:
@@ -157,7 +163,7 @@ class SetState:
         self.epoch = 0
         self.removed = np.zeros(num_samples, dtype=bool)
         self.recorded = np.zeros(num_samples, dtype=bool)
-        self.streak = np.zeros(num_samples, dtype=np.min_scalar_type(operator.index(config.window)))
+        self.streak = np.zeros(num_samples, dtype=np.min_scalar_type(config.window))
         self.removed_count = 0
         self.readded_count = 0
         self.forward_passes = 0
@@ -317,15 +323,16 @@ class SetState:
                 raise SetError(
                     "BAD_STATE", f"num_samples, epoch and counters must be integers >= 0: {counts}"
                 )
-            state = cls(
-                payload["num_samples"],
-                SetConfig(
+            try:
+                config = SetConfig(
                     tau=cfg["tau"],
                     window=cfg["window"],
                     start_epoch=cfg["start_epoch"],
                     reeval_stride=cfg["reeval_stride"],
-                ),
-            )
+                )
+            except SetError as exc:
+                raise SetError("BAD_STATE", f"invalid filter settings: {exc}") from exc
+            state = cls(payload["num_samples"], config)
             state.epoch = payload["epoch"]
             state.removed_count = counters["removed_count"]
             state.readded_count = counters["readded_count"]

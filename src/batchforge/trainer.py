@@ -5,7 +5,9 @@ The learner is multinomial logistic regression over a synthetic feature
 grid. Resolution enters through a pooling trick: before the linear layer,
 the grid is average-pooled by a factor tied to the sampled resolution's
 rank in the resolution set (coarsest resolution = heaviest blur), then
-re-expanded. The synthetic classes carry both a blocky pattern that
+re-expanded. Pooling is per sample, so ``train`` pools the train and eval
+sets once per factor per run; each batch gathers its pooled rows and
+re-expands them. The synthetic classes carry both a blocky pattern that
 survives blurring and a high-frequency pattern that does not, so coarse
 iterations genuinely see less class detail.
 
@@ -181,13 +183,12 @@ def _pool_factors(resolutions: ResolutionSet, grid: int) -> dict[Resolution, int
     return factors
 
 
-def _blur(features: np.ndarray, factor: int) -> np.ndarray:
-    """Average-pool by ``factor`` and re-expand to the original grid."""
+def _pool(features: np.ndarray, factor: int) -> np.ndarray:
+    """Average-pool ``(B, g, g)`` grids by ``factor`` to ``(B, g/f, g/f)``."""
     if factor == 1:
         return features
     b, g, _ = features.shape
-    coarse = features.reshape(b, g // factor, factor, g // factor, factor).mean(axis=(2, 4))
-    return coarse.repeat(factor, axis=1).repeat(factor, axis=2)
+    return features.reshape(b, g // factor, factor, g // factor, factor).mean(axis=(2, 4))
 
 
 class PooledLinearModel:
@@ -224,8 +225,13 @@ class PooledLinearModel:
             ) from None
 
     def inputs_at(self, features: np.ndarray, resolution: Resolution) -> np.ndarray:
-        blurred = _blur(features, self.pool_factor(resolution))
-        return blurred.reshape(features.shape[0], -1)
+        """Flat inputs from raw ``grid``-wide grids or grids already pooled for ``resolution``."""
+        factor = self.pool_factor(resolution)
+        if features.shape[1:] == (self.grid, self.grid):
+            features = _pool(features, factor)
+        elif features.shape[1:] != (self.grid // factor,) * 2:
+            raise TrainerError("SHAPE_MISMATCH", f"grids {features.shape[1:]} are neither raw nor pooled by {factor}")
+        return features.repeat(factor, axis=1).repeat(factor, axis=2).reshape(len(features), -1)
 
     def forward(self, features: np.ndarray, resolution: Resolution) -> np.ndarray:
         return self.inputs_at(features, resolution) @ self.weights.T + self.bias
@@ -401,6 +407,15 @@ def train(
             f"dataset has {len(dataset)} samples, config says {sampler_config.dataset_size}",
         )
 
+    pooled: dict[int, np.ndarray] = {}  # the train set pooled once per factor
+    def pooled_at(resolution: Resolution) -> np.ndarray:
+        factor = model.pool_factor(resolution)
+        if factor not in pooled:
+            pooled[factor] = _pool(dataset.features, factor)
+        return pooled[factor]
+
+    base = sampler_config.base_resolution
+    eval_inputs = _pool(eval_dataset.features, model.pool_factor(base)) if eval_dataset else None
     state = SetState(len(dataset), set_config) if set_config else None
     velocity = np.zeros_like(model.theta)
     shadow = model.theta.copy()
@@ -423,7 +438,7 @@ def train(
             lr = lr_at_epoch_fraction(fraction, trainer_config)
             ids = plan.sample_ids
             loss, grad, correct, confidences = model.loss_and_grad(
-                dataset.features[ids],
+                pooled_at(plan.resolution)[ids],
                 dataset.labels[ids],
                 plan.resolution,
                 trainer_config.label_smoothing,
@@ -451,9 +466,7 @@ def train(
                 tail = np.setdiff1d(active_ids, schedule.ids, assume_unique=True)
                 reeval = np.concatenate([reeval, tail])
             if len(reeval):
-                logits = model.forward(
-                    dataset.features[reeval], sampler_config.base_resolution
-                )
+                logits = model.forward(pooled_at(base)[reeval], base)
                 _, _, probs = batch_label_smoothed_ce(
                     logits, dataset.labels[reeval], trainer_config.label_smoothing
                 )
@@ -461,8 +474,8 @@ def train(
                 state.record_batch(reeval, correct, probs)
             transitions.append(state.finalize_epoch())
 
-        if eval_dataset is not None and len(eval_dataset):
-            predicted = model.predict(eval_dataset.features, sampler_config.base_resolution)
+        if eval_dataset:
+            predicted = model.predict(eval_inputs, base)
             eval_accuracy = float((predicted == eval_dataset.labels).mean())
         else:
             eval_accuracy = float("nan")

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from batchforge.cli import build_parser, run
@@ -62,6 +63,30 @@ def test_video_strategy_is_a_config_error(argv, capsys):
     assert run_cli(argv + ["--errors-json"]) == 2
     payload = json.loads(capsys.readouterr().err)
     assert [e["code"] for e in payload["errors"]] == ["UNSUPPORTED_STRATEGY"]
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (["--epochs", "2"], "BAD_WARMUP"),  # the default warmup is 3 epochs; it is not clamped
+        (["--tau", "1.5"], "TAU_OUT_OF_RANGE"),
+        (["--tau", "0.7", "--window", "0"], "ZERO_WINDOW"),
+    ],
+)
+def test_bad_trainer_and_filter_settings_are_config_errors(flags, code, tmp_path, capsys):
+    argv = ["train", "--samples", "200", "-o", str(tmp_path / "run.json")] + flags
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error [{code}] ")
+    assert run_cli(argv + ["--errors-json"]) == 2
+    assert [e["code"] for e in json.loads(capsys.readouterr().err)["errors"]] == [code]
+    assert not (tmp_path / "run.json").exists()
+
+
+def test_failure_while_training_exits_1(tmp_path, capsys):
+    argv = ["train", "--samples", "200", "--epochs", "3", "--warmup-epochs", "1", "--max-lr", "1e300"]
+    with np.errstate(all="ignore"):
+        assert run_cli(argv + ["-o", str(tmp_path / "run.json")]) == 1
+    assert "NON_FINITE_INPUT" in capsys.readouterr().err
 
 
 def test_unknown_flag_rejected():

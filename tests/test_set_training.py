@@ -27,6 +27,11 @@ def test_config_validation():
         SetConfig(tau=0.5, window=0)
     assert SetConfig(tau=0.5, window=3).start_epoch == 3
     assert SetConfig(tau=0.5, window=3, start_epoch=0).start_epoch == 0
+    for bad in (dict(window=2.0), dict(window=True), dict(window=2, start_epoch=1.0), dict(window=2, reeval_stride=1.5)):
+        with pytest.raises(SetError) as err:
+            SetConfig(tau=0.5, **bad)
+        assert err.value.code == "NOT_INTEGER", bad
+    assert type(SetConfig(tau=0.5, window=np.int64(2)).window) is int  # checkpoints write it as JSON
 
 
 def test_record_appends_and_counts_forward_passes():

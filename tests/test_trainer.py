@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from batchforge.core import Resolution, ResolutionSet, SamplerConfig, Strategy
-from batchforge.set_training import SetConfig
+from batchforge.samplers import plan_epoch
+from batchforge.set_training import SetConfig, SetState
 from batchforge.trainer import (
     PooledLinearModel,
     TrainerConfig,
     TrainerError,
+    _pool,
     batch_label_smoothed_ce,
     cosine_lr,
     ema_update,
@@ -282,6 +284,34 @@ def test_blur_removes_fine_detail_but_keeps_coarse():
     assert np.allclose(model.inputs_at(coarse, Resolution(8, 8)), 1.0)
 
 
+@pytest.mark.parametrize("grid", [8, 6])
+def test_pooled_grids_give_the_same_inputs_as_raw_grids(grid):
+    # train pools a whole dataset once and gathers each batch's rows from it;
+    # that must equal pooling the gathered raw rows, bit for bit
+    model = PooledLinearModel(10, grid, TOY_RESOLUTIONS)
+    assert [model.pool_factor(r) for r in TOY_RESOLUTIONS] == ([4, 2, 1] if grid == 8 else [2, 2, 1])
+    rng = np.random.default_rng(grid)
+    features = rng.normal(size=(500, grid, grid))
+    ids = rng.permutation(500)[:128]
+    for res in TOY_RESOLUTIONS:
+        f = model.pool_factor(res)
+        raw = model.inputs_at(features[ids], res)
+        assert np.array_equal(model.inputs_at(_pool(features, f)[ids], res), raw)
+        coarse = features[ids].reshape(128, grid // f, f, grid // f, f).mean(axis=(2, 4))
+        assert np.array_equal(raw, coarse.repeat(f, axis=1).repeat(f, axis=2).reshape(128, -1))
+
+
+def test_inputs_of_another_width_are_rejected():
+    model = PooledLinearModel(10, 8, TOY_RESOLUTIONS)
+    for side in (4, 3, 16):  # pooled by 2 (not 4), no factor at all, too wide
+        with pytest.raises(TrainerError) as err:
+            model.forward(np.zeros((2, side, side)), Resolution(8, 8))
+        assert err.value.code == "SHAPE_MISMATCH"
+    with pytest.raises(TrainerError) as err:
+        model.inputs_at(np.zeros((2, 8, 4)), Resolution(8, 8))
+    assert err.value.code == "SHAPE_MISMATCH"
+
+
 def test_synthetic_task_balanced_and_reproducible():
     train_ds, eval_ds = make_synthetic_task(1001, num_classes=10, seed=7)
     counts = np.bincount(train_ds.labels, minlength=10)
@@ -303,6 +333,73 @@ def run_toy(tau=None, seed=0, **sampler_overrides):
     model = PooledLinearModel(10, 8, sampler.resolutions)
     set_config = SetConfig(tau=tau, window=2) if tau is not None else None
     return train(model, dataset, sampler, toy_trainer(), set_config, eval_dataset)
+
+
+def reference_train(model, dataset, sampler, tc, set_config, eval_dataset):
+    """train() written out step by step, every call on raw grids."""
+    state = SetState(len(dataset), set_config) if set_config else None
+    velocity, shadow = np.zeros_like(model.theta), model.theta.copy()
+    losses, accuracies, transitions = [], [], []
+    for epoch in range(tc.total_epochs):
+        active = state.active_samples() if state else None
+        schedule = plan_epoch(sampler, epoch, active)
+        batch_losses = []
+        for plan in schedule.plans:
+            lr = lr_at_epoch_fraction(epoch + plan.iteration / schedule.total_updates, tc)
+            ids = plan.sample_ids
+            loss, grad, correct, confidences = model.loss_and_grad(
+                dataset.features[ids], dataset.labels[ids], plan.resolution, tc.label_smoothing
+            )
+            if state:
+                state.record_batch(ids, correct, confidences)
+            model.theta, velocity = sgd_momentum_step(
+                model.theta, grad, velocity, lr, tc.momentum, tc.weight_decay
+            )
+            shadow = ema_update(shadow, model.theta, tc.ema_decay)
+            batch_losses.append(loss)
+        if state:
+            tail = np.setdiff1d(active, schedule.ids, assume_unique=True)
+            reeval = np.concatenate([state.reevaluation_plan(), tail])
+            if len(reeval):
+                logits = model.forward(dataset.features[reeval], sampler.base_resolution)
+                labels = dataset.labels[reeval]
+                _, _, probs = batch_label_smoothed_ce(logits, labels, tc.label_smoothing)
+                state.record_batch(reeval, logits.argmax(axis=1) == labels, probs)
+            transitions.append(state.finalize_epoch())
+        predicted = model.predict(eval_dataset.features, sampler.base_resolution)
+        accuracies.append(float((predicted == eval_dataset.labels).mean()))
+        losses.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
+    return model.theta, shadow, losses, accuracies, transitions
+
+
+@pytest.mark.parametrize(
+    "tau, drop_last", [(None, False), (0.7, False), (0.7, True)], ids=["unfiltered", "filtered", "filtered_drop_last"]
+)
+def test_train_matches_a_raw_grid_loop_bit_for_bit(tau, drop_last):
+    sampler = toy_sampler(drop_last=drop_last)
+    dataset, eval_dataset = make_synthetic_task(sampler.dataset_size, 10, 8, seed=1)
+    set_config = SetConfig(tau=tau, window=2) if tau is not None else None
+    report = train(PooledLinearModel(10, 8, TOY_RESOLUTIONS), dataset, sampler, toy_trainer(), set_config, eval_dataset)
+    params, ema, losses, accuracies, transitions = reference_train(
+        PooledLinearModel(10, 8, TOY_RESOLUTIONS), dataset, sampler, toy_trainer(), set_config, eval_dataset
+    )
+    assert np.array_equal(report.final_params, params)
+    assert np.array_equal(report.ema_params, ema)
+    assert np.array_equal(report.losses(), losses, equal_nan=True)  # drop_last can leave no batch
+    assert [row.eval_accuracy for row in report.per_epoch] == accuracies
+    assert report.transitions == transitions
+    assert (len(transitions) > 0) == (tau is not None)
+    if tau is not None:
+        assert report.removed_count > 0
+
+
+def test_sampler_resolution_missing_from_model_is_rejected():
+    sampler = toy_sampler(epochs=3)
+    dataset, eval_dataset = make_synthetic_task(sampler.dataset_size, 10, 8, seed=0)
+    model = PooledLinearModel(10, 8, ResolutionSet.parse("16x16,32x32"))  # no 8x8
+    with pytest.raises(TrainerError) as err:
+        train(model, dataset, sampler, toy_trainer(warmup_epochs=1, total_epochs=3), None, eval_dataset)
+    assert err.value.code == "UNKNOWN_RESOLUTION"
 
 
 def test_training_is_bit_deterministic():
