@@ -29,7 +29,6 @@ from .samplers import (
     VideoClipSpec,
     plan_epoch,
     plan_video_vbs,
-    scaled_batch_size,
     shard_for_rank,
 )
 from .set_training import SetConfig, SetState
@@ -37,7 +36,6 @@ from .trainer import (
     PooledLinearModel,
     RunReport,
     TrainerConfig,
-    cosine_lr,
     ema_update,
     label_smoothed_ce,
     make_synthetic_task,
@@ -69,7 +67,6 @@ __all__ = [
     "UpdateSimulation",
     "VideoClipSpec",
     "compare_strategies",
-    "cosine_lr",
     "count_updates",
     "ema_update",
     "ensure_valid",
@@ -80,7 +77,6 @@ __all__ = [
     "plan_epoch",
     "plan_video_vbs",
     "preset_names",
-    "scaled_batch_size",
     "sgd_momentum_step",
     "shard_for_rank",
     "simulate_updates",

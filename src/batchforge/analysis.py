@@ -2,9 +2,10 @@
 
 Update counts come in two independent flavours that cross-check each
 other: ``exact`` walks the same shape sequence a materialized schedule
-would execute, and ``closed_form`` is the expectation
-``epochs * N / mean(scaled batch over the resolution set)`` (for fixed
-batches simply ``epochs * floor-or-ceil(N / batch)``).
+would execute, and ``closed_form`` reads the strategy's
+:func:`~batchforge.samplers.batch_table`: ``epochs * N / mean(batch)``, or,
+when every batch in the table is the same size, the exact
+``epochs * floor-or-ceil(N / batch)``.
 
 "Memory" here means input tensors only: batch x channels x H x W x
 bytes-per-element. Activation and optimizer-state memory are deliberately
@@ -23,7 +24,7 @@ import numpy as np
 
 from .core import SamplerConfig, Strategy, ensure_valid
 from .rng import derive_seed
-from .samplers import EpochSchedule, epoch_batch_shapes, resolution_size_table, unit_volume
+from .samplers import EpochSchedule, batch_table, epoch_batch_shapes, unit_volume
 
 
 class AnalysisError(ValueError):
@@ -65,17 +66,17 @@ class UpdateSimulation:
 
 
 def closed_form_updates(config: SamplerConfig) -> float:
-    """Expected total updates without generating anything."""
-    n, batch = config.dataset_size, config.effective_batch()
-    if config.strategy in (Strategy.SSC_FBS, Strategy.MSC_FBS):
+    """Expected total updates without generating anything.
+
+    A table of equal batch sizes gives the exact count; any other table
+    gives ``epochs * N / mean(batch)``.
+    """
+    n, sizes = config.dataset_size, batch_table(config)[1]
+    if (sizes == sizes[0]).all():
+        batch = int(sizes[0])
         per_epoch = n // batch if config.drop_last else math.ceil(n / batch)
         return float(config.epochs * per_epoch)
-    if config.strategy is Strategy.MSC_VBS:
-        mean_batch = float(resolution_size_table(config).mean())
-        return config.epochs * n / mean_batch
-    raise AnalysisError(
-        "UNSUPPORTED_STRATEGY", f"no closed form for strategy {config.strategy.value}"
-    )
+    return config.epochs * n / float(sizes.mean())
 
 
 def _epoch_shapes(config: SamplerConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -152,45 +153,23 @@ def strategy_cost(config: SamplerConfig, channels: int = 3) -> CostReport:
     )
 
 
-def _comparable(a: SamplerConfig, b: SamplerConfig) -> bool:
-    return (
-        a.dataset_size == b.dataset_size
-        and a.epochs == b.epochs
-        and a.base_batch == b.base_batch
-        and a.world_size == b.world_size
-        and a.base_resolution == b.base_resolution
-    )
-
-
 def compare_strategies(
     base_config: SamplerConfig,
-    strategies: Sequence[Strategy | SamplerConfig],
+    strategies: Sequence[Strategy],
     channels: int = 3,
 ) -> list[CostReport]:
-    """One CostReport per requested strategy, ratios against SSc-FBS.
+    """One CostReport per requested strategy of ``base_config``, ratios against SSc-FBS.
 
     The single-scale baseline is always computed from ``base_config``
     (whether or not it is in the requested list), so every row's ratios
-    share one denominator. Entries may be full configs, which must agree
-    with the base on dataset size, epochs, batch, and base resolution.
+    share one denominator.
     """
-    configs: list[SamplerConfig] = []
-    for entry in strategies:
-        if isinstance(entry, SamplerConfig):
-            if not _comparable(entry, base_config):
-                raise AnalysisError(
-                    "INCOMPATIBLE_CONFIGS",
-                    "compared configs must share dataset size, epochs, batch, and base resolution",
-                )
-            configs.append(entry)
-        else:
-            configs.append(base_config.with_strategy(Strategy(entry)))
     baseline = strategy_cost(base_config.with_strategy(Strategy.SSC_FBS), channels)
     rows = [
-        baseline if cfg.strategy is Strategy.SSC_FBS else strategy_cost(cfg, channels)
-        for cfg in configs
+        baseline if s is Strategy.SSC_FBS else strategy_cost(base_config.with_strategy(s), channels)
+        for s in map(Strategy, strategies)
     ]
-    return with_ratios(rows, baseline=baseline)
+    return with_ratios(rows, baseline)
 
 
 def schedule_cost(
@@ -209,12 +188,8 @@ def schedule_cost(
     )
 
 
-def with_ratios(
-    reports: Sequence[CostReport], baseline: CostReport | None = None
-) -> list[CostReport]:
-    """Fill ratio columns against a baseline row (default: the SSc-FBS row)."""
-    if baseline is None:
-        baseline = next((r for r in reports if r.strategy is Strategy.SSC_FBS), reports[0])
+def with_ratios(reports: Sequence[CostReport], baseline: CostReport) -> list[CostReport]:
+    """Fill ratio columns against a baseline row."""
     return [
         replace(
             r,

@@ -23,12 +23,14 @@ from pathlib import Path
 
 from . import analysis, schedule_io
 from .core import (
+    SAMPLER_PARSERS,
     ConfigValidationError,
     ConfigViolation,
     SamplerConfig,
     Strategy,
     ensure_valid,
     parse_flat_config,
+    parse_value,
     sampler_config_from_mapping,
     sampler_config_to_mapping,
 )
@@ -50,7 +52,7 @@ SEED_ENV_VAR = "BATCHFORGE_SEED"
 
 
 def _default_sampler() -> SamplerConfig:
-    seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+    seed = parse_value(SEED_ENV_VAR, int, os.environ.get(SEED_ENV_VAR, "0"))
     return SamplerConfig(
         strategy=Strategy.MSC_VBS,
         dataset_size=IMAGENET_TRAIN_SIZE,
@@ -63,16 +65,17 @@ def _default_sampler() -> SamplerConfig:
 
 
 def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
+    """Sampler flags; their values stay strings and parse like config-file values."""
     parser.add_argument("--preset", choices=preset_names(), help="start from a shipped recipe")
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--strategy", help="ssc_fbs | msc_fbs | msc_vbs")
-    parser.add_argument("--dataset-size", type=int, dest="dataset_size")
-    parser.add_argument("--base-batch", type=int, dest="base_batch")
+    parser.add_argument("--dataset-size", dest="dataset_size")
+    parser.add_argument("--base-batch", dest="base_batch")
     parser.add_argument("--base-resolution", dest="base_resolution", help="e.g. 224x224")
     parser.add_argument("--resolutions", help="comma list, e.g. 128x128,192x192,224x224")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--world-size", type=int, dest="world_size")
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--epochs")
+    parser.add_argument("--world-size", dest="world_size")
+    parser.add_argument("--seed")
     parser.add_argument(
         "--drop-last",
         dest="drop_last",
@@ -80,7 +83,7 @@ def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
         help="drop the final short batch (default from config source)",
     )
     parser.add_argument("--batch-rounding", dest="batch_rounding", help="floor | nearest | multiple_of_world")
-    parser.add_argument("--min-batch", type=int, dest="min_batch")
+    parser.add_argument("--min-batch", dest="min_batch")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, formats: list[str]) -> None:
@@ -104,14 +107,46 @@ _TRAIN_DEFAULTS = {
 }
 
 
+# Trainer keys a config file may set: parser and the value ``train`` uses without one.
+_TRAINER_KEYS = {
+    "max_lr": (float, 0.2),
+    "warmup_epochs": (int, 3),
+    "min_lr": (float, 0.0),
+    "momentum": (float, 0.9),
+    "weight_decay": (float, 1e-4),
+    "label_smoothing": (float, 0.1),
+    "ema_decay": (float, 0.999),
+}
+
+
+def _read_config(args: argparse.Namespace) -> dict[str, str]:
+    """The ``--config`` file's keys ({} without one); a key no command reads is an error."""
+    if not args.config:
+        return {}
+    mapping = parse_flat_config(Path(args.config).read_text())
+    unknown = [key for key in mapping if key not in SAMPLER_PARSERS and key not in _TRAINER_KEYS]
+    if unknown:
+        raise ConfigValidationError([ConfigViolation("UNKNOWN_KEY", _unknown_key_message(key)) for key in unknown])
+    return mapping
+
+
+def _unknown_key_message(key: str) -> str:
+    """Name the flag that sets ``key``, when some command has one."""
+    commands = next(action for action in build_parser()._actions if action.dest == "subcommand")
+    for command in commands.choices.values():
+        for action in command._actions:
+            if action.dest == key and action.option_strings:
+                return f"{key}: not a config-file key; pass the {action.option_strings[0]} flag"
+    return f"{key}: not a config-file key of any command"
+
+
 def _sampler_from_args(
-    args: argparse.Namespace, defaults: SamplerConfig | None = None
+    args: argparse.Namespace, mapping: dict[str, str], defaults: SamplerConfig | None = None
 ) -> SamplerConfig:
+    """Flags over the ``--config`` ``mapping`` over a preset or ``defaults``."""
     preset = getattr(args, "preset", None)
     config = load_preset(preset).sampler if preset else (defaults or _default_sampler())
-    if args.config:
-        mapping = parse_flat_config(Path(args.config).read_text())
-        config = sampler_config_from_mapping(mapping, base=config)
+    config = sampler_config_from_mapping(mapping, base=config)
     # Flags parse like config-file keys; unset (None) flags are skipped.
     flags = dict(vars(args))
     if flags.get("min_batch") is None and config.min_batch == config.world_size:
@@ -154,7 +189,7 @@ def _emit_config_errors(err: ConfigValidationError, as_json: bool) -> None:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    config = _sampler_from_args(args)
+    config = _sampler_from_args(args, _read_config(args))
     schedules = (plan_epoch(config, epoch) for epoch in range(config.epochs))
     fp, close = _open_output(args.output)
     try:
@@ -179,7 +214,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         reports = analysis.with_ratios([row], baseline=baseline)
         config_echo = sampler_config_to_mapping(config)
     else:
-        config = _sampler_from_args(args)
+        config = _sampler_from_args(args, _read_config(args))
         strategies = [_image_strategy(Strategy.parse(s)) for s in args.strategies.split(",") if s.strip()]
         reports = analysis.compare_strategies(config, strategies, channels=args.channels)
         config_echo = sampler_config_to_mapping(config)
@@ -208,30 +243,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trainer_from_args(args: argparse.Namespace, mapping: dict, epochs: int) -> TrainerConfig:
-    def pick(key, cast, default):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in mapping:
-            return cast(mapping[key])
-        return default
-
-    return TrainerConfig(
-        max_lr=pick("max_lr", float, 0.2),
-        warmup_epochs=pick("warmup_epochs", int, 3),
-        total_epochs=epochs,
-        min_lr=pick("min_lr", float, 0.0),
-        momentum=pick("momentum", float, 0.9),
-        weight_decay=pick("weight_decay", float, 1e-4),
-        label_smoothing=pick("label_smoothing", float, 0.1),
-        ema_decay=pick("ema_decay", float, 0.999),
-    )
+def _trainer_from_args(args: argparse.Namespace, mapping: dict[str, str], epochs: int) -> TrainerConfig:
+    """Trainer flags over the ``--config`` ``mapping`` over the defaults; flags parse like file values."""
+    given = {**mapping, **{key: value for key, value in vars(args).items() if value is not None}}
+    values = {k: parse_value(k, parser, given.get(k, default)) for k, (parser, default) in _TRAINER_KEYS.items()}
+    return TrainerConfig(total_epochs=epochs, **values)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    sampler = _sampler_from_args(args, sampler_config_from_mapping(_TRAIN_DEFAULTS, base=_default_sampler()))
-    mapping = parse_flat_config(Path(args.config).read_text()) if args.config else {}
+    mapping = _read_config(args)
+    defaults = sampler_config_from_mapping(_TRAIN_DEFAULTS, base=_default_sampler())
+    sampler = _sampler_from_args(args, mapping, defaults)
     try:
         trainer_config = _trainer_from_args(args, mapping, sampler.epochs)
         set_config = None
@@ -383,24 +405,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("train", help="train the synthetic task with the toy learner")
     p_tr.add_argument("--config", help="flat key=value config file")
-    p_tr.add_argument("--samples", type=int, dest="dataset_size")
+    # Sampler and trainer flags stay strings and parse like config-file values.
+    p_tr.add_argument("--samples", dest="dataset_size")
     p_tr.add_argument("--classes", type=int, default=10)
     p_tr.add_argument("--grid", type=int, default=8)
     p_tr.add_argument("--eval-samples", type=int, dest="eval_samples", default=2000)
     p_tr.add_argument("--noise-scale", type=float, dest="noise_scale", default=1.15)
-    p_tr.add_argument("--epochs", type=int)
-    p_tr.add_argument("--batch", type=int, dest="base_batch")
+    p_tr.add_argument("--epochs")
+    p_tr.add_argument("--batch", dest="base_batch")
     p_tr.add_argument("--strategy")
     p_tr.add_argument("--resolutions")
     p_tr.add_argument("--base-resolution", dest="base_resolution")
-    p_tr.add_argument("--seed", type=int)
-    p_tr.add_argument("--max-lr", type=float, dest="max_lr")
-    p_tr.add_argument("--warmup-epochs", type=int, dest="warmup_epochs")
-    p_tr.add_argument("--min-lr", type=float, dest="min_lr")
-    p_tr.add_argument("--momentum", type=float)
-    p_tr.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p_tr.add_argument("--label-smoothing", type=float, dest="label_smoothing")
-    p_tr.add_argument("--ema-decay", type=float, dest="ema_decay")
+    p_tr.add_argument("--seed")
+    p_tr.add_argument("--max-lr", dest="max_lr")
+    p_tr.add_argument("--warmup-epochs", dest="warmup_epochs")
+    p_tr.add_argument("--min-lr", dest="min_lr")
+    p_tr.add_argument("--momentum")
+    p_tr.add_argument("--weight-decay", dest="weight_decay")
+    p_tr.add_argument("--label-smoothing", dest="label_smoothing")
+    p_tr.add_argument("--ema-decay", dest="ema_decay")
     p_tr.add_argument("--tau", type=float, help="enable sample filtering at this confidence threshold")
     p_tr.add_argument("--window", type=int, default=2)
     p_tr.add_argument("--start-epoch", type=int, dest="start_epoch")

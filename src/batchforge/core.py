@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .rng import MAX_PERMUTATION_SIZE
 
 _MAX_SEED = (1 << 64) - 1
+
+_T = TypeVar("_T")
 
 
 class Strategy(str, Enum):
@@ -224,12 +226,13 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
             f"({config.base_batch} x {config.world_size}) with drop_last",
         )
 
-    # With several ranks every batch must split evenly, whatever the active set.
+    # With several ranks every batch must split evenly, whatever the active set;
+    # plan_video_vbs checks the clip table it is given.
     world = config.world_size
-    if not bad and world > 1 and config.strategy is Strategy.MSC_VBS:
-        from .samplers import resolution_size_table  # samplers imports this module
+    if not bad and world > 1 and config.strategy is not Strategy.VIDEO_VBS:
+        from .samplers import batch_table  # samplers imports this module
 
-        sizes = resolution_size_table(config)
+        sizes = batch_table(config)[1]
         if (sizes % world).any():
             flag("UNSHARDABLE_BATCH", f"batch sizes {sizes.tolist()} are not all multiples of world_size {world}")
     if world > 1 and not config.drop_last:
@@ -275,7 +278,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_SAMPLER_PARSERS: dict[str, Callable[[str], object]] = {
+def parse_value(key: str, parser: Callable[[str], _T], text: object) -> _T:
+    """``parser(str(text))``; a value it rejects is a ``BAD_VALUE`` config error naming ``key``."""
+    try:
+        return parser(str(text))
+    except ValueError as err:
+        raise ConfigValidationError([ConfigViolation("BAD_VALUE", f"{key}: {err}")]) from None
+
+
+SAMPLER_PARSERS: dict[str, Callable[[str], object]] = {
     "strategy": Strategy.parse,
     "dataset_size": int,
     "base_batch": int,
@@ -295,13 +306,14 @@ def sampler_config_from_mapping(
 ) -> SamplerConfig:
     """Build a SamplerConfig from flat string keys, over optional defaults.
 
-    Keys match the SamplerConfig field names exactly. Unknown sampler-ish
-    keys are ignored so a single file can also hold trainer settings.
+    Keys match the SamplerConfig field names exactly; other keys are
+    ignored, so one mapping can also hold trainer settings. A value that
+    does not parse raises ``BAD_VALUE`` (:func:`parse_value`).
     """
     kwargs: dict[str, object] = {}
-    for key, parser in _SAMPLER_PARSERS.items():
+    for key, parser in SAMPLER_PARSERS.items():
         if key in mapping and mapping[key] is not None:
-            kwargs[key] = parser(str(mapping[key]))
+            kwargs[key] = parse_value(key, parser, mapping[key])
     if base is not None:
         return replace(base, **kwargs)
     missing = [k for k in ("strategy", "dataset_size", "base_batch", "base_resolution", "resolutions", "epochs") if k not in kwargs]

@@ -1,15 +1,13 @@
 """Per-epoch batch schedule generation and distributed sharding.
 
-:func:`plan_epoch` plans the three image strategies and
-:func:`plan_video_vbs` the video variant:
-
-* single scale, fixed batch: one resolution, one batch size;
-* multi scale, fixed batch: resolution drawn per iteration, batch fixed;
-* multi scale, variable batch: resolution drawn per iteration, batch
-  rescaled so batch x pixel-count stays constant;
-* video: like variable batch, with frames x clips x pixels as the volume.
-
-Both planners validate the config first (:func:`batchforge.core.ensure_valid`).
+:func:`plan_epoch` plans the three image strategies: each iteration draws
+one entry of the strategy's (resolution index, global batch) table, which
+:func:`batch_table` builds and which planning, the closed-form update count
+and the config's sharding check all read. Variable batch rescales with
+:func:`size_table` so batch x pixel count stays constant;
+:func:`plan_video_vbs` sizes a table of clip specs the same way, with
+frames x clips x pixels as the volume. Both planners validate the config
+first (:func:`batchforge.core.ensure_valid`).
 
 A schedule is a pure function of (config, epoch, active id set). Resolution
 draws are keyed by (epoch, iteration) only, never by rank, so every rank
@@ -147,76 +145,45 @@ class EpochSchedule:
         )
 
 
-def scaled_batch_size(
-    base_batch: int,
-    base_res: Resolution,
-    target_res: Resolution,
-    rounding: BatchRounding = BatchRounding.FLOOR,
-    min_batch: int = 1,
-    world_size: int = 1,
-) -> int:
-    """Batch size at ``target_res`` keeping batch x pixels constant.
+def size_table(config: SamplerConfig, units: Iterable[int], base_units: int) -> np.ndarray:
+    """Global batch size per input volume in ``units``, keeping batch x volume constant.
 
-    Exact integer arithmetic throughout; NEAREST rounds half up,
-    MULTIPLE_OF_WORLD floors to the nearest positive multiple of
-    ``world_size``. The result is clamped to at least ``min_batch``
-    (keep ``min_batch`` a multiple of ``world_size`` if shards must
-    stay exact).
+    ``config.effective_batch()`` is the batch at ``base_units``. Exact integer
+    arithmetic throughout: FLOOR floors, NEAREST rounds half up and
+    MULTIPLE_OF_WORLD floors to a positive multiple of ``world_size``; each
+    size is then clamped to at least ``min_batch``.
     """
-    return _scale_units(
-        base_batch,
-        base_res.pixel_count(),
-        target_res.pixel_count(),
-        rounding,
-        min_batch,
-        world_size,
-    )
-
-
-def _scale_units(
-    base_batch: int,
-    base_units: int,
-    target_units: int,
-    rounding: BatchRounding,
-    min_batch: int,
-    world_size: int,
-) -> int:
-    num = base_batch * base_units
-    den = target_units
-    if rounding is BatchRounding.FLOOR:
-        scaled = num // den
-    elif rounding is BatchRounding.NEAREST:
-        scaled = (2 * num + den) // (2 * den)
-    else:
-        scaled = (num // den) // world_size * world_size
-        if scaled < world_size:
-            scaled = world_size
-    return max(scaled, min_batch, 1)
-
-
-def scaled_size_table(config: SamplerConfig, units: list[int], base_units: int) -> np.ndarray:
-    """Per-entry scaled global batch sizes for a list of pixel volumes."""
-    sizes = [
-        _scale_units(
-            config.effective_batch(),
-            base_units,
-            u,
-            config.batch_rounding,
-            config.min_batch,
-            config.world_size,
-        )
-        for u in units
-    ]
+    num, world = config.effective_batch() * base_units, config.world_size
+    sizes = []
+    for den in units:
+        if config.batch_rounding is BatchRounding.FLOOR:
+            scaled = num // den
+        elif config.batch_rounding is BatchRounding.NEAREST:
+            scaled = (2 * num + den) // (2 * den)
+        else:
+            scaled = max(num // den // world * world, world)
+        sizes.append(max(scaled, config.min_batch, 1))
     return np.asarray(sizes, dtype=np.int64)
 
 
-def resolution_size_table(config: SamplerConfig) -> np.ndarray:
-    """Scaled global batch size for each entry of ``config.resolutions``."""
-    return scaled_size_table(
-        config,
-        [r.pixel_count() for r in config.resolutions],
-        config.base_resolution.pixel_count(),
-    )
+def batch_table(config: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(resolution indices, global batch sizes) an image strategy draws from.
+
+    The one place a strategy maps to its table: single scale is the base
+    resolution at the base batch, multi scale fixed batch is every
+    resolution at the base batch, and variable batch is every resolution at
+    its :func:`size_table` size.
+    """
+    strategy, batch = config.strategy, config.effective_batch()
+    every = np.arange(len(config.resolutions))
+    if strategy is Strategy.SSC_FBS:
+        return np.array([config.resolutions.index_of(config.base_resolution)]), np.array([batch])
+    if strategy is Strategy.MSC_FBS:
+        return every, np.full(len(every), batch)
+    if strategy is Strategy.MSC_VBS:
+        units = [r.pixel_count() for r in config.resolutions]
+        return every, size_table(config, units, config.base_resolution.pixel_count())
+    raise ScheduleError("UNSUPPORTED_STRATEGY", f"batch_table handles image strategies, not {strategy.value}")
 
 
 def _variable_batch_counts(
@@ -224,24 +191,24 @@ def _variable_batch_counts(
     epoch: int,
     n_active: int,
     shape_idx: np.ndarray,
-    size_table: np.ndarray,
+    sizes: np.ndarray,
     tag: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw table entries until the epoch's ids run out.
 
-    Entry ``k`` is a batch of ``size_table[k]`` ids at shape
+    Entry ``k`` is a batch of ``sizes[k]`` ids at shape
     ``shape_idx[k]``; a one-entry table needs no draw. Returns (shape
     indices, batch sizes); the final batch is trimmed to the leftover count
     when ``drop_last`` is false.
     """
     if n_active <= 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    bound = n_active // int(size_table.min()) + 2  # no epoch can run longer
-    if len(size_table) == 1:
+    bound = n_active // int(sizes.min()) + 2  # no epoch can run longer
+    if len(sizes) == 1:
         draws = np.zeros(bound, dtype=np.int64)
     else:
-        draws = choice_at(config.seed, epoch, np.arange(bound), tag, len(size_table))
-    batches = size_table[draws]
+        draws = choice_at(config.seed, epoch, np.arange(bound), tag, len(sizes))
+    batches = sizes[draws]
     served = np.cumsum(batches)
     if config.drop_last:
         count = int(np.searchsorted(served, n_active, side="right"))
@@ -260,22 +227,9 @@ def epoch_batch_shapes(
     This is the arithmetic skeleton the planners flesh out with sample
     ids; cost accounting walks it directly so counted updates are the
     updates a materialized schedule would perform. Each strategy is the
-    one walk over its (resolution index, global batch) table.
+    one walk over its :func:`batch_table`.
     """
-    strategy = config.strategy
-    every = np.arange(len(config.resolutions))
-    if strategy is Strategy.SSC_FBS:
-        shape_idx = np.array([config.resolutions.index_of(config.base_resolution)])
-        sizes = np.array([config.effective_batch()])
-    elif strategy is Strategy.MSC_FBS:
-        shape_idx, sizes = every, np.full(len(every), config.effective_batch())
-    elif strategy is Strategy.MSC_VBS:
-        shape_idx, sizes = every, resolution_size_table(config)
-    else:
-        raise ScheduleError(
-            "UNSUPPORTED_STRATEGY",
-            f"epoch_batch_shapes handles image strategies, not {strategy.value}",
-        )
+    shape_idx, sizes = batch_table(config)
     return _variable_batch_counts(config, epoch, n_active, shape_idx, sizes, RESOLUTION_DRAW_TAG)
 
 
@@ -342,7 +296,7 @@ def plan_video_vbs(
     if base not in specs:
         raise ScheduleError("BASE_SPEC_NOT_IN_SET", "the base clip spec must be in the spec list")
     ids = _resolve_active_ids(config, active_ids)
-    table = scaled_size_table(config, [s.volume() for s in specs], base.volume())
+    table = size_table(config, [s.volume() for s in specs], base.volume())
     if (table % config.world_size).any():
         raise ScheduleError(
             "UNSHARDABLE_BATCH",

@@ -88,16 +88,6 @@ def lr_at_epoch_fraction(fraction: float, config: TrainerConfig) -> float:
     return config.min_lr + 0.5 * (config.max_lr - config.min_lr) * (1.0 + _cos_pi(progress))
 
 
-def cosine_lr(step: int, steps_per_epoch: int, config: TrainerConfig) -> float:
-    """Learning rate for a global step index on a fixed steps-per-epoch grid."""
-    if steps_per_epoch < 1:
-        raise TrainerError("STEP_OUT_OF_RANGE", "steps_per_epoch must be >= 1")
-    total_steps = config.total_epochs * steps_per_epoch
-    if not (0 <= step <= total_steps):
-        raise TrainerError("STEP_OUT_OF_RANGE", f"step {step} outside [0, {total_steps}]")
-    return lr_at_epoch_fraction(step / steps_per_epoch, config)
-
-
 def label_smoothed_ce(
     logits: np.ndarray, target: int, label_smoothing: float
 ) -> tuple[float, np.ndarray]:

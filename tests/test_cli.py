@@ -82,6 +82,33 @@ def test_bad_trainer_and_filter_settings_are_config_errors(flags, code, tmp_path
     assert not (tmp_path / "run.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, file_text, code, named",
+    [
+        (["plan"], "epochs = 2.5\n", "BAD_VALUE", "epochs: "),
+        (["plan", "--strategy", "bogus"], None, "BAD_VALUE", "strategy: "),
+        (["plan", "--resolutions", "12y12"], None, "BAD_VALUE", "resolutions: "),
+        (["plan", "--epochs", "2.5"], None, "BAD_VALUE", "epochs: "),
+        (["train", "--max-lr", "fast"], None, "BAD_VALUE", "max_lr: "),
+        (["train", "--samples", "200"], "warmup_epochs = 2.5\n", "BAD_VALUE", "warmup_epochs: "),
+        (["train", "--samples", "200"], "tau = 0.7\n", "UNKNOWN_KEY", "--tau"),
+        (["train", "--samples", "200"], "bogus_key = 1\n", "UNKNOWN_KEY", "bogus_key: "),
+        (["plan"], "bogus_key = 1\n", "UNKNOWN_KEY", "bogus_key: "),
+    ],
+    ids=["plan_file", "strategy_flag", "resolutions_flag", "epochs_flag", "max_lr_flag", "train_file", "train_tau", "train_bogus", "plan_bogus"],
+)
+def test_bad_config_values_and_keys_exit_2(argv, file_text, code, named, tmp_path, capsys):
+    if file_text is not None:
+        (tmp_path / "f.cfg").write_text(file_text)
+        argv = argv + ["--config", str(tmp_path / "f.cfg")]
+    argv = argv + ["-o", str(tmp_path / "out"), "--errors-json"]
+    assert run_cli(argv) == 2
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert [e["code"] for e in errors] == [code]
+    assert named in errors[0]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_failure_while_training_exits_1(tmp_path, capsys):
     argv = ["train", "--samples", "200", "--epochs", "3", "--warmup-epochs", "1", "--max-lr", "1e300"]
     with np.errstate(all="ignore"):
@@ -185,6 +212,7 @@ def test_config_file_and_flag_precedence(tmp_path):
         "resolutions = 224x224\n"
         "epochs = 1\n"
         "seed = 5\n"
+        "max_lr = 0.1\n"  # one file may hold trainer keys too
     )
     out1 = tmp_path / "file.jsonl"
     assert run_cli(["plan", "--config", str(cfg), "-o", str(out1)]) == 0
@@ -207,6 +235,9 @@ def test_env_seed_is_lowest_precedence(tmp_path, monkeypatch):
         ["plan", "--dataset-size", "1000", "--base-batch", "100", "--drop-last", "false", "--seed", "3", "-o", str(out2)]
     ) == 0
     assert json.loads(out2.read_text().splitlines()[0])["config"]["seed"] == 3
+
+    monkeypatch.setenv("BATCHFORGE_SEED", "seven")
+    assert run_cli(["plan", "--dataset-size", "1000", "--base-batch", "100", "-o", str(tmp_path / "bad")]) == 2
 
 
 def test_train_writes_all_artifacts(tmp_path, capsys):

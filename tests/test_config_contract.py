@@ -1,5 +1,7 @@
 """validate_config is the contract: a config it accepts plans, shards across
-every rank and round-trips through JSONL; a config it rejects raises."""
+every rank, round-trips through JSONL and, when its batch table has one
+size, gets its exact update count as the closed form; a config it rejects
+raises."""
 
 import io
 
@@ -18,7 +20,8 @@ from batchforge.core import (
     sampler_config_from_mapping,
     validate_config,
 )
-from batchforge.samplers import plan_epoch, shard_for_rank
+from batchforge.analysis import count_updates
+from batchforge.samplers import batch_table, plan_epoch, shard_for_rank
 from batchforge.schedule_io import read_schedules, write_schedules
 
 
@@ -76,3 +79,8 @@ def test_accepted_configs_plan_shard_and_round_trip(config, epoch, keep, subset_
     assert sampler_config_from_mapping(header) == config
     # an epoch without iterations writes no plan lines
     assert back == ([schedule] if schedule.total_updates else [])
+
+    sizes = batch_table(config)[1]
+    if (sizes == sizes[0]).all():
+        counts = count_updates(config)
+        assert counts.closed_form == counts.exact

@@ -18,11 +18,12 @@ from batchforge.samplers import (
     PERMUTATION_TAG,
     ScheduleError,
     VideoClipSpec,
+    batch_table,
     epoch_batch_shapes,
     plan_epoch,
     plan_video_vbs,
-    scaled_batch_size,
     shard_for_rank,
+    size_table,
 )
 
 STANDARD = ResolutionSet.squares([128, 192, 224, 288, 320])
@@ -49,17 +50,26 @@ def floor_oracle(batch, base, target):
     return int(Fraction(batch * base.pixel_count(), target.pixel_count()))
 
 
+def scaled(config, base, target):
+    """The one size_table entry for ``target`` when ``base`` takes the config's batch."""
+    (size,) = size_table(config, [target.pixel_count()], base.pixel_count())
+    return int(size)
+
+
 def test_scaled_batch_grows_at_lower_resolution():
-    got = scaled_batch_size(1024, Resolution(320, 320), Resolution(160, 160), BatchRounding.FLOOR)
+    config = make_config(base_batch=1024, batch_rounding=BatchRounding.FLOOR)
+    got = scaled(config, Resolution(320, 320), Resolution(160, 160))
     assert got == floor_oracle(1024, Resolution(320, 320), Resolution(160, 160)) == 4096
 
 
 def test_scaled_batch_identity():
-    assert scaled_batch_size(1024, Resolution(224, 224), Resolution(224, 224)) == 1024
+    config = make_config(base_batch=1024, batch_rounding=BatchRounding.FLOOR)
+    assert scaled(config, Resolution(224, 224), Resolution(224, 224)) == 1024
 
 
 def test_scaled_batch_shrinks_at_higher_resolution():
-    got = scaled_batch_size(1024, Resolution(224, 224), Resolution(320, 320), BatchRounding.FLOOR)
+    config = make_config(base_batch=1024, batch_rounding=BatchRounding.FLOOR)
+    got = scaled(config, Resolution(224, 224), Resolution(320, 320))
     assert got == floor_oracle(1024, Resolution(224, 224), Resolution(320, 320)) == 501
 
 
@@ -69,46 +79,35 @@ def test_scaled_batch_standard_set_table():
     for side, want in expected.items():
         frac = Fraction(1024 * 224 * 224, side * side)
         assert math.floor(frac) == want
-        got = scaled_batch_size(
-            1024, Resolution(224, 224), Resolution(side, side), BatchRounding.FLOOR
-        )
-        assert got == want
+    shape_idx, sizes = batch_table(make_config(base_batch=1024, batch_rounding=BatchRounding.FLOOR))
+    assert shape_idx.tolist() == [0, 1, 2, 3, 4]
+    assert sizes.tolist() == list(expected.values())
 
 
 def test_nearest_rounding_half_up():
     # 1024 * 224^2 / 320^2 = 501.76 -> 502 under NEAREST
-    got = scaled_batch_size(1024, Resolution(224, 224), Resolution(320, 320), BatchRounding.NEAREST)
-    assert got == 502
+    config = make_config(base_batch=1024, batch_rounding=BatchRounding.NEAREST)
+    assert scaled(config, Resolution(224, 224), Resolution(320, 320)) == 502
     # exact .5 ties round up: 3 * 4 / 8 = 1.5
-    assert scaled_batch_size(3, Resolution(2, 2), Resolution(2, 4), BatchRounding.NEAREST) == 2
+    config = make_config(base_batch=3, batch_rounding=BatchRounding.NEAREST)
+    assert scaled(config, Resolution(2, 2), Resolution(2, 4)) == 2
 
 
 def test_multiple_of_world_rounding():
-    got = scaled_batch_size(
-        1024,
-        Resolution(224, 224),
-        Resolution(320, 320),
-        BatchRounding.MULTIPLE_OF_WORLD,
-        min_batch=8,
-        world_size=8,
+    # size_table scales the global batch: 128 per rank x 8 ranks = 1024
+    config = make_config(
+        base_batch=128, world_size=8, batch_rounding=BatchRounding.MULTIPLE_OF_WORLD, min_batch=8
     )
-    assert got == 496  # floor(501.76) floored to a multiple of 8
-    tiny = scaled_batch_size(
-        8,
-        Resolution(32, 32),
-        Resolution(1024, 1024),
-        BatchRounding.MULTIPLE_OF_WORLD,
-        min_batch=4,
-        world_size=4,
+    assert scaled(config, Resolution(224, 224), Resolution(320, 320)) == 496  # floor(501.76) floored to a multiple of 8
+    config = make_config(
+        base_batch=2, world_size=4, batch_rounding=BatchRounding.MULTIPLE_OF_WORLD, min_batch=4
     )
-    assert tiny == 4  # clamped to one sample per rank
+    assert scaled(config, Resolution(32, 32), Resolution(1024, 1024)) == 4  # clamped to one sample per rank
 
 
 def test_min_batch_clamp():
-    got = scaled_batch_size(
-        4, Resolution(32, 32), Resolution(1024, 1024), BatchRounding.FLOOR, min_batch=3
-    )
-    assert got == 3
+    config = make_config(base_batch=4, batch_rounding=BatchRounding.FLOOR, min_batch=3)
+    assert scaled(config, Resolution(32, 32), Resolution(1024, 1024)) == 3
 
 
 # -- single scale ----------------------------------------------------------
@@ -290,10 +289,7 @@ def test_adding_larger_resolution_raises_fbs_peak_not_vbs():
 def test_msc_vbs_update_expectation_matches_simulation():
     # closed form N / mean(scaled batch) vs >= 100 generated epochs
     config = make_config(dataset_size=100_000, base_batch=128, epochs=100, drop_last=False)
-    table = [
-        scaled_batch_size(128, Resolution(224, 224), r, BatchRounding.MULTIPLE_OF_WORLD, 1, 1)
-        for r in STANDARD
-    ]
+    table = batch_table(config)[1].tolist()
     expected_per_epoch = config.dataset_size / (sum(table) / len(table))
     total = sum(
         len(epoch_batch_shapes(config, epoch, config.dataset_size)[1])

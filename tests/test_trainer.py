@@ -14,7 +14,6 @@ from batchforge.trainer import (
     TrainerError,
     _pool,
     batch_label_smoothed_ce,
-    cosine_lr,
     ema_update,
     label_smoothed_ce,
     load_params,
@@ -64,7 +63,7 @@ RESNET = TrainerConfig(max_lr=0.4, warmup_epochs=5, total_epochs=150)
 
 
 def test_lr_reaches_max_at_warmup_end():
-    assert cosine_lr(5 * 1251, 1251, RESNET) == 0.4
+    assert lr_at_epoch_fraction(5, RESNET) == 0.4
 
 
 def test_lr_midpoint_is_exact_average():
@@ -74,14 +73,14 @@ def test_lr_midpoint_is_exact_average():
 
 
 def test_lr_final_step_hits_min():
-    assert cosine_lr(150 * 1251, 1251, RESNET) == 0.0
+    assert lr_at_epoch_fraction(150, RESNET) == 0.0
     cfg = TrainerConfig(max_lr=0.4, warmup_epochs=5, total_epochs=150, min_lr=0.004)
-    assert cosine_lr(150 * 100, 100, cfg) == 0.004
+    assert lr_at_epoch_fraction(150, cfg) == 0.004
 
 
 def test_lr_warmup_is_linear_from_zero():
-    assert cosine_lr(0, 100, RESNET) == 0.0
-    assert cosine_lr(250, 100, RESNET) == pytest.approx(0.4 * 250 / 500)
+    assert lr_at_epoch_fraction(0, RESNET) == 0.0
+    assert lr_at_epoch_fraction(2.5, RESNET) == pytest.approx(0.4 * 2.5 / 5)
 
 
 def test_lr_continuous_at_warmup_boundary():
@@ -97,10 +96,11 @@ def test_lr_non_increasing_after_warmup():
 
 def test_lr_step_out_of_range():
     with pytest.raises(TrainerError) as err:
-        cosine_lr(-1, 100, RESNET)
+        lr_at_epoch_fraction(-0.01, RESNET)
     assert err.value.code == "STEP_OUT_OF_RANGE"
-    with pytest.raises(TrainerError):
-        cosine_lr(150 * 100 + 1, 100, RESNET)
+    with pytest.raises(TrainerError) as err:
+        lr_at_epoch_fraction(150.01, RESNET)
+    assert err.value.code == "STEP_OUT_OF_RANGE"
 
 
 def test_trainer_config_invariants():
