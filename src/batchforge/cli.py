@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import analysis, schedule_io
 from .core import (
@@ -165,6 +166,13 @@ def _image_strategy(strategy: Strategy) -> Strategy:
     return strategy
 
 
+def _parse_flags(args: argparse.Namespace, parsers: dict[str, Callable[[str], object]]) -> None:
+    """Parse these flags in place like config-file values (``BAD_VALUE`` on failure); unset ones stay None."""
+    for key, parser in parsers.items():
+        if getattr(args, key) is not None:
+            setattr(args, key, parse_value(key, parser, getattr(args, key)))
+
+
 def _config_header(config: dict) -> str:
     """The ``# schema_version=1 config=...`` first line of CSV artifacts."""
     return f"# schema_version=1 config={json.dumps(config, separators=(',', ':'))}\n"
@@ -201,6 +209,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    _parse_flags(args, {"channels": int, "bytes_per_element": int, "trials": int})
     if args.schedule:
         with open(args.schedule) as fp:
             header, schedules = schedule_io.read_schedules(fp)
@@ -243,6 +252,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+# The sample-filter flags; they are not config-file keys.
+_FILTER_FLAGS = {"tau": float, "window": int, "start_epoch": int, "reeval_stride": int}
+
+
 def _trainer_from_args(args: argparse.Namespace, mapping: dict[str, str], epochs: int) -> TrainerConfig:
     """Trainer flags over the ``--config`` ``mapping`` over the defaults; flags parse like file values."""
     given = {**mapping, **{key: value for key, value in vars(args).items() if value is not None}}
@@ -254,34 +267,23 @@ def _cmd_train(args: argparse.Namespace) -> int:
     mapping = _read_config(args)
     defaults = sampler_config_from_mapping(_TRAIN_DEFAULTS, base=_default_sampler())
     sampler = _sampler_from_args(args, mapping, defaults)
+    _parse_flags(args, {"classes": int, "grid": int, "eval_samples": int, "noise_scale": float, **_FILTER_FLAGS})
     try:
         trainer_config = _trainer_from_args(args, mapping, sampler.epochs)
-        set_config = None
-        if args.tau is not None:
-            set_config = SetConfig(
-                tau=args.tau,
-                window=args.window,
-                start_epoch=args.start_epoch,
-                reeval_stride=args.reeval_stride,
-            )
+        set_config = SetConfig(**{key: getattr(args, key) for key in _FILTER_FLAGS})
+        dataset, eval_dataset = make_synthetic_task(
+            sampler.dataset_size, args.classes, args.grid, sampler.seed, args.eval_samples, noise_scale=args.noise_scale
+        )
     except (TrainerError, SetError) as err:  # bad settings, not a failed run
         message = str(err).removeprefix(f"{err.code}: ")
         raise ConfigValidationError([ConfigViolation(err.code, message)]) from err
-    dataset, eval_dataset = make_synthetic_task(
-        num_samples=sampler.dataset_size,
-        num_classes=args.classes,
-        grid=args.grid,
-        seed=sampler.seed,
-        eval_samples=args.eval_samples,
-        noise_scale=args.noise_scale,
-    )
     model = PooledLinearModel(args.classes, args.grid, sampler.resolutions)
     report = train(model, dataset, sampler, trainer_config, set_config, eval_dataset)
 
     header = {
         "sampler": sampler_config_to_mapping(sampler),
         "trainer": trainer_config.__dict__,
-        "set": None if set_config is None else set_config.__dict__,
+        "set": set_config.__dict__,
         "task": {
             "samples": sampler.dataset_size,
             "classes": args.classes,
@@ -397,20 +399,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of strategies to compare",
     )
     p_an.add_argument("--schedule", help="analyze an exported schedule file instead of generating")
-    p_an.add_argument("--channels", type=int, default=3)
-    p_an.add_argument("--bytes-per-element", type=int, dest="bytes_per_element", default=4)
-    p_an.add_argument("--trials", type=int, default=0, help="add a Monte-Carlo update-count section (json only)")
+    p_an.add_argument("--channels", default=3)
+    p_an.add_argument("--bytes-per-element", dest="bytes_per_element", default=4)
+    p_an.add_argument("--trials", default=0, help="add a Monte-Carlo update-count section (json only)")
     _add_output_flags(p_an, ["csv", "json"])
     p_an.set_defaults(handler=_cmd_analyze)
 
     p_tr = sub.add_parser("train", help="train the synthetic task with the toy learner")
     p_tr.add_argument("--config", help="flat key=value config file")
-    # Sampler and trainer flags stay strings and parse like config-file values.
+    # Every value flag stays a string and parses like a config-file value.
     p_tr.add_argument("--samples", dest="dataset_size")
-    p_tr.add_argument("--classes", type=int, default=10)
-    p_tr.add_argument("--grid", type=int, default=8)
-    p_tr.add_argument("--eval-samples", type=int, dest="eval_samples", default=2000)
-    p_tr.add_argument("--noise-scale", type=float, dest="noise_scale", default=1.15)
+    p_tr.add_argument("--classes", default=10)
+    p_tr.add_argument("--grid", default=8, help="2 or a multiple of 4")
+    p_tr.add_argument("--eval-samples", dest="eval_samples", default=2000)
+    p_tr.add_argument("--noise-scale", dest="noise_scale", default=1.15)
     p_tr.add_argument("--epochs")
     p_tr.add_argument("--batch", dest="base_batch")
     p_tr.add_argument("--strategy")
@@ -424,10 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--weight-decay", dest="weight_decay")
     p_tr.add_argument("--label-smoothing", dest="label_smoothing")
     p_tr.add_argument("--ema-decay", dest="ema_decay")
-    p_tr.add_argument("--tau", type=float, help="enable sample filtering at this confidence threshold")
-    p_tr.add_argument("--window", type=int, default=2)
-    p_tr.add_argument("--start-epoch", type=int, dest="start_epoch")
-    p_tr.add_argument("--reeval-stride", type=int, dest="reeval_stride", default=1)
+    p_tr.add_argument("--tau", default=1.0, help="sample-filtering confidence threshold; 1.0 removes nothing")
+    p_tr.add_argument("--window", default=2)
+    p_tr.add_argument("--start-epoch", dest="start_epoch")
+    p_tr.add_argument("--reeval-stride", dest="reeval_stride", default=1)
     p_tr.add_argument("--csv", help="also write the per-epoch CSV here")
     p_tr.add_argument("--checkpoint", help="write final parameters to this binary file")
     _add_output_flags(p_tr, ["json"])

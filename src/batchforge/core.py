@@ -263,7 +263,8 @@ def parse_flat_config(text: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            message = f"line {lineno}: expected 'key = value', got {raw!r}"
+            raise ConfigValidationError([ConfigViolation("BAD_CONFIG_LINE", message)])
         key, _, value = line.partition("=")
         mapping[key.strip()] = value.strip()
     return mapping

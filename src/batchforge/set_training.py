@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import base64
 import json
-import operator
 from dataclasses import dataclass
 from typing import IO
 
@@ -171,24 +170,7 @@ class SetState:
     # -- recording ---------------------------------------------------
 
     def record_prediction(self, sample_id: int, correct: bool, confidence: float) -> None:
-        try:
-            sid = operator.index(sample_id)
-        except TypeError:
-            sid = -1
-        if not 0 <= sid < self.num_samples:
-            raise SetError("UNKNOWN_SAMPLE", f"sample {sample_id} not tracked")
-        if not (0.0 <= confidence <= 1.0):
-            raise SetError(
-                "CONFIDENCE_OUT_OF_RANGE", f"confidence {confidence} outside [0, 1]"
-            )
-        if self.recorded[sid]:
-            raise SetError(
-                "DUPLICATE_RECORD", f"sample {sid} already has an epoch-{self.epoch} record"
-            )
-        easy = bool(correct) and confidence > self.config.tau
-        self.streak[sid] = min(int(self.streak[sid]) + 1, self.config.window) if easy else 0
-        self.recorded[sid] = True
-        self.forward_passes += 1
+        self.record_batch([sample_id], [correct], [confidence])
 
     def record_batch(
         self, sample_ids: ArrayLike, correct: ArrayLike, confidence: ArrayLike

@@ -13,8 +13,9 @@ iterations genuinely see less class detail.
 
 Recipe ingredients implemented here: linear-warmup cosine annealing,
 label-smoothed cross entropy, SGD with momentum and coupled weight decay,
-and an exponential moving average of the parameters. Training is
-single-threaded and bit-deterministic given its seeds.
+and an exponential moving average of the parameters. Sample filtering is
+always on; an unfiltered run is a tau 1.0 run, which removes nothing.
+Training is single-threaded and bit-deterministic given its seeds.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -56,6 +57,9 @@ class TrainerConfig:
     ema_decay: float = 0.9995
 
     def __post_init__(self):
+        bad = [k for k in ("max_lr", "min_lr", "momentum", "weight_decay") if not math.isfinite(getattr(self, k))]
+        if bad:
+            raise TrainerError("NON_FINITE_SETTING", f"{', '.join(bad)} must be finite")
         if not (0 <= self.warmup_epochs < self.total_epochs):
             raise TrainerError(
                 "BAD_WARMUP", f"need 0 <= warmup ({self.warmup_epochs}) < total ({self.total_epochs})"
@@ -307,8 +311,15 @@ def make_synthetic_task(
 
     The noise level is chosen so a linear model separates most but not
     all samples: confidences near the threshold keep drifting as the
-    parameters move, which is what exercises removal and re-adding.
+    parameters move, which is what exercises removal and re-adding. The
+    three-band class means need ``grid`` to be 2 or a multiple of 4.
     """
+    if not (grid == 2 or (grid > 0 and grid % 4 == 0)):
+        raise TrainerError("BAD_GRID", f"grid must be 2 or a positive multiple of 4, got {grid}")
+    if num_classes < 2:
+        raise TrainerError("BAD_CLASSES", f"need at least two classes, got {num_classes}")
+    if not math.isfinite(noise_scale):
+        raise TrainerError("NON_FINITE_SETTING", f"noise_scale must be finite, got {noise_scale}")
     means = _class_means(
         num_classes,
         grid,
@@ -334,22 +345,35 @@ class EpochStats:
     mean_loss: float
     eval_accuracy: float
     updates: int
-    active_count: int
-    forward_passes: int
 
 
 @dataclass
 class RunReport:
-    """Everything a training run produced, deterministic given seeds."""
+    """Everything a training run produced, deterministic given seeds.
+
+    The filter counts are read from ``transitions``, one per epoch.
+    """
 
     per_epoch: list[EpochStats]
-    total_updates: int
-    total_forward_passes: int
     final_params: np.ndarray
     ema_params: np.ndarray
-    transitions: list[EpochTransition] = field(default_factory=list)
-    removed_count: int = 0
-    readded_count: int = 0
+    transitions: list[EpochTransition]
+
+    @property
+    def total_updates(self) -> int:
+        return sum(row.updates for row in self.per_epoch)
+
+    @property
+    def total_forward_passes(self) -> int:
+        return self.transitions[-1].forward_passes if self.transitions else 0
+
+    @property
+    def removed_count(self) -> int:
+        return sum(len(t.newly_removed) for t in self.transitions)
+
+    @property
+    def readded_count(self) -> int:
+        return sum(len(t.readded) for t in self.transitions)
 
     @property
     def final_eval_accuracy(self) -> float:
@@ -369,14 +393,16 @@ def train(
     clip_specs: list[VideoClipSpec] | None = None,
     base_clip: VideoClipSpec | None = None,
 ) -> RunReport:
-    """Drive the sampler, optimizer, and (optionally) sample filtering.
+    """Drive the sampler, optimizer, and sample filtering.
 
-    Per epoch: plan batches over the active ids, take one SGD-M step per
-    batch with the warmup/cosine learning rate, maintain the parameter
-    EMA, record each trained sample's correctness and confidence, give
-    removed samples and the active ids a ``drop_last`` schedule left out a
-    forward-only evaluation at the base resolution, then apply the
-    removal/re-add rules.
+    Filtering is always on: ``set_config=None`` means
+    ``SetConfig(tau=1.0, window=1)``, and tau 1.0 removes nothing, so such a
+    run trains every id every epoch. Per epoch: plan batches over the active
+    ids, take one SGD-M step per batch with the warmup/cosine learning rate,
+    maintain the parameter EMA, record the trained samples' correctness and
+    confidence in one call, give removed samples and the active ids a
+    ``drop_last`` schedule left out a forward-only evaluation at the base
+    resolution, then apply the removal/re-add rules.
 
     Any of the four strategies works; the video variant needs
     ``clip_specs`` and ``base_clip``, and the model sees each clip's
@@ -406,63 +432,47 @@ def train(
 
     base = sampler_config.base_resolution
     eval_inputs = _pool(eval_dataset.features, model.pool_factor(base)) if eval_dataset else None
-    state = SetState(len(dataset), set_config) if set_config else None
+    state = SetState(len(dataset), set_config or SetConfig(tau=1.0, window=1))
     velocity = np.zeros_like(model.theta)
     shadow = model.theta.copy()
     per_epoch: list[EpochStats] = []
     transitions: list[EpochTransition] = []
-    total_updates = 0
-    forward_passes = 0
 
     for epoch in range(trainer_config.total_epochs):
-        active_ids = state.active_samples() if state else None
+        active_ids = state.active_samples()
         if video:
-            schedule: EpochSchedule = plan_video_vbs(
-                sampler_config, clip_specs, base_clip, epoch, active_ids
-            )
+            schedule: EpochSchedule = plan_video_vbs(sampler_config, clip_specs, base_clip, epoch, active_ids)
         else:
             schedule = plan_epoch(sampler_config, epoch, active_ids)
+        bounds = schedule.offsets.tolist()
+        correct = np.empty(schedule.total_samples, dtype=bool)
+        confidence = np.empty(schedule.total_samples)
         batch_losses = []
         for plan in schedule.plans:
-            fraction = epoch + plan.iteration / schedule.total_updates
-            lr = lr_at_epoch_fraction(fraction, trainer_config)
-            ids = plan.sample_ids
-            loss, grad, correct, confidences = model.loss_and_grad(
-                pooled_at(plan.resolution)[ids],
-                dataset.labels[ids],
-                plan.resolution,
-                trainer_config.label_smoothing,
+            lr = lr_at_epoch_fraction(epoch + plan.iteration / schedule.total_updates, trainer_config)
+            ids, res = plan.sample_ids, plan.resolution
+            lo, hi = bounds[plan.iteration], bounds[plan.iteration + 1]
+            loss, grad, correct[lo:hi], confidence[lo:hi] = model.loss_and_grad(
+                pooled_at(res)[ids], dataset.labels[ids], res, trainer_config.label_smoothing
             )
-            if state:
-                state.record_batch(ids, correct, confidences)
-            else:
-                forward_passes += len(ids)
             model.theta, velocity = sgd_momentum_step(
-                model.theta,
-                grad,
-                velocity,
-                lr,
-                trainer_config.momentum,
-                trainer_config.weight_decay,
+                model.theta, grad, velocity, lr, trainer_config.momentum, trainer_config.weight_decay
             )
             shadow = ema_update(shadow, model.theta, trainer_config.ema_decay)
             batch_losses.append(loss)
-            total_updates += 1
+        state.record_batch(schedule.ids, correct, confidence)
 
-        if state:
-            reeval = state.reevaluation_plan()
-            if schedule.total_samples < len(active_ids):
-                # active ids in the dropped tail still owe this epoch a record
-                tail = np.setdiff1d(active_ids, schedule.ids, assume_unique=True)
-                reeval = np.concatenate([reeval, tail])
-            if len(reeval):
-                logits = model.forward(pooled_at(base)[reeval], base)
-                _, _, probs = batch_label_smoothed_ce(
-                    logits, dataset.labels[reeval], trainer_config.label_smoothing
-                )
-                correct = logits.argmax(axis=1) == dataset.labels[reeval]
-                state.record_batch(reeval, correct, probs)
-            transitions.append(state.finalize_epoch())
+        reeval = state.reevaluation_plan()
+        if schedule.total_samples < len(active_ids):
+            # active ids in the dropped tail still owe this epoch a record
+            tail = np.setdiff1d(active_ids, schedule.ids, assume_unique=True)
+            reeval = np.concatenate([reeval, tail])
+        if len(reeval):
+            logits = model.forward(pooled_at(base)[reeval], base)
+            labels = dataset.labels[reeval]
+            _, _, probs = batch_label_smoothed_ce(logits, labels, trainer_config.label_smoothing)
+            state.record_batch(reeval, logits.argmax(axis=1) == labels, probs)
+        transitions.append(state.finalize_epoch())
 
         if eval_dataset:
             predicted = model.predict(eval_inputs, base)
@@ -476,21 +486,10 @@ def train(
                 mean_loss=float(np.mean(batch_losses)) if batch_losses else float("nan"),
                 eval_accuracy=eval_accuracy,
                 updates=schedule.total_updates,
-                active_count=len(active_ids) if active_ids is not None else len(dataset),
-                forward_passes=state.forward_passes if state else forward_passes,
             )
         )
 
-    return RunReport(
-        per_epoch=per_epoch,
-        total_updates=total_updates,
-        total_forward_passes=state.forward_passes if state else forward_passes,
-        final_params=model.theta.copy(),
-        ema_params=shadow,
-        transitions=transitions,
-        removed_count=state.removed_count if state else 0,
-        readded_count=state.readded_count if state else 0,
-    )
+    return RunReport(per_epoch, model.theta.copy(), shadow, transitions)
 
 
 # -- artifacts ----------------------------------------------------------
@@ -538,10 +537,10 @@ def run_report_payload(report: RunReport) -> dict:
                 "mean_loss": row.mean_loss,
                 "eval_accuracy": row.eval_accuracy,
                 "updates": row.updates,
-                "active": row.active_count,
-                "forward_passes": row.forward_passes,
+                "active": t.active_count,
+                "forward_passes": t.forward_passes,
             }
-            for row in report.per_epoch
+            for row, t in zip(report.per_epoch, report.transitions)
         ],
         "set_transitions": [
             {
@@ -566,8 +565,8 @@ def write_run_report_json(fp: IO[str], report: RunReport, header: dict | None = 
 
 def write_run_report_csv(fp: IO[str], report: RunReport) -> None:
     fp.write("epoch,mean_loss,eval_accuracy,updates,active,forward_passes\n")
-    for row in report.per_epoch:
+    for row, t in zip(report.per_epoch, report.transitions):
         fp.write(
             f"{row.epoch},{row.mean_loss!r},{row.eval_accuracy!r},"
-            f"{row.updates},{row.active_count},{row.forward_passes}\n"
+            f"{row.updates},{t.active_count},{t.forward_passes}\n"
         )

@@ -71,6 +71,13 @@ def test_video_strategy_is_a_config_error(argv, capsys):
         (["--epochs", "2"], "BAD_WARMUP"),  # the default warmup is 3 epochs; it is not clamped
         (["--tau", "1.5"], "TAU_OUT_OF_RANGE"),
         (["--tau", "0.7", "--window", "0"], "ZERO_WINDOW"),
+        (["--grid", "3"], "BAD_GRID"),
+        (["--grid", "6"], "BAD_GRID"),
+        (["--classes", "0"], "BAD_CLASSES"),
+        (["--classes", "1"], "BAD_CLASSES"),
+        (["--max-lr", "nan"], "NON_FINITE_SETTING"),
+        (["--momentum", "nan"], "NON_FINITE_SETTING"),
+        (["--noise-scale", "nan"], "NON_FINITE_SETTING"),
     ],
 )
 def test_bad_trainer_and_filter_settings_are_config_errors(flags, code, tmp_path, capsys):
@@ -94,8 +101,25 @@ def test_bad_trainer_and_filter_settings_are_config_errors(flags, code, tmp_path
         (["train", "--samples", "200"], "tau = 0.7\n", "UNKNOWN_KEY", "--tau"),
         (["train", "--samples", "200"], "bogus_key = 1\n", "UNKNOWN_KEY", "bogus_key: "),
         (["plan"], "bogus_key = 1\n", "UNKNOWN_KEY", "bogus_key: "),
+        (["plan"], "epochs 3\n", "BAD_CONFIG_LINE", "line 1: "),
+        (["train", "--tau", "abc"], None, "BAD_VALUE", "tau: "),
+        (["train", "--window", "2.5"], None, "BAD_VALUE", "window: "),
+        (["train", "--start-epoch", "x"], None, "BAD_VALUE", "start_epoch: "),
+        (["train", "--reeval-stride", "x"], None, "BAD_VALUE", "reeval_stride: "),
+        (["train", "--classes", "x"], None, "BAD_VALUE", "classes: "),
+        (["train", "--grid", "8.0"], None, "BAD_VALUE", "grid: "),
+        (["train", "--eval-samples", "x"], None, "BAD_VALUE", "eval_samples: "),
+        (["train", "--noise-scale", "x"], None, "BAD_VALUE", "noise_scale: "),
+        (["analyze", "--channels", "x"], None, "BAD_VALUE", "channels: "),
+        (["analyze", "--bytes-per-element", "x"], None, "BAD_VALUE", "bytes_per_element: "),
+        (["analyze", "--trials", "x"], None, "BAD_VALUE", "trials: "),
     ],
-    ids=["plan_file", "strategy_flag", "resolutions_flag", "epochs_flag", "max_lr_flag", "train_file", "train_tau", "train_bogus", "plan_bogus"],
+    ids=[
+        "plan_file", "strategy_flag", "resolutions_flag", "epochs_flag", "max_lr_flag", "train_file", "train_tau",
+        "train_bogus", "plan_bogus", "plan_bad_line", "tau_flag", "window_flag", "start_epoch_flag",
+        "reeval_stride_flag", "classes_flag", "grid_flag", "eval_samples_flag", "noise_scale_flag",
+        "channels_flag", "bytes_per_element_flag", "trials_flag",
+    ],
 )
 def test_bad_config_values_and_keys_exit_2(argv, file_text, code, named, tmp_path, capsys):
     if file_text is not None:
@@ -277,6 +301,17 @@ def test_train_writes_all_artifacts(tmp_path, capsys):
     assert lines[0].startswith("# schema_version=1 config=")
     assert lines[1] == "epoch,active,removed,readded,forward_passes"
     assert len(lines) == 2 + 6
+
+
+def test_unfiltered_train_is_a_tau_one_run(tmp_path):
+    report, set_csv = tmp_path / "run.json", tmp_path / "set.csv"
+    assert run_cli(["train", "--samples", "500", "--eval-samples", "100", "--epochs", "4", "-o", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["config"]["set"] == {"tau": 1.0, "window": 2, "start_epoch": 2, "reeval_stride": 1}
+    assert [t["removed"] + t["readded"] for t in payload["set_transitions"]] == [0] * 4
+    assert run_cli(["set-report", "--run-report", str(report), "-o", str(set_csv)]) == 0
+    rows = set_csv.read_text().splitlines()[2:]
+    assert rows == [f"{epoch},500,0,0,{500 * (epoch + 1)}" for epoch in range(4)]
 
 
 def test_train_reads_sampler_keys_from_config(tmp_path):

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ from batchforge.samplers import plan_epoch
 from batchforge.set_training import SetConfig, SetState
 from batchforge.trainer import (
     PooledLinearModel,
+    RunReport,
     TrainerConfig,
     TrainerError,
     _pool,
@@ -110,6 +112,10 @@ def test_trainer_config_invariants():
         TrainerConfig(max_lr=0.1, warmup_epochs=0, total_epochs=10, label_smoothing=1.0)
     with pytest.raises(TrainerError):
         TrainerConfig(max_lr=0.1, warmup_epochs=0, total_epochs=10, ema_decay=1.5)
+    for name in ("max_lr", "min_lr", "momentum", "weight_decay"):
+        with pytest.raises(TrainerError) as err:
+            TrainerConfig(**{"max_lr": 0.1, "warmup_epochs": 0, "total_epochs": 10, name: float("inf")})
+        assert err.value.code == "NON_FINITE_SETTING", name
 
 
 # -- label-smoothed cross entropy ---------------------------------------------
@@ -336,12 +342,12 @@ def run_toy(tau=None, seed=0, **sampler_overrides):
 
 
 def reference_train(model, dataset, sampler, tc, set_config, eval_dataset):
-    """train() written out step by step, every call on raw grids."""
-    state = SetState(len(dataset), set_config) if set_config else None
+    """train() written out step by step, every call on raw grids, recording batch by batch."""
+    state = SetState(len(dataset), set_config or SetConfig(tau=1.0, window=1))  # None is tau 1.0
     velocity, shadow = np.zeros_like(model.theta), model.theta.copy()
     losses, accuracies, transitions = [], [], []
     for epoch in range(tc.total_epochs):
-        active = state.active_samples() if state else None
+        active = state.active_samples()
         schedule = plan_epoch(sampler, epoch, active)
         batch_losses = []
         for plan in schedule.plans:
@@ -350,22 +356,20 @@ def reference_train(model, dataset, sampler, tc, set_config, eval_dataset):
             loss, grad, correct, confidences = model.loss_and_grad(
                 dataset.features[ids], dataset.labels[ids], plan.resolution, tc.label_smoothing
             )
-            if state:
-                state.record_batch(ids, correct, confidences)
+            state.record_batch(ids, correct, confidences)
             model.theta, velocity = sgd_momentum_step(
                 model.theta, grad, velocity, lr, tc.momentum, tc.weight_decay
             )
             shadow = ema_update(shadow, model.theta, tc.ema_decay)
             batch_losses.append(loss)
-        if state:
-            tail = np.setdiff1d(active, schedule.ids, assume_unique=True)
-            reeval = np.concatenate([state.reevaluation_plan(), tail])
-            if len(reeval):
-                logits = model.forward(dataset.features[reeval], sampler.base_resolution)
-                labels = dataset.labels[reeval]
-                _, _, probs = batch_label_smoothed_ce(logits, labels, tc.label_smoothing)
-                state.record_batch(reeval, logits.argmax(axis=1) == labels, probs)
-            transitions.append(state.finalize_epoch())
+        tail = np.setdiff1d(active, schedule.ids, assume_unique=True)
+        reeval = np.concatenate([state.reevaluation_plan(), tail])
+        if len(reeval):
+            logits = model.forward(dataset.features[reeval], sampler.base_resolution)
+            labels = dataset.labels[reeval]
+            _, _, probs = batch_label_smoothed_ce(logits, labels, tc.label_smoothing)
+            state.record_batch(reeval, logits.argmax(axis=1) == labels, probs)
+        transitions.append(state.finalize_epoch())
         predicted = model.predict(eval_dataset.features, sampler.base_resolution)
         accuracies.append(float((predicted == eval_dataset.labels).mean()))
         losses.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
@@ -388,7 +392,6 @@ def test_train_matches_a_raw_grid_loop_bit_for_bit(tau, drop_last):
     assert np.array_equal(report.losses(), losses, equal_nan=True)  # drop_last can leave no batch
     assert [row.eval_accuracy for row in report.per_epoch] == accuracies
     assert report.transitions == transitions
-    assert (len(transitions) > 0) == (tau is not None)
     if tau is not None:
         assert report.removed_count > 0
 
@@ -411,11 +414,13 @@ def test_training_is_bit_deterministic():
 
 
 def test_tau_one_matches_disabled_filtering_exactly():
-    base, gated = run_toy(), run_toy(tau=1.0)
-    assert base.total_updates == gated.total_updates
-    assert base.losses() == gated.losses()
-    assert np.array_equal(base.final_params, gated.final_params)
-    assert gated.removed_count == 0
+    for drop_last in (True, False):
+        base, gated = run_toy(drop_last=drop_last), run_toy(tau=1.0, drop_last=drop_last)
+        counts = ["total_updates", "total_forward_passes", "removed_count", "readded_count"]
+        for name in [f.name for f in fields(RunReport)] + counts:
+            a, b = getattr(base, name), getattr(gated, name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, (drop_last, name)
+        assert len(gated.transitions) == 10 and gated.removed_count == 0
 
 
 def test_filtering_reduces_updates_without_losing_accuracy():
@@ -452,17 +457,19 @@ def test_update_ratio_tracks_closed_form_prediction():
 def test_forward_passes_exceed_updates_with_filtering():
     report = run_toy(tau=0.7)
     # every trained sample plus one forward-only pass per removed sample per epoch
-    assert report.total_forward_passes >= sum(r.active_count for r in report.per_epoch)
+    assert report.total_forward_passes >= sum(t.active_count for t in report.transitions)
 
 
 def test_filtering_with_drop_last_evaluates_the_dropped_tail():
     # active ids the drop_last tail leaves out get a forward-only record, so
-    # every id costs one forward pass per epoch with or without drop_last
-    for drop_last in (True, False):
-        report = run_toy(tau=0.7, drop_last=drop_last)
-        assert [r.forward_passes for r in report.per_epoch] == [2000 * (e + 1) for e in range(10)]
-        assert report.total_forward_passes == 10 * 2000
-        assert report.removed_count > 0
+    # every id costs one forward pass per epoch with or without drop_last,
+    # filtered or not
+    for tau in (0.7, None):
+        for drop_last in (True, False):
+            report = run_toy(tau=tau, drop_last=drop_last)
+            assert [t.forward_passes for t in report.transitions] == [2000 * (e + 1) for e in range(10)]
+            assert report.total_forward_passes == 10 * 2000
+            assert (report.removed_count > 0) == (tau is not None)
 
 
 def test_video_strategy_trains():
