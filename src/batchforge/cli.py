@@ -8,19 +8,21 @@ table), ``train`` (toy synthetic-task training run), ``set-report``
 Configuration precedence, highest first: explicit flags, then a
 ``--config`` file of flat ``key = value`` pairs, then a ``--preset``,
 then the ``BATCHFORGE_SEED`` environment variable (seed only), then
-built-in defaults. Every artifact embeds the effective configuration in
-its header. Exit codes: 0 success, 2 invalid configuration or arguments,
-1 runtime failure.
+built-in defaults. Every setting is one row of :data:`SETTINGS`. Every
+artifact embeds the effective configuration in its header. Exit codes:
+0 success, 2 invalid configuration or arguments, 1 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import analysis, schedule_io
 from .core import (
@@ -52,6 +54,84 @@ from .trainer import (
 SEED_ENV_VAR = "BATCHFORGE_SEED"
 
 
+class Setting(NamedTuple):
+    """One value a command reads.
+
+    ``parse`` turns the flag or file text into the value (``BAD_VALUE`` on
+    failure). ``commands`` take it as a ``--key-with-dashes`` flag, and
+    ``in_file`` says whether a ``--config`` file may set it. ``default`` is
+    used when neither gives a value (sampler rows have none: the preset or
+    the command's defaults do); a value below ``least`` is ``OUT_OF_RANGE``.
+    """
+
+    parse: Callable[[str], object]
+    commands: tuple[str, ...]
+    in_file: bool = False
+    default: object = None
+    least: int | None = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+_PLAN, _TRAIN, _ANALYZE = ("plan", "analyze"), ("train",), ("analyze",)
+_ALL = _PLAN + _TRAIN
+
+SETTINGS: dict[str, Setting] = {
+    "preset": Setting(str, _PLAN, choices=tuple(preset_names()), help="start from a shipped recipe"),
+    "config": Setting(str, _ALL, help="flat key=value config file"),
+    # the sampler; ``train`` plans for one rank, so it takes no world_size, drop_last, batch_rounding or min_batch flag
+    "strategy": Setting(SAMPLER_PARSERS["strategy"], _ALL, in_file=True, help="ssc_fbs | msc_fbs | msc_vbs"),
+    "dataset_size": Setting(SAMPLER_PARSERS["dataset_size"], _ALL, in_file=True),
+    "base_batch": Setting(SAMPLER_PARSERS["base_batch"], _ALL, in_file=True),
+    "base_resolution": Setting(SAMPLER_PARSERS["base_resolution"], _ALL, in_file=True, help="e.g. 224x224"),
+    "resolutions": Setting(SAMPLER_PARSERS["resolutions"], _ALL, in_file=True, help="comma list, e.g. 128x128,192x192,224x224"),
+    "epochs": Setting(SAMPLER_PARSERS["epochs"], _ALL, in_file=True),
+    "world_size": Setting(SAMPLER_PARSERS["world_size"], _PLAN, in_file=True),
+    "seed": Setting(SAMPLER_PARSERS["seed"], _ALL, in_file=True),
+    "drop_last": Setting(
+        SAMPLER_PARSERS["drop_last"], _PLAN, in_file=True, choices=("true", "false"),
+        help="drop the final short batch (default from config source)",
+    ),
+    "batch_rounding": Setting(SAMPLER_PARSERS["batch_rounding"], _PLAN, in_file=True, help="floor | nearest | multiple_of_world"),
+    "min_batch": Setting(SAMPLER_PARSERS["min_batch"], _PLAN, in_file=True),
+    # the synthetic task
+    "classes": Setting(int, _TRAIN, default=10),
+    "grid": Setting(int, _TRAIN, default=8, help="2 or a multiple of 4"),
+    "eval_samples": Setting(int, _TRAIN, default=2000, least=1),
+    "noise_scale": Setting(float, _TRAIN, default=1.15),
+    # the sample filter (SetConfig)
+    "tau": Setting(float, _TRAIN, default=1.0, help="sample-filtering confidence threshold; 1.0 removes nothing"),
+    "window": Setting(int, _TRAIN, default=2),
+    "start_epoch": Setting(int, _TRAIN),
+    "reeval_stride": Setting(int, _TRAIN, default=1),
+    # the optimizer (TrainerConfig)
+    "max_lr": Setting(float, _TRAIN, in_file=True, default=0.2),
+    "warmup_epochs": Setting(int, _TRAIN, in_file=True, default=3),
+    "min_lr": Setting(float, _TRAIN, in_file=True, default=0.0),
+    "momentum": Setting(float, _TRAIN, in_file=True, default=0.9),
+    "weight_decay": Setting(float, _TRAIN, in_file=True, default=1e-4),
+    "label_smoothing": Setting(float, _TRAIN, in_file=True, default=0.1),
+    "ema_decay": Setting(float, _TRAIN, in_file=True, default=0.999),
+    # the cost table
+    "strategies": Setting(str, _ANALYZE, default="ssc_fbs,msc_fbs,msc_vbs", help="comma list of strategies to compare"),
+    "channels": Setting(int, _ANALYZE, default=3, least=1),
+    "bytes_per_element": Setting(int, _ANALYZE, default=4, least=1),
+    "trials": Setting(int, _ANALYZE, default=0, least=0, help="add a Monte-Carlo update-count section (json only)"),
+}
+# ``train`` names these sampler flags after the task.
+_TRAIN_FLAGS = {"dataset_size": "--samples", "base_batch": "--batch"}
+
+# The desk-scale run ``train`` does when neither flags nor file say otherwise.
+_TRAIN_DEFAULTS = {
+    "dataset_size": "10000",
+    "base_batch": "128",
+    "base_resolution": "16x16",
+    "resolutions": "8x8,16x16,32x32",
+    "epochs": "30",
+    "drop_last": "false",
+}
+
+
 def _default_sampler() -> SamplerConfig:
     seed = parse_value(SEED_ENV_VAR, int, os.environ.get(SEED_ENV_VAR, "0"))
     return SamplerConfig(
@@ -65,94 +145,46 @@ def _default_sampler() -> SamplerConfig:
     )
 
 
-def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
-    """Sampler flags; their values stay strings and parse like config-file values."""
-    parser.add_argument("--preset", choices=preset_names(), help="start from a shipped recipe")
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--strategy", help="ssc_fbs | msc_fbs | msc_vbs")
-    parser.add_argument("--dataset-size", dest="dataset_size")
-    parser.add_argument("--base-batch", dest="base_batch")
-    parser.add_argument("--base-resolution", dest="base_resolution", help="e.g. 224x224")
-    parser.add_argument("--resolutions", help="comma list, e.g. 128x128,192x192,224x224")
-    parser.add_argument("--epochs")
-    parser.add_argument("--world-size", dest="world_size")
-    parser.add_argument("--seed")
-    parser.add_argument(
-        "--drop-last",
-        dest="drop_last",
-        choices=["true", "false"],
-        help="drop the final short batch (default from config source)",
-    )
-    parser.add_argument("--batch-rounding", dest="batch_rounding", help="floor | nearest | multiple_of_world")
-    parser.add_argument("--min-batch", dest="min_batch")
-
-
-def _add_output_flags(parser: argparse.ArgumentParser, formats: list[str]) -> None:
-    parser.add_argument("--output", "-o", help="output path (default: stdout)")
-    parser.add_argument("--format", dest="output_format", choices=formats, default=formats[0])
-    parser.add_argument(
-        "--errors-json",
-        action="store_true",
-        help="emit configuration errors as JSON on stderr",
-    )
-
-
-# The desk-scale run ``train`` does when neither flags nor file say otherwise.
-_TRAIN_DEFAULTS = {
-    "dataset_size": "10000",
-    "base_batch": "128",
-    "base_resolution": "16x16",
-    "resolutions": "8x8,16x16,32x32",
-    "epochs": "30",
-    "drop_last": "false",
-}
-
-
-# Trainer keys a config file may set: parser and the value ``train`` uses without one.
-_TRAINER_KEYS = {
-    "max_lr": (float, 0.2),
-    "warmup_epochs": (int, 3),
-    "min_lr": (float, 0.0),
-    "momentum": (float, 0.9),
-    "weight_decay": (float, 1e-4),
-    "label_smoothing": (float, 0.1),
-    "ema_decay": (float, 0.999),
-}
-
-
 def _read_config(args: argparse.Namespace) -> dict[str, str]:
-    """The ``--config`` file's keys ({} without one); a key no command reads is an error."""
+    """The ``--config`` file's keys ({} without one); a key no file may set is ``UNKNOWN_KEY``."""
     if not args.config:
         return {}
     mapping = parse_flat_config(Path(args.config).read_text())
-    unknown = [key for key in mapping if key not in SAMPLER_PARSERS and key not in _TRAINER_KEYS]
+    unknown = [key for key in mapping if not (key in SETTINGS and SETTINGS[key].in_file)]
     if unknown:
         raise ConfigValidationError([ConfigViolation("UNKNOWN_KEY", _unknown_key_message(key)) for key in unknown])
     return mapping
 
 
 def _unknown_key_message(key: str) -> str:
-    """Name the flag that sets ``key``, when some command has one."""
-    commands = next(action for action in build_parser()._actions if action.dest == "subcommand")
-    for command in commands.choices.values():
-        for action in command._actions:
-            if action.dest == key and action.option_strings:
-                return f"{key}: not a config-file key; pass the {action.option_strings[0]} flag"
+    """Name the flag that sets ``key``, when it is a setting some command takes as a flag."""
+    if key in SETTINGS:
+        return f"{key}: not a config-file key; pass the --{key.replace('_', '-')} flag"
     return f"{key}: not a config-file key of any command"
 
 
-def _sampler_from_args(
-    args: argparse.Namespace, mapping: dict[str, str], defaults: SamplerConfig | None = None
-) -> SamplerConfig:
-    """Flags over the ``--config`` ``mapping`` over a preset or ``defaults``."""
+def _values(args: argparse.Namespace, mapping: dict[str, str], *keys: str) -> dict[str, object]:
+    """Each key's flag, else its ``--config`` value, else its default, parsed and range-checked."""
+    values = {}
+    for key in keys:
+        row = SETTINGS[key]
+        text = getattr(args, key, None)
+        text = mapping.get(key) if text is None else text
+        value = values[key] = row.default if text is None else parse_value(key, row.parse, text)
+        if row.least is not None and value < row.least:
+            raise ConfigValidationError([ConfigViolation("OUT_OF_RANGE", f"{key}: must be >= {row.least}, got {value}")])
+    return values
+
+
+def _sampler(args: argparse.Namespace, mapping: dict[str, str], defaults: dict[str, str] | None = None) -> SamplerConfig:
+    """Flags over the ``--config`` ``mapping`` over ``defaults`` over a preset or the default sampler."""
     preset = getattr(args, "preset", None)
-    config = load_preset(preset).sampler if preset else (defaults or _default_sampler())
-    config = sampler_config_from_mapping(mapping, base=config)
-    # Flags parse like config-file keys; unset (None) flags are skipped.
-    flags = dict(vars(args))
-    if flags.get("min_batch") is None and config.min_batch == config.world_size:
-        flags["min_batch"] = flags.get("world_size")  # a min_batch tied to world_size moves with it
-    config = sampler_config_from_mapping(flags, base=config)
+    config = load_preset(preset).sampler if preset else _default_sampler()
+    flags = {key: getattr(args, key) for key in SAMPLER_PARSERS if getattr(args, key, None) is not None}
+    given = {**(defaults or {}), **mapping, **flags}
+    if config.min_batch == config.world_size:  # a min_batch tied to world_size moves with it
+        given.setdefault("min_batch", given.get("world_size"))
+    config = sampler_config_from_mapping(given, base=config)
     _image_strategy(config.strategy)
     return ensure_valid(config)
 
@@ -166,22 +198,19 @@ def _image_strategy(strategy: Strategy) -> Strategy:
     return strategy
 
 
-def _parse_flags(args: argparse.Namespace, parsers: dict[str, Callable[[str], object]]) -> None:
-    """Parse these flags in place like config-file values (``BAD_VALUE`` on failure); unset ones stay None."""
-    for key, parser in parsers.items():
-        if getattr(args, key) is not None:
-            setattr(args, key, parse_value(key, parser, getattr(args, key)))
-
-
 def _config_header(config: dict) -> str:
     """The ``# schema_version=1 config=...`` first line of CSV artifacts."""
     return f"# schema_version=1 config={json.dumps(config, separators=(',', ':'))}\n"
 
 
-def _open_output(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Standard output for no path or ``-``, else the file at ``path``."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fp:
+            yield fp
 
 
 def _emit_config_errors(err: ConfigValidationError, as_json: bool) -> None:
@@ -197,44 +226,35 @@ def _emit_config_errors(err: ConfigValidationError, as_json: bool) -> None:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    config = _sampler_from_args(args, _read_config(args))
-    schedules = (plan_epoch(config, epoch) for epoch in range(config.epochs))
-    fp, close = _open_output(args.output)
-    try:
-        schedule_io.write_schedules(fp, schedules, config=config)
-    finally:
-        if close:
-            fp.close()
+    config = _sampler(args, _read_config(args))
+    with _output(args.output) as fp:
+        schedule_io.write_schedules(fp, (plan_epoch(config, epoch) for epoch in range(config.epochs)), config=config)
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    _parse_flags(args, {"channels": int, "bytes_per_element": int, "trials": int})
+    values = _values(args, {}, "strategies", "channels", "bytes_per_element", "trials")
     if args.schedule:
         with open(args.schedule) as fp:
             header, schedules = schedule_io.read_schedules(fp)
         if header is None:
             raise ValueError("schedule file has no config header to analyze against")
         config = ensure_valid(sampler_config_from_mapping(header))
-        row = analysis.schedule_cost(schedules, config.strategy, channels=args.channels)
-        baseline = analysis.strategy_cost(
-            config.with_strategy(Strategy.SSC_FBS), channels=args.channels
-        )
+        row = analysis.schedule_cost(schedules, config.strategy, channels=values["channels"])
+        baseline = analysis.strategy_cost(config.with_strategy(Strategy.SSC_FBS), channels=values["channels"])
         reports = analysis.with_ratios([row], baseline=baseline)
-        config_echo = sampler_config_to_mapping(config)
     else:
-        config = _sampler_from_args(args, _read_config(args))
-        strategies = [_image_strategy(Strategy.parse(s)) for s in args.strategies.split(",") if s.strip()]
-        reports = analysis.compare_strategies(config, strategies, channels=args.channels)
-        config_echo = sampler_config_to_mapping(config)
+        config = _sampler(args, _read_config(args))
+        strategies = [_image_strategy(Strategy.parse(s)) for s in values["strategies"].split(",") if s.strip()]
+        reports = analysis.compare_strategies(config, strategies, channels=values["channels"])
+    config_echo = sampler_config_to_mapping(config)
 
-    fp, close = _open_output(args.output)
-    try:
+    with _output(args.output) as fp:
         if args.output_format == "json":
-            payload = analysis.cost_reports_payload(reports, args.bytes_per_element)
+            payload = analysis.cost_reports_payload(reports, values["bytes_per_element"])
             payload["config"] = config_echo
-            if args.trials:
-                sim = analysis.simulate_updates(config, args.trials)
+            if values["trials"]:
+                sim = analysis.simulate_updates(config, values["trials"])
                 payload["simulation"] = {
                     "strategy": config.strategy.value,
                     "trials": sim.trials,
@@ -245,66 +265,44 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             fp.write("\n")
         else:
             fp.write(_config_header(config_echo))
-            analysis.write_cost_csv(fp, reports, args.bytes_per_element)
-    finally:
-        if close:
-            fp.close()
+            analysis.write_cost_csv(fp, reports, values["bytes_per_element"])
     return 0
-
-
-# The sample-filter flags; they are not config-file keys.
-_FILTER_FLAGS = {"tau": float, "window": int, "start_epoch": int, "reeval_stride": int}
-
-
-def _trainer_from_args(args: argparse.Namespace, mapping: dict[str, str], epochs: int) -> TrainerConfig:
-    """Trainer flags over the ``--config`` ``mapping`` over the defaults; flags parse like file values."""
-    given = {**mapping, **{key: value for key, value in vars(args).items() if value is not None}}
-    values = {k: parse_value(k, parser, given.get(k, default)) for k, (parser, default) in _TRAINER_KEYS.items()}
-    return TrainerConfig(total_epochs=epochs, **values)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     mapping = _read_config(args)
-    defaults = sampler_config_from_mapping(_TRAIN_DEFAULTS, base=_default_sampler())
-    sampler = _sampler_from_args(args, mapping, defaults)
-    _parse_flags(args, {"classes": int, "grid": int, "eval_samples": int, "noise_scale": float, **_FILTER_FLAGS})
+    sampler = _sampler(args, mapping, _TRAIN_DEFAULTS)
+    task = {"samples": sampler.dataset_size, **_values(args, mapping, "classes", "grid", "eval_samples", "noise_scale")}
+    set_values = _values(args, mapping, *(f.name for f in fields(SetConfig)))
+    trainer_values = _values(args, mapping, *(f.name for f in fields(TrainerConfig) if f.name != "total_epochs"))
     try:
-        trainer_config = _trainer_from_args(args, mapping, sampler.epochs)
-        set_config = SetConfig(**{key: getattr(args, key) for key in _FILTER_FLAGS})
+        trainer_config = TrainerConfig(total_epochs=sampler.epochs, **trainer_values)
+        set_config = SetConfig(**set_values)
         dataset, eval_dataset = make_synthetic_task(
-            sampler.dataset_size, args.classes, args.grid, sampler.seed, args.eval_samples, noise_scale=args.noise_scale
+            sampler.dataset_size, task["classes"], task["grid"], sampler.seed, task["eval_samples"],
+            noise_scale=task["noise_scale"],
         )
     except (TrainerError, SetError) as err:  # bad settings, not a failed run
         message = str(err).removeprefix(f"{err.code}: ")
         raise ConfigValidationError([ConfigViolation(err.code, message)]) from err
-    model = PooledLinearModel(args.classes, args.grid, sampler.resolutions)
+    model = PooledLinearModel(task["classes"], task["grid"], sampler.resolutions)
     report = train(model, dataset, sampler, trainer_config, set_config, eval_dataset)
 
     header = {
         "sampler": sampler_config_to_mapping(sampler),
         "trainer": trainer_config.__dict__,
         "set": set_config.__dict__,
-        "task": {
-            "samples": sampler.dataset_size,
-            "classes": args.classes,
-            "grid": args.grid,
-            "eval_samples": args.eval_samples,
-            "noise_scale": args.noise_scale,
-        },
+        "task": task,
     }
-    fp, close = _open_output(args.output)
-    try:
+    with _output(args.output) as fp:
         write_run_report_json(fp, report, header=header)
-    finally:
-        if close:
-            fp.close()
     if args.csv:
         with open(args.csv, "w") as cf:
             cf.write(_config_header(header))
             write_run_report_csv(cf, report)
     if args.checkpoint:
         with open(args.checkpoint, "wb") as ck:
-            save_params(ck, report.final_params, args.classes, args.grid)
+            save_params(ck, report.final_params, task["classes"], task["grid"])
     print(
         f"trained {sampler.epochs} epochs: {report.total_updates} updates, "
         f"{report.total_forward_passes} forward passes, "
@@ -315,22 +313,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_set_report(args: argparse.Namespace) -> int:
+    """CSV of a run report's transitions (``--run-report``) or JSON summary of a state checkpoint (``--state``)."""
     if args.run_report:
         payload = json.loads(Path(args.run_report).read_text())
-        rows = payload.get("set_transitions", [])
-        fp, close = _open_output(args.output)
-        try:
+        with _output(args.output) as fp:
             if "config" in payload:
                 fp.write(_config_header(payload["config"]))
             fp.write("epoch,active,removed,readded,forward_passes\n")
-            for row in rows:
-                fp.write(
-                    f"{row['epoch']},{row['active']},{row['removed']},"
-                    f"{row['readded']},{row['forward_passes']}\n"
-                )
-        finally:
-            if close:
-                fp.close()
+            for row in payload.get("set_transitions", []):
+                fp.write(f"{row['epoch']},{row['active']},{row['removed']},{row['readded']},{row['forward_passes']}\n")
         return 0
     with open(args.state) as sf:
         state = SetState.load(sf)
@@ -342,13 +333,9 @@ def _cmd_set_report(args: argparse.Namespace) -> int:
         "readded_count": state.readded_count,
         "forward_passes": state.forward_passes,
     }
-    fp, close = _open_output(args.output)
-    try:
+    with _output(args.output) as fp:
         json.dump(summary, fp, indent=2)
         fp.write("\n")
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
@@ -356,27 +343,31 @@ def _cmd_export(args: argparse.Namespace) -> int:
     with open(args.schedule) as fp:
         header, schedules = schedule_io.read_schedules(fp)
     config = sampler_config_from_mapping(header) if header else None
-    fp, close = _open_output(args.output)
-    try:
+    with _output(args.output) as fp:
         if args.output_format == "csv":
             if header:
                 fp.write(_config_header(header))
             fp.write("epoch,iteration,height,width,batch_size\n")
             for schedule in schedules:
                 for plan in schedule.plans:
-                    fp.write(
-                        f"{schedule.epoch},{plan.iteration},{plan.resolution.height},"
-                        f"{plan.resolution.width},{plan.batch_size}\n"
-                    )
+                    res = plan.resolution
+                    fp.write(f"{schedule.epoch},{plan.iteration},{res.height},{res.width},{plan.batch_size}\n")
         else:
             schedule_io.write_schedules(fp, schedules, config=config)
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
 # -- parser ---------------------------------------------------------------
+
+
+# Each command: its help, its handler, and the choices of its --format flag (the first is the default).
+_COMMANDS = {
+    "plan": ("generate a schedule and write it as JSONL", _cmd_plan, ()),
+    "analyze": ("update counts and input-memory proxies per strategy", _cmd_analyze, ("csv", "json")),
+    "train": ("train the synthetic task with the toy learner", _cmd_train, ()),
+    "set-report": ("per-epoch filtering report from a run report or state file", _cmd_set_report, ()),
+    "export": ("re-emit an exported schedule (jsonl or csv)", _cmd_export, ("jsonl", "csv")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,68 +376,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic multi-scale batch schedules, cost accounting, and sample-efficient training.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_plan = sub.add_parser("plan", help="generate a schedule and write it as JSONL")
-    _add_sampler_flags(p_plan)
-    _add_output_flags(p_plan, ["jsonl"])
-    p_plan.set_defaults(handler=_cmd_plan)
-
-    p_an = sub.add_parser("analyze", help="update counts and input-memory proxies per strategy")
-    _add_sampler_flags(p_an)
-    p_an.add_argument(
-        "--strategies",
-        default="ssc_fbs,msc_fbs,msc_vbs",
-        help="comma list of strategies to compare",
-    )
-    p_an.add_argument("--schedule", help="analyze an exported schedule file instead of generating")
-    p_an.add_argument("--channels", default=3)
-    p_an.add_argument("--bytes-per-element", dest="bytes_per_element", default=4)
-    p_an.add_argument("--trials", default=0, help="add a Monte-Carlo update-count section (json only)")
-    _add_output_flags(p_an, ["csv", "json"])
-    p_an.set_defaults(handler=_cmd_analyze)
-
-    p_tr = sub.add_parser("train", help="train the synthetic task with the toy learner")
-    p_tr.add_argument("--config", help="flat key=value config file")
-    # Every value flag stays a string and parses like a config-file value.
-    p_tr.add_argument("--samples", dest="dataset_size")
-    p_tr.add_argument("--classes", default=10)
-    p_tr.add_argument("--grid", default=8, help="2 or a multiple of 4")
-    p_tr.add_argument("--eval-samples", dest="eval_samples", default=2000)
-    p_tr.add_argument("--noise-scale", dest="noise_scale", default=1.15)
-    p_tr.add_argument("--epochs")
-    p_tr.add_argument("--batch", dest="base_batch")
-    p_tr.add_argument("--strategy")
-    p_tr.add_argument("--resolutions")
-    p_tr.add_argument("--base-resolution", dest="base_resolution")
-    p_tr.add_argument("--seed")
-    p_tr.add_argument("--max-lr", dest="max_lr")
-    p_tr.add_argument("--warmup-epochs", dest="warmup_epochs")
-    p_tr.add_argument("--min-lr", dest="min_lr")
-    p_tr.add_argument("--momentum")
-    p_tr.add_argument("--weight-decay", dest="weight_decay")
-    p_tr.add_argument("--label-smoothing", dest="label_smoothing")
-    p_tr.add_argument("--ema-decay", dest="ema_decay")
-    p_tr.add_argument("--tau", default=1.0, help="sample-filtering confidence threshold; 1.0 removes nothing")
-    p_tr.add_argument("--window", default=2)
-    p_tr.add_argument("--start-epoch", dest="start_epoch")
-    p_tr.add_argument("--reeval-stride", dest="reeval_stride", default=1)
-    p_tr.add_argument("--csv", help="also write the per-epoch CSV here")
-    p_tr.add_argument("--checkpoint", help="write final parameters to this binary file")
-    _add_output_flags(p_tr, ["json"])
-    p_tr.set_defaults(handler=_cmd_train)
-
-    p_sr = sub.add_parser("set-report", help="per-epoch filtering report from a run report or state file")
-    group = p_sr.add_mutually_exclusive_group(required=True)
-    group.add_argument("--run-report", dest="run_report", help="run report JSON from `train`")
-    group.add_argument("--state", help="filter-state checkpoint JSON")
-    _add_output_flags(p_sr, ["csv", "json"])
-    p_sr.set_defaults(handler=_cmd_set_report)
-
-    p_ex = sub.add_parser("export", help="re-emit an exported schedule (jsonl or csv)")
-    p_ex.add_argument("--schedule", required=True)
-    _add_output_flags(p_ex, ["jsonl", "csv"])
-    p_ex.set_defaults(handler=_cmd_export)
-
+    commands = {name: sub.add_parser(name, help=about) for name, (about, _, _) in _COMMANDS.items()}
+    # Value flags stay strings and parse like config-file values (``_values``, ``_sampler``).
+    for key, row in SETTINGS.items():
+        for name in row.commands:
+            flag = _TRAIN_FLAGS.get(key) if name == "train" else None
+            commands[name].add_argument(flag or f"--{key.replace('_', '-')}", dest=key, help=row.help, choices=row.choices)
+    commands["analyze"].add_argument("--schedule", help="analyze an exported schedule file instead of generating")
+    commands["export"].add_argument("--schedule", required=True)
+    commands["train"].add_argument("--csv", help="also write the per-epoch CSV here")
+    commands["train"].add_argument("--checkpoint", help="write final parameters to this binary file")
+    group = commands["set-report"].add_mutually_exclusive_group(required=True)
+    group.add_argument("--run-report", dest="run_report", help="run report JSON from `train` (writes CSV)")
+    group.add_argument("--state", help="filter-state checkpoint JSON (writes a JSON summary)")
+    for name, (_, handler, formats) in _COMMANDS.items():
+        command = commands[name]
+        command.add_argument("--output", "-o", help="output path (default: stdout)")
+        if formats:
+            command.add_argument("--format", dest="output_format", choices=formats, default=formats[0])
+        command.add_argument("--errors-json", action="store_true", help="emit configuration errors as JSON on stderr")
+        command.set_defaults(handler=handler)
     return parser
 
 

@@ -521,7 +521,13 @@ def load_params(fp: IO[bytes]) -> tuple[np.ndarray, int, int]:
     return theta, num_classes, grid
 
 
+def _finite(value: float) -> float | None:
+    """``value``, or None (JSON ``null``) where it is NaN or infinite: an empty epoch's loss, a run without eval."""
+    return value if math.isfinite(value) else None
+
+
 def run_report_payload(report: RunReport) -> dict:
+    """The run report as strict-JSON types; non-finite floats become None."""
     return {
         "schema_version": 1,
         "kind": "run_report",
@@ -529,13 +535,13 @@ def run_report_payload(report: RunReport) -> dict:
         "total_forward_passes": report.total_forward_passes,
         "removed_count": report.removed_count,
         "readded_count": report.readded_count,
-        "final_eval_accuracy": report.final_eval_accuracy,
-        "param_checksum": float(np.abs(report.final_params).sum()),
+        "final_eval_accuracy": _finite(report.final_eval_accuracy),
+        "param_checksum": _finite(float(np.abs(report.final_params).sum())),
         "per_epoch": [
             {
                 "epoch": row.epoch,
-                "mean_loss": row.mean_loss,
-                "eval_accuracy": row.eval_accuracy,
+                "mean_loss": _finite(row.mean_loss),
+                "eval_accuracy": _finite(row.eval_accuracy),
                 "updates": row.updates,
                 "active": t.active_count,
                 "forward_passes": t.forward_passes,
@@ -559,7 +565,7 @@ def write_run_report_json(fp: IO[str], report: RunReport, header: dict | None = 
     payload = run_report_payload(report)
     if header:
         payload["config"] = header
-    json.dump(payload, fp, indent=2)
+    json.dump(payload, fp, indent=2, allow_nan=False)
     fp.write("\n")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -89,6 +90,9 @@ def test_bad_trainer_and_filter_settings_are_config_errors(flags, code, tmp_path
     assert not (tmp_path / "run.json").exists()
 
 
+_SMALL_TRAIN = ["--samples", "200", "--epochs", "4", "--batch", "20", "--warmup-epochs", "1"]
+
+
 @pytest.mark.parametrize(
     "argv, file_text, code, named",
     [
@@ -113,12 +117,18 @@ def test_bad_trainer_and_filter_settings_are_config_errors(flags, code, tmp_path
         (["analyze", "--channels", "x"], None, "BAD_VALUE", "channels: "),
         (["analyze", "--bytes-per-element", "x"], None, "BAD_VALUE", "bytes_per_element: "),
         (["analyze", "--trials", "x"], None, "BAD_VALUE", "trials: "),
+        (["train", *_SMALL_TRAIN, "--eval-samples", "0"], None, "OUT_OF_RANGE", "eval_samples: "),
+        (["train", *_SMALL_TRAIN, "--eval-samples", "-5"], None, "OUT_OF_RANGE", "eval_samples: "),
+        (["analyze", "--trials", "-1", "--format", "json"], None, "OUT_OF_RANGE", "trials: "),
+        (["analyze", "--channels", "-3"], None, "OUT_OF_RANGE", "channels: "),
+        (["analyze", "--bytes-per-element", "0"], None, "OUT_OF_RANGE", "bytes_per_element: "),
     ],
     ids=[
         "plan_file", "strategy_flag", "resolutions_flag", "epochs_flag", "max_lr_flag", "train_file", "train_tau",
         "train_bogus", "plan_bogus", "plan_bad_line", "tau_flag", "window_flag", "start_epoch_flag",
         "reeval_stride_flag", "classes_flag", "grid_flag", "eval_samples_flag", "noise_scale_flag",
-        "channels_flag", "bytes_per_element_flag", "trials_flag",
+        "channels_flag", "bytes_per_element_flag", "trials_flag", "zero_eval_samples", "negative_eval_samples",
+        "negative_trials", "negative_channels", "zero_bytes_per_element",
     ],
 )
 def test_bad_config_values_and_keys_exit_2(argv, file_text, code, named, tmp_path, capsys):
@@ -397,3 +407,59 @@ def test_set_report_state_summary(tmp_path):
         "readded_count": 0,
         "forward_passes": 10,
     }
+
+
+def test_option_strings_of_each_command():
+    # Every value flag comes from the settings table; this pins what each command takes.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(s for a in p._actions for s in a.option_strings) for name, p in sub.choices.items()}
+    common = ["--config", "--epochs", "--errors-json", "--output", "--resolutions", "--seed", "--strategy", "-h", "-o"]
+    sampler = common + ["--base-batch", "--base-resolution", "--batch-rounding", "--dataset-size", "--drop-last",
+                        "--help", "--min-batch", "--preset", "--world-size"]
+    assert options == {
+        "plan": sorted(sampler),
+        "analyze": sorted(sampler + ["--bytes-per-element", "--channels", "--format", "--schedule", "--strategies", "--trials"]),
+        "train": sorted(common + [
+            "--base-resolution", "--batch", "--checkpoint", "--classes", "--csv", "--ema-decay", "--eval-samples",
+            "--grid", "--help", "--label-smoothing", "--max-lr", "--min-lr", "--momentum", "--noise-scale",
+            "--reeval-stride", "--samples", "--start-epoch", "--tau", "--warmup-epochs", "--weight-decay", "--window",
+        ]),
+        "set-report": ["--errors-json", "--help", "--output", "--run-report", "--state", "-h", "-o"],
+        "export": ["--errors-json", "--format", "--help", "--output", "--schedule", "-h", "-o"],
+    }
+
+
+def test_run_report_is_strict_json_when_filtering_removes_every_sample(tmp_path):
+    # tau 0 removes every sample once it is judged, so later epochs train nothing and have no mean loss.
+    argv = ["train", "--samples", "200", "--epochs", "8", "--batch", "20", "--warmup-epochs", "1", "--eval-samples", "50"]
+    assert run_cli(argv + ["--tau", "0.0", "--window", "1", "--noise-scale", "0.01", "-o", str(tmp_path / "run.json")]) == 0
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    payload = json.loads((tmp_path / "run.json").read_text(), parse_constant=reject)
+    assert [row["mean_loss"] for row in payload["per_epoch"]].count(None) == 5
+
+
+@pytest.mark.parametrize(
+    "base_batch, file_text, flags",
+    [
+        ("16", "world_size = 8\n", ["--world-size", "8"]),
+        ("1", "world_size = 8\nbatch_rounding = floor\n", ["--world-size", "8", "--batch-rounding", "floor"]),
+    ],
+    ids=["min_batch", "floor_table"],
+)
+def test_world_size_from_a_file_ties_min_batch_like_the_flag(base_batch, file_text, flags, tmp_path, capsys):
+    (tmp_path / "w.cfg").write_text(file_text)
+    common = ["plan", "--dataset-size", "4096", "--base-batch", base_batch, "--errors-json"]
+    results = []
+    for extra, out in ((["--config", str(tmp_path / "w.cfg")], "file.jsonl"), (flags, "flag.jsonl")):
+        code = run_cli(common + extra + ["-o", str(tmp_path / out)])
+        written = (tmp_path / out).read_text() if code == 0 else None
+        results.append((code, written, capsys.readouterr().err))
+    assert results[0] == results[1]
+    code, written, err = results[0]
+    if code == 0:
+        assert json.loads(written.splitlines()[0])["config"]["min_batch"] == 8
+    else:  # with min_batch tied to the world size, floor rounding stops at 8
+        assert "[24, 10, 8, 8, 8]" in err

@@ -25,6 +25,7 @@ from batchforge.trainer import (
     save_params,
     sgd_momentum_step,
     train,
+    write_run_report_json,
 )
 
 TOY_RESOLUTIONS = ResolutionSet.parse("8x8,16x16,32x32")
@@ -537,3 +538,18 @@ def test_run_report_payload_is_json_ready():
     assert "per_epoch" in payload and "set_transitions" in payload
     assert len(payload["per_epoch"]) == 10
     assert json.loads(text)["total_updates"] == payload["total_updates"]
+
+
+def test_run_report_writes_non_finite_floats_as_null():
+    import json
+
+    sampler = toy_sampler()
+    dataset, _ = make_synthetic_task(sampler.dataset_size, 10, 8, seed=0)
+    report = train(PooledLinearModel(10, 8, sampler.resolutions), dataset, sampler, toy_trainer(), None, None)
+    assert np.isnan(report.final_eval_accuracy)  # no eval set
+    buf = io.StringIO()
+    write_run_report_json(buf, report)
+    payload = json.loads(buf.getvalue(), parse_constant=lambda constant: pytest.fail(f"not strict JSON: {constant}"))
+    assert payload["final_eval_accuracy"] is None
+    assert [row["eval_accuracy"] for row in payload["per_epoch"]] == [None] * len(report.per_epoch)
+    assert [row["mean_loss"] for row in payload["per_epoch"]] == [row.mean_loss for row in report.per_epoch]
