@@ -22,7 +22,7 @@ from .core import (
     validate_config,
 )
 from .presets import load_preset, preset_names
-from .rng import SeededRng, StreamKey
+from .rng import StreamKey
 from .samplers import (
     BatchPlan,
     EpochSchedule,
@@ -57,7 +57,6 @@ __all__ = [
     "ResolutionSet",
     "RunReport",
     "SamplerConfig",
-    "SeededRng",
     "SetConfig",
     "SetState",
     "Strategy",

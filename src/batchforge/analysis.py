@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import SamplerConfig, Strategy, ensure_valid
 from .rng import derive_seed
-from .samplers import EpochSchedule, batch_table, epoch_batch_shapes, unit_volume
+from .samplers import EpochSchedule, batch_table, epoch_batch_shapes, shape_table, unit_volume
 
 
 class AnalysisError(ValueError):
@@ -52,7 +52,7 @@ class CostReport:
     strategy: Strategy
     total_updates: int
     expected_updates: float
-    peak_input_pixels: int  # batch x H x W x channels, max over iterations
+    peak_input_pixels: int  # batch x H x W (x frames x clips) x channels, max over iterations
     mean_input_pixels: float
     updates_ratio: float | None = None
     peak_pixels_ratio: float | None = None
@@ -80,7 +80,7 @@ def closed_form_updates(config: SamplerConfig) -> float:
 
 
 def _epoch_shapes(config: SamplerConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each epoch's (resolution indices, batch sizes) over the whole dataset, one at a time."""
+    """Each epoch's (shape indices, batch sizes) over the whole dataset, one at a time."""
     for epoch in range(config.epochs):
         yield epoch_batch_shapes(config, epoch, config.dataset_size)
 
@@ -140,9 +140,9 @@ def input_memory_proxy(
 def strategy_cost(config: SamplerConfig, channels: int = 3) -> CostReport:
     """Cost row for one configuration (ratios left unset)."""
     ensure_valid(config)
-    px = np.array([r.pixel_count() for r in config.resolutions], dtype=np.int64)
+    unit = np.array([unit_volume(shape) for shape in shape_table(config)[0]], dtype=np.int64)
     updates, peak, mean = _volume_stats(
-        batches * px[res_idx] * channels for res_idx, batches in _epoch_shapes(config)
+        batches * unit[shape_idx] * channels for shape_idx, batches in _epoch_shapes(config)
     )
     return CostReport(
         strategy=config.strategy,

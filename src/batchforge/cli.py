@@ -70,14 +70,13 @@ class Setting(NamedTuple):
     default: object = None
     least: int | None = None
     help: str | None = None
-    choices: tuple[str, ...] | None = None
 
 
 _PLAN, _TRAIN, _ANALYZE = ("plan", "analyze"), ("train",), ("analyze",)
 _ALL = _PLAN + _TRAIN
 
 SETTINGS: dict[str, Setting] = {
-    "preset": Setting(str, _PLAN, choices=tuple(preset_names()), help="start from a shipped recipe"),
+    "preset": Setting(load_preset, _PLAN, help=f"start from a shipped recipe: {' | '.join(preset_names())}"),
     "config": Setting(str, _ALL, help="flat key=value config file"),
     # the sampler; ``train`` plans for one rank, so it takes no world_size, drop_last, batch_rounding or min_batch flag
     "strategy": Setting(SAMPLER_PARSERS["strategy"], _ALL, in_file=True, help="ssc_fbs | msc_fbs | msc_vbs"),
@@ -88,10 +87,7 @@ SETTINGS: dict[str, Setting] = {
     "epochs": Setting(SAMPLER_PARSERS["epochs"], _ALL, in_file=True),
     "world_size": Setting(SAMPLER_PARSERS["world_size"], _PLAN, in_file=True),
     "seed": Setting(SAMPLER_PARSERS["seed"], _ALL, in_file=True),
-    "drop_last": Setting(
-        SAMPLER_PARSERS["drop_last"], _PLAN, in_file=True, choices=("true", "false"),
-        help="drop the final short batch (default from config source)",
-    ),
+    "drop_last": Setting(SAMPLER_PARSERS["drop_last"], _PLAN, in_file=True, help="drop the final short batch: true | false"),
     "batch_rounding": Setting(SAMPLER_PARSERS["batch_rounding"], _PLAN, in_file=True, help="floor | nearest | multiple_of_world"),
     "min_batch": Setting(SAMPLER_PARSERS["min_batch"], _PLAN, in_file=True),
     # the synthetic task
@@ -113,7 +109,10 @@ SETTINGS: dict[str, Setting] = {
     "label_smoothing": Setting(float, _TRAIN, in_file=True, default=0.1),
     "ema_decay": Setting(float, _TRAIN, in_file=True, default=0.999),
     # the cost table
-    "strategies": Setting(str, _ANALYZE, default="ssc_fbs,msc_fbs,msc_vbs", help="comma list of strategies to compare"),
+    "strategies": Setting(
+        lambda text: tuple(Strategy.parse(s) for s in text.split(",") if s.strip()), _ANALYZE,
+        default=(Strategy.SSC_FBS, Strategy.MSC_FBS, Strategy.MSC_VBS), help="comma list of strategies to compare",
+    ),
     "channels": Setting(int, _ANALYZE, default=3, least=1),
     "bytes_per_element": Setting(int, _ANALYZE, default=4, least=1),
     "trials": Setting(int, _ANALYZE, default=0, least=0, help="add a Monte-Carlo update-count section (json only)"),
@@ -178,24 +177,13 @@ def _values(args: argparse.Namespace, mapping: dict[str, str], *keys: str) -> di
 
 def _sampler(args: argparse.Namespace, mapping: dict[str, str], defaults: dict[str, str] | None = None) -> SamplerConfig:
     """Flags over the ``--config`` ``mapping`` over ``defaults`` over a preset or the default sampler."""
-    preset = getattr(args, "preset", None)
-    config = load_preset(preset).sampler if preset else _default_sampler()
+    preset = _values(args, mapping, "preset")["preset"]
+    config = preset.sampler if preset else _default_sampler()
     flags = {key: getattr(args, key) for key in SAMPLER_PARSERS if getattr(args, key, None) is not None}
     given = {**(defaults or {}), **mapping, **flags}
     if config.min_batch == config.world_size:  # a min_batch tied to world_size moves with it
         given.setdefault("min_batch", given.get("world_size"))
-    config = sampler_config_from_mapping(given, base=config)
-    _image_strategy(config.strategy)
-    return ensure_valid(config)
-
-
-def _image_strategy(strategy: Strategy) -> Strategy:
-    """Commands plan images only: none of them takes the clip table video needs."""
-    if strategy is Strategy.VIDEO_VBS:
-        raise ConfigValidationError(
-            [ConfigViolation("UNSUPPORTED_STRATEGY", "video_vbs needs a clip table, which no command takes")]
-        )
-    return strategy
+    return ensure_valid(sampler_config_from_mapping(given, base=config))
 
 
 def _config_header(config: dict) -> str:
@@ -245,8 +233,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         reports = analysis.with_ratios([row], baseline=baseline)
     else:
         config = _sampler(args, _read_config(args))
-        strategies = [_image_strategy(Strategy.parse(s)) for s in values["strategies"].split(",") if s.strip()]
-        reports = analysis.compare_strategies(config, strategies, channels=values["channels"])
+        reports = analysis.compare_strategies(config, values["strategies"], channels=values["channels"])
     config_echo = sampler_config_to_mapping(config)
 
     with _output(args.output) as fp:
@@ -381,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key, row in SETTINGS.items():
         for name in row.commands:
             flag = _TRAIN_FLAGS.get(key) if name == "train" else None
-            commands[name].add_argument(flag or f"--{key.replace('_', '-')}", dest=key, help=row.help, choices=row.choices)
+            commands[name].add_argument(flag or f"--{key.replace('_', '-')}", dest=key, help=row.help)
     commands["analyze"].add_argument("--schedule", help="analyze an exported schedule file instead of generating")
     commands["export"].add_argument("--schedule", required=True)
     commands["train"].add_argument("--csv", help="also write the per-epoch CSV here")

@@ -117,13 +117,35 @@ class ResolutionSet:
 
 
 @dataclass(frozen=True)
+class VideoClipSpec:
+    """Shape of one video sample: frames x clips x spatial size."""
+
+    num_frames: int
+    clips_per_video: int
+    resolution: Resolution
+
+    def volume(self) -> int:
+        return self.num_frames * self.clips_per_video * self.resolution.pixel_count()
+
+    def __str__(self) -> str:
+        return f"{self.num_frames}x{self.clips_per_video}x{self.resolution}"
+
+    @classmethod
+    def parse(cls, text: str) -> "VideoClipSpec":
+        """Parse '8x1x112x112': frames x clips per video x resolution."""
+        frames, clips, resolution = text.strip().lower().split("x", 2)
+        return cls(int(frames), int(clips), Resolution.parse(resolution))
+
+
+@dataclass(frozen=True)
 class SamplerConfig:
     """Everything a planner needs to emit a deterministic schedule.
 
     ``base_batch`` is the per-replica batch at ``base_resolution``; one
     iteration of the global schedule consumes ``base_batch * world_size``
     sample ids, which :func:`batchforge.samplers.shard_for_rank` then
-    splits evenly across ranks.
+    splits evenly across ranks. Video draws its shapes from ``clips``, and
+    ``base_batch`` is the batch at ``base_clip``; other strategies ignore both.
     """
 
     strategy: Strategy
@@ -137,10 +159,13 @@ class SamplerConfig:
     drop_last: bool = True
     batch_rounding: BatchRounding = BatchRounding.MULTIPLE_OF_WORLD
     min_batch: int | None = None
+    clips: tuple[VideoClipSpec, ...] = ()
+    base_clip: VideoClipSpec | None = None
 
     def __post_init__(self):
         if self.min_batch is None:
             object.__setattr__(self, "min_batch", self.world_size)
+        object.__setattr__(self, "clips", tuple(self.clips))
 
     def with_strategy(self, strategy: Strategy) -> "SamplerConfig":
         return replace(self, strategy=strategy)
@@ -190,15 +215,22 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
             "resolutions must be strictly ascending by pixel count with no duplicates",
         )
 
-    if (
-        config.strategy is not Strategy.VIDEO_VBS
-        and len(config.resolutions) > 0
-        and config.base_resolution not in config.resolutions.entries
-    ):
+    if len(config.resolutions) > 0 and config.base_resolution not in config.resolutions.entries:
         flag(
             "BASE_RES_NOT_IN_SET",
             f"base resolution {config.base_resolution} is not in the resolution set",
         )
+
+    if config.strategy is Strategy.VIDEO_VBS:
+        if not config.clips:
+            flag("EMPTY_SPEC_SET", "video_vbs needs at least one clip spec in clips")
+        elif config.base_clip not in config.clips:
+            flag("BASE_SPEC_NOT_IN_SET", f"base_clip {config.base_clip} is not in clips")
+        if any(min(c.num_frames, c.clips_per_video) < 1 for c in config.clips):
+            flag("NONPOSITIVE_CLIP", "every clip spec needs at least one frame and one clip per video")
+        outside = [str(c) for c in config.clips if c.resolution not in config.resolutions.entries]
+        if outside:
+            flag("CLIP_RES_NOT_IN_SET", f"clips {', '.join(outside)} have a resolution outside the resolution set")
 
     if config.base_batch < 1 or (config.min_batch or 0) < 1:
         flag("ZERO_BATCH", "base_batch and min_batch must be >= 1")
@@ -226,10 +258,9 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
             f"({config.base_batch} x {config.world_size}) with drop_last",
         )
 
-    # With several ranks every batch must split evenly, whatever the active set;
-    # plan_video_vbs checks the clip table it is given.
+    # With several ranks every batch must split evenly, whatever the active set.
     world = config.world_size
-    if not bad and world > 1 and config.strategy is not Strategy.VIDEO_VBS:
+    if not bad and world > 1:
         from .samplers import batch_table  # samplers imports this module
 
         sizes = batch_table(config)[1]
@@ -299,6 +330,8 @@ SAMPLER_PARSERS: dict[str, Callable[[str], object]] = {
     "drop_last": _parse_bool,
     "batch_rounding": BatchRounding.parse,
     "min_batch": int,
+    "clips": lambda text: tuple(VideoClipSpec.parse(part) for part in text.split(",") if part.strip()),
+    "base_clip": lambda text: VideoClipSpec.parse(text) if text.strip() else None,
 }
 
 
@@ -324,14 +357,18 @@ def sampler_config_from_mapping(
 
 
 def sampler_config_to_mapping(config: SamplerConfig) -> dict[str, object]:
-    """Flat representation with keys matching the field names."""
+    """Flat representation with keys matching the field names; an empty clip table and an unset base clip are ``""``."""
     out: dict[str, object] = {}
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, (Strategy, BatchRounding)):
             out[f.name] = value.value
-        elif isinstance(value, (Resolution, ResolutionSet)):
+        elif isinstance(value, (Resolution, ResolutionSet, VideoClipSpec)):
             out[f.name] = str(value)
+        elif f.name == "clips":
+            out[f.name] = ",".join(str(c) for c in value)
+        elif f.name == "base_clip":  # unset
+            out[f.name] = ""
         else:
             out[f.name] = value
     return out

@@ -20,7 +20,7 @@ STANDARD_RESOLUTIONS = ResolutionSet.squares([128, 192, 224, 288, 320])
 STANDARD_BASE = Resolution(224, 224)
 
 
-class PresetError(KeyError):
+class PresetError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code

@@ -8,9 +8,9 @@ no synchronisation.
 
 The generator is splitmix64: a 64-bit counter advanced by a fixed odd
 increment, pushed through an avalanching finalizer. Plain integer
-arithmetic, fixed constants, no platform dependence. The scalar path
-(:class:`SeededRng`) and the vectorised path (:func:`stream_fill`,
-:func:`stream_at`) evaluate the same function and are bit-identical.
+arithmetic, fixed constants, no platform dependence. Draws are made over
+numpy arrays (:func:`stream_fill`, :func:`stream_at`); the key's base
+state (:func:`stream_state`) is plain Python integer arithmetic.
 """
 
 from __future__ import annotations
@@ -86,39 +86,11 @@ class StreamKey:
     tag: str = ""
 
 
-class SeededRng:
-    """Scalar view of one stream; successive calls walk the counter."""
-
-    def __init__(self, seed: int, key: StreamKey = StreamKey()):
-        self.seed = seed & _MASK64
-        self.key = key
-        self._state = stream_state(seed, key.epoch, key.iteration, key.tag)
-        self._count = 0
-
-    def next_u64(self) -> int:
-        self._count += 1
-        return _mix64((self._state + self._count * _GOLDEN) & _MASK64)
-
-    def uniform(self) -> float:
-        """Float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def choice(self, set_size: int) -> int:
-        """Uniform index in [0, set_size).
-
-        Uses a plain modulo reduction; for any set size below 2^20 the
-        bias is under 2^-44 and unobservable. Kept identical to the
-        vectorised path so scalar and array draws agree bit-for-bit.
-        """
-        if set_size < 1:
-            raise RngError("ZERO_SET_SIZE", "choice() requires set_size >= 1")
-        return self.next_u64() % set_size
-
-
 def stream_fill(seed: int, key: StreamKey, count: int) -> np.ndarray:
     """First ``count`` draws of one stream as a uint64 array.
 
-    Equals ``count`` successive ``SeededRng(seed, key).next_u64()`` calls.
+    Draw ``k`` (from 1) is the splitmix64 finalizer of the stream's base
+    state plus ``k`` times the golden-ratio increment, modulo 2**64.
     """
     state = stream_state(seed, key.epoch, key.iteration, key.tag)
     counters = np.arange(1, count + 1, dtype=np.uint64)
@@ -142,7 +114,11 @@ def stream_at(seed: int, epoch: int, iterations: np.ndarray, tag: str) -> np.nda
 
 
 def choice_at(seed: int, epoch: int, iterations: np.ndarray, tag: str, set_size: int) -> np.ndarray:
-    """Vectorised ``choice``: one uniform index per iteration key."""
+    """One uniform index in [0, set_size) per iteration key: draw #0 modulo ``set_size``.
+
+    The plain modulo reduction is biased by under 2**-44 for any set size
+    below 2**20, which is unobservable.
+    """
     if set_size < 1:
         raise RngError("ZERO_SET_SIZE", "choice requires set_size >= 1")
     return (stream_at(seed, epoch, iterations, tag) % np.uint64(set_size)).astype(np.int64)

@@ -1,13 +1,14 @@
 """Per-epoch batch schedule generation and distributed sharding.
 
-:func:`plan_epoch` plans the three image strategies: each iteration draws
-one entry of the strategy's (resolution index, global batch) table, which
+:func:`plan_epoch` plans all four strategies: each iteration draws one
+entry of the strategy's (shape index, global batch) table, which
 :func:`batch_table` builds and which planning, the closed-form update count
-and the config's sharding check all read. Variable batch rescales with
-:func:`size_table` so batch x pixel count stays constant;
-:func:`plan_video_vbs` sizes a table of clip specs the same way, with
-frames x clips x pixels as the volume. Both planners validate the config
-first (:func:`batchforge.core.ensure_valid`).
+and the config's sharding check all read; :func:`shape_table` names the
+shapes those indices point into. Variable batch rescales with
+:func:`size_table` so batch x input volume stays constant: pixels for the
+image strategies, frames x clips x pixels for the config's clip table
+(``SamplerConfig.clips``) under video. Planning validates the config first
+(:func:`batchforge.core.ensure_valid`).
 
 A schedule is a pure function of (config, epoch, active id set). Resolution
 draws are keyed by (epoch, iteration) only, never by rank, so every rank
@@ -30,7 +31,7 @@ one iteration, built on first use of :attr:`EpochSchedule.plans`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
@@ -41,6 +42,7 @@ from .core import (
     Resolution,
     SamplerConfig,
     Strategy,
+    VideoClipSpec,
     ensure_valid,
 )
 from .rng import StreamKey, choice_at, permutation
@@ -54,18 +56,6 @@ class ScheduleError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
-
-
-@dataclass(frozen=True)
-class VideoClipSpec:
-    """Shape of one video sample: frames x clips x spatial size."""
-
-    num_frames: int
-    clips_per_video: int
-    resolution: Resolution
-
-    def volume(self) -> int:
-        return self.num_frames * self.clips_per_video * self.resolution.pixel_count()
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,12 +157,13 @@ def size_table(config: SamplerConfig, units: Iterable[int], base_units: int) -> 
 
 
 def batch_table(config: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(resolution indices, global batch sizes) an image strategy draws from.
+    """(shape indices, global batch sizes) a strategy draws from.
 
     The one place a strategy maps to its table: single scale is the base
     resolution at the base batch, multi scale fixed batch is every
-    resolution at the base batch, and variable batch is every resolution at
-    its :func:`size_table` size.
+    resolution at the base batch, variable batch is every resolution at its
+    :func:`size_table` size, and video is every clip spec at its
+    :func:`size_table` size over clip volumes, anchored at ``base_clip``.
     """
     strategy, batch = config.strategy, config.effective_batch()
     every = np.arange(len(config.resolutions))
@@ -183,31 +174,35 @@ def batch_table(config: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
     if strategy is Strategy.MSC_VBS:
         units = [r.pixel_count() for r in config.resolutions]
         return every, size_table(config, units, config.base_resolution.pixel_count())
-    raise ScheduleError("UNSUPPORTED_STRATEGY", f"batch_table handles image strategies, not {strategy.value}")
+    units = [clip.volume() for clip in config.clips]
+    return np.arange(len(units)), size_table(config, units, config.base_clip.volume())
 
 
-def _variable_batch_counts(
-    config: SamplerConfig,
-    epoch: int,
-    n_active: int,
-    shape_idx: np.ndarray,
-    sizes: np.ndarray,
-    tag: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw table entries until the epoch's ids run out.
+def shape_table(config: SamplerConfig) -> tuple[tuple[Resolution | VideoClipSpec, ...], str]:
+    """The shapes :func:`batch_table` indexes, and the tag that keys their draws."""
+    if config.strategy is Strategy.VIDEO_VBS:
+        return config.clips, CLIP_DRAW_TAG
+    return config.resolutions.entries, RESOLUTION_DRAW_TAG
 
-    Entry ``k`` is a batch of ``sizes[k]`` ids at shape
-    ``shape_idx[k]``; a one-entry table needs no draw. Returns (shape
-    indices, batch sizes); the final batch is trimmed to the leftover count
+
+def epoch_batch_shapes(config: SamplerConfig, epoch: int, n_active: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shape sequence (shape indices, batch sizes) for one epoch.
+
+    This is the arithmetic skeleton :func:`plan_epoch` fleshes out with
+    sample ids; cost accounting walks it directly so counted updates are
+    the updates a materialized schedule would perform. Iterations draw
+    :func:`batch_table` entries until the epoch's ids run out; a one-entry
+    table needs no draw. The final batch is trimmed to the leftover count
     when ``drop_last`` is false.
     """
+    shape_idx, sizes = batch_table(config)
     if n_active <= 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     bound = n_active // int(sizes.min()) + 2  # no epoch can run longer
     if len(sizes) == 1:
         draws = np.zeros(bound, dtype=np.int64)
     else:
-        draws = choice_at(config.seed, epoch, np.arange(bound), tag, len(sizes))
+        draws = choice_at(config.seed, epoch, np.arange(bound), shape_table(config)[1], len(sizes))
     batches = sizes[draws]
     served = np.cumsum(batches)
     if config.drop_last:
@@ -217,20 +212,6 @@ def _variable_batch_counts(
         count = min(int(np.searchsorted(served, n_active, side="left")) + 1, bound)
         batches = np.diff(np.minimum(served[:count], n_active), prepend=0)
     return shape_idx[draws[:count]], batches
-
-
-def epoch_batch_shapes(
-    config: SamplerConfig, epoch: int, n_active: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shape sequence (resolution indices, batch sizes) for one epoch.
-
-    This is the arithmetic skeleton the planners flesh out with sample
-    ids; cost accounting walks it directly so counted updates are the
-    updates a materialized schedule would perform. Each strategy is the
-    one walk over its :func:`batch_table`.
-    """
-    shape_idx, sizes = batch_table(config)
-    return _variable_batch_counts(config, epoch, n_active, shape_idx, sizes, RESOLUTION_DRAW_TAG)
 
 
 def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray:
@@ -253,58 +234,26 @@ def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray:
     return ids
 
 
-def _assemble(
-    config: SamplerConfig,
-    epoch: int,
-    ids: np.ndarray,
-    shape_idx: np.ndarray,
-    batch_sizes: np.ndarray,
-    shapes: Iterable[Resolution | VideoClipSpec],
-) -> EpochSchedule:
+def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSchedule:
+    """Generate one epoch's schedule for any strategy."""
+    ensure_valid(config)
+    ids = _resolve_active_ids(config, active_ids)
+    shape_idx, batch_sizes = epoch_batch_shapes(config, epoch, len(ids))
     offsets = np.zeros(len(batch_sizes) + 1, dtype=np.int64)
     np.cumsum(batch_sizes, out=offsets[1:])
     order = permutation(config.seed, StreamKey(epoch, 0, PERMUTATION_TAG), len(ids))[: offsets[-1]]
     # Sorted, unique and in range: all dataset_size ids are arange(N), so
     # the permutation already is the id order.
     scheduled = order if len(ids) == config.dataset_size else ids[order]
-    return EpochSchedule(epoch, scheduled, offsets, shape_idx, tuple(shapes))
-
-
-def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSchedule:
-    """Generate one epoch's schedule for any image strategy."""
-    ensure_valid(config)
-    ids = _resolve_active_ids(config, active_ids)
-    res_indices, batch_sizes = epoch_batch_shapes(config, epoch, len(ids))
-    return _assemble(config, epoch, ids, res_indices, batch_sizes, config.resolutions)
+    return EpochSchedule(epoch, scheduled, offsets, shape_idx, shape_table(config)[0])
 
 
 def plan_video_vbs(
-    config: SamplerConfig,
-    specs: list[VideoClipSpec],
-    base: VideoClipSpec,
-    epoch: int,
-    active_ids=None,
+    config: SamplerConfig, specs: list[VideoClipSpec], base: VideoClipSpec, epoch: int, active_ids=None
 ) -> EpochSchedule:
-    """Video variant: clip spec drawn per iteration, batch x volume constant.
-
-    ``config.base_batch`` is paired with ``base``; any other spec's batch
-    is scaled by the volume ratio under the configured rounding rules.
-    """
-    ensure_valid(config)
-    if not specs:
-        raise ScheduleError("EMPTY_SPEC_SET", "video planning needs at least one clip spec")
-    if base not in specs:
-        raise ScheduleError("BASE_SPEC_NOT_IN_SET", "the base clip spec must be in the spec list")
-    ids = _resolve_active_ids(config, active_ids)
-    table = size_table(config, [s.volume() for s in specs], base.volume())
-    if (table % config.world_size).any():
-        raise ScheduleError(
-            "UNSHARDABLE_BATCH",
-            f"clip batch sizes {table.tolist()} are not all multiples of world_size {config.world_size}",
-        )
-    every = np.arange(len(specs))
-    draws, batch_sizes = _variable_batch_counts(config, epoch, len(ids), every, table, CLIP_DRAW_TAG)
-    return _assemble(config, epoch, ids, draws, batch_sizes, specs)
+    """:func:`plan_epoch` for ``config`` as a video config with clip table ``specs`` around ``base``."""
+    video = replace(config, strategy=Strategy.VIDEO_VBS, clips=tuple(specs), base_clip=base)
+    return plan_epoch(video, epoch, active_ids)
 
 
 def shard_for_rank(schedule: EpochSchedule, rank: int, world_size: int) -> EpochSchedule:

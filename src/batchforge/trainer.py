@@ -28,9 +28,9 @@ from typing import IO
 
 import numpy as np
 
-from .core import Resolution, ResolutionSet, SamplerConfig, Strategy, ensure_valid
+from .core import Resolution, ResolutionSet, SamplerConfig, ensure_valid
 from .rng import derive_seed
-from .samplers import EpochSchedule, VideoClipSpec, plan_epoch, plan_video_vbs
+from .samplers import plan_epoch
 from .set_training import EpochTransition, SetConfig, SetState
 
 CHECKPOINT_MAGIC = b"BFPM"
@@ -390,8 +390,6 @@ def train(
     trainer_config: TrainerConfig,
     set_config: SetConfig | None = None,
     eval_dataset: SyntheticDataset | None = None,
-    clip_specs: list[VideoClipSpec] | None = None,
-    base_clip: VideoClipSpec | None = None,
 ) -> RunReport:
     """Drive the sampler, optimizer, and sample filtering.
 
@@ -404,14 +402,11 @@ def train(
     ``drop_last`` schedule left out a forward-only evaluation at the base
     resolution, then apply the removal/re-add rules.
 
-    Any of the four strategies works; the video variant needs
-    ``clip_specs`` and ``base_clip``, and the model sees each clip's
-    spatial resolution (frames/clips only shape the batch sizes).
+    Any of the four strategies works; video reads its clip table from
+    ``sampler_config.clips`` and ``base_clip``, and the model sees each
+    clip's spatial resolution (frames/clips only shape the batch sizes).
     """
     ensure_valid(sampler_config)
-    video = sampler_config.strategy is Strategy.VIDEO_VBS
-    if video and (not clip_specs or base_clip is None):
-        raise TrainerError("MISSING_CLIP_SPECS", "video training needs clip_specs and base_clip")
     if sampler_config.epochs != trainer_config.total_epochs:
         raise TrainerError(
             "EPOCH_MISMATCH",
@@ -440,10 +435,7 @@ def train(
 
     for epoch in range(trainer_config.total_epochs):
         active_ids = state.active_samples()
-        if video:
-            schedule: EpochSchedule = plan_video_vbs(sampler_config, clip_specs, base_clip, epoch, active_ids)
-        else:
-            schedule = plan_epoch(sampler_config, epoch, active_ids)
+        schedule = plan_epoch(sampler_config, epoch, active_ids)
         bounds = schedule.offsets.tolist()
         correct = np.empty(schedule.total_samples, dtype=bool)
         confidence = np.empty(schedule.total_samples)

@@ -60,10 +60,10 @@ def test_plan_errors_json_is_machine_readable(capsys):
     ids=["plan", "analyze", "analyze_strategies", "train"],
 )
 def test_video_strategy_is_a_config_error(argv, capsys):
-    # No command takes a clip table, so video_vbs is rejected before any work.
+    # No flag or file key sets a clip table, so the contract rejects video_vbs before any work.
     assert run_cli(argv + ["--errors-json"]) == 2
     payload = json.loads(capsys.readouterr().err)
-    assert [e["code"] for e in payload["errors"]] == ["UNSUPPORTED_STRATEGY"]
+    assert [e["code"] for e in payload["errors"]] == ["EMPTY_SPEC_SET"]
 
 
 @pytest.mark.parametrize(
@@ -122,13 +122,18 @@ _SMALL_TRAIN = ["--samples", "200", "--epochs", "4", "--batch", "20", "--warmup-
         (["analyze", "--trials", "-1", "--format", "json"], None, "OUT_OF_RANGE", "trials: "),
         (["analyze", "--channels", "-3"], None, "OUT_OF_RANGE", "channels: "),
         (["analyze", "--bytes-per-element", "0"], None, "OUT_OF_RANGE", "bytes_per_element: "),
+        (["analyze", "--dataset-size", "1000", "--base-batch", "100", "--strategies", "ssc_fbs,bogus"], None,
+         "BAD_VALUE", "strategies: "),
+        (["plan", "--drop-last", "maybe"], None, "BAD_VALUE", "drop_last: "),
+        (["plan", "--preset", "bogus"], None, "BAD_VALUE", "preset: "),
     ],
     ids=[
         "plan_file", "strategy_flag", "resolutions_flag", "epochs_flag", "max_lr_flag", "train_file", "train_tau",
         "train_bogus", "plan_bogus", "plan_bad_line", "tau_flag", "window_flag", "start_epoch_flag",
         "reeval_stride_flag", "classes_flag", "grid_flag", "eval_samples_flag", "noise_scale_flag",
         "channels_flag", "bytes_per_element_flag", "trials_flag", "zero_eval_samples", "negative_eval_samples",
-        "negative_trials", "negative_channels", "zero_bytes_per_element",
+        "negative_trials", "negative_channels", "zero_bytes_per_element", "strategies_flag", "drop_last_flag",
+        "preset_flag",
     ],
 )
 def test_bad_config_values_and_keys_exit_2(argv, file_text, code, named, tmp_path, capsys):

@@ -1,9 +1,11 @@
 """validate_config is the contract: a config it accepts plans, shards across
 every rank, round-trips through JSONL and, when its batch table has one
 size, gets its exact update count as the closed form; a config it rejects
-raises."""
+raises. Video configs are drawn with a clip table over the drawn
+resolutions."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from batchforge.core import (
     ResolutionSet,
     SamplerConfig,
     Strategy,
+    VideoClipSpec,
     ensure_valid,
     sampler_config_from_mapping,
     validate_config,
@@ -31,8 +34,12 @@ def sampler_configs(draw):
     # the sharding rules, min_batch and small datasets still reject plenty.
     sides = sorted(draw(st.lists(st.integers(2, 40).map(lambda s: 8 * s), min_size=1, max_size=4, unique=True)))
     base = draw(st.sampled_from(sides))
+    # (frames, clips per video, side) triples; the image strategies carry the table and ignore it
+    triples = st.tuples(st.integers(1, 16), st.integers(1, 3), st.sampled_from(sides))
+    shapes = draw(st.lists(triples, min_size=1, max_size=4, unique=True))
+    clips = tuple(VideoClipSpec(frames, per_video, Resolution(side, side)) for frames, per_video, side in shapes)
     return SamplerConfig(
-        strategy=draw(st.sampled_from([Strategy.SSC_FBS, Strategy.MSC_FBS, Strategy.MSC_VBS])),
+        strategy=draw(st.sampled_from(list(Strategy))),
         dataset_size=draw(st.integers(1, 3000)),
         base_batch=draw(st.integers(1, 64)),
         base_resolution=Resolution(base, base),
@@ -43,6 +50,8 @@ def sampler_configs(draw):
         drop_last=draw(st.booleans()),
         batch_rounding=draw(st.sampled_from(list(BatchRounding))),
         min_batch=draw(st.none() | st.integers(1, 24)),
+        clips=clips,
+        base_clip=draw(st.sampled_from(clips)),
     )
 
 
@@ -84,3 +93,19 @@ def test_accepted_configs_plan_shard_and_round_trip(config, epoch, keep, subset_
     if (sizes == sizes[0]).all():
         counts = count_updates(config)
         assert counts.closed_form == counts.exact
+
+
+@settings(max_examples=100, deadline=None, print_blob=False)
+@given(config=sampler_configs())
+def test_video_configs_without_a_usable_clip_table_are_rejected(config):
+    video = replace(config, strategy=Strategy.VIDEO_VBS)
+    broken = {
+        "EMPTY_SPEC_SET": replace(video, clips=(), base_clip=None),
+        "BASE_SPEC_NOT_IN_SET": replace(video, base_clip=VideoClipSpec(99, 1, video.base_resolution)),
+        # drawn sides are multiples of 8, so 12x12 is never in the set
+        "CLIP_RES_NOT_IN_SET": replace(video, clips=video.clips + (VideoClipSpec(1, 1, Resolution(12, 12)),)),
+    }
+    for code, bad in broken.items():
+        with pytest.raises(ConfigValidationError) as err:
+            plan_epoch(bad, 0)
+        assert code in err.value.codes

@@ -9,6 +9,7 @@ from batchforge.core import (
     ResolutionSet,
     SamplerConfig,
     Strategy,
+    VideoClipSpec,
     ensure_valid,
     parse_flat_config,
     sampler_config_from_mapping,
@@ -43,6 +44,10 @@ def test_resolution_pixels_and_parse():
     assert Resolution(224, 224).pixel_count() == 50176
     assert Resolution.parse("320x240") == Resolution(320, 240)
     assert Resolution.parse("224") == Resolution(224, 224)
+    assert VideoClipSpec.parse("16x2x112x96") == VideoClipSpec(16, 2, Resolution(112, 96))
+    assert str(VideoClipSpec.parse("8x1x112")) == "8x1x112x112"
+    with pytest.raises(ValueError):
+        VideoClipSpec.parse("8x112")
 
 
 def test_resolution_set_ordering_helpers():

@@ -5,7 +5,6 @@ import batchforge.rng as rng_module
 from batchforge.rng import (
     MAX_PERMUTATION_SIZE,
     RngError,
-    SeededRng,
     StreamKey,
     choice_at,
     derive_seed,
@@ -14,6 +13,7 @@ from batchforge.rng import (
     stream_fill,
     tag_hash,
 )
+from seeded_rng import SeededRng
 
 MASK64 = (1 << 64) - 1
 

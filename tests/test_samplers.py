@@ -347,12 +347,12 @@ def test_video_batch_scales_inversely_with_volume():
 
 
 def test_video_requires_specs_and_base_membership():
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(ConfigValidationError) as err:
         plan_video_vbs(video_config(), [], SPECS[0], 0)
-    assert err.value.code == "EMPTY_SPEC_SET"
-    with pytest.raises(ScheduleError) as err:
+    assert err.value.codes == ["EMPTY_SPEC_SET"]
+    with pytest.raises(ConfigValidationError) as err:
         plan_video_vbs(video_config(), SPECS[:2], SPECS[2], 0)
-    assert err.value.code == "BASE_SPEC_NOT_IN_SET"
+    assert err.value.codes == ["BASE_SPEC_NOT_IN_SET"]
     with pytest.raises(ConfigValidationError) as err:
         plan_video_vbs(video_config(base_batch=0, dataset_size=100), SPECS, SPECS[1], 0)
     assert err.value.codes == ["ZERO_BATCH"]
@@ -360,9 +360,22 @@ def test_video_requires_specs_and_base_membership():
     sharded = video_config(
         base_batch=5, world_size=3, batch_rounding=BatchRounding.FLOOR, drop_last=True
     )
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(ConfigValidationError) as err:
         plan_video_vbs(sharded, SPECS, SPECS[1], 0)
-    assert err.value.code == "UNSHARDABLE_BATCH"
+    assert err.value.codes == ["UNSHARDABLE_BATCH"]
+    # a clip at a resolution the model lacks would plan, then fail in train
+    with pytest.raises(ConfigValidationError) as err:
+        plan_video_vbs(video_config(), [SPECS[1], VideoClipSpec(8, 1, Resolution(48, 48))], SPECS[1], 0)
+    assert err.value.codes == ["CLIP_RES_NOT_IN_SET"]
+    assert "8x1x48x48" in str(err.value)
+    # train evaluates at base_resolution, so video needs it in the set too
+    with pytest.raises(ConfigValidationError) as err:
+        plan_video_vbs(video_config(base_resolution=Resolution(112, 112)), SPECS, SPECS[1], 0)
+    assert err.value.codes == ["BASE_RES_NOT_IN_SET"]
+    # a clip without frames has no volume to scale its batch by
+    with pytest.raises(ConfigValidationError) as err:
+        plan_video_vbs(video_config(), [SPECS[1], VideoClipSpec(0, 1, Resolution(224, 224))], SPECS[1], 0)
+    assert err.value.codes == ["NONPOSITIVE_CLIP"]
 
 
 def test_video_coverage():

@@ -1,12 +1,12 @@
 import io
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from batchforge.core import Resolution, ResolutionSet, SamplerConfig, Strategy
+from batchforge.core import ConfigValidationError, Resolution, ResolutionSet, SamplerConfig, Strategy, VideoClipSpec
 from batchforge.samplers import plan_epoch
 from batchforge.set_training import SetConfig, SetState
 from batchforge.trainer import (
@@ -474,31 +474,28 @@ def test_filtering_with_drop_last_evaluates_the_dropped_tail():
 
 
 def test_video_strategy_trains():
-    from batchforge.samplers import VideoClipSpec
-
-    sampler = toy_sampler(strategy=Strategy.VIDEO_VBS, dataset_size=1000, base_batch=32, epochs=4)
-    specs = [
+    specs = (
         VideoClipSpec(8, 1, Resolution(8, 8)),
         VideoClipSpec(8, 1, Resolution(16, 16)),
         VideoClipSpec(16, 1, Resolution(16, 16)),
-    ]
+    )
+    sampler = toy_sampler(
+        strategy=Strategy.VIDEO_VBS, dataset_size=1000, base_batch=32, epochs=4, clips=specs, base_clip=specs[1]
+    )
     dataset, eval_dataset = make_synthetic_task(1000, 10, 8, seed=2)
     model = PooledLinearModel(10, 8, sampler.resolutions)
-    report = train(
-        model,
-        dataset,
-        sampler,
-        toy_trainer(total_epochs=4),
-        eval_dataset=eval_dataset,
-        clip_specs=specs,
-        base_clip=specs[1],
-    )
+    report = train(model, dataset, sampler, toy_trainer(total_epochs=4), eval_dataset=eval_dataset)
     assert report.total_updates == sum(r.updates for r in report.per_epoch)
     assert report.final_eval_accuracy > 0.5
 
-    with pytest.raises(TrainerError) as err:
-        train(model, dataset, sampler, toy_trainer(total_epochs=4))
-    assert err.value.code == "MISSING_CLIP_SPECS"
+    with pytest.raises(ConfigValidationError) as err:
+        train(model, dataset, replace(sampler, clips=()), toy_trainer(total_epochs=4))
+    assert err.value.codes == ["EMPTY_SPEC_SET"]
+    # a clip at a resolution the model lacks is rejected before any epoch runs
+    outside = replace(sampler, clips=specs + (VideoClipSpec(8, 1, Resolution(48, 48)),))
+    with pytest.raises(ConfigValidationError) as err:
+        train(model, dataset, outside, toy_trainer(total_epochs=4))
+    assert err.value.codes == ["CLIP_RES_NOT_IN_SET"]
 
 
 def test_epoch_mismatch_rejected():
