@@ -7,6 +7,10 @@ would execute, and ``closed_form`` reads the strategy's
 when every batch in the table is the same size, the exact
 ``epochs * floor-or-ceil(N / batch)``.
 
+The exact walk (:func:`~batchforge.samplers.walk_shapes`) draws a block of
+epochs as one ``(epochs, width)`` array; counts read its non-zero batches,
+peaks and means its int64 volumes, summed as exact integers.
+
 "Memory" here means input tensors only: batch x channels x H x W x
 bytes-per-element. Activation and optimizer-state memory are deliberately
 out of scope, so measured-GPU comparisons reproduce as orderings, not
@@ -24,7 +28,7 @@ import numpy as np
 
 from .core import SamplerConfig, Strategy, ensure_valid
 from .rng import derive_seed
-from .samplers import EpochSchedule, batch_table, epoch_batch_shapes, shape_table, unit_volume
+from .samplers import EpochSchedule, batch_table, epoch_batch_shapes, shape_table, unit_volume, walk_shapes
 
 
 class AnalysisError(ValueError):
@@ -79,35 +83,37 @@ def closed_form_updates(config: SamplerConfig) -> float:
     return config.epochs * n / float(sizes.mean())
 
 
-def _epoch_shapes(config: SamplerConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each epoch's (shape indices, batch sizes) over the whole dataset, one at a time."""
-    for epoch in range(config.epochs):
-        yield epoch_batch_shapes(config, epoch, config.dataset_size)
+def _walk(config: SamplerConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Every epoch's (shape indices, batch sizes) in 2-D blocks, with the epochs each row stands for."""
+    if len(batch_table(config)[1]) == 1:  # a one-entry table draws nothing: one walked epoch stands for all
+        shape_idx, batches = epoch_batch_shapes(config, 0, config.dataset_size)
+        return iter([(shape_idx[None], batches[None], config.epochs)])
+    return ((s, b, 1) for s, b in walk_shapes(config, range(config.epochs), config.dataset_size))
 
 
-def _volume_stats(volumes: Iterable[np.ndarray]) -> tuple[int, int, float]:
-    """(iterations, peak, mean) of per-iteration volumes, fed one epoch at a time."""
-    count, peak, total = 0, 0, 0.0
-    for chunk in volumes:
-        if len(chunk):
-            count += len(chunk)
-            peak = max(peak, int(chunk.max()))
-            total += float(chunk.sum())
+def _volume_stats(blocks: Iterable[tuple[np.ndarray, int, int]]) -> tuple[int, int, float]:
+    """(iterations, peak, mean) of (volumes, iterations, repeat) blocks; zeros pad volumes past ``iterations``."""
+    count, peak, total = 0, 0, 0
+    for volumes, iterations, repeat in blocks:
+        if iterations:
+            count += iterations * repeat
+            peak = max(peak, int(volumes.max()))
+            total += int(volumes.sum()) * repeat
     if count == 0:
         raise AnalysisError("EMPTY_SCHEDULE", "no iterations to account for")
-    return count, peak, total / count
+    return count, peak, float(total) / count
 
 
-def _plan_volumes(schedules: Iterable[EpochSchedule], scale: int) -> Iterator[np.ndarray]:
+def _plan_volumes(schedules: Iterable[EpochSchedule], scale: int) -> Iterator[tuple[np.ndarray, int, int]]:
     for schedule in schedules:
         unit = np.array([unit_volume(shape) for shape in schedule.shapes], dtype=np.int64)
-        yield np.diff(schedule.offsets) * unit[schedule.shape_idx] * scale
+        yield np.diff(schedule.offsets) * unit[schedule.shape_idx] * scale, schedule.total_updates, 1
 
 
 def count_updates(config: SamplerConfig) -> UpdateCount:
     """Exact (generated) and closed-form total optimizer updates."""
     ensure_valid(config)
-    exact = sum(len(batches) for _, batches in _epoch_shapes(config))
+    exact = sum(int(np.count_nonzero(batches)) * repeat for _, batches, repeat in _walk(config))
     return UpdateCount(exact=exact, closed_form=closed_form_updates(config))
 
 
@@ -140,9 +146,10 @@ def input_memory_proxy(
 def strategy_cost(config: SamplerConfig, channels: int = 3) -> CostReport:
     """Cost row for one configuration (ratios left unset)."""
     ensure_valid(config)
-    unit = np.array([unit_volume(shape) for shape in shape_table(config)[0]], dtype=np.int64)
+    unit = np.array([unit_volume(shape) * channels for shape in shape_table(config)[0]], dtype=np.int64)
     updates, peak, mean = _volume_stats(
-        batches * unit[shape_idx] * channels for shape_idx, batches in _epoch_shapes(config)
+        (batches * unit[shape_idx], int(np.count_nonzero(batches)), repeat)
+        for shape_idx, batches, repeat in _walk(config)
     )
     return CostReport(
         strategy=config.strategy,
@@ -189,12 +196,12 @@ def schedule_cost(
 
 
 def with_ratios(reports: Sequence[CostReport], baseline: CostReport) -> list[CostReport]:
-    """Fill ratio columns against a baseline row."""
+    """Fill ratio columns against a baseline row; a video row's peak is clip volume and gets no peak ratio."""
     return [
         replace(
             r,
             updates_ratio=r.total_updates / baseline.total_updates,
-            peak_pixels_ratio=r.peak_input_pixels / baseline.peak_input_pixels,
+            peak_pixels_ratio=None if r.strategy is Strategy.VIDEO_VBS else r.peak_input_pixels / baseline.peak_input_pixels,
         )
         for r in reports
     ]

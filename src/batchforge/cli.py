@@ -31,6 +31,7 @@ from .core import (
     ConfigViolation,
     SamplerConfig,
     Strategy,
+    VideoClipSpec,
     ensure_valid,
     parse_flat_config,
     parse_value,
@@ -117,6 +118,8 @@ SETTINGS: dict[str, Setting] = {
     "bytes_per_element": Setting(int, _ANALYZE, default=4, least=1),
     "trials": Setting(int, _ANALYZE, default=0, least=0, help="add a Monte-Carlo update-count section (json only)"),
 }
+# Flags that are not settings: paths and switches a command takes only on its command line.
+_FLAG_ONLY = ("output", "csv", "checkpoint", "schedule", "run_report", "state", "errors_json")
 # ``train`` names these sampler flags after the task.
 _TRAIN_FLAGS = {"dataset_size": "--samples", "base_batch": "--batch"}
 
@@ -156,8 +159,8 @@ def _read_config(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _unknown_key_message(key: str) -> str:
-    """Name the flag that sets ``key``, when it is a setting some command takes as a flag."""
-    if key in SETTINGS:
+    """Name the flag that sets ``key``, when it is a setting or path flag some command takes."""
+    if key in SETTINGS or key in _FLAG_ONLY:
         return f"{key}: not a config-file key; pass the --{key.replace('_', '-')} flag"
     return f"{key}: not a config-file key of any command"
 
@@ -334,11 +337,13 @@ def _cmd_export(args: argparse.Namespace) -> int:
         if args.output_format == "csv":
             if header:
                 fp.write(_config_header(header))
-            fp.write("epoch,iteration,height,width,batch_size\n")
+            video = any(isinstance(shape, VideoClipSpec) for schedule in schedules for shape in schedule.shapes)
+            fp.write(f"epoch,iteration,height,width,{'frames,clips_per_video,' if video else ''}batch_size\n")
             for schedule in schedules:
                 for plan in schedule.plans:
-                    res = plan.resolution
-                    fp.write(f"{schedule.epoch},{plan.iteration},{res.height},{res.width},{plan.batch_size}\n")
+                    res, clip = plan.resolution, plan.clip
+                    shape = f"{res.height},{res.width}" + (f",{clip.num_frames},{clip.clips_per_video}" if video else "")
+                    fp.write(f"{schedule.epoch},{plan.iteration},{shape},{plan.batch_size}\n")
         else:
             schedule_io.write_schedules(fp, schedules, config=config)
     return 0

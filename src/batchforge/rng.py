@@ -99,22 +99,23 @@ def stream_fill(seed: int, key: StreamKey, count: int) -> np.ndarray:
     return _mix64_array(counters)
 
 
-def stream_at(seed: int, epoch: int, iterations: np.ndarray, tag: str) -> np.ndarray:
+def stream_at(seed: int, epoch, iterations: np.ndarray, tag: str) -> np.ndarray:
     """Draw #0 of the stream (epoch, t, tag) for every t in ``iterations``.
 
     This is the vectorised form of per-iteration draws: one independent
-    stream per iteration, first value of each.
+    stream per iteration, first value of each. ``epoch`` is one epoch, or a
+    1-D array of epochs for one row of draws per epoch.
     """
-    h = _mix64(seed & _MASK64)
-    h = _mix64(h ^ tag_hash(tag))
-    h = _mix64(h ^ (epoch & _MASK64))
-    states = _mix64_array(np.uint64(h) ^ np.asarray(iterations, dtype=np.uint64))
+    head = _mix64(_mix64(seed & _MASK64) ^ tag_hash(tag))
+    heads = np.asarray(epoch).astype(np.uint64)  # a copy we own; negative epochs wrap like ``& _MASK64``
+    heads ^= np.uint64(head)
+    states = _mix64_array(_mix64_array(heads)[..., None] ^ np.asarray(iterations, dtype=np.uint64))
     states += np.uint64(_GOLDEN)
     return _mix64_array(states)
 
 
-def choice_at(seed: int, epoch: int, iterations: np.ndarray, tag: str, set_size: int) -> np.ndarray:
-    """One uniform index in [0, set_size) per iteration key: draw #0 modulo ``set_size``.
+def choice_at(seed: int, epoch, iterations: np.ndarray, tag: str, set_size: int) -> np.ndarray:
+    """One uniform index in [0, set_size) per key: draw #0 of :func:`stream_at` modulo ``set_size``.
 
     The plain modulo reduction is biased by under 2**-44 for any set size
     below 2**20, which is unobservable.

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,6 +50,9 @@ from .rng import StreamKey, choice_at, permutation
 RESOLUTION_DRAW_TAG = "res"
 CLIP_DRAW_TAG = "clip"
 PERMUTATION_TAG = "perm"
+
+# Entries per array in one block of :func:`walk_shapes`; bounds the walk's memory.
+WALK_BLOCK_ENTRIES = 1 << 14
 
 
 class ScheduleError(ValueError):
@@ -185,33 +188,48 @@ def shape_table(config: SamplerConfig) -> tuple[tuple[Resolution | VideoClipSpec
     return config.resolutions.entries, RESOLUTION_DRAW_TAG
 
 
+def walk_shapes(config: SamplerConfig, epochs, n_active: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Shape sequences (shape indices, batch sizes) of ``epochs`` over ``n_active`` ids, a block of epochs at a time.
+
+    A block is two ``(epochs, width)`` arrays of about ``WALK_BLOCK_ENTRIES``
+    entries, one row per epoch, batch 0 padding each row past its end.
+    Iterations draw :func:`batch_table` entries (a one-entry table needs no
+    draw) until the ids run out; the final batch is trimmed unless
+    ``drop_last`` drops it. Rows draw the expected count plus 8 % and 16; a
+    block where a row runs short is redrawn at a bound no epoch can outrun,
+    which repeats the same keyed draws, so the width never shows.
+    """
+    (shape_idx, sizes), tag = batch_table(config), shape_table(config)[1]
+    epochs = np.asarray(epochs, dtype=np.int64)
+    bound = n_active // int(sizes.min()) + 2
+    width = min(int(n_active / sizes.mean() * 1.08) + 16, bound)
+    step = max(1, WALK_BLOCK_ENTRIES // width)
+    for block in np.split(epochs, range(step, len(epochs), step)):
+        for span in (width, bound):
+            if len(sizes) == 1:
+                draws = np.zeros((len(block), span), dtype=np.int64)
+            else:
+                draws = choice_at(config.seed, block, np.arange(span), tag, len(sizes))
+            batches = sizes[draws]
+            served = np.cumsum(batches, axis=1)
+            if (served[:, -1] > n_active).all():
+                break
+        if config.drop_last:
+            batches[served > n_active] = 0
+        else:
+            batches = np.diff(np.minimum(served, n_active, out=served), axis=1, prepend=0)
+        yield shape_idx[draws], batches
+
+
 def epoch_batch_shapes(config: SamplerConfig, epoch: int, n_active: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shape sequence (shape indices, batch sizes) for one epoch.
+    """Shape sequence (shape indices, batch sizes) for one epoch: the one-row :func:`walk_shapes`.
 
     This is the arithmetic skeleton :func:`plan_epoch` fleshes out with
-    sample ids; cost accounting walks it directly so counted updates are
-    the updates a materialized schedule would perform. Iterations draw
-    :func:`batch_table` entries until the epoch's ids run out; a one-entry
-    table needs no draw. The final batch is trimmed to the leftover count
-    when ``drop_last`` is false.
+    sample ids.
     """
-    shape_idx, sizes = batch_table(config)
-    if n_active <= 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    bound = n_active // int(sizes.min()) + 2  # no epoch can run longer
-    if len(sizes) == 1:
-        draws = np.zeros(bound, dtype=np.int64)
-    else:
-        draws = choice_at(config.seed, epoch, np.arange(bound), shape_table(config)[1], len(sizes))
-    batches = sizes[draws]
-    served = np.cumsum(batches)
-    if config.drop_last:
-        count = int(np.searchsorted(served, n_active, side="right"))
-        batches = batches[:count]
-    else:
-        count = min(int(np.searchsorted(served, n_active, side="left")) + 1, bound)
-        batches = np.diff(np.minimum(served[:count], n_active), prepend=0)
-    return shape_idx[draws[:count]], batches
+    shape_idx, batches = next(walk_shapes(config, [epoch], n_active))
+    count = np.count_nonzero(batches)
+    return shape_idx[0, :count], batches[0, :count]
 
 
 def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray:

@@ -16,7 +16,7 @@ from batchforge.analysis import (
     with_ratios,
     write_cost_csv,
 )
-from batchforge.core import Resolution, ResolutionSet, SamplerConfig, Strategy
+from batchforge.core import Resolution, ResolutionSet, SamplerConfig, Strategy, VideoClipSpec
 from batchforge.samplers import EpochSchedule, plan_epoch
 
 STANDARD = ResolutionSet.squares([128, 192, 224, 288, 320])
@@ -191,3 +191,19 @@ def test_csv_and_json_emission():
     assert payload["rows"][0]["strategy"] == "ssc_fbs"
     assert payload["rows"][0]["peak_input_bytes"] == reports[0].peak_input_pixels * 4
     json.dumps(payload)  # must be serializable
+
+
+def test_video_rows_get_no_peak_ratio_against_the_image_baseline():
+    # a clip's volume is frames x clips x pixels, so its peak does not compare with an image peak
+    clips = (VideoClipSpec.parse("8x1x16x16"), VideoClipSpec.parse("16x2x16x16"))
+    config = make_config(
+        strategy=Strategy.VIDEO_VBS, dataset_size=2000, base_batch=16, base_resolution=Resolution(16, 16),
+        resolutions=ResolutionSet.squares([16]), epochs=2, clips=clips, base_clip=clips[0],
+    )
+    ssc, video = compare_strategies(config, [Strategy.SSC_FBS, Strategy.VIDEO_VBS])
+    assert ssc.peak_pixels_ratio == 1.0 and video.peak_pixels_ratio is None
+    assert video.updates_ratio == video.total_updates / ssc.total_updates
+    assert cost_reports_payload([video])["rows"][0]["peak_ratio"] is None
+    buf = io.StringIO()
+    write_cost_csv(buf, [video])
+    assert buf.getvalue().splitlines()[1].endswith(",")

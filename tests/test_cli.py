@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from batchforge.cli import build_parser, run
+from batchforge.core import Resolution, ResolutionSet, SamplerConfig, Strategy, VideoClipSpec
 from batchforge.presets import PresetError, load_preset, preset_names
+from batchforge.samplers import plan_epoch
+from batchforge.schedule_io import write_schedules
 
 
 def run_cli(args):
@@ -126,6 +129,13 @@ _SMALL_TRAIN = ["--samples", "200", "--epochs", "4", "--batch", "20", "--warmup-
          "BAD_VALUE", "strategies: "),
         (["plan", "--drop-last", "maybe"], None, "BAD_VALUE", "drop_last: "),
         (["plan", "--preset", "bogus"], None, "BAD_VALUE", "preset: "),
+        (["plan"], "output = x.json\n", "UNKNOWN_KEY", "pass the --output flag"),
+        (["train", "--samples", "200"], "csv = r.csv\n", "UNKNOWN_KEY", "pass the --csv flag"),
+        (["train", "--samples", "200"], "checkpoint = p.bin\n", "UNKNOWN_KEY", "pass the --checkpoint flag"),
+        (["analyze"], "schedule = s.jsonl\n", "UNKNOWN_KEY", "pass the --schedule flag"),
+        (["plan"], "run_report = r.json\n", "UNKNOWN_KEY", "pass the --run-report flag"),
+        (["plan"], "state = s.json\n", "UNKNOWN_KEY", "pass the --state flag"),
+        (["plan"], "errors_json = true\n", "UNKNOWN_KEY", "pass the --errors-json flag"),
     ],
     ids=[
         "plan_file", "strategy_flag", "resolutions_flag", "epochs_flag", "max_lr_flag", "train_file", "train_tau",
@@ -133,7 +143,8 @@ _SMALL_TRAIN = ["--samples", "200", "--epochs", "4", "--batch", "20", "--warmup-
         "reeval_stride_flag", "classes_flag", "grid_flag", "eval_samples_flag", "noise_scale_flag",
         "channels_flag", "bytes_per_element_flag", "trials_flag", "zero_eval_samples", "negative_eval_samples",
         "negative_trials", "negative_channels", "zero_bytes_per_element", "strategies_flag", "drop_last_flag",
-        "preset_flag",
+        "preset_flag", "output_key", "csv_key", "checkpoint_key", "schedule_key", "run_report_key", "state_key",
+        "errors_json_key",
     ],
 )
 def test_bad_config_values_and_keys_exit_2(argv, file_text, code, named, tmp_path, capsys):
@@ -239,6 +250,44 @@ def test_export_csv_lists_iterations(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1] == "epoch,iteration,height,width,batch_size"
     assert lines[2].startswith("0,0,")
+
+
+def _video_schedule_file(path):
+    """A two-epoch video schedule whose clips 8x1x16x16 and 16x2x16x16 share a resolution."""
+    clips = (VideoClipSpec.parse("8x1x16x16"), VideoClipSpec.parse("16x2x16x16"))
+    config = SamplerConfig(
+        strategy=Strategy.VIDEO_VBS,
+        dataset_size=200,
+        base_batch=16,
+        base_resolution=Resolution(16, 16),
+        resolutions=ResolutionSet.squares([16]),
+        epochs=2,
+        clips=clips,
+        base_clip=clips[0],
+    )
+    with open(path, "w") as fp:
+        write_schedules(fp, (plan_epoch(config, epoch) for epoch in range(config.epochs)), config=config)
+
+
+def test_export_csv_of_a_video_schedule_keeps_the_clip_shape(tmp_path):
+    _video_schedule_file(tmp_path / "v.jsonl")
+    out = tmp_path / "v.csv"
+    assert run_cli(["export", "--schedule", str(tmp_path / "v.jsonl"), "--format", "csv", "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "epoch,iteration,height,width,frames,clips_per_video,batch_size"
+    rows = {tuple(line.split(",")[2:]) for line in lines[2:]}
+    assert {row[:4] for row in rows} == {("16", "16", "8", "1"), ("16", "16", "16", "2")}
+    assert ("16", "16", "8", "1", "16") in rows and ("16", "16", "16", "2", "4") in rows
+
+
+def test_analyze_a_video_schedule_leaves_its_peak_ratio_unset(tmp_path):
+    _video_schedule_file(tmp_path / "v.jsonl")
+    as_json, as_csv = tmp_path / "cost.json", tmp_path / "cost.csv"
+    assert run_cli(["analyze", "--schedule", str(tmp_path / "v.jsonl"), "--format", "json", "-o", str(as_json)]) == 0
+    (row,) = json.loads(as_json.read_text())["rows"]
+    assert row["strategy"] == "video_vbs" and row["peak_ratio"] is None and row["updates_ratio"] > 0
+    assert run_cli(["analyze", "--schedule", str(tmp_path / "v.jsonl"), "-o", str(as_csv)]) == 0
+    assert as_csv.read_text().splitlines()[2].endswith(",")
 
 
 def test_config_file_and_flag_precedence(tmp_path):

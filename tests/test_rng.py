@@ -73,6 +73,18 @@ def test_stream_at_matches_first_scalar_draws():
     assert vec.tolist() == scalar
 
 
+def test_draws_over_an_array_of_epochs_are_one_row_per_epoch():
+    epochs = np.array([0, 3, 12, 2**40, -1])
+    iters = np.arange(24)
+    streams = stream_at(99, epochs, iters, "res")
+    choices = choice_at(99, epochs, iters, "clip", 5)
+    assert streams.shape == choices.shape == (len(epochs), len(iters))
+    for row, epoch in enumerate(epochs.tolist()):
+        assert streams[row].tolist() == [SeededRng(99, StreamKey(epoch, t, "res")).next_u64() for t in range(24)]
+        assert choices[row].tolist() == [SeededRng(99, StreamKey(epoch, t, "clip")).choice(5) for t in range(24)]
+        assert np.array_equal(choices[row], choice_at(99, epoch, iters, "clip", 5))
+
+
 def test_choice_single_element():
     assert SeededRng(0).choice(1) == 0
 
