@@ -258,13 +258,20 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
             f"({config.base_batch} x {config.world_size}) with drop_last",
         )
 
-    # With several ranks every batch must split evenly, whatever the active set.
+    # With drop_last the largest batch of the table must fit in the dataset, or an epoch whose
+    # first draw is that batch plans nothing; with several ranks every batch must split evenly,
+    # whatever the active set.
     world = config.world_size
-    if not bad and world > 1:
+    if not bad and (config.drop_last or world > 1):
         from .samplers import batch_table  # samplers imports this module
 
         sizes = batch_table(config)[1]
-        if (sizes % world).any():
+        if config.drop_last and config.dataset_size < sizes.max():
+            flag(
+                "DATASET_TOO_SMALL",
+                f"dataset_size {config.dataset_size} < the largest batch {sizes.max()} of the table with drop_last",
+            )
+        if world > 1 and (sizes % world).any():
             flag("UNSHARDABLE_BATCH", f"batch sizes {sizes.tolist()} are not all multiples of world_size {world}")
     if world > 1 and not config.drop_last:
         flag("UNSHARDABLE_TAIL", f"drop_last=false leaves a last batch that world_size {world} need not divide")

@@ -159,6 +159,15 @@ def test_bad_config_values_and_keys_exit_2(argv, file_text, code, named, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_with_a_dataset_below_the_largest_batch_is_a_config_error(capsys):
+    # resnet50's variable-batch table reaches 3,136 ids at 128x128; with drop_last an epoch
+    # that draws it first over 1,024 ids plans nothing.
+    argv = ["analyze", "--preset", "resnet50", "--dataset-size", "1024", "--epochs", "1", "--seed", "0"]
+    assert run_cli(argv + ["--strategies", "msc_vbs", "--errors-json"]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert [e["code"] for e in payload["errors"]] == ["DATASET_TOO_SMALL"]
+
+
 def test_failure_while_training_exits_1(tmp_path, capsys):
     argv = ["train", "--samples", "200", "--epochs", "3", "--warmup-epochs", "1", "--max-lr", "1e300"]
     with np.errstate(all="ignore"):

@@ -101,6 +101,15 @@ def test_dataset_too_small_with_drop_last():
     assert "DATASET_TOO_SMALL" in codes(make_config(dataset_size=0))
 
 
+def test_dataset_smaller_than_the_largest_batch_with_drop_last():
+    # Variable batch draws 196 ids at 128x128 from a base of 64 at 224x224: 150 ids hold the base
+    # batch, but an epoch whose first draw is 128x128 would plan nothing.
+    assert "DATASET_TOO_SMALL" in codes(make_config(dataset_size=150, drop_last=True))
+    assert not codes(make_config(dataset_size=196, drop_last=True))
+    assert not codes(make_config(dataset_size=150, drop_last=False))
+    assert not codes(make_config(strategy=Strategy.MSC_FBS, dataset_size=150, drop_last=True))
+
+
 def test_dataset_too_large_for_the_permutation():
     # Composite permutation keys keep 64 - 24 random bits at 2**24 ids.
     assert "DATASET_TOO_LARGE" not in codes(make_config(dataset_size=2**24))
