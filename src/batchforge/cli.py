@@ -11,6 +11,8 @@ then the ``BATCHFORGE_SEED`` environment variable (seed only), then
 built-in defaults. Every setting is one row of :data:`SETTINGS`. Every
 artifact embeds the effective configuration in its header. Exit codes:
 0 success, 2 invalid configuration or arguments, 1 runtime failure.
+With ``--errors-json``, configuration errors and runtime errors that carry
+a code are printed to stderr as ``{"errors": [{"code", "message"}]}``.
 """
 
 from __future__ import annotations
@@ -204,10 +206,13 @@ def _output(path: str | None):
             yield fp
 
 
+def _emit_json_errors(errors: list[tuple[str, str]]) -> None:
+    print(json.dumps({"errors": [{"code": code, "message": message} for code, message in errors]}), file=sys.stderr)
+
+
 def _emit_config_errors(err: ConfigValidationError, as_json: bool) -> None:
     if as_json:
-        payload = {"errors": [{"code": v.code, "message": v.message} for v in err.violations]}
-        print(json.dumps(payload), file=sys.stderr)
+        _emit_json_errors([(v.code, v.message) for v in err.violations])
     else:
         for violation in err.violations:
             print(f"config error [{violation.code}] {violation.message}", file=sys.stderr)
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--output", "-o", help="output path (default: stdout)")
         if formats:
             command.add_argument("--format", dest="output_format", choices=formats, default=formats[0])
-        command.add_argument("--errors-json", action="store_true", help="emit configuration errors as JSON on stderr")
+        command.add_argument("--errors-json", action="store_true", help="emit coded errors as JSON on stderr")
         command.set_defaults(handler=handler)
     return parser
 
@@ -402,7 +407,11 @@ def run(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return 1
     except Exception as err:  # runtime failures: exit 1 with a diagnostic
-        print(f"error: {err}", file=sys.stderr)
+        code = getattr(err, "code", None)
+        if code is not None and getattr(args, "errors_json", False):
+            _emit_json_errors([(code, str(err).removeprefix(f"{code}: "))])
+        else:
+            print(f"error: {err}", file=sys.stderr)
         return 1
 
 

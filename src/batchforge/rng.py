@@ -11,10 +11,16 @@ increment, pushed through an avalanching finalizer. Plain integer
 arithmetic, fixed constants, no platform dependence. Draws are made over
 numpy arrays (:func:`stream_fill`, :func:`stream_at`); the key's base
 state (:func:`stream_state`) is plain Python integer arithmetic.
+
+:func:`stream_fill` fills its output ``FILL_BLOCK`` draws at a time, and
+:func:`permutation` builds its sort keys over the same blocks, so neither
+makes a temporary the size of its output: each block's counters, shifts
+and indices stay in cache. The blocking does not change a single draw.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +36,13 @@ _FNV_PRIME = 0x100000001B3
 # Largest n :func:`permutation` accepts; see its docstring for why.
 MAX_PERMUTATION_SIZE = 1 << 24
 
+# Draws per block of :func:`stream_fill` and :func:`permutation`: a block's
+# uint64 arrays (256 KiB each) stay in L2 through all their passes.
+FILL_BLOCK = 1 << 15
+
 
 class RngError(ValueError):
-    """Raised for invalid draw requests (e.g. ZERO_SET_SIZE)."""
+    """Raised for invalid draw requests (e.g. ZERO_SET_SIZE, BAD_SIZE)."""
 
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
@@ -47,17 +57,32 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
+def _mix64_array(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array (wrapping multiply).
 
-    Mixes ``x`` in place and returns it; callers pass arrays they own.
+    Mixes ``x`` in place and returns it; callers pass arrays they own. The
+    shifts go into ``scratch``, a uint64 array of ``x``'s shape (one is made
+    when none is given).
     """
-    x ^= x >> np.uint64(30)
+    if scratch is None:
+        scratch = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=scratch)
     x *= np.uint64(_MIX_A)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=scratch)
     x *= np.uint64(_MIX_B)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=scratch)
     return x
+
+
+def _size(count, what: str) -> int:
+    """``count`` as a Python int, or ``BAD_SIZE`` when it is not an integer >= 0."""
+    try:
+        size = operator.index(count)
+    except TypeError:
+        size = -1
+    if size < 0:
+        raise RngError("BAD_SIZE", f"{what} must be an integer >= 0, got {count!r}")
+    return size
 
 
 def tag_hash(tag: str) -> int:
@@ -90,13 +115,21 @@ def stream_fill(seed: int, key: StreamKey, count: int) -> np.ndarray:
     """First ``count`` draws of one stream as a uint64 array.
 
     Draw ``k`` (from 1) is the splitmix64 finalizer of the stream's base
-    state plus ``k`` times the golden-ratio increment, modulo 2**64.
+    state plus ``k`` times the golden-ratio increment, modulo 2**64. The
+    draws are made ``FILL_BLOCK`` at a time, straight into the output.
     """
+    count = _size(count, "count")
     state = stream_state(seed, key.epoch, key.iteration, key.tag)
-    counters = np.arange(1, count + 1, dtype=np.uint64)
-    counters *= np.uint64(_GOLDEN)
-    counters += np.uint64(state)
-    return _mix64_array(counters)
+    draws = np.empty(count, dtype=np.uint64)
+    block = FILL_BLOCK
+    steps = np.arange(1, min(count, block) + 1, dtype=np.uint64)  # k * golden for k = 1 .. block
+    steps *= np.uint64(_GOLDEN)
+    scratch = np.empty_like(steps)
+    for lo in range(0, count, block):
+        out = draws[lo : lo + block]
+        np.add(steps[: len(out)], np.uint64((state + lo * _GOLDEN) & _MASK64), out=out)
+        _mix64_array(out, scratch[: len(out)])
+    return draws
 
 
 def stream_at(seed: int, epoch, iterations: np.ndarray, tag: str) -> np.ndarray:
@@ -138,17 +171,25 @@ def permutation(seed: int, key: StreamKey, n: int) -> np.ndarray:
     Only ``64 - b`` random bits decide the order, so ties grow with n (about
     n**3 / 2**65 tied pairs are expected); ``n`` is capped at
     ``MAX_PERMUTATION_SIZE`` (2**24, 128 expected tied pairs) and larger
-    requests raise ``PERMUTATION_TOO_LARGE``.
+    requests raise ``PERMUTATION_TOO_LARGE``. The keys are masked and given
+    their index ``FILL_BLOCK`` at a time, so the sort is the only pass that
+    needs more than the key array itself.
     """
+    n = _size(n, "n")
     if n > MAX_PERMUTATION_SIZE:
         raise RngError(
             "PERMUTATION_TOO_LARGE",
             f"permutation of {n} ids exceeds the {MAX_PERMUTATION_SIZE} supported",
         )
-    low = np.uint64((1 << max(1, (int(n) - 1).bit_length())) - 1)
+    low = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
     keys = stream_fill(seed, key, n)
-    keys &= ~low
-    keys |= np.arange(n, dtype=np.uint64)
+    block, high = FILL_BLOCK, ~low
+    index = np.arange(min(n, block), dtype=np.uint64)
+    for lo in range(0, n, block):
+        out = keys[lo : lo + block]
+        out &= high
+        out |= index[: len(out)]
+        index += np.uint64(block)
     keys.sort()
     keys &= low
     return keys.view(np.int64)

@@ -19,8 +19,9 @@ One id permutation is drawn per epoch (:func:`batchforge.rng.permutation`,
 one sort of composite draw-and-index keys) and consumed sequentially; the
 epoch ends when it runs out (a final short batch is kept unless
 ``drop_last``). Active ids are sorted first, unless they already increase;
-when they are the whole dataset the permutation itself is the id order, so
-no gather is made.
+when they are the whole dataset (``active_ids=None`` included) the
+permutation itself is the id order, so no id array is built and no gather
+is made.
 
 An :class:`EpochSchedule` stores the epoch as arrays for every strategy,
 video included: the scheduled ids in order, per-iteration offsets into
@@ -232,10 +233,10 @@ def epoch_batch_shapes(config: SamplerConfig, epoch: int, n_active: int) -> tupl
     return shape_idx[0, :count], batches[0, :count]
 
 
-def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray:
-    """Active ids in increasing order; an increasing input is used as is."""
+def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray | None:
+    """Active ids in increasing order, or None when they are the whole dataset; an increasing input is used as is."""
     if active_ids is None:
-        return np.arange(config.dataset_size, dtype=np.int64)
+        return None
     ids = np.asarray(active_ids, dtype=np.int64)
     presorted = bool((ids[1:] > ids[:-1]).all())
     if not presorted:
@@ -249,20 +250,21 @@ def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray:
         repeated = ids[1:][ids[1:] == ids[:-1]]
         if len(repeated):
             raise ScheduleError("DUPLICATE_ID", f"active id {repeated[0]} is listed more than once")
-    return ids
+    # Sorted, unique and in range: all dataset_size ids are arange(N).
+    return None if len(ids) == config.dataset_size else ids
 
 
 def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSchedule:
     """Generate one epoch's schedule for any strategy."""
     ensure_valid(config)
     ids = _resolve_active_ids(config, active_ids)
-    shape_idx, batch_sizes = epoch_batch_shapes(config, epoch, len(ids))
+    n = config.dataset_size if ids is None else len(ids)
+    shape_idx, batch_sizes = epoch_batch_shapes(config, epoch, n)
     offsets = np.zeros(len(batch_sizes) + 1, dtype=np.int64)
     np.cumsum(batch_sizes, out=offsets[1:])
-    order = permutation(config.seed, StreamKey(epoch, 0, PERMUTATION_TAG), len(ids))[: offsets[-1]]
-    # Sorted, unique and in range: all dataset_size ids are arange(N), so
-    # the permutation already is the id order.
-    scheduled = order if len(ids) == config.dataset_size else ids[order]
+    order = permutation(config.seed, StreamKey(epoch, 0, PERMUTATION_TAG), n)[: offsets[-1]]
+    # The whole dataset's ids are arange(N), so the permutation already is the id order.
+    scheduled = order if ids is None else ids[order]
     return EpochSchedule(epoch, scheduled, offsets, shape_idx, shape_table(config)[0])
 
 

@@ -17,11 +17,17 @@ text between its first ``[`` and last ``]`` (the header line is parsed
 whole); ``np.fromstring`` parses that text, which is copied into the
 epoch's one id buffer, and a count of its characters checks it is canonical.
 
-The reader raises ``ScheduleError`` with a code: ``MISSING_IDS`` for a plan
-without ``sample_ids``; ``BAD_IDS`` for ids that are not canonical
-non-negative int64 decimals (a sign, fraction, exponent, quote, leading
-zero, empty element, trailing comma, value past int64, or any byte other
-than digits, ``,``, space and tab); ``BATCH_SIZE_MISMATCH`` for a
+The reader raises ``ScheduleError`` with a code: ``BAD_JSON`` for a line
+that is not JSON (a file cut mid-line), naming the line's 1-based number;
+``BAD_SCHEMA`` for a header whose ``schema_version`` is not this module's;
+``BAD_RECORD`` for a line that is not a JSON object, has no or an unknown
+``kind``, or lacks a plan key (``epoch``, ``iteration``, ``height``,
+``width``, ``batch_size``, or a clip's ``num_frames`` or
+``clips_per_video``); ``MISSING_IDS`` for a plan without ``sample_ids``;
+``BAD_IDS`` for ids that are not canonical non-negative int64 decimals (a
+sign, fraction, exponent, quote, leading zero, empty element, trailing
+comma, value past int64, or any byte other than digits, ``,``, space and
+tab); ``BATCH_SIZE_MISMATCH`` for a
 ``batch_size`` that is not the id count; ``ITERATION_ORDER`` for iterations
 that do not run 0, 1, 2, ... within an epoch; ``BAD_SHAPE`` for a height,
 width, frame count or clips per video that is not an integer >= 1.
@@ -51,6 +57,8 @@ _LEAD = "\0\0" + "".join(f"{v:2d}".replace(" ", "\0") for v in range(1, 100))
 _CELLS = tuple(np.frombuffer((lead + _FULL).encode(), np.uint16) for lead in (_LEAD, "\0" "0" + _LEAD[2:]))
 _COMMA, _END = np.frombuffer(b",\0\n\0", dtype=np.uint16)
 _POWERS = [10**k for k in range(1, 19)]
+_PLAN_KEYS = ("epoch", "iteration", "height", "width", "batch_size")
+_CLIP_KEYS = ("num_frames", "clips_per_video")
 
 
 def _format_ids(ids: np.ndarray, ends: np.ndarray) -> list[str]:
@@ -142,11 +150,29 @@ def _check_digits(ids: np.ndarray, digits: int, where: str) -> None:
         raise ScheduleError("BAD_IDS", f"{where}: sample_ids must be canonical non-negative int64 integers")
 
 
+def _loads(text: str, number: int):
+    """``json.loads`` of a line, or ``BAD_JSON`` naming its 1-based ``number``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ScheduleError("BAD_JSON", f"line {number} is not valid JSON: {err.msg}") from None
+
+
+def _require(record, keys: tuple[str, ...], where: str) -> None:
+    """``BAD_RECORD`` unless ``record`` is a JSON object with every one of ``keys``."""
+    if not isinstance(record, dict):
+        raise ScheduleError("BAD_RECORD", f"{where}: expected a JSON object, got {type(record).__name__}")
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise ScheduleError("BAD_RECORD", f"{where}: the record has no {missing[0]!r}")
+
+
 def _shape(record: dict, where: str) -> Resolution | VideoClipSpec:
     """The plan's resolution, or its clip spec when it has one."""
     clip = record.get("clip")
     dims = [record["height"], record["width"]]
     if clip is not None:
+        _require(clip, _CLIP_KEYS, f"{where} clip")
         dims += [clip["num_frames"], clip["clips_per_video"]]
     if not all(type(d) is int and d >= 1 for d in dims):
         raise ScheduleError("BAD_SHAPE", f"{where}: shape dimensions must be integers >= 1, got {dims}")
@@ -167,23 +193,25 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
     with warnings.catch_warnings():
         # numpy < 2 warns where numpy 2 raises; _parse_ids rejects those ids either way.
         warnings.filterwarnings("ignore", "string or file could not be read to its end", DeprecationWarning)
-        for raw in fp:
+        for number, raw in enumerate(fp, 1):
             line = raw.strip()
             if not line:
                 continue
             first, last = line.find("["), line.rfind("]")
             cut = first >= 0 and last > first
-            record = json.loads(line[: first + 1] + line[last:] if cut else line)
-            kind = record.get("kind")
+            record = _loads(line[: first + 1] + line[last:] if cut else line, number)
+            _require(record, ("kind",), f"line {number}")
+            kind = record["kind"]
             if kind == "header":
-                record = json.loads(line)
+                record = _loads(line, number)
                 version = record.get("schema_version")
                 if version != SCHEMA_VERSION:
-                    raise ValueError(f"unsupported schedule schema_version {version!r}")
+                    raise ScheduleError("BAD_SCHEMA", f"line {number}: unsupported schedule schema_version {version!r}")
                 header_config = record.get("config")
                 continue
             if kind != "plan":
-                raise ValueError(f"unexpected record kind {kind!r}")
+                raise ScheduleError("BAD_RECORD", f"line {number}: unexpected record kind {kind!r}")
+            _require(record, _PLAN_KEYS, f"line {number}")
             epoch, iteration, batch_size = record["epoch"], record["iteration"], record["batch_size"]
             where = f"epoch {epoch} iteration {iteration}"
             if record.get("sample_ids") != []:

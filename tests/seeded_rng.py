@@ -19,9 +19,13 @@ class SeededRng:
         self._state = stream_state(seed, key.epoch, key.iteration, key.tag)
         self._count = 0
 
+    def draw(self, k: int) -> int:
+        """Draw ``k`` (from 1) of the stream; the walk does not move."""
+        return _mix64((self._state + k * _GOLDEN) & _MASK64)
+
     def next_u64(self) -> int:
         self._count += 1
-        return _mix64((self._state + self._count * _GOLDEN) & _MASK64)
+        return self.draw(self._count)
 
     def uniform(self) -> float:
         """Float in [0, 1) with 53 random bits."""

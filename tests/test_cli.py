@@ -526,3 +526,20 @@ def test_world_size_from_a_file_ties_min_batch_like_the_flag(base_batch, file_te
         assert json.loads(written.splitlines()[0])["config"]["min_batch"] == 8
     else:  # with min_batch tied to the world size, floor rounding stops at 8
         assert "[24, 10, 8, 8, 8]" in err
+
+
+@pytest.mark.parametrize("command", [["export", "--format", "csv"], ["analyze"]])
+def test_reader_errors_are_coded_json_with_errors_json(tmp_path, capsys, command):
+    sched = tmp_path / "s.jsonl"
+    assert run_cli(["plan", "--dataset-size", "2048", "--base-batch", "128", "--epochs", "1", "-o", str(sched)]) == 0
+    lines = sched.read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
+    argv = [*command, "--schedule", str(cut), "-o", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert run_cli(argv + ["--errors-json"]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"errors": [{"code": "BAD_JSON", "message": payload["errors"][0]["message"]}]}
+    assert payload["errors"][0]["message"].startswith("line 4 ")
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith("error: BAD_JSON: line 4 ")

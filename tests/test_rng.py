@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import batchforge.rng as rng_module
 from batchforge.rng import (
@@ -179,3 +182,85 @@ def test_tag_hash_distinguishes_tags():
 def test_derive_seed_spreads():
     children = {derive_seed(1, i) for i in range(100)}
     assert len(children) == 100
+
+
+# -- blocked fill and permutation ------------------------------------------------------------
+
+BLOCK_SIZES = [1, 7, rng_module.FILL_BLOCK]
+
+
+@st.composite
+def sizes_near_block_edges(draw):
+    """(block, n): a block size and a count within 2 of a multiple of it."""
+    block = draw(st.sampled_from(BLOCK_SIZES))
+    blocks = draw(st.integers(0, 3 if block == rng_module.FILL_BLOCK else 40))
+    return block, max(0, blocks * block + draw(st.integers(-2, 2)))
+
+
+stream_keys = st.builds(StreamKey, st.integers(-(2**63), 2**63 - 1), st.integers(0, 2**40), st.sampled_from(["", "perm", "res"]))
+
+
+@settings(max_examples=60, deadline=None, print_blob=False)
+@given(case=sizes_near_block_edges(), seed=st.integers(0, 2**64 - 1), key=stream_keys)
+def test_blocked_fill_matches_the_scalar_stream_at_every_block_edge(case, seed, key):
+    block, n = case
+    with mock.patch.object(rng_module, "FILL_BLOCK", block):
+        draws = stream_fill(seed, key, n)
+    assert draws.dtype == np.uint64 and len(draws) == n
+    index = np.arange(n)
+    edges = index[(index % block < 2) | (index % block >= block - 2)].tolist()
+    oracle = SeededRng(seed, key)
+    assert [int(draws[i]) for i in edges] == [oracle.draw(i + 1) for i in edges]
+
+
+@settings(max_examples=60, deadline=None, print_blob=False)
+@given(case=sizes_near_block_edges(), seed=st.integers(0, 2**64 - 1), key=stream_keys)
+def test_blocked_permutation_is_the_lexsort_at_every_block_size(case, seed, key):
+    block, n = case
+    draws = stream_fill(seed, key, n)
+    with mock.patch.object(rng_module, "FILL_BLOCK", block):
+        perm = permutation(seed, key, n)
+    bits = np.uint64(max(1, (n - 1).bit_length()))
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, np.lexsort((np.arange(n), draws >> bits)))
+
+
+def test_permutation_calls_stream_fill_once(monkeypatch):
+    calls = []
+
+    def counted(seed, key, count):
+        calls.append((seed, key, count))
+        return stream_fill(seed, key, count)
+
+    monkeypatch.setattr(rng_module, "stream_fill", counted)
+    monkeypatch.setattr(rng_module, "FILL_BLOCK", 7)
+    key = StreamKey(2, 0, "perm")
+    assert np.array_equal(np.sort(permutation(3, key, 50)), np.arange(50))
+    assert calls == [(3, key, 50)]
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: permutation(1, StreamKey(), 2.5),
+        lambda: permutation(1, StreamKey(), -3),
+        lambda: permutation(1, StreamKey(), 3.0),
+        lambda: permutation(1, StreamKey(), "3"),
+        lambda: stream_fill(1, StreamKey(), -1),
+        lambda: stream_fill(1, StreamKey(), 1.5),
+        lambda: stream_fill(1, StreamKey(), np.float64(4)),
+    ],
+    ids=["perm_fraction", "perm_negative", "perm_float", "perm_str", "fill_negative", "fill_fraction", "fill_np_float"],
+)
+def test_draw_sizes_must_be_non_negative_integers(draw):
+    with pytest.raises(RngError) as err:
+        draw()
+    assert err.value.code == "BAD_SIZE"
+
+
+def test_draw_sizes_accept_python_and_numpy_integers():
+    key = StreamKey(1, 0, "perm")
+    for n in (5, np.int64(5), np.int32(5), np.uint16(5)):
+        assert np.array_equal(stream_fill(4, key, n), stream_fill(4, key, 5))
+        assert np.array_equal(permutation(4, key, n), permutation(4, key, 5))
+    assert stream_fill(4, key, 0).shape == permutation(4, key, np.int64(0)).shape == (0,)

@@ -1,10 +1,13 @@
+import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from batchforge import presets
 from batchforge.core import (
     BatchRounding,
     ConfigValidationError,
@@ -508,3 +511,32 @@ def test_fixed_batch_strategies_share_update_counts(n, batch, seed, drop_last):
     ssc = plan_epoch(SamplerConfig(strategy=Strategy.SSC_FBS, **common), 0)
     msc = plan_epoch(SamplerConfig(strategy=Strategy.MSC_FBS, **common), 0)
     assert ssc.total_updates == msc.total_updates
+
+
+def blake2b_digest(values: np.ndarray) -> str:
+    return hashlib.blake2b(np.ascontiguousarray(values, dtype="<i8").tobytes(), digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "epoch, subset, digests",
+    [
+        (0, False, ("c87301840b19488f0be7f73bf2523431", "580178c8bf06d2e67ac50b000c129172", "aea402d7ef12dc18d19a052688eef4aa")),
+        (1, True, ("bcf405c0cdcddc9cdeff5a8039eb3539", "8827b02efac0aa4050518273e796fac9", "24e4a6444ec68dae3fc29782f97a48ac")),
+    ],
+    ids=["full_epoch", "subset_70pct"],
+)
+def test_imagenet_epoch_plans_keep_their_pinned_digests(epoch, subset, digests):
+    # The resnet50 msc_vbs configuration over all 1,281,167 ids at world 8, full and with a seeded
+    # ~70 % active subset; the digests pin ids, offsets and shape indices bit for bit.
+    config = replace(
+        presets.load_preset("resnet50").sampler,
+        strategy=Strategy.MSC_VBS,
+        world_size=8,
+        base_batch=128,
+        min_batch=8,
+        seed=1,
+    )
+    active = np.flatnonzero(np.random.default_rng(1).random(config.dataset_size) < 0.7) if subset else None
+    schedule = plan_epoch(config, epoch, active)
+    assert tuple(map(blake2b_digest, (schedule.ids, schedule.offsets, schedule.shape_idx))) == digests
+

@@ -321,3 +321,56 @@ def test_reader_rejects_bad_shapes(fields):
     with pytest.raises(ScheduleError) as err:
         read_lines(plan_line("1,2", **fields))
     assert err.value.code == "BAD_SHAPE"
+
+
+# -- reader codes for lines that are not plan records ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [plan_line("1,2")[:40] + "\n", plan_line("1,2")[:-5] + "\n", plan_line("1,2")[:-2] + "\n", "{\n"],
+    ids=["cut_head", "cut_ids", "cut_brace", "open_brace"],
+)
+def test_reader_names_the_line_that_is_not_json(bad_line):
+    # header, a blank line and a good plan come first, so the bad line is line 4 of the file
+    with pytest.raises(ScheduleError) as err:
+        read_lines("\n", plan_line("1,2"), bad_line)
+    assert err.value.code == "BAD_JSON"
+    assert "line 4 " in str(err.value)
+
+
+def test_reader_rejects_a_header_cut_mid_line():
+    with pytest.raises(ScheduleError) as err:
+        read_schedules(io.StringIO('{"schema_version":1,"ki\n'))
+    assert err.value.code == "BAD_JSON" and "line 1" in str(err.value)
+
+
+@pytest.mark.parametrize("version", [9, 0, "1", None])
+def test_reader_codes_an_unsupported_schema_version(version):
+    header = json.dumps({"schema_version": version, "kind": "header"})
+    with pytest.raises(ScheduleError) as err:
+        read_schedules(io.StringIO(header + "\n" + plan_line("1,2")))
+    assert err.value.code == "BAD_SCHEMA"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        plan_line("1,2", kind="epoch"),
+        '{"epoch":0}\n',
+        "[1,2]\n",
+        "7\n",
+        plan_line("1,2").replace('"epoch":0,', ""),
+        plan_line("1,2").replace('"iteration":0,', ""),
+        plan_line("1,2").replace('"height":8,', ""),
+        plan_line("1,2").replace('"batch_size":2,', ""),
+        plan_line("1,2", clip={"num_frames": 8}),
+        plan_line("1,2", clip=8),
+    ],
+    ids=["unknown_kind", "no_kind", "list", "number", "no_epoch", "no_iteration", "no_height", "no_batch_size",
+         "clip_without_clips_per_video", "clip_not_an_object"],
+)
+def test_reader_codes_records_that_are_not_plans(line):
+    with pytest.raises(ScheduleError) as err:
+        read_lines(line)
+    assert err.value.code == "BAD_RECORD"
