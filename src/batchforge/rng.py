@@ -16,6 +16,16 @@ state (:func:`stream_state`) is plain Python integer arithmetic.
 :func:`permutation` builds its sort keys over the same blocks, so neither
 makes a temporary the size of its output: each block's counters, shifts
 and indices stay in cache. The blocking does not change a single draw.
+
+:func:`stream_at` keys a 2-D grid of streams, epochs by iterations, whose
+first finalizer input is ``H ^ t``: ``H`` one epoch's mixed head, ``t`` the
+iteration. A shift distributes over xor, so that finalizer's first step
+``x ^ (x >> 30)`` is ``(H ^ (H >> 30)) ^ (t ^ (t >> 30))``, exact for every
+input: it runs on the two 1-D factors before they are broadcast, and the
+grid takes the remaining steps in place through one scratch buffer.
+:func:`choice_at` reduces each draw ``d`` to ``d - (d // k) * k``, the
+plain modulo by ``set_size`` ``k``, where numpy divides by the scalar
+without a hardware divide per element.
 """
 
 from __future__ import annotations
@@ -67,6 +77,11 @@ def _mix64_array(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray
     if scratch is None:
         scratch = np.empty_like(x)
     x ^= np.right_shift(x, np.uint64(30), out=scratch)
+    return _mix64_tail(x, scratch)
+
+
+def _mix64_tail(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`_mix64_array` after its first ``x ^= x >> 30``, in place on ``x``."""
     x *= np.uint64(_MIX_A)
     x ^= np.right_shift(x, np.uint64(27), out=scratch)
     x *= np.uint64(_MIX_B)
@@ -74,14 +89,20 @@ def _mix64_array(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray
     return x
 
 
-def _size(count, what: str) -> int:
-    """``count`` as a Python int, or ``BAD_SIZE`` when it is not an integer >= 0."""
+def _size(count, what: str, least: int = 0, below: str = "BAD_SIZE") -> int:
+    """``count`` as a Python int in [least, 2**64).
+
+    An integer under ``least`` raises ``below``; anything else out of range,
+    or not an integer at all, raises ``BAD_SIZE``.
+    """
     try:
         size = operator.index(count)
     except TypeError:
-        size = -1
-    if size < 0:
-        raise RngError("BAD_SIZE", f"{what} must be an integer >= 0, got {count!r}")
+        raise RngError("BAD_SIZE", f"{what} must be an integer, got {count!r}") from None
+    if size < least:
+        raise RngError(below, f"{what} must be >= {least}, got {size}")
+    if size > _MASK64:
+        raise RngError("BAD_SIZE", f"{what} must be below 2**64, got {size}")
     return size
 
 
@@ -137,25 +158,43 @@ def stream_at(seed: int, epoch, iterations: np.ndarray, tag: str) -> np.ndarray:
 
     This is the vectorised form of per-iteration draws: one independent
     stream per iteration, first value of each. ``epoch`` is one epoch, or a
-    1-D array of epochs for one row of draws per epoch.
+    1-D array of epochs for one row of draws per epoch. The first shift of
+    the state finalizer runs on the 1-D heads and iterations before they
+    are broadcast (see the module docstring); the grid is built once and
+    both of its finalizers share one scratch buffer.
     """
     head = _mix64(_mix64(seed & _MASK64) ^ tag_hash(tag))
     heads = np.asarray(epoch).astype(np.uint64)  # a copy we own; negative epochs wrap like ``& _MASK64``
     heads ^= np.uint64(head)
-    states = _mix64_array(_mix64_array(heads)[..., None] ^ np.asarray(iterations, dtype=np.uint64))
+    _mix64_array(heads)
+    heads ^= heads >> np.uint64(30)
+    steps = np.asarray(iterations, dtype=np.uint64)
+    steps = steps ^ (steps >> np.uint64(30))  # a new array: the caller's iterations stay unchanged
+    states = np.bitwise_xor(heads[..., None], steps)
+    scratch = np.empty_like(states)
+    _mix64_tail(states, scratch)
     states += np.uint64(_GOLDEN)
-    return _mix64_array(states)
+    return _mix64_array(states, scratch)
 
 
 def choice_at(seed: int, epoch, iterations: np.ndarray, tag: str, set_size: int) -> np.ndarray:
     """One uniform index in [0, set_size) per key: draw #0 of :func:`stream_at` modulo ``set_size``.
 
-    The plain modulo reduction is biased by under 2**-44 for any set size
-    below 2**20, which is unobservable.
+    The modulo is exact: each draw ``d`` becomes ``d - (d // k) * k`` for
+    ``k = set_size``, in place, and the result is the draws' int64 view (an
+    index of 2**63 or more, possible only for such set sizes, reads negative
+    as in any int64 cast). The plain modulo reduction is biased by under
+    2**-44 for any set size below 2**20, which is unobservable.
+
+    ``set_size`` must be an integer: below 1 raises ``ZERO_SET_SIZE``, and
+    2**64 or more, or a non-integer such as 2.5, raises ``BAD_SIZE``.
     """
-    if set_size < 1:
-        raise RngError("ZERO_SET_SIZE", "choice requires set_size >= 1")
-    return (stream_at(seed, epoch, iterations, tag) % np.uint64(set_size)).astype(np.int64)
+    k = np.uint64(_size(set_size, "set_size", least=1, below="ZERO_SET_SIZE"))
+    draws = stream_at(seed, epoch, iterations, tag)
+    quotients = np.floor_divide(draws, k)
+    quotients *= k
+    draws -= quotients
+    return draws.view(np.int64)
 
 
 def permutation(seed: int, key: StreamKey, n: int) -> np.ndarray:

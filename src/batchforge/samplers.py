@@ -201,6 +201,7 @@ def walk_shapes(config: SamplerConfig, epochs, n_active: int) -> Iterator[tuple[
     which repeats the same keyed draws, so the width never shows.
     """
     (shape_idx, sizes), tag = batch_table(config), shape_table(config)[1]
+    identity = np.array_equal(shape_idx, np.arange(len(sizes)))  # then a draw is its own shape index
     epochs = np.asarray(epochs, dtype=np.int64)
     bound = n_active // int(sizes.min()) + 2
     width = min(int(n_active / sizes.mean() * 1.08) + 16, bound)
@@ -217,9 +218,11 @@ def walk_shapes(config: SamplerConfig, epochs, n_active: int) -> Iterator[tuple[
                 break
         if config.drop_last:
             batches[served > n_active] = 0
-        else:
-            batches = np.diff(np.minimum(served, n_active, out=served), axis=1, prepend=0)
-        yield shape_idx[draws], batches
+        else:  # trim the final batch: each entry becomes what it serves of the n_active ids
+            np.minimum(served, n_active, out=served)
+            batches[:, 0] = served[:, 0]
+            np.subtract(served[:, 1:], served[:, :-1], out=batches[:, 1:])
+        yield draws if identity else shape_idx[draws], batches
 
 
 def epoch_batch_shapes(config: SamplerConfig, epoch: int, n_active: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,10 @@ plan carries a line marker in place of its comma, so one ``split`` yields
 the plan bodies. Each plan's head is ``json.dumps`` of its record without
 the ids, so a line's bytes are those of ``json.dumps`` of the whole record.
 The reader parses each line once with ``json.loads`` after cutting out the
-text between its first ``[`` and last ``]`` (the header line is parsed
-whole); ``np.fromstring`` parses that text, which is copied into the
+text between the ``[`` that opens its ``sample_ids`` value and its last
+``]`` (a line without ``sample_ids``, such as the header, is parsed whole),
+so a list or object earlier in the record, a clip's included, is parsed as
+JSON; ``np.fromstring`` parses the cut text, which is copied into the
 epoch's one id buffer, and a count of its characters checks it is canonical.
 
 The reader raises ``ScheduleError`` with a code: ``BAD_JSON`` for a line
@@ -197,13 +199,15 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
             line = raw.strip()
             if not line:
                 continue
-            first, last = line.find("["), line.rfind("]")
+            key = line.find('"sample_ids"')  # in the head: the writer puts the ids last
+            first, last = (line.find("[", key) if key >= 0 else -1), line.rfind("]")
             cut = first >= 0 and last > first
             record = _loads(line[: first + 1] + line[last:] if cut else line, number)
             _require(record, ("kind",), f"line {number}")
             kind = record["kind"]
             if kind == "header":
-                record = _loads(line, number)
+                if cut:
+                    record = _loads(line, number)
                 version = record.get("schema_version")
                 if version != SCHEMA_VERSION:
                     raise ScheduleError("BAD_SCHEMA", f"line {number}: unsupported schedule schema_version {version!r}")

@@ -264,3 +264,64 @@ def test_draw_sizes_accept_python_and_numpy_integers():
         assert np.array_equal(stream_fill(4, key, n), stream_fill(4, key, 5))
         assert np.array_equal(permutation(4, key, n), permutation(4, key, 5))
     assert stream_fill(4, key, 0).shape == permutation(4, key, np.int64(0)).shape == (0,)
+
+
+# -- keyed draws: the 1-D first shift and the floor-division reduction -----------------------
+
+SET_SIZES = sorted({1, 2, 3, 5, 7, *(2**k + d for k in range(2, 41) for d in (-1, 1))})
+draw_epochs = st.sampled_from([0, -1, 2**40, -(2**40)]) | st.integers(-(2**40), 2**40)
+
+
+@st.composite
+def draw_grids(draw):
+    """(epoch, iterations): one epoch or a 1-D array of them, and a run of iterations that may cross 2**30 or 2**32."""
+    epoch = draw(draw_epochs | st.lists(draw_epochs, min_size=1, max_size=4).map(np.array))
+    start = draw(st.sampled_from([0, 2**30 - 3, 2**32 - 3]) | st.integers(0, 2**40))
+    return epoch, np.arange(start, start + draw(st.integers(0, 6)))
+
+
+@settings(max_examples=120, deadline=None, print_blob=False)
+@given(
+    grid=draw_grids(),
+    seed=st.integers(0, 2**64 - 1),
+    tag=st.sampled_from(["", "res", "clip"]),
+    set_size=st.sampled_from(SET_SIZES),
+)
+def test_keyed_draws_match_the_scalar_stream_and_the_plain_modulo(grid, seed, tag, set_size):
+    epoch, iterations = grid
+    rows = np.atleast_1d(epoch).tolist()
+    shape = (len(iterations),) if np.ndim(epoch) == 0 else (len(rows), len(iterations))
+    expected = [[SeededRng(seed, StreamKey(e, t, tag)).draw(1) for t in iterations.tolist()] for e in rows]
+    streams = stream_at(seed, epoch, iterations, tag)
+    choices = choice_at(seed, epoch, iterations, tag, set_size)
+    assert (streams.shape, streams.dtype, choices.shape, choices.dtype) == (shape, np.uint64, shape, np.int64)
+    assert streams.reshape(len(rows), len(iterations)).tolist() == expected
+    assert choices.reshape(len(rows), len(iterations)).tolist() == [[d % set_size for d in row] for row in expected]
+
+
+@pytest.mark.parametrize(
+    "set_size, code",
+    [
+        (2.5, "BAD_SIZE"),
+        (3.0, "BAD_SIZE"),
+        (np.float64(3), "BAD_SIZE"),
+        ("3", "BAD_SIZE"),
+        (2**64, "BAD_SIZE"),
+        (0, "ZERO_SET_SIZE"),
+        (-3, "ZERO_SET_SIZE"),
+        (np.int64(0), "ZERO_SET_SIZE"),
+    ],
+    ids=["fraction", "float", "np_float", "str", "past_uint64", "zero", "negative", "np_zero"],
+)
+def test_choice_set_size_must_be_an_integer_from_1_below_2_64(set_size, code):
+    with pytest.raises(RngError) as err:
+        choice_at(1, 0, np.arange(4), "res", set_size)
+    assert err.value.code == code
+
+
+def test_choice_set_size_accepts_python_and_numpy_integers():
+    expected = choice_at(6, 2, np.arange(9), "res", 5)
+    for k in (np.int64(5), np.int32(5), np.uint64(5), np.uint8(5)):
+        assert np.array_equal(choice_at(6, 2, np.arange(9), "res", k), expected)
+    widest = choice_at(6, 2, np.arange(9), "res", 2**64 - 1)
+    assert widest.view(np.uint64).tolist() == [d % (2**64 - 1) for d in stream_at(6, 2, np.arange(9), "res").tolist()]

@@ -374,3 +374,15 @@ def test_reader_codes_records_that_are_not_plans(line):
     with pytest.raises(ScheduleError) as err:
         read_lines(line)
     assert err.value.code == "BAD_RECORD"
+
+
+@pytest.mark.parametrize(
+    "clip, code",
+    [([8, 1], "BAD_RECORD"), ({"num_frames": [8], "clips_per_video": 1}, "BAD_SHAPE")],
+    ids=["clip_as_a_list", "frames_as_a_list"],
+)
+def test_reader_parses_lists_before_the_ids_as_json(clip, code):
+    # the ids are cut out from the bracket that opens sample_ids, not from the line's first bracket
+    with pytest.raises(ScheduleError) as err:
+        read_lines(plan_line("1,2", clip=clip))
+    assert err.value.code == code

@@ -2,6 +2,7 @@
 update counts, input-volume peaks and means, Monte-Carlo simulations and
 single epochs, over random valid configs of all four strategies."""
 
+import hashlib
 from dataclasses import replace
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import batchforge.samplers as samplers
-from batchforge.analysis import AnalysisError, count_updates, simulate_updates, strategy_cost
+from batchforge.analysis import AnalysisError, compare_strategies, count_updates, simulate_updates, strategy_cost
 from batchforge.core import (
     BatchRounding,
     Resolution,
@@ -118,3 +119,26 @@ def test_preset_cost_rows_are_pinned(name, updates, peak, mean):
     cost = strategy_cost(config)
     assert (cost.total_updates, cost.peak_input_pixels, cost.mean_input_pixels) == (updates, peak, mean)
     assert count_updates(config).exact == updates
+
+
+@pytest.mark.parametrize(
+    "name, seed, digest",
+    [
+        ("mobilenetv1", 0, "3dcb60e077fad952502b7ccaa3953135"),
+        ("mobilenetv2", 0, "e4ef0bbfae4586dbb7f3a96699316c6f"),
+        ("mobilenetv3", 0, "020b6e79c29dee5dc3ec64b9f7905027"),
+        ("resnet50", 0, "5cce75f540d209969bc4256a1d98b0c0"),
+        ("resnet50_adv", 0, "ce194d6561c0208000556d6576363dd1"),
+        ("mobilenetv1", 7, "2672fa6e3a037263710367e9413c63a6"),
+        ("mobilenetv2", 7, "de27501eec59fe8a8f61001f33205f77"),
+        ("mobilenetv3", 7, "3f671c51f16810f8d74b2103d7a3e304"),
+        ("resnet50", 7, "fbe436c22e627cc455ce997c8e4724cc"),
+        ("resnet50_adv", 7, "6f5777dd4ba71b8f1efa3d8171732f5b"),
+    ],
+)
+def test_preset_cost_comparisons_keep_their_pinned_digests(name, seed, digest):
+    # blake2b of the repr of every cost row and a 3-trial simulation, bit for bit
+    config = replace(load_preset(name).sampler, strategy=Strategy.MSC_VBS, seed=seed)
+    reports = compare_strategies(config, [Strategy.SSC_FBS, Strategy.MSC_FBS, Strategy.MSC_VBS])
+    text = repr((reports, simulate_updates(config, 3)))
+    assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
