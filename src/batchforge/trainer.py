@@ -15,6 +15,8 @@ Recipe ingredients implemented here: linear-warmup cosine annealing,
 label-smoothed cross entropy, SGD with momentum and coupled weight decay,
 and an exponential moving average of the parameters. Sample filtering is
 always on; an unfiltered run is a tau 1.0 run, which removes nothing.
+Forward-only passes (re-evaluated removed samples and the ``drop_last``
+tail) compute only the forward pass and the true-class probability.
 Training is single-threaded and bit-deterministic given its seeds.
 """
 
@@ -92,52 +94,52 @@ def lr_at_epoch_fraction(fraction: float, config: TrainerConfig) -> float:
     return config.min_lr + 0.5 * (config.max_lr - config.min_lr) * (1.0 + _cos_pi(progress))
 
 
-def label_smoothed_ce(
-    logits: np.ndarray, target: int, label_smoothing: float
-) -> tuple[float, np.ndarray]:
-    """Loss and logit gradient for one sample.
-
-    With smoothing eps the target distribution is
-    (1 - eps) * onehot + eps / K; the gradient is softmax(logits) minus
-    that distribution.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
+def _log_softmax(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-softmax of ``(n, K)`` logits and the flat index of each row's target: the loss's one input check."""
     if not np.all(np.isfinite(logits)):
         raise TrainerError("NON_FINITE_INPUT", "logits must be finite")
-    k = logits.shape[-1]
+    n, k = logits.shape
     if k < 2:
         raise TrainerError("NON_FINITE_INPUT", "need at least two classes")
-    if not (0 <= target < k):
-        raise TrainerError("NON_FINITE_INPUT", f"target {target} outside [0, {k})")
-    shifted = logits - logits.max()
-    log_probs = shifted - math.log(np.exp(shifted).sum())
-    q = np.full(k, label_smoothing / k)
-    q[target] += 1.0 - label_smoothing
-    loss = float(-(q * log_probs).sum())
-    grad = np.exp(log_probs) - q
-    return loss, grad
+    if targets.shape != (n,) or not np.all((targets >= 0) & (targets < k)):
+        raise TrainerError("NON_FINITE_INPUT", f"need one target in [0, {k}) per row, got {targets.shape} for {n} rows")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return log_probs, np.arange(0, n * k, k) + targets
 
 
 def batch_label_smoothed_ce(
     logits: np.ndarray, targets: np.ndarray, label_smoothing: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean loss, mean-logit gradient, and per-sample true-class probability."""
-    if not np.all(np.isfinite(logits)):
-        raise TrainerError("NON_FINITE_INPUT", "logits must be finite")
-    n, k = logits.shape
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Mean loss, mean-logit gradient, and per-sample true-class probability.
+
+    With smoothing eps the target distribution is (1 - eps) * onehot + eps / K;
+    the gradient is softmax(logits) minus that distribution, over the row count.
+    """
+    log_probs, at_target = _log_softmax(logits, targets)
+    n, k = log_probs.shape
+    smooth = label_smoothing / k
+    true_log_probs = log_probs.ravel()[at_target]
+    loss = float(-(1.0 - label_smoothing) * true_log_probs.mean() - smooth * log_probs.sum(axis=1).mean())
     probs = np.exp(log_probs)
-    rows = np.arange(n)
-    true_log_probs = log_probs[rows, targets]
-    loss = float(
-        -(1.0 - label_smoothing) * true_log_probs.mean()
-        - (label_smoothing / k) * log_probs.sum(axis=1).mean()
-    )
-    q = np.full_like(probs, label_smoothing / k)
-    q[rows, targets] += 1.0 - label_smoothing
-    grad = (probs - q) / n
-    return loss, grad, probs[rows, targets]
+    true_probs = probs.ravel()[at_target]
+    grad = probs - smooth
+    grad.flat[at_target] = true_probs - (smooth + (1.0 - label_smoothing))  # .flat writes through in any memory order
+    grad /= n
+    return loss, grad, true_probs
+
+
+def label_smoothed_ce(logits: np.ndarray, target: int, label_smoothing: float) -> tuple[float, np.ndarray]:
+    """Loss and logit gradient for one sample: the one-row batch loss."""
+    logits = np.asarray(logits, dtype=np.float64)
+    loss, grad, _ = batch_label_smoothed_ce(logits[None], np.array([target]), label_smoothing)
+    return loss, grad[0]
+
+
+def _forward_only(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample correctness and true-class probability: no loss, gradient or target matrix."""
+    log_probs, at_target = _log_softmax(logits, targets)
+    return logits.argmax(axis=1) == targets, np.exp(log_probs.ravel()[at_target])
 
 
 def sgd_momentum_step(
@@ -398,9 +400,8 @@ def train(
     run trains every id every epoch. Per epoch: plan batches over the active
     ids, take one SGD-M step per batch with the warmup/cosine learning rate,
     maintain the parameter EMA, record the trained samples' correctness and
-    confidence in one call, give removed samples and the active ids a
-    ``drop_last`` schedule left out a forward-only evaluation at the base
-    resolution, then apply the removal/re-add rules.
+    confidence in one call, evaluate removed samples and the ``drop_last``
+    tail forward-only at the base resolution, then apply the removal/re-add rules.
 
     Any of the four strategies works; video reads its clip table from
     ``sampler_config.clips`` and ``base_clip``, and the model sees each
@@ -461,9 +462,7 @@ def train(
             reeval = np.concatenate([reeval, tail])
         if len(reeval):
             logits = model.forward(pooled_at(base)[reeval], base)
-            labels = dataset.labels[reeval]
-            _, _, probs = batch_label_smoothed_ce(logits, labels, trainer_config.label_smoothing)
-            state.record_batch(reeval, logits.argmax(axis=1) == labels, probs)
+            state.record_batch(reeval, *_forward_only(logits, dataset.labels[reeval]))
         transitions.append(state.finalize_epoch())
 
         if eval_dataset:

@@ -5,15 +5,16 @@ from dataclasses import fields, replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from batchforge.core import ConfigValidationError, Resolution, ResolutionSet, SamplerConfig, Strategy, VideoClipSpec
-from batchforge.samplers import plan_epoch
-from batchforge.set_training import SetConfig, SetState
+from batchforge.set_training import SetConfig
 from batchforge.trainer import (
     PooledLinearModel,
     RunReport,
     TrainerConfig,
     TrainerError,
+    _forward_only,
     _pool,
     batch_label_smoothed_ce,
     ema_update,
@@ -27,6 +28,8 @@ from batchforge.trainer import (
     train,
     write_run_report_json,
 )
+
+from reference_trainer import reference_batch_label_smoothed_ce, reference_reevaluation, reference_train
 
 TOY_RESOLUTIONS = ResolutionSet.parse("8x8,16x16,32x32")
 
@@ -192,6 +195,76 @@ def test_batch_ce_matches_per_sample():
     assert np.all((0 < probs_b) & (probs_b < 1))
 
 
+def assert_rejected(call):
+    with pytest.raises(TrainerError) as err:
+        call()
+    assert err.value.code == "NON_FINITE_INPUT"
+
+
+def assert_batch_paths_reject(logits, targets):
+    assert_rejected(lambda: batch_label_smoothed_ce(logits, targets, 0.1))
+    assert_rejected(lambda: _forward_only(logits, targets))
+
+
+@pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "k"])
+def test_loss_rejects_a_target_outside_the_classes(bad):
+    assert_batch_paths_reject(np.zeros((2, 3)), np.array([0, bad]))
+    assert_rejected(lambda: label_smoothed_ce(np.zeros(3), bad, 0.1))
+
+
+def test_loss_rejects_a_target_count_that_differs_from_the_rows():
+    for targets in (np.array([0, 1]), np.array([0, 1, 2, 3]), np.zeros((3, 1), dtype=np.int64)):
+        assert_batch_paths_reject(np.zeros((3, 4)), targets)
+
+
+def test_loss_rejects_a_single_class():
+    assert_batch_paths_reject(np.zeros((2, 1)), np.zeros(2, dtype=np.int64))
+    assert_rejected(lambda: label_smoothed_ce(np.zeros(1), 0, 0.1))
+
+
+def test_batch_loss_does_not_depend_on_the_memory_order():
+    rng = np.random.default_rng(2)
+    logits, targets = rng.normal(size=(7, 5)), rng.integers(0, 5, size=7)
+    c_order = batch_label_smoothed_ce(logits, targets, 0.1)
+    f_order = batch_label_smoothed_ce(np.asfortranarray(logits), targets, 0.1)
+    assert f_order[0] == pytest.approx(c_order[0], rel=1e-14)
+    assert np.allclose(f_order[1], c_order[1], rtol=1e-14, atol=0)
+    assert np.allclose(f_order[2], c_order[2], rtol=1e-14, atol=0)
+
+
+@settings(max_examples=150, deadline=None, print_blob=False)
+@example(rows=1, k=2, scale=1e-3, ties=False, eps=0.1, poison=None, seed=0)
+@example(rows=1, k=2, scale=30.0, ties=True, eps=0.0, poison=None, seed=0)
+@given(
+    rows=st.integers(1, 64),
+    k=st.integers(2, 12),
+    scale=st.floats(1e-3, 30.0),
+    ties=st.booleans(),
+    eps=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+    poison=st.sampled_from([None, None, None, np.nan, np.inf, -np.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_and_forward_only_pass_match_the_frozen_loss(rows, k, scale, ties, eps, poison, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((rows, k))
+    logits = (np.floor(logits) if ties else logits) * scale  # floor leaves a few values per row: ties
+    targets = rng.integers(0, k, size=rows)
+    if poison is not None:
+        logits[rng.integers(rows), rng.integers(k)] = poison
+        assert_batch_paths_reject(logits, targets)
+        assert_rejected(lambda: reference_batch_label_smoothed_ce(logits, targets, eps))
+        return
+    correct, probs = _forward_only(logits, targets)
+    want_correct, want_probs = reference_reevaluation(logits, targets, eps)
+    assert np.array_equal(correct, want_correct)
+    assert np.array_equal(probs, want_probs)
+    loss, grad, true_probs = batch_label_smoothed_ce(logits, targets, eps)
+    want_loss, want_grad, want_true_probs = reference_batch_label_smoothed_ce(logits, targets, eps)
+    assert loss == want_loss
+    assert np.array_equal(grad, want_grad)
+    assert np.array_equal(true_probs, want_true_probs)
+
+
 # -- optimizer and EMA ---------------------------------------------------------
 
 
@@ -342,59 +415,39 @@ def run_toy(tau=None, seed=0, **sampler_overrides):
     return train(model, dataset, sampler, toy_trainer(), set_config, eval_dataset)
 
 
-def reference_train(model, dataset, sampler, tc, set_config, eval_dataset):
-    """train() written out step by step, every call on raw grids, recording batch by batch."""
-    state = SetState(len(dataset), set_config or SetConfig(tau=1.0, window=1))  # None is tau 1.0
-    velocity, shadow = np.zeros_like(model.theta), model.theta.copy()
-    losses, accuracies, transitions = [], [], []
-    for epoch in range(tc.total_epochs):
-        active = state.active_samples()
-        schedule = plan_epoch(sampler, epoch, active)
-        batch_losses = []
-        for plan in schedule.plans:
-            lr = lr_at_epoch_fraction(epoch + plan.iteration / schedule.total_updates, tc)
-            ids = plan.sample_ids
-            loss, grad, correct, confidences = model.loss_and_grad(
-                dataset.features[ids], dataset.labels[ids], plan.resolution, tc.label_smoothing
-            )
-            state.record_batch(ids, correct, confidences)
-            model.theta, velocity = sgd_momentum_step(
-                model.theta, grad, velocity, lr, tc.momentum, tc.weight_decay
-            )
-            shadow = ema_update(shadow, model.theta, tc.ema_decay)
-            batch_losses.append(loss)
-        tail = np.setdiff1d(active, schedule.ids, assume_unique=True)
-        reeval = np.concatenate([state.reevaluation_plan(), tail])
-        if len(reeval):
-            logits = model.forward(dataset.features[reeval], sampler.base_resolution)
-            labels = dataset.labels[reeval]
-            _, _, probs = batch_label_smoothed_ce(logits, labels, tc.label_smoothing)
-            state.record_batch(reeval, logits.argmax(axis=1) == labels, probs)
-        transitions.append(state.finalize_epoch())
-        predicted = model.predict(eval_dataset.features, sampler.base_resolution)
-        accuracies.append(float((predicted == eval_dataset.labels).mean()))
-        losses.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
-    return model.theta, shadow, losses, accuracies, transitions
-
-
 @pytest.mark.parametrize(
     "tau, drop_last", [(None, False), (0.7, False), (0.7, True)], ids=["unfiltered", "filtered", "filtered_drop_last"]
 )
 def test_train_matches_a_raw_grid_loop_bit_for_bit(tau, drop_last):
-    sampler = toy_sampler(drop_last=drop_last)
-    dataset, eval_dataset = make_synthetic_task(sampler.dataset_size, 10, 8, seed=1)
     set_config = SetConfig(tau=tau, window=2) if tau is not None else None
-    report = train(PooledLinearModel(10, 8, TOY_RESOLUTIONS), dataset, sampler, toy_trainer(), set_config, eval_dataset)
+    report = assert_train_matches_reference(toy_sampler(drop_last=drop_last), set_config)
+    if tau is not None:
+        assert report.removed_count > 0
+
+
+@pytest.mark.parametrize("reeval_stride", [1, 2])
+@pytest.mark.parametrize("drop_last", [False, True])
+@pytest.mark.parametrize("tau", [0.7, 1.0])
+def test_filtered_train_matches_the_frozen_trainer(tau, drop_last, reeval_stride):
+    set_config = SetConfig(tau=tau, window=2, reeval_stride=reeval_stride)
+    report = assert_train_matches_reference(toy_sampler(drop_last=drop_last, epochs=8), set_config, total_epochs=8)
+    assert (report.removed_count > 0) == (tau < 1.0)
+
+
+def assert_train_matches_reference(sampler, set_config, **trainer_overrides):
+    """train() equals the oracle's loop in params, EMA, losses, eval accuracy and transitions."""
+    dataset, eval_dataset = make_synthetic_task(sampler.dataset_size, 10, 8, seed=1)
+    tc = toy_trainer(**trainer_overrides)
+    report = train(PooledLinearModel(10, 8, TOY_RESOLUTIONS), dataset, sampler, tc, set_config, eval_dataset)
     params, ema, losses, accuracies, transitions = reference_train(
-        PooledLinearModel(10, 8, TOY_RESOLUTIONS), dataset, sampler, toy_trainer(), set_config, eval_dataset
+        PooledLinearModel(10, 8, TOY_RESOLUTIONS), dataset, sampler, tc, set_config, eval_dataset
     )
     assert np.array_equal(report.final_params, params)
     assert np.array_equal(report.ema_params, ema)
     assert np.array_equal(report.losses(), losses, equal_nan=True)  # drop_last can leave no batch
-    assert [row.eval_accuracy for row in report.per_epoch] == accuracies
+    assert np.array_equal([row.eval_accuracy for row in report.per_epoch], accuracies)
     assert report.transitions == transitions
-    if tau is not None:
-        assert report.removed_count > 0
+    return report
 
 
 def test_sampler_resolution_missing_from_model_is_rejected():
