@@ -17,7 +17,11 @@ and an exponential moving average of the parameters. Sample filtering is
 always on; an unfiltered run is a tau 1.0 run, which removes nothing.
 Forward-only passes (re-evaluated removed samples and the ``drop_last``
 tail) compute only the forward pass and the true-class probability.
-Training is single-threaded and bit-deterministic given its seeds.
+Training is bit-deterministic given its seeds. Its forward-only GEMMs
+(``forward``: ``predict``, the per-epoch eval and the forward-only passes)
+run in row blocks of at most ``FORWARD_MACS`` = 2**18 multiply-adds, which
+OpenBLAS runs on the calling thread; each training step's two GEMMs are
+bounded by its batch (batch x grid² x K multiply-adds).
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .set_training import EpochTransition, SetConfig, SetState
 
 CHECKPOINT_MAGIC = b"BFPM"
 CHECKPOINT_VERSION = 1
+# OpenBLAS runs a GEMM of at most 65,536 x 4 multiply-adds on the calling thread alone.
+FORWARD_MACS = 2**18
 
 
 class TrainerError(ValueError):
@@ -227,10 +233,22 @@ class PooledLinearModel:
             features = _pool(features, factor)
         elif features.shape[1:] != (self.grid // factor,) * 2:
             raise TrainerError("SHAPE_MISMATCH", f"grids {features.shape[1:]} are neither raw nor pooled by {factor}")
-        return features.repeat(factor, axis=1).repeat(factor, axis=2).reshape(len(features), -1)
+        return features.repeat(factor, axis=1).repeat(factor, axis=2).reshape(len(features), self.grid * self.grid)
 
     def forward(self, features: np.ndarray, resolution: Resolution) -> np.ndarray:
-        return self.inputs_at(features, resolution) @ self.weights.T + self.bias
+        """``(n, K)`` logits, expanded and multiplied ``max(1, FORWARD_MACS // (grid² K))`` rows at a time.
+
+        Each block's GEMM stays within ``FORWARD_MACS`` multiply-adds, so BLAS runs it on
+        the calling thread, and no temporary outgrows one block. Zero rows still run one
+        empty block, so their grid shape is checked.
+        """
+        rows = max(1, FORWARD_MACS // (self.grid * self.grid * self.num_classes))
+        weights_t = self.weights.T
+        logits = np.empty((len(features), self.num_classes))
+        for lo in range(0, max(len(features), 1), rows):
+            np.matmul(self.inputs_at(features[lo : lo + rows], resolution), weights_t, out=logits[lo : lo + rows])
+        logits += self.bias
+        return logits
 
     def loss_and_grad(
         self,
@@ -406,6 +424,9 @@ def train(
     Any of the four strategies works; video reads its clip table from
     ``sampler_config.clips`` and ``base_clip``, and the model sees each
     clip's spatial resolution (frames/clips only shape the batch sizes).
+    Before any work, the train and eval sets must hold ``model.grid``-wide
+    grids (``SHAPE_MISMATCH``) and labels in ``[0, model.num_classes)``
+    (``BAD_LABELS``).
     """
     ensure_valid(sampler_config)
     if sampler_config.epochs != trainer_config.total_epochs:
@@ -418,6 +439,21 @@ def train(
             "SIZE_MISMATCH",
             f"dataset has {len(dataset)} samples, config says {sampler_config.dataset_size}",
         )
+
+    for name, data in (("train", dataset), ("eval", eval_dataset)):
+        if data is None:
+            continue
+        if data.features.shape[1:] != (model.grid, model.grid):
+            raise TrainerError(
+                "SHAPE_MISMATCH", f"{name} grids {data.features.shape[1:]} are not the model's {model.grid}x{model.grid}"
+            )
+        outside = np.unique(data.labels[(data.labels < 0) | (data.labels >= model.num_classes)])
+        if len(outside):
+            raise TrainerError(
+                "BAD_LABELS",
+                f"{name} labels {outside[:8].tolist()}{' ...' if len(outside) > 8 else ''} are outside the model's"
+                f" classes [0, {model.num_classes})",
+            )
 
     pooled: dict[int, np.ndarray] = {}  # the train set pooled once per factor
     def pooled_at(resolution: Resolution) -> np.ndarray:

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import mpmath as mp
@@ -392,6 +393,49 @@ def test_inputs_of_another_width_are_rejected():
     assert err.value.code == "SHAPE_MISMATCH"
 
 
+@pytest.mark.parametrize("resolution", list(TOY_RESOLUTIONS), ids=str)
+def test_inputs_at_takes_zero_rows(resolution):
+    inputs = PooledLinearModel(10, 8, TOY_RESOLUTIONS).inputs_at(np.zeros((0, 8, 8)), resolution)
+    assert inputs.shape == (0, 64)
+
+
+@pytest.mark.parametrize("resolution", list(TOY_RESOLUTIONS), ids=str)
+def test_forward_takes_zero_rows(resolution):
+    assert PooledLinearModel(10, 8, TOY_RESOLUTIONS).forward(np.zeros((0, 8, 8)), resolution).shape == (0, 10)
+
+
+@pytest.mark.parametrize("resolution", list(TOY_RESOLUTIONS), ids=str)
+def test_predict_takes_zero_rows(resolution):
+    predicted = PooledLinearModel(10, 8, TOY_RESOLUTIONS).predict(np.zeros((0, 8, 8)), resolution)
+    assert predicted.shape == (0,)
+
+
+@pytest.mark.parametrize("resolution", list(TOY_RESOLUTIONS), ids=str)
+def test_forward_allocates_one_block_at_a_time(resolution):
+    # 10,000 rows expanded at once take 5.1 MB (8x8) plus the pooling temporaries
+    model = PooledLinearModel(10, 8, TOY_RESOLUTIONS)
+    features = np.random.default_rng(0).normal(size=(10_000, 8, 8))
+    tracemalloc.start()
+    try:
+        model.forward(features, resolution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("rows", [1, 409, 410, 5000])  # one block is 2**18 // (64 * 10) = 409 rows
+def test_blocked_forward_matches_one_gemm(rows):
+    model = PooledLinearModel(10, 8, TOY_RESOLUTIONS)
+    rng = np.random.default_rng(rows)
+    model.theta = rng.normal(size=model.theta.size)
+    features = rng.normal(size=(rows, 8, 8))
+    for res in TOY_RESOLUTIONS:
+        logits = model.forward(features, res)
+        assert np.allclose(logits, model.inputs_at(features, res) @ model.weights.T + model.bias, rtol=1e-12)
+        assert np.array_equal(model.predict(features, res), logits.argmax(axis=1))
+
+
 def test_synthetic_task_balanced_and_reproducible():
     train_ds, eval_ds = make_synthetic_task(1001, num_classes=10, seed=7)
     counts = np.bincount(train_ds.labels, minlength=10)
@@ -558,6 +602,34 @@ def test_epoch_mismatch_rejected():
     with pytest.raises(TrainerError) as err:
         train(model, dataset, sampler, toy_trainer(total_epochs=10), None, eval_dataset)
     assert err.value.code == "EPOCH_MISMATCH"
+
+
+@pytest.mark.parametrize("which", ["train", "eval"])
+def test_a_set_of_another_grid_is_rejected_before_any_work(which, monkeypatch):
+    sampler = toy_sampler(epochs=3)
+    wide = make_synthetic_task(sampler.dataset_size, 10, 8, seed=0)
+    narrow = make_synthetic_task(sampler.dataset_size, 10, 4, seed=0)
+    train_set, eval_set = (narrow[0], wide[1]) if which == "train" else (wide[0], narrow[1])
+    monkeypatch.setattr("batchforge.trainer.plan_epoch", None)  # planning an epoch would raise TypeError
+    model = PooledLinearModel(10, 8, TOY_RESOLUTIONS)
+    with pytest.raises(TrainerError) as err:
+        train(model, train_set, sampler, toy_trainer(warmup_epochs=1, total_epochs=3), None, eval_set)
+    assert err.value.code == "SHAPE_MISMATCH"
+    assert which in str(err.value)
+
+
+@pytest.mark.parametrize("which", ["train", "eval"])
+def test_labels_outside_the_model_classes_are_rejected_before_any_work(which, monkeypatch):
+    sampler = toy_sampler(epochs=3)
+    train_set, eval_set = make_synthetic_task(sampler.dataset_size, 10, 8, seed=0)
+    if which == "eval":
+        train_set = replace(train_set, labels=train_set.labels % 5)
+    monkeypatch.setattr("batchforge.trainer.plan_epoch", None)  # planning an epoch would raise TypeError
+    model = PooledLinearModel(5, 8, TOY_RESOLUTIONS)  # labels 5..9 are not its classes
+    with pytest.raises(TrainerError) as err:
+        train(model, train_set, sampler, toy_trainer(warmup_epochs=1, total_epochs=3), None, eval_set)
+    assert err.value.code == "BAD_LABELS"
+    assert f"{which} labels [5, 6, 7, 8, 9]" in str(err.value)
 
 
 def test_checkpoint_round_trip_bitwise():
