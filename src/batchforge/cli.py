@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``plan`` (emit a JSONL schedule), ``analyze`` (strategy cost
-table), ``train`` (toy synthetic-task training run), ``set-report``
-(per-epoch filtering CSV from a run report or state checkpoint), and
-``export`` (re-emit a schedule file).
+table), ``train`` (toy synthetic-task training run; its one artifact is
+the JSON run report), ``set-report`` (the run report's per-epoch CSV, or a
+summary of a state checkpoint), and ``export`` (re-emit a schedule file).
 
 Configuration precedence, highest first: explicit flags, then a
 ``--config`` file of flat ``key = value`` pairs, then a ``--preset``,
@@ -41,16 +41,16 @@ from .core import (
     sampler_config_to_mapping,
 )
 from .presets import IMAGENET_TRAIN_SIZE, STANDARD_BASE, STANDARD_RESOLUTIONS, load_preset, preset_names
-from .samplers import plan_epoch
+from .samplers import ScheduleError, plan_epoch
 from .set_training import SetConfig, SetError, SetState
 from .trainer import (
     PooledLinearModel,
     TrainerConfig,
     TrainerError,
     make_synthetic_task,
-    save_params,
+    read_run_report,
     train,
-    write_run_report_csv,
+    write_epoch_csv,
     write_run_report_json,
 )
 
@@ -121,7 +121,7 @@ SETTINGS: dict[str, Setting] = {
     "trials": Setting(int, _ANALYZE, default=0, least=0, help="add a Monte-Carlo update-count section (json only)"),
 }
 # Flags that are not settings: paths and switches a command takes only on its command line.
-_FLAG_ONLY = ("output", "csv", "checkpoint", "schedule", "run_report", "state", "errors_json")
+_FLAG_ONLY = ("output", "schedule", "run_report", "state", "errors_json")
 # ``train`` names these sampler flags after the task.
 _TRAIN_FLAGS = {"dataset_size": "--samples", "base_batch": "--batch"}
 
@@ -234,7 +234,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         with open(args.schedule) as fp:
             header, schedules = schedule_io.read_schedules(fp)
         if header is None:
-            raise ValueError("schedule file has no config header to analyze against")
+            raise ScheduleError("MISSING_HEADER", "schedule file has no config header to analyze against")
         config = ensure_valid(sampler_config_from_mapping(header))
         row = analysis.schedule_cost(schedules, config.strategy, channels=values["channels"])
         baseline = analysis.strategy_cost(config.with_strategy(Strategy.SSC_FBS), channels=values["channels"])
@@ -291,13 +291,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     }
     with _output(args.output) as fp:
         write_run_report_json(fp, report, header=header)
-    if args.csv:
-        with open(args.csv, "w") as cf:
-            cf.write(_config_header(header))
-            write_run_report_csv(cf, report)
-    if args.checkpoint:
-        with open(args.checkpoint, "wb") as ck:
-            save_params(ck, report.final_params, task["classes"], task["grid"])
     print(
         f"trained {sampler.epochs} epochs: {report.total_updates} updates, "
         f"{report.total_forward_passes} forward passes, "
@@ -308,15 +301,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_set_report(args: argparse.Namespace) -> int:
-    """CSV of a run report's transitions (``--run-report``) or JSON summary of a state checkpoint (``--state``)."""
+    """CSV of a run report's per-epoch rows (``--run-report``) or JSON summary of a state checkpoint (``--state``)."""
     if args.run_report:
-        payload = json.loads(Path(args.run_report).read_text())
+        with open(args.run_report) as rf:
+            header, rows = read_run_report(rf)
         with _output(args.output) as fp:
-            if "config" in payload:
-                fp.write(_config_header(payload["config"]))
-            fp.write("epoch,active,removed,readded,forward_passes\n")
-            for row in payload.get("set_transitions", []):
-                fp.write(f"{row['epoch']},{row['active']},{row['removed']},{row['readded']},{row['forward_passes']}\n")
+            if header is not None:
+                fp.write(_config_header(header))
+            write_epoch_csv(fp, rows)
         return 0
     with open(args.state) as sf:
         state = SetState.load(sf)
@@ -337,7 +329,7 @@ def _cmd_set_report(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     with open(args.schedule) as fp:
         header, schedules = schedule_io.read_schedules(fp)
-    config = sampler_config_from_mapping(header) if header else None
+    config = sampler_config_from_mapping(header) if header is not None else None
     with _output(args.output) as fp:
         if args.output_format == "csv":
             if header:
@@ -381,10 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
             commands[name].add_argument(flag or f"--{key.replace('_', '-')}", dest=key, help=row.help)
     commands["analyze"].add_argument("--schedule", help="analyze an exported schedule file instead of generating")
     commands["export"].add_argument("--schedule", required=True)
-    commands["train"].add_argument("--csv", help="also write the per-epoch CSV here")
-    commands["train"].add_argument("--checkpoint", help="write final parameters to this binary file")
     group = commands["set-report"].add_mutually_exclusive_group(required=True)
-    group.add_argument("--run-report", dest="run_report", help="run report JSON from `train` (writes CSV)")
+    group.add_argument("--run-report", dest="run_report", help="run report JSON from `train` (writes its per-epoch CSV)")
     group.add_argument("--state", help="filter-state checkpoint JSON (writes a JSON summary)")
     for name, (_, handler, formats) in _COMMANDS.items():
         command = commands[name]

@@ -349,7 +349,8 @@ def sampler_config_from_mapping(
 
     Keys match the SamplerConfig field names exactly; other keys are
     ignored, so one mapping can also hold trainer settings. A value that
-    does not parse raises ``BAD_VALUE`` (:func:`parse_value`).
+    does not parse raises ``BAD_VALUE`` (:func:`parse_value`); without
+    ``base``, a missing required key raises ``MISSING_KEY``.
     """
     kwargs: dict[str, object] = {}
     for key, parser in SAMPLER_PARSERS.items():
@@ -359,7 +360,7 @@ def sampler_config_from_mapping(
         return replace(base, **kwargs)
     missing = [k for k in ("strategy", "dataset_size", "base_batch", "base_resolution", "resolutions", "epochs") if k not in kwargs]
     if missing:
-        raise ValueError(f"config is missing required keys: {', '.join(missing)}")
+        raise ConfigValidationError([ConfigViolation("MISSING_KEY", f"config is missing required keys: {', '.join(missing)}")])
     return SamplerConfig(**kwargs)  # type: ignore[arg-type]
 
 

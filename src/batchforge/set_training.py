@@ -44,7 +44,8 @@ Errors are ``SetError`` with a code:
   across calls or twice in one batch;
 - ``MISSING_RECORDS``: finalize_epoch with active samples left unrecorded;
 - ``BAD_SCHEMA``, ``BAD_STATE``: a checkpoint of another schema version, or
-  one that is malformed or inconsistent (a size, epoch or counter that is
+  one that is malformed or inconsistent (not a JSON object, such as an
+  empty or truncated file; a size, epoch or counter that is
   not an integer >= 0, an array that is not base64 of the right length, a
   streak above ``window`` or above the epochs recorded so far, a removed
   sample whose streak no run can produce);
@@ -292,10 +293,10 @@ class SetState:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SetState":
-        version = payload.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise SetError("BAD_SCHEMA", f"unsupported set_state schema_version {version!r}")
         try:
+            version = payload.get("schema_version")
+            if version != SCHEMA_VERSION:
+                raise SetError("BAD_SCHEMA", f"unsupported set_state schema_version {version!r}")
             cfg = payload["config"]
             counters = payload["counters"]
             counts = [payload["num_samples"], payload["epoch"]] + [
@@ -326,7 +327,7 @@ class SetState:
             streak[:] = raw.view(streak.dtype.newbyteorder("<"))
         except SetError:
             raise
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:  # AttributeError: not an object
             raise SetError("BAD_STATE", f"malformed set_state payload: {exc!r}") from exc
         state._check_reachable()
         return state
@@ -349,7 +350,11 @@ class SetState:
 
     @classmethod
     def load(cls, fp: IO[str]) -> "SetState":
-        return cls.from_payload(json.load(fp))
+        try:
+            payload = json.load(fp)
+        except ValueError as exc:  # an empty or truncated file, or bytes that are not text
+            raise SetError("BAD_STATE", f"not a JSON document: {exc}") from None
+        return cls.from_payload(payload)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetState):

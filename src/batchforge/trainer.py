@@ -22,13 +22,16 @@ Training is bit-deterministic given its seeds. Its forward-only GEMMs
 run in row blocks of at most ``FORWARD_MACS`` = 2**18 multiply-adds, which
 OpenBLAS runs on the calling thread; each training step's two GEMMs are
 bounded by its batch (batch x grid² x K multiply-adds).
+
+A run's one artifact is its JSON run report: the totals, the final
+parameters and one ``per_epoch`` row of ``EPOCH_COLUMNS`` per epoch.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
-import struct
 from dataclasses import dataclass
 from typing import IO
 
@@ -39,10 +42,12 @@ from .rng import derive_seed
 from .samplers import plan_epoch
 from .set_training import EpochTransition, SetConfig, SetState
 
-CHECKPOINT_MAGIC = b"BFPM"
-CHECKPOINT_VERSION = 1
+RUN_REPORT_SCHEMA = 2
+EPOCH_COLUMNS = ("epoch", "mean_loss", "eval_accuracy", "updates", "active", "removed", "readded", "forward_passes")
 # OpenBLAS runs a GEMM of at most 65,536 x 4 multiply-adds on the calling thread alone.
 FORWARD_MACS = 2**18
+# Amplitudes of the synthetic class means' coarse, mid and fine bands (``_class_means``).
+COARSE_SCALE, MID_SCALE, FINE_SCALE = 0.6, 0.8, 0.8
 
 
 class TrainerError(ValueError):
@@ -289,14 +294,7 @@ def _remove_block_means(pattern: np.ndarray, block: int) -> np.ndarray:
     return (blocks - blocks.mean(axis=(2, 4), keepdims=True)).reshape(k, g, g)
 
 
-def _class_means(
-    num_classes: int,
-    grid: int,
-    rng: np.random.Generator,
-    coarse_scale: float,
-    mid_scale: float,
-    fine_scale: float,
-) -> np.ndarray:
+def _class_means(num_classes: int, grid: int, rng: np.random.Generator) -> np.ndarray:
     """Class patterns in three frequency bands.
 
     The coarse band is constant over 4x4 blocks, so it survives any
@@ -313,7 +311,7 @@ def _class_means(
     if grid >= 4:
         mid = _remove_block_means(mid, 4)
     fine = _remove_block_means(rng.standard_normal((num_classes, grid, grid)), 2)
-    return coarse_scale * coarse + mid_scale * mid + fine_scale * fine
+    return COARSE_SCALE * coarse + MID_SCALE * mid + FINE_SCALE * fine
 
 
 def make_synthetic_task(
@@ -322,9 +320,6 @@ def make_synthetic_task(
     grid: int = 8,
     seed: int = 0,
     eval_samples: int = 2000,
-    coarse_scale: float = 0.6,
-    mid_scale: float = 0.8,
-    fine_scale: float = 0.8,
     noise_scale: float = 1.15,
 ) -> tuple[SyntheticDataset, SyntheticDataset]:
     """Train and eval splits drawn from one class-mean draw.
@@ -340,14 +335,7 @@ def make_synthetic_task(
         raise TrainerError("BAD_CLASSES", f"need at least two classes, got {num_classes}")
     if not math.isfinite(noise_scale):
         raise TrainerError("NON_FINITE_SETTING", f"noise_scale must be finite, got {noise_scale}")
-    means = _class_means(
-        num_classes,
-        grid,
-        np.random.default_rng(derive_seed(seed, 1)),
-        coarse_scale,
-        mid_scale,
-        fine_scale,
-    )
+    means = _class_means(num_classes, grid, np.random.default_rng(derive_seed(seed, 1)))
 
     def split(count: int, stream: int) -> SyntheticDataset:
         rng = np.random.default_rng(derive_seed(seed, stream))
@@ -522,48 +510,22 @@ def train(
 # -- artifacts ----------------------------------------------------------
 
 
-def save_params(fp: IO[bytes], theta: np.ndarray, num_classes: int, grid: int) -> None:
-    """Versioned flat binary: magic, version, dims, then float64 LE."""
-    fp.write(CHECKPOINT_MAGIC)
-    fp.write(struct.pack("<III Q", CHECKPOINT_VERSION, num_classes, grid, theta.size))
-    fp.write(np.ascontiguousarray(theta, dtype="<f8").tobytes())
-
-
-def load_params(fp: IO[bytes]) -> tuple[np.ndarray, int, int]:
-    magic = fp.read(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise TrainerError("BAD_CHECKPOINT", f"bad magic {magic!r}")
-    header = fp.read(20)
-    if len(header) != 20:
-        raise TrainerError("BAD_CHECKPOINT", f"truncated header: {len(header)} of 20 bytes")
-    version, num_classes, grid, count = struct.unpack("<III Q", header)
-    if version != CHECKPOINT_VERSION:
-        raise TrainerError("BAD_CHECKPOINT", f"unsupported checkpoint version {version}")
-    body = fp.read(count * 8)
-    if len(body) != count * 8 or fp.read(1):
-        raise TrainerError(
-            "BAD_CHECKPOINT", f"header says {count} parameters, body does not hold exactly that"
-        )
-    theta = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    return theta, num_classes, grid
-
-
 def _finite(value: float) -> float | None:
     """``value``, or None (JSON ``null``) where it is NaN or infinite: an empty epoch's loss, a run without eval."""
     return value if math.isfinite(value) else None
 
 
 def run_report_payload(report: RunReport) -> dict:
-    """The run report as strict-JSON types; non-finite floats become None."""
+    """The run report as strict-JSON types: non-finite floats become None, the parameters base64 of float64 LE."""
     return {
-        "schema_version": 1,
+        "schema_version": RUN_REPORT_SCHEMA,
         "kind": "run_report",
         "total_updates": report.total_updates,
         "total_forward_passes": report.total_forward_passes,
         "removed_count": report.removed_count,
         "readded_count": report.readded_count,
         "final_eval_accuracy": _finite(report.final_eval_accuracy),
-        "param_checksum": _finite(float(np.abs(report.final_params).sum())),
+        "final_params": base64.b64encode(np.ascontiguousarray(report.final_params, dtype="<f8").tobytes()).decode("ascii"),
         "per_epoch": [
             {
                 "epoch": row.epoch,
@@ -571,19 +533,11 @@ def run_report_payload(report: RunReport) -> dict:
                 "eval_accuracy": _finite(row.eval_accuracy),
                 "updates": row.updates,
                 "active": t.active_count,
-                "forward_passes": t.forward_passes,
-            }
-            for row, t in zip(report.per_epoch, report.transitions)
-        ],
-        "set_transitions": [
-            {
-                "epoch": t.epoch,
-                "active": t.active_count,
                 "removed": len(t.newly_removed),
                 "readded": len(t.readded),
                 "forward_passes": t.forward_passes,
             }
-            for t in report.transitions
+            for row, t in zip(report.per_epoch, report.transitions)
         ],
     }
 
@@ -596,10 +550,27 @@ def write_run_report_json(fp: IO[str], report: RunReport, header: dict | None = 
     fp.write("\n")
 
 
-def write_run_report_csv(fp: IO[str], report: RunReport) -> None:
-    fp.write("epoch,mean_loss,eval_accuracy,updates,active,forward_passes\n")
-    for row, t in zip(report.per_epoch, report.transitions):
-        fp.write(
-            f"{row.epoch},{row.mean_loss!r},{row.eval_accuracy!r},"
-            f"{row.updates},{t.active_count},{t.forward_passes}\n"
-        )
+def read_run_report(fp: IO[str]) -> tuple[dict | None, list[dict]]:
+    """The ``config`` header (None without one) and the ``per_epoch`` rows of a run report.
+
+    A file that is not JSON (such as a truncated one) raises ``BAD_JSON``; one that is not a schema 2
+    run report with a number or null in each row's every ``EPOCH_COLUMNS`` column raises ``BAD_SCHEMA``.
+    """
+    try:
+        payload = json.load(fp)
+    except ValueError as err:
+        raise TrainerError("BAD_JSON", f"not a JSON document: {err}") from None
+    ours = isinstance(payload, dict) and (payload.get("kind"), payload.get("schema_version")) == ("run_report", RUN_REPORT_SCHEMA)
+    rows = payload.get("per_epoch") if ours else None
+    if not isinstance(rows, list) or not all(
+        isinstance(row, dict) and all(type(row.get(c, "absent")) in (int, float, type(None)) for c in EPOCH_COLUMNS) for row in rows
+    ):
+        raise TrainerError("BAD_SCHEMA", f"not a schema {RUN_REPORT_SCHEMA} run report with rows of {', '.join(EPOCH_COLUMNS)}")
+    return payload.get("config"), rows
+
+
+def write_epoch_csv(fp: IO[str], rows: list[dict]) -> None:
+    """``per_epoch`` rows as CSV in ``EPOCH_COLUMNS`` order; a null is an empty field."""
+    fp.write(",".join(EPOCH_COLUMNS) + "\n")
+    for row in rows:
+        fp.write(",".join("" if row[c] is None else str(row[c]) for c in EPOCH_COLUMNS) + "\n")

@@ -1,4 +1,5 @@
 import argparse
+import base64
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from batchforge.core import Resolution, ResolutionSet, SamplerConfig, Strategy, 
 from batchforge.presets import PresetError, load_preset, preset_names
 from batchforge.samplers import plan_epoch
 from batchforge.schedule_io import write_schedules
+from batchforge.set_training import SetConfig, SetState
 
 
 def run_cli(args):
@@ -130,8 +132,8 @@ _SMALL_TRAIN = ["--samples", "200", "--epochs", "4", "--batch", "20", "--warmup-
         (["plan", "--drop-last", "maybe"], None, "BAD_VALUE", "drop_last: "),
         (["plan", "--preset", "bogus"], None, "BAD_VALUE", "preset: "),
         (["plan"], "output = x.json\n", "UNKNOWN_KEY", "pass the --output flag"),
-        (["train", "--samples", "200"], "csv = r.csv\n", "UNKNOWN_KEY", "pass the --csv flag"),
-        (["train", "--samples", "200"], "checkpoint = p.bin\n", "UNKNOWN_KEY", "pass the --checkpoint flag"),
+        (["train", "--samples", "200"], "csv = r.csv\n", "UNKNOWN_KEY", "csv: not a config-file key of any command"),
+        (["train", "--samples", "200"], "checkpoint = p.bin\n", "UNKNOWN_KEY", "checkpoint: not a config-file key of any command"),
         (["analyze"], "schedule = s.jsonl\n", "UNKNOWN_KEY", "pass the --schedule flag"),
         (["plan"], "run_report = r.json\n", "UNKNOWN_KEY", "pass the --run-report flag"),
         (["plan"], "state = s.json\n", "UNKNOWN_KEY", "pass the --state flag"),
@@ -338,42 +340,26 @@ def test_env_seed_is_lowest_precedence(tmp_path, monkeypatch):
 
 
 def test_train_writes_all_artifacts(tmp_path, capsys):
+    # One artifact: the run report. Its per-epoch CSV comes from set-report, its parameters decode from it.
     report = tmp_path / "run.json"
-    csv_path = tmp_path / "run.csv"
-    ckpt = tmp_path / "params.bin"
     set_csv = tmp_path / "set.csv"
-    code = run_cli(
-        [
-            "train",
-            "--samples",
-            "1000",
-            "--eval-samples",
-            "300",
-            "--epochs",
-            "6",
-            "--tau",
-            "0.7",
-            "-o",
-            str(report),
-            "--csv",
-            str(csv_path),
-            "--checkpoint",
-            str(ckpt),
-        ]
-    )
-    assert code == 0
+    argv = ["train", "--samples", "1000", "--eval-samples", "300", "--epochs", "6", "--tau", "0.7", "-o", str(report)]
+    assert run_cli(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
     payload = json.loads(report.read_text())
+    assert payload["schema_version"] == 2
     assert payload["total_updates"] > 0
     assert len(payload["per_epoch"]) == 6
     assert payload["config"]["set"]["tau"] == 0.7
-    assert csv_path.read_text().splitlines()[1] == "epoch,mean_loss,eval_accuracy,updates,active,forward_passes"
-    assert ckpt.read_bytes()[:4] == b"BFPM"
+    theta = np.frombuffer(base64.b64decode(payload["final_params"]), dtype="<f8")
+    assert len(theta) == 10 * 8 * 8 + 10 and np.all(np.isfinite(theta))
 
     assert run_cli(["set-report", "--run-report", str(report), "-o", str(set_csv)]) == 0
     lines = set_csv.read_text().splitlines()
-    assert lines[0].startswith("# schema_version=1 config=")
-    assert lines[1] == "epoch,active,removed,readded,forward_passes"
-    assert len(lines) == 2 + 6
+    assert lines[0] == f"# schema_version=1 config={json.dumps(payload['config'], separators=(',', ':'))}"
+    assert lines[1] == "epoch,mean_loss,eval_accuracy,updates,active,removed,readded,forward_passes"
+    assert lines[2:] == [",".join(str(value) for value in row.values()) for row in payload["per_epoch"]]
+    assert sum(int(line.split(",")[5]) for line in lines[2:]) == payload["removed_count"] > 0
 
 
 def test_unfiltered_train_is_a_tau_one_run(tmp_path):
@@ -381,10 +367,10 @@ def test_unfiltered_train_is_a_tau_one_run(tmp_path):
     assert run_cli(["train", "--samples", "500", "--eval-samples", "100", "--epochs", "4", "-o", str(report)]) == 0
     payload = json.loads(report.read_text())
     assert payload["config"]["set"] == {"tau": 1.0, "window": 2, "start_epoch": 2, "reeval_stride": 1}
-    assert [t["removed"] + t["readded"] for t in payload["set_transitions"]] == [0] * 4
+    assert [row["removed"] + row["readded"] for row in payload["per_epoch"]] == [0] * 4
     assert run_cli(["set-report", "--run-report", str(report), "-o", str(set_csv)]) == 0
-    rows = set_csv.read_text().splitlines()[2:]
-    assert rows == [f"{epoch},500,0,0,{500 * (epoch + 1)}" for epoch in range(4)]
+    rows = [line.split(",") for line in set_csv.read_text().splitlines()[2:]]
+    assert [",".join(row[:1] + row[4:]) for row in rows] == [f"{epoch},500,0,0,{500 * (epoch + 1)}" for epoch in range(4)]
 
 
 def test_train_reads_sampler_keys_from_config(tmp_path):
@@ -483,7 +469,7 @@ def test_option_strings_of_each_command():
         "plan": sorted(sampler),
         "analyze": sorted(sampler + ["--bytes-per-element", "--channels", "--format", "--schedule", "--strategies", "--trials"]),
         "train": sorted(common + [
-            "--base-resolution", "--batch", "--checkpoint", "--classes", "--csv", "--ema-decay", "--eval-samples",
+            "--base-resolution", "--batch", "--classes", "--ema-decay", "--eval-samples",
             "--grid", "--help", "--label-smoothing", "--max-lr", "--min-lr", "--momentum", "--noise-scale",
             "--reeval-stride", "--samples", "--start-epoch", "--tau", "--warmup-epochs", "--weight-decay", "--window",
         ]),
@@ -502,6 +488,12 @@ def test_run_report_is_strict_json_when_filtering_removes_every_sample(tmp_path)
 
     payload = json.loads((tmp_path / "run.json").read_text(), parse_constant=reject)
     assert [row["mean_loss"] for row in payload["per_epoch"]].count(None) == 5
+
+    # set-report writes the same rows, with each null as an empty field
+    assert run_cli(["set-report", "--run-report", str(tmp_path / "run.json"), "-o", str(tmp_path / "epochs.csv")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "epochs.csv").read_text().splitlines()[2:]]
+    assert rows == [["" if v is None else str(v) for v in row.values()] for row in payload["per_epoch"]]
+    assert [row[1] for row in rows].count("") == 5
 
 
 @pytest.mark.parametrize(
@@ -543,3 +535,81 @@ def test_reader_errors_are_coded_json_with_errors_json(tmp_path, capsys, command
     assert payload["errors"][0]["message"].startswith("line 4 ")
     assert run_cli(argv) == 1
     assert capsys.readouterr().err.startswith("error: BAD_JSON: line 4 ")
+
+
+_V2_ROW = {"epoch": 0, "mean_loss": 2.0, "eval_accuracy": None, "updates": 3, "active": 10, "removed": 0, "readded": 0,
+           "forward_passes": 10}
+
+
+def _report_file(tmp_path, case):
+    """A file ``set-report --run-report`` must reject, and the code it must give."""
+    path = tmp_path / "in.json"
+    good = json.dumps({"schema_version": 2, "kind": "run_report", "per_epoch": [_V2_ROW]})
+    if case == "cost_report":
+        assert run_cli(["analyze", "--dataset-size", "1000", "--base-batch", "100", "--format", "json", "-o", str(path)]) == 0
+        return path, "BAD_SCHEMA"
+    if case == "set_state":
+        with open(path, "w") as fp:
+            SetState(4, SetConfig(tau=0.7, window=1)).dump(fp)
+        return path, "BAD_SCHEMA"
+    text, code = {
+        "not_json": ("epoch,mean_loss\n", "BAD_JSON"),
+        "empty": ("", "BAD_JSON"),
+        "truncated": (good[:-7], "BAD_JSON"),
+        "list": ("[1]", "BAD_SCHEMA"),
+        "v1_report": (json.dumps({"schema_version": 1, "kind": "run_report", "per_epoch": [], "set_transitions": []}),
+                      "BAD_SCHEMA"),
+        "row_without_a_column": (good.replace('"removed": 0, ', ""), "BAD_SCHEMA"),
+        "row_with_text": (good.replace('"updates": 3', '"updates": "3"'), "BAD_SCHEMA"),
+        "rows_not_a_list": (good.replace('"per_epoch": [', '"per_epoch": {"rows": [').replace("]}", "]}}"), "BAD_SCHEMA"),
+    }[case]
+    path.write_text(text)
+    return path, code
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["not_json", "empty", "truncated", "list", "cost_report", "set_state", "v1_report", "row_without_a_column",
+     "row_with_text", "rows_not_a_list"],
+)
+def test_set_report_rejects_what_is_not_a_run_report_before_writing(case, tmp_path, capsys):
+    path, code = _report_file(tmp_path, case)
+    out = tmp_path / "epochs.csv"
+    capsys.readouterr()
+    assert run_cli(["set-report", "--run-report", str(path), "-o", str(out), "--errors-json"]) == 1
+    assert [e["code"] for e in json.loads(capsys.readouterr().err)["errors"]] == [code]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", '{"schema_version": 2, "kind": "set_st', "[1, 2]", '"x"'],
+                         ids=["empty", "truncated", "list", "string"])
+def test_set_report_state_errors_are_coded_json(text, tmp_path, capsys):
+    (tmp_path / "state.json").write_text(text)
+    out = tmp_path / "summary.json"
+    assert run_cli(["set-report", "--state", str(tmp_path / "state.json"), "-o", str(out), "--errors-json"]) == 1
+    assert [e["code"] for e in json.loads(capsys.readouterr().err)["errors"]] == ["BAD_STATE"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "damage, command, exit_code, code",
+    [
+        ("no_header", ["analyze"], 1, "MISSING_HEADER"),
+        ("no_strategy", ["analyze"], 2, "MISSING_KEY"),
+        ("no_strategy", ["export", "--format", "csv"], 2, "MISSING_KEY"),
+        ("no_strategy", ["export"], 2, "MISSING_KEY"),
+        ("empty_config", ["export"], 2, "MISSING_KEY"),
+    ],
+)
+def test_schedule_header_errors_are_coded_json(damage, command, exit_code, code, tmp_path, capsys):
+    sched = tmp_path / "s.jsonl"
+    assert run_cli(["plan", "--dataset-size", "1000", "--base-batch", "100", "--epochs", "1", "-o", str(sched)]) == 0
+    header, *plans = sched.read_text().splitlines(keepends=True)
+    record = json.loads(header)
+    record["config"] = {} if damage == "empty_config" else {k: v for k, v in record["config"].items() if k != "strategy"}
+    sched.write_text(("" if damage == "no_header" else json.dumps(record) + "\n") + "".join(plans))
+    out = tmp_path / "out"
+    assert run_cli([*command, "--schedule", str(sched), "-o", str(out), "--errors-json"]) == exit_code
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert [e["code"] for e in errors] == [code] and ("strategy" in errors[0]["message"]) == (damage != "no_header")
+    assert not out.exists()

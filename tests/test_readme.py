@@ -11,7 +11,7 @@ from batchforge.cli import run
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
 CLI_BLOCK = re.search(r"## CLI\n\n```bash\n(.*?)```", README.read_text(), flags=re.S).group(1)
-OUTPUT_FLAGS = ("-o", "--csv", "--checkpoint")
+OUTPUT_FLAGS = ("-o",)
 
 
 def test_readme_has_python_blocks():

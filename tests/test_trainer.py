@@ -19,12 +19,12 @@ from batchforge.trainer import (
     _pool,
     batch_label_smoothed_ce,
     ema_update,
+    EPOCH_COLUMNS,
     label_smoothed_ce,
-    load_params,
     lr_at_epoch_fraction,
     make_synthetic_task,
+    read_run_report,
     run_report_payload,
-    save_params,
     sgd_momentum_step,
     train,
     write_run_report_json,
@@ -632,24 +632,45 @@ def test_labels_outside_the_model_classes_are_rejected_before_any_work(which, mo
     assert f"{which} labels [5, 6, 7, 8, 9]" in str(err.value)
 
 
-def test_checkpoint_round_trip_bitwise():
-    report = run_toy()
-    buf = io.BytesIO()
-    save_params(buf, report.final_params, 10, 8)
-    buf.seek(0)
-    theta, num_classes, grid = load_params(buf)
-    assert (num_classes, grid) == (10, 8)
+def _report_text(report, header=None):
+    buf = io.StringIO()
+    write_run_report_json(buf, report, header=header)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "tau, drop_last", [(None, False), (0.7, False), (0.7, True)], ids=["unfiltered", "filtered", "filtered_drop_last"]
+)
+def test_final_params_round_trip_bitwise(tau, drop_last):
+    import base64
+    import json
+
+    report = run_toy(tau=tau, drop_last=drop_last)
+    theta = np.frombuffer(base64.b64decode(json.loads(_report_text(report))["final_params"]), dtype="<f8")
+    assert theta.tobytes() == report.final_params.astype("<f8").tobytes()
     assert np.array_equal(theta, report.final_params)
 
 
-def test_checkpoint_rejects_truncated_or_padded_files():
-    buf = io.BytesIO()
-    save_params(buf, np.arange(10, dtype=np.float64), 10, 8)
-    data = buf.getvalue()
-    for damaged in (data[:-16], data + b"\0" * 8, data[:10]):
+@pytest.mark.parametrize("tau, drop_last", [(0.7, False), (0.7, True)], ids=["filtered", "filtered_drop_last"])
+def test_per_epoch_rows_carry_the_transitions(tau, drop_last):
+    report = run_toy(tau=tau, drop_last=drop_last)
+    rows = run_report_payload(report)["per_epoch"]
+    assert [tuple(row) for row in rows] == [EPOCH_COLUMNS] * len(report.transitions)
+    assert [(row["active"], row["removed"], row["readded"], row["forward_passes"]) for row in rows] == [
+        (t.active_count, len(t.newly_removed), len(t.readded), t.forward_passes) for t in report.transitions
+    ]
+    assert sum(row["removed"] for row in rows) == report.removed_count > 0
+
+
+def test_run_report_reader_rejects_truncated_or_padded_files():
+    report = run_toy(tau=0.7)
+    text = _report_text(report, header={"seed": 0})
+    header, rows = read_run_report(io.StringIO(text))
+    assert header == {"seed": 0} and rows == run_report_payload(report)["per_epoch"]
+    for damaged in (text[:-16], text + "\0" * 8, text[:10], ""):
         with pytest.raises(TrainerError) as err:
-            load_params(io.BytesIO(damaged))
-        assert err.value.code == "BAD_CHECKPOINT"
+            read_run_report(io.StringIO(damaged))
+        assert err.value.code == "BAD_JSON"
 
 
 def test_run_report_payload_is_json_ready():
@@ -657,7 +678,8 @@ def test_run_report_payload_is_json_ready():
 
     payload = run_report_payload(run_toy(tau=0.7))
     text = json.dumps(payload)
-    assert "per_epoch" in payload and "set_transitions" in payload
+    assert payload["schema_version"] == 2 and "per_epoch" in payload
+    assert not {"set_transitions", "param_checksum"} & set(payload)
     assert len(payload["per_epoch"]) == 10
     assert json.loads(text)["total_updates"] == payload["total_updates"]
 
