@@ -12,6 +12,7 @@ from .analysis import (
     simulate_updates,
 )
 from .core import (
+    BatchforgeError,
     BatchRounding,
     ConfigValidationError,
     Resolution,
@@ -46,6 +47,7 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BatchforgeError",
     "BatchPlan",
     "BatchRounding",
     "ConfigValidationError",

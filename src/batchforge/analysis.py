@@ -26,15 +26,9 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import SamplerConfig, Strategy, ensure_valid
+from .core import BatchforgeError, SamplerConfig, Strategy, ensure_valid
 from .rng import derive_seed
 from .samplers import EpochSchedule, batch_table, epoch_batch_shapes, shape_table, unit_volume, walk_shapes
-
-
-class AnalysisError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ def _volume_stats(blocks: Iterable[tuple[np.ndarray, int, int]]) -> tuple[int, i
             peak = max(peak, int(volumes.max()))
             total += int(volumes.sum()) * repeat
     if count == 0:
-        raise AnalysisError("EMPTY_SCHEDULE", "no iterations to account for")
+        raise BatchforgeError("EMPTY_SCHEDULE", "no iterations to account for")
     return count, peak, float(total) / count
 
 
@@ -120,7 +114,7 @@ def count_updates(config: SamplerConfig) -> UpdateCount:
 def simulate_updates(config: SamplerConfig, trials: int) -> UpdateSimulation:
     """Monte-Carlo oracle: exact counts over ``trials`` independent seeds."""
     if trials < 1:
-        raise AnalysisError("ZERO_TRIALS", "trials must be >= 1")
+        raise BatchforgeError("ZERO_TRIALS", "trials must be >= 1")
     counts = np.array(
         [
             count_updates(replace(config, seed=derive_seed(config.seed, trial))).exact

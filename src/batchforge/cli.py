@@ -11,8 +11,9 @@ then the ``BATCHFORGE_SEED`` environment variable (seed only), then
 built-in defaults. Every setting is one row of :data:`SETTINGS`. Every
 artifact embeds the effective configuration in its header. Exit codes:
 0 success, 2 invalid configuration or arguments, 1 runtime failure.
-With ``--errors-json``, configuration errors and runtime errors that carry
-a code are printed to stderr as ``{"errors": [{"code", "message"}]}``.
+A file a command cannot open is the runtime failure ``BAD_PATH``. With
+``--errors-json``, every :class:`~batchforge.core.BatchforgeError` is
+printed to stderr as ``{"errors": [{"code", "message"}]}``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import json
 import os
 import sys
 from dataclasses import fields
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import analysis, schedule_io
 from .core import (
     SAMPLER_PARSERS,
+    BatchforgeError,
     ConfigValidationError,
     ConfigViolation,
     SamplerConfig,
@@ -41,12 +42,11 @@ from .core import (
     sampler_config_to_mapping,
 )
 from .presets import IMAGENET_TRAIN_SIZE, STANDARD_BASE, STANDARD_RESOLUTIONS, load_preset, preset_names
-from .samplers import ScheduleError, plan_epoch
-from .set_training import SetConfig, SetError, SetState
+from .samplers import plan_epoch
+from .set_training import SetConfig, SetState
 from .trainer import (
     PooledLinearModel,
     TrainerConfig,
-    TrainerError,
     make_synthetic_task,
     read_run_report,
     train,
@@ -153,7 +153,8 @@ def _read_config(args: argparse.Namespace) -> dict[str, str]:
     """The ``--config`` file's keys ({} without one); a key no file may set is ``UNKNOWN_KEY``."""
     if not args.config:
         return {}
-    mapping = parse_flat_config(Path(args.config).read_text())
+    with _open("--config", args.config) as fp:
+        mapping = parse_flat_config(fp.read())
     unknown = [key for key in mapping if not (key in SETTINGS and SETTINGS[key].in_file)]
     if unknown:
         raise ConfigValidationError([ConfigViolation("UNKNOWN_KEY", _unknown_key_message(key)) for key in unknown])
@@ -196,26 +197,14 @@ def _config_header(config: dict) -> str:
     return f"# schema_version=1 config={json.dumps(config, separators=(',', ':'))}\n"
 
 
-@contextlib.contextmanager
-def _output(path: str | None):
-    """Standard output for no path or ``-``, else the file at ``path``."""
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w") as fp:
-            yield fp
-
-
-def _emit_json_errors(errors: list[tuple[str, str]]) -> None:
-    print(json.dumps({"errors": [{"code": code, "message": message} for code, message in errors]}), file=sys.stderr)
-
-
-def _emit_config_errors(err: ConfigValidationError, as_json: bool) -> None:
-    if as_json:
-        _emit_json_errors([(v.code, v.message) for v in err.violations])
-    else:
-        for violation in err.violations:
-            print(f"config error [{violation.code}] {violation.message}", file=sys.stderr)
+def _open(flag: str, path: str | None, mode: str = "r"):
+    """The file at ``path``, or standard output for an output of no path or ``-``; an ``OSError`` is ``BAD_PATH``."""
+    if mode == "w" and path in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, mode)
+    except OSError as err:
+        raise BatchforgeError("BAD_PATH", f"{flag}: cannot open {path!r}: {err.strerror or err}") from None
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -223,7 +212,7 @@ def _emit_config_errors(err: ConfigValidationError, as_json: bool) -> None:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     config = _sampler(args, _read_config(args))
-    with _output(args.output) as fp:
+    with _open("--output", args.output, "w") as fp:
         schedule_io.write_schedules(fp, (plan_epoch(config, epoch) for epoch in range(config.epochs)), config=config)
     return 0
 
@@ -231,10 +220,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     values = _values(args, {}, "strategies", "channels", "bytes_per_element", "trials")
     if args.schedule:
-        with open(args.schedule) as fp:
+        with _open("--schedule", args.schedule) as fp:
             header, schedules = schedule_io.read_schedules(fp)
         if header is None:
-            raise ScheduleError("MISSING_HEADER", "schedule file has no config header to analyze against")
+            raise BatchforgeError("MISSING_HEADER", "schedule file has no config header to analyze against")
         config = ensure_valid(sampler_config_from_mapping(header))
         row = analysis.schedule_cost(schedules, config.strategy, channels=values["channels"])
         baseline = analysis.strategy_cost(config.with_strategy(Strategy.SSC_FBS), channels=values["channels"])
@@ -244,7 +233,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         reports = analysis.compare_strategies(config, values["strategies"], channels=values["channels"])
     config_echo = sampler_config_to_mapping(config)
 
-    with _output(args.output) as fp:
+    with _open("--output", args.output, "w") as fp:
         if args.output_format == "json":
             payload = analysis.cost_reports_payload(reports, values["bytes_per_element"])
             payload["config"] = config_echo
@@ -277,19 +266,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
             sampler.dataset_size, task["classes"], task["grid"], sampler.seed, task["eval_samples"],
             noise_scale=task["noise_scale"],
         )
-    except (TrainerError, SetError) as err:  # bad settings, not a failed run
-        message = str(err).removeprefix(f"{err.code}: ")
-        raise ConfigValidationError([ConfigViolation(err.code, message)]) from err
+    except BatchforgeError as err:  # bad settings, not a failed run
+        raise ConfigValidationError([ConfigViolation(err.code, err.message)]) from err
     model = PooledLinearModel(task["classes"], task["grid"], sampler.resolutions)
-    report = train(model, dataset, sampler, trainer_config, set_config, eval_dataset)
-
-    header = {
-        "sampler": sampler_config_to_mapping(sampler),
-        "trainer": trainer_config.__dict__,
-        "set": set_config.__dict__,
-        "task": task,
-    }
-    with _output(args.output) as fp:
+    # The output opens before the run, so a bad path fails before any epoch is trained.
+    with _open("--output", args.output, "w") as fp:
+        report = train(model, dataset, sampler, trainer_config, set_config, eval_dataset)
+        header = {
+            "sampler": sampler_config_to_mapping(sampler),
+            "trainer": trainer_config.__dict__,
+            "set": set_config.__dict__,
+            "task": task,
+        }
         write_run_report_json(fp, report, header=header)
     print(
         f"trained {sampler.epochs} epochs: {report.total_updates} updates, "
@@ -303,14 +291,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_set_report(args: argparse.Namespace) -> int:
     """CSV of a run report's per-epoch rows (``--run-report``) or JSON summary of a state checkpoint (``--state``)."""
     if args.run_report:
-        with open(args.run_report) as rf:
+        with _open("--run-report", args.run_report) as rf:
             header, rows = read_run_report(rf)
-        with _output(args.output) as fp:
+        with _open("--output", args.output, "w") as fp:
             if header is not None:
                 fp.write(_config_header(header))
             write_epoch_csv(fp, rows)
         return 0
-    with open(args.state) as sf:
+    with _open("--state", args.state) as sf:
         state = SetState.load(sf)
     summary = {
         "epoch": state.epoch,
@@ -320,17 +308,17 @@ def _cmd_set_report(args: argparse.Namespace) -> int:
         "readded_count": state.readded_count,
         "forward_passes": state.forward_passes,
     }
-    with _output(args.output) as fp:
+    with _open("--output", args.output, "w") as fp:
         json.dump(summary, fp, indent=2)
         fp.write("\n")
     return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    with open(args.schedule) as fp:
+    with _open("--schedule", args.schedule) as fp:
         header, schedules = schedule_io.read_schedules(fp)
     config = sampler_config_from_mapping(header) if header is not None else None
-    with _output(args.output) as fp:
+    with _open("--output", args.output, "w") as fp:
         if args.output_format == "csv":
             if header:
                 fp.write(_config_header(header))
@@ -391,17 +379,21 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigValidationError as err:
-        _emit_config_errors(err, getattr(args, "errors_json", False))
-        return 2
-    except BrokenPipeError:
-        return 1
-    except Exception as err:  # runtime failures: exit 1 with a diagnostic
-        code = getattr(err, "code", None)
-        if code is not None and getattr(args, "errors_json", False):
-            _emit_json_errors([(code, str(err).removeprefix(f"{code}: "))])
+    except BatchforgeError as err:  # exit 2 for invalid settings, 1 for a coded runtime failure
+        invalid = isinstance(err, ConfigValidationError)
+        errors = err.violations if invalid else [err]
+        if args.errors_json:
+            print(json.dumps({"errors": [{"code": e.code, "message": e.message} for e in errors]}), file=sys.stderr)
+        elif invalid:
+            for e in errors:
+                print(f"config error [{e.code}] {e.message}", file=sys.stderr)
         else:
             print(f"error: {err}", file=sys.stderr)
+        return 2 if invalid else 1
+    except BrokenPipeError:
+        return 1
+    except Exception as err:  # uncoded runtime failures: exit 1 with a diagnostic
+        print(f"error: {err}", file=sys.stderr)
         return 1
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .rng import MAX_PERMUTATION_SIZE
+# Largest n :func:`batchforge.rng.permutation` accepts (so the largest dataset_size); see its docstring for why.
+MAX_PERMUTATION_SIZE = 1 << 24
 
 _MAX_SEED = (1 << 64) - 1
 
@@ -184,11 +185,21 @@ class ConfigViolation:
         return f"{self.code}: {self.message}"
 
 
-class ConfigValidationError(ValueError):
-    """Raised by ensure_valid; carries the full violation list."""
+class BatchforgeError(ValueError):
+    """The package's one coded error: ``str(err)`` is ``"CODE: message"``."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(f"{code}: {message}")
+        self.code = code
+        self.message = message
+
+
+class ConfigValidationError(BatchforgeError):
+    """Raised by ensure_valid; carries the full violation list (``code`` is the first one's)."""
 
     def __init__(self, violations: list[ConfigViolation]):
-        super().__init__("; ".join(str(v) for v in violations))
+        first, *rest = violations
+        super().__init__(first.code, "; ".join([first.message, *map(str, rest)]))
         self.violations = violations
 
     @property

@@ -11,19 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BatchRounding, Resolution, ResolutionSet, SamplerConfig, Strategy
+from .core import BatchforgeError, BatchRounding, Resolution, ResolutionSet, SamplerConfig, Strategy
 from .trainer import TrainerConfig
 
 IMAGENET_TRAIN_SIZE = 1_281_167
 
 STANDARD_RESOLUTIONS = ResolutionSet.squares([128, 192, 224, 288, 320])
 STANDARD_BASE = Resolution(224, 224)
-
-
-class PresetError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -76,6 +70,6 @@ def load_preset(name: str) -> Preset:
     try:
         return _PRESETS[name]
     except KeyError:
-        raise PresetError(
+        raise BatchforgeError(
             "UNKNOWN_PRESET", f"no preset named {name!r} (known: {', '.join(preset_names())})"
         ) from None

@@ -26,6 +26,9 @@ grid takes the remaining steps in place through one scratch buffer.
 :func:`choice_at` reduces each draw ``d`` to ``d - (d // k) * k``, the
 plain modulo by ``set_size`` ``k``, where numpy divides by the scalar
 without a hardware divide per element.
+
+An invalid draw request raises :class:`~batchforge.core.BatchforgeError`
+with a code: ``BAD_SIZE``, ``ZERO_SET_SIZE`` or ``PERMUTATION_TOO_LARGE``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import MAX_PERMUTATION_SIZE, BatchforgeError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -43,20 +48,9 @@ _MIX_B = 0x94D049BB133111EB
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
-# Largest n :func:`permutation` accepts; see its docstring for why.
-MAX_PERMUTATION_SIZE = 1 << 24
-
 # Draws per block of :func:`stream_fill` and :func:`permutation`: a block's
 # uint64 arrays (256 KiB each) stay in L2 through all their passes.
 FILL_BLOCK = 1 << 15
-
-
-class RngError(ValueError):
-    """Raised for invalid draw requests (e.g. ZERO_SET_SIZE, BAD_SIZE)."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 def _mix64(x: int) -> int:
@@ -98,11 +92,11 @@ def _size(count, what: str, least: int = 0, below: str = "BAD_SIZE") -> int:
     try:
         size = operator.index(count)
     except TypeError:
-        raise RngError("BAD_SIZE", f"{what} must be an integer, got {count!r}") from None
+        raise BatchforgeError("BAD_SIZE", f"{what} must be an integer, got {count!r}") from None
     if size < least:
-        raise RngError(below, f"{what} must be >= {least}, got {size}")
+        raise BatchforgeError(below, f"{what} must be >= {least}, got {size}")
     if size > _MASK64:
-        raise RngError("BAD_SIZE", f"{what} must be below 2**64, got {size}")
+        raise BatchforgeError("BAD_SIZE", f"{what} must be below 2**64, got {size}")
     return size
 
 
@@ -216,7 +210,7 @@ def permutation(seed: int, key: StreamKey, n: int) -> np.ndarray:
     """
     n = _size(n, "n")
     if n > MAX_PERMUTATION_SIZE:
-        raise RngError(
+        raise BatchforgeError(
             "PERMUTATION_TOO_LARGE",
             f"permutation of {n} ids exceeds the {MAX_PERMUTATION_SIZE} supported",
         )

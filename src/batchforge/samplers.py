@@ -39,6 +39,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import (
+    BatchforgeError,
     BatchRounding,
     Resolution,
     SamplerConfig,
@@ -54,12 +55,6 @@ PERMUTATION_TAG = "perm"
 
 # Entries per array in one block of :func:`walk_shapes`; bounds the walk's memory.
 WALK_BLOCK_ENTRIES = 1 << 14
-
-
-class ScheduleError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,14 +240,14 @@ def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray | None:
     if not presorted:
         ids = np.sort(ids)
     if len(ids) and (ids[0] < 0 or ids[-1] >= config.dataset_size):
-        raise ScheduleError(
+        raise BatchforgeError(
             "ID_OUT_OF_RANGE",
             f"active ids must lie in [0, {config.dataset_size})",
         )
     if not presorted:
         repeated = ids[1:][ids[1:] == ids[:-1]]
         if len(repeated):
-            raise ScheduleError("DUPLICATE_ID", f"active id {repeated[0]} is listed more than once")
+            raise BatchforgeError("DUPLICATE_ID", f"active id {repeated[0]} is listed more than once")
     # Sorted, unique and in range: all dataset_size ids are arange(N).
     return None if len(ids) == config.dataset_size else ids
 
@@ -289,12 +284,12 @@ def shard_for_rank(schedule: EpochSchedule, rank: int, world_size: int) -> Epoch
     iteration's stride; the shard's ids are a view, not a copy.
     """
     if not (0 <= rank < world_size):
-        raise ScheduleError("RANK_OUT_OF_RANGE", f"rank {rank} not in [0, {world_size})")
+        raise BatchforgeError("RANK_OUT_OF_RANGE", f"rank {rank} not in [0, {world_size})")
     sizes = np.diff(schedule.offsets)
     indivisible = np.flatnonzero(sizes % world_size)
     if len(indivisible):
         t = int(indivisible[0])
-        raise ScheduleError(
+        raise BatchforgeError(
             "INDIVISIBLE_BATCH",
             f"iteration {t} batch {sizes[t]} is not divisible by {world_size}",
         )

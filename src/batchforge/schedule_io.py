@@ -19,7 +19,7 @@ so a list or object earlier in the record, a clip's included, is parsed as
 JSON; ``np.fromstring`` parses the cut text, which is copied into the
 epoch's one id buffer, and a count of its characters checks it is canonical.
 
-The reader raises ``ScheduleError`` with a code: ``BAD_JSON`` for a line
+The reader raises ``BatchforgeError`` with a code: ``BAD_JSON`` for a line
 that is not JSON (a file cut mid-line), naming the line's 1-based number;
 ``BAD_SCHEMA`` for a header whose ``schema_version`` is not this module's;
 ``BAD_RECORD`` for a line that is not a JSON object, has no or an unknown
@@ -43,8 +43,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .core import Resolution, SamplerConfig, sampler_config_to_mapping
-from .samplers import EpochSchedule, ScheduleError, VideoClipSpec
+from .core import BatchforgeError, Resolution, SamplerConfig, sampler_config_to_mapping
+from .samplers import EpochSchedule, VideoClipSpec
 
 SCHEMA_VERSION = 1
 
@@ -66,7 +66,7 @@ _CLIP_KEYS = ("num_frames", "clips_per_video")
 def _format_ids(ids: np.ndarray, ends: np.ndarray) -> list[str]:
     """Comma-separated decimal ``ids``, split after each position in ``ends``."""
     if ids.min(initial=0) < 0:
-        raise ScheduleError("BAD_IDS", f"id {ids.min()} is negative")
+        raise BatchforgeError("BAD_IDS", f"id {ids.min()} is negative")
     width = (len(str(ids.max(initial=0))) + 1) // 2
     cells = np.empty((len(ids), width + 1), dtype=np.uint16)
     rest = ids
@@ -135,7 +135,7 @@ def _parse_ids(text: str, where: str) -> tuple[np.ndarray, int]:
     try:
         ids = np.fromstring(text, dtype=np.uint64, sep=",").view(np.int64)
     except ValueError:
-        raise ScheduleError("BAD_IDS", f"{where}: sample_ids must be integers separated by commas") from None
+        raise BatchforgeError("BAD_IDS", f"{where}: sample_ids must be integers separated by commas") from None
     spaces = sum(text.count(c) for c in " \t" if c in text)
     return ids, len(text) - spaces - max(len(ids) - 1, 0)
 
@@ -149,7 +149,7 @@ def _check_digits(ids: np.ndarray, digits: int, where: str) -> None:
             break
         canonical += above
     if canonical != digits or ids.min(initial=0) < 0:
-        raise ScheduleError("BAD_IDS", f"{where}: sample_ids must be canonical non-negative int64 integers")
+        raise BatchforgeError("BAD_IDS", f"{where}: sample_ids must be canonical non-negative int64 integers")
 
 
 def _loads(text: str, number: int):
@@ -157,16 +157,16 @@ def _loads(text: str, number: int):
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
-        raise ScheduleError("BAD_JSON", f"line {number} is not valid JSON: {err.msg}") from None
+        raise BatchforgeError("BAD_JSON", f"line {number} is not valid JSON: {err.msg}") from None
 
 
 def _require(record, keys: tuple[str, ...], where: str) -> None:
     """``BAD_RECORD`` unless ``record`` is a JSON object with every one of ``keys``."""
     if not isinstance(record, dict):
-        raise ScheduleError("BAD_RECORD", f"{where}: expected a JSON object, got {type(record).__name__}")
+        raise BatchforgeError("BAD_RECORD", f"{where}: expected a JSON object, got {type(record).__name__}")
     missing = [key for key in keys if key not in record]
     if missing:
-        raise ScheduleError("BAD_RECORD", f"{where}: the record has no {missing[0]!r}")
+        raise BatchforgeError("BAD_RECORD", f"{where}: the record has no {missing[0]!r}")
 
 
 def _shape(record: dict, where: str) -> Resolution | VideoClipSpec:
@@ -177,7 +177,7 @@ def _shape(record: dict, where: str) -> Resolution | VideoClipSpec:
         _require(clip, _CLIP_KEYS, f"{where} clip")
         dims += [clip["num_frames"], clip["clips_per_video"]]
     if not all(type(d) is int and d >= 1 for d in dims):
-        raise ScheduleError("BAD_SHAPE", f"{where}: shape dimensions must be integers >= 1, got {dims}")
+        raise BatchforgeError("BAD_SHAPE", f"{where}: shape dimensions must be integers >= 1, got {dims}")
     shape = Resolution(dims[0], dims[1])
     return shape if clip is None else VideoClipSpec(dims[2], dims[3], shape)
 
@@ -186,7 +186,7 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
     """Parse a schedule JSONL stream back into EpochSchedule objects.
 
     Returns the header's config mapping (if present) and one schedule per
-    epoch, in file order. A malformed plan raises ``ScheduleError`` with one
+    epoch, in file order. A malformed plan raises ``BatchforgeError`` with one
     of the codes the module docstring lists.
     """
     header_config: dict | None = None
@@ -210,20 +210,20 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
                     record = _loads(line, number)
                 version = record.get("schema_version")
                 if version != SCHEMA_VERSION:
-                    raise ScheduleError("BAD_SCHEMA", f"line {number}: unsupported schedule schema_version {version!r}")
+                    raise BatchforgeError("BAD_SCHEMA", f"line {number}: unsupported schedule schema_version {version!r}")
                 header_config = record.get("config")
                 continue
             if kind != "plan":
-                raise ScheduleError("BAD_RECORD", f"line {number}: unexpected record kind {kind!r}")
+                raise BatchforgeError("BAD_RECORD", f"line {number}: unexpected record kind {kind!r}")
             _require(record, _PLAN_KEYS, f"line {number}")
             epoch, iteration, batch_size = record["epoch"], record["iteration"], record["batch_size"]
             where = f"epoch {epoch} iteration {iteration}"
             if record.get("sample_ids") != []:
-                raise ScheduleError("MISSING_IDS", f"{where}: the plan has no sample_ids")
+                raise BatchforgeError("MISSING_IDS", f"{where}: the plan has no sample_ids")
             ids, digits = _parse_ids(line[first + 1 : last], where)
             if batch_size != len(ids):
                 _check_digits(ids, digits, where)  # malformed id text is BAD_IDS, whatever its batch_size
-                raise ScheduleError("BATCH_SIZE_MISMATCH", f"{where}: batch_size {batch_size} but {len(ids)} ids")
+                raise BatchforgeError("BATCH_SIZE_MISMATCH", f"{where}: batch_size {batch_size} but {len(ids)} ids")
             if epoch not in per_epoch:
                 # One id buffer, so an epoch's ids are never held twice. 4M ids (32 MiB) is
                 # glibc's largest mmap threshold: the buffer is mapped apart from the heap,
@@ -231,7 +231,7 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
                 per_epoch[epoch] = (np.empty(1 << 22, dtype=np.int64), [0], [], {}, [])
             epoch_ids, offsets, shape_idx, shapes, id_digits = per_epoch[epoch]
             if iteration != len(shape_idx):
-                raise ScheduleError(
+                raise BatchforgeError(
                     "ITERATION_ORDER",
                     f"epoch {epoch}: iteration {iteration} where {len(shape_idx)} was expected",
                 )

@@ -35,7 +35,7 @@ counters and the three arrays: ``removed`` and ``recorded`` as base64 of
 the smallest width that holds ``window``. Schema version 1 checkpoints
 (per-sample histories) are rejected with ``BAD_SCHEMA``.
 
-Errors are ``SetError`` with a code:
+Errors are ``BatchforgeError`` with a code:
 
 - ``UNKNOWN_SAMPLE``, ``CONFIDENCE_OUT_OF_RANGE``, ``LENGTH_MISMATCH``:
   a record names no tracked id, has a confidence outside [0, 1], or a batch
@@ -64,13 +64,9 @@ from typing import IO
 import numpy as np
 from numpy.typing import ArrayLike
 
+from .core import BatchforgeError
+
 SCHEMA_VERSION = 2
-
-
-class SetError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -91,20 +87,20 @@ class SetConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.tau <= 1.0):
-            raise SetError("TAU_OUT_OF_RANGE", f"tau must be in [0, 1], got {self.tau}")
+            raise BatchforgeError("TAU_OUT_OF_RANGE", f"tau must be in [0, 1], got {self.tau}")
         if self.start_epoch is None:
             object.__setattr__(self, "start_epoch", self.window)
         for name in ("window", "start_epoch", "reeval_stride"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise SetError("NOT_INTEGER", f"{name} must be an integer, got {value!r}")
+                raise BatchforgeError("NOT_INTEGER", f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.window < 1:
-            raise SetError("ZERO_WINDOW", "window must be >= 1")
+            raise BatchforgeError("ZERO_WINDOW", "window must be >= 1")
         if self.start_epoch < 0:
-            raise SetError("NEGATIVE_START", "start_epoch must be >= 0")
+            raise BatchforgeError("NEGATIVE_START", "start_epoch must be >= 0")
         if self.reeval_stride < 1:
-            raise SetError("ZERO_STRIDE", "reeval_stride must be >= 1")
+            raise BatchforgeError("ZERO_STRIDE", "reeval_stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -134,14 +130,14 @@ class EpochTransition:
 def _decode(text: str, nbytes: int, name: str) -> np.ndarray:
     raw = base64.b64decode(text, validate=True)
     if len(raw) != nbytes:
-        raise SetError("BAD_STATE", f"{name} holds {len(raw)} bytes, expected {nbytes}")
+        raise BatchforgeError("BAD_STATE", f"{name} holds {len(raw)} bytes, expected {nbytes}")
     return np.frombuffer(raw, dtype=np.uint8)
 
 
 def _unpack_bits(text: str, n: int, name: str) -> np.ndarray:
     packed = _decode(text, (n + 7) // 8, name)
     if n % 8 and packed[-1] & (0xFF >> n % 8):
-        raise SetError("BAD_STATE", f"{name} has bits set past sample {n - 1}")
+        raise BatchforgeError("BAD_STATE", f"{name} has bits set past sample {n - 1}")
     return np.unpackbits(packed, count=n).view(bool)
 
 
@@ -181,29 +177,29 @@ class SetState:
         ok = np.asarray(correct, dtype=bool)
         conf = np.asarray(confidence, dtype=np.float64)
         if not (ids.ndim == 1 and ok.shape == ids.shape and conf.shape == ids.shape):
-            raise SetError(
+            raise BatchforgeError(
                 "LENGTH_MISMATCH",
                 f"ids, correct and confidence shapes differ: {ids.shape}, {ok.shape}, {conf.shape}",
             )
         if not len(ids):
             return
         if ids.dtype.kind not in "iu":
-            raise SetError("UNKNOWN_SAMPLE", f"sample ids must be integers, got {ids.dtype}")
+            raise BatchforgeError("UNKNOWN_SAMPLE", f"sample ids must be integers, got {ids.dtype}")
         unknown = (ids < 0) | (ids >= self.num_samples)
         if unknown.any():
-            raise SetError("UNKNOWN_SAMPLE", f"sample {ids[unknown][0]} not tracked")
+            raise BatchforgeError("UNKNOWN_SAMPLE", f"sample {ids[unknown][0]} not tracked")
         in_range = (conf >= 0.0) & (conf <= 1.0)
         if not in_range.all():
-            raise SetError(
+            raise BatchforgeError(
                 "CONFIDENCE_OUT_OF_RANGE", f"confidence {conf[~in_range][0]} outside [0, 1]"
             )
         ordered = np.sort(ids)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if len(repeated):
-            raise SetError("DUPLICATE_RECORD", f"sample {repeated[0]} appears twice in one batch")
+            raise BatchforgeError("DUPLICATE_RECORD", f"sample {repeated[0]} appears twice in one batch")
         again = self.recorded[ids]
         if again.any():
-            raise SetError(
+            raise BatchforgeError(
                 "DUPLICATE_RECORD",
                 f"sample {ids[again][0]} already has an epoch-{self.epoch} record",
             )
@@ -240,7 +236,7 @@ class SetState:
         if len(missing):
             shown = ", ".join(str(i) for i in missing[:10])
             more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
-            raise SetError(
+            raise BatchforgeError(
                 "MISSING_RECORDS", f"active samples without epoch-{epoch} records: {shown}{more}"
             )
         if epoch >= cfg.start_epoch + cfg.window - 1:
@@ -296,14 +292,14 @@ class SetState:
         try:
             version = payload.get("schema_version")
             if version != SCHEMA_VERSION:
-                raise SetError("BAD_SCHEMA", f"unsupported set_state schema_version {version!r}")
+                raise BatchforgeError("BAD_SCHEMA", f"unsupported set_state schema_version {version!r}")
             cfg = payload["config"]
             counters = payload["counters"]
             counts = [payload["num_samples"], payload["epoch"]] + [
                 counters[key] for key in ("removed_count", "readded_count", "forward_passes")
             ]
             if not all(type(c) is int and c >= 0 for c in counts):
-                raise SetError(
+                raise BatchforgeError(
                     "BAD_STATE", f"num_samples, epoch and counters must be integers >= 0: {counts}"
                 )
             try:
@@ -313,8 +309,8 @@ class SetState:
                     start_epoch=cfg["start_epoch"],
                     reeval_stride=cfg["reeval_stride"],
                 )
-            except SetError as exc:
-                raise SetError("BAD_STATE", f"invalid filter settings: {exc}") from exc
+            except BatchforgeError as exc:
+                raise BatchforgeError("BAD_STATE", f"invalid filter settings: {exc}") from exc
             state = cls(payload["num_samples"], config)
             state.epoch = payload["epoch"]
             state.removed_count = counters["removed_count"]
@@ -325,10 +321,10 @@ class SetState:
             state.recorded[:] = _unpack_bits(payload["recorded"], n, "recorded")
             raw = _decode(payload["streak"], n * streak.itemsize, "streak")
             streak[:] = raw.view(streak.dtype.newbyteorder("<"))
-        except SetError:
+        except BatchforgeError:
             raise
         except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:  # AttributeError: not an object
-            raise SetError("BAD_STATE", f"malformed set_state payload: {exc!r}") from exc
+            raise BatchforgeError("BAD_STATE", f"malformed set_state payload: {exc!r}") from exc
         state._check_reachable()
         return state
 
@@ -337,12 +333,12 @@ class SetState:
         window, streak = self.config.window, self.streak
         # One record per epoch: the epochs so far, plus this one if recorded.
         if (streak > np.minimum(window, min(self.epoch, window) + self.recorded)).any():
-            raise SetError("BAD_STATE", f"a streak exceeds the window {window} or the epochs so far")
+            raise BatchforgeError("BAD_STATE", f"a streak exceeds the window {window} or the epochs so far")
         # Removal needs a full streak, and a not-easy record re-adds at the epoch's end.
         odd = self.removed & (streak != window) & ~(self.recorded & (streak == 0))
         if odd.any():
             sid = int(np.flatnonzero(odd)[0])
-            raise SetError(
+            raise BatchforgeError(
                 "BAD_STATE",
                 f"removed sample {sid} has streak {streak[sid]}, not {window} "
                 "(or 0 after a not-easy record this epoch)",
@@ -353,7 +349,7 @@ class SetState:
         try:
             payload = json.load(fp)
         except ValueError as exc:  # an empty or truncated file, or bytes that are not text
-            raise SetError("BAD_STATE", f"not a JSON document: {exc}") from None
+            raise BatchforgeError("BAD_STATE", f"not a JSON document: {exc}") from None
         return cls.from_payload(payload)
 
     def __eq__(self, other) -> bool:

@@ -37,7 +37,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import Resolution, ResolutionSet, SamplerConfig, ensure_valid
+from .core import BatchforgeError, Resolution, ResolutionSet, SamplerConfig, ensure_valid
 from .rng import derive_seed
 from .samplers import plan_epoch
 from .set_training import EpochTransition, SetConfig, SetState
@@ -48,12 +48,6 @@ EPOCH_COLUMNS = ("epoch", "mean_loss", "eval_accuracy", "updates", "active", "re
 FORWARD_MACS = 2**18
 # Amplitudes of the synthetic class means' coarse, mid and fine bands (``_class_means``).
 COARSE_SCALE, MID_SCALE, FINE_SCALE = 0.6, 0.8, 0.8
-
-
-class TrainerError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -72,15 +66,15 @@ class TrainerConfig:
     def __post_init__(self):
         bad = [k for k in ("max_lr", "min_lr", "momentum", "weight_decay") if not math.isfinite(getattr(self, k))]
         if bad:
-            raise TrainerError("NON_FINITE_SETTING", f"{', '.join(bad)} must be finite")
+            raise BatchforgeError("NON_FINITE_SETTING", f"{', '.join(bad)} must be finite")
         if not (0 <= self.warmup_epochs < self.total_epochs):
-            raise TrainerError(
+            raise BatchforgeError(
                 "BAD_WARMUP", f"need 0 <= warmup ({self.warmup_epochs}) < total ({self.total_epochs})"
             )
         if not (0.0 <= self.label_smoothing < 1.0):
-            raise TrainerError("BAD_SMOOTHING", "label_smoothing must be in [0, 1)")
+            raise BatchforgeError("BAD_SMOOTHING", "label_smoothing must be in [0, 1)")
         if not (0.0 <= self.ema_decay <= 1.0):
-            raise TrainerError("BAD_EMA", "ema_decay must be in [0, 1]")
+            raise BatchforgeError("BAD_EMA", "ema_decay must be in [0, 1]")
 
 
 def _cos_pi(progress: float) -> float:
@@ -96,7 +90,7 @@ def lr_at_epoch_fraction(fraction: float, config: TrainerConfig) -> float:
     warmup boundary.
     """
     if fraction < 0 or fraction > config.total_epochs:
-        raise TrainerError(
+        raise BatchforgeError(
             "STEP_OUT_OF_RANGE", f"epoch fraction {fraction} outside [0, {config.total_epochs}]"
         )
     if config.warmup_epochs > 0 and fraction < config.warmup_epochs:
@@ -108,12 +102,12 @@ def lr_at_epoch_fraction(fraction: float, config: TrainerConfig) -> float:
 def _log_softmax(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise log-softmax of ``(n, K)`` logits and the flat index of each row's target: the loss's one input check."""
     if not np.all(np.isfinite(logits)):
-        raise TrainerError("NON_FINITE_INPUT", "logits must be finite")
+        raise BatchforgeError("NON_FINITE_INPUT", "logits must be finite")
     n, k = logits.shape
     if k < 2:
-        raise TrainerError("NON_FINITE_INPUT", "need at least two classes")
+        raise BatchforgeError("NON_FINITE_INPUT", "need at least two classes")
     if targets.shape != (n,) or not np.all((targets >= 0) & (targets < k)):
-        raise TrainerError("NON_FINITE_INPUT", f"need one target in [0, {k}) per row, got {targets.shape} for {n} rows")
+        raise BatchforgeError("NON_FINITE_INPUT", f"need one target in [0, {k}) per row, got {targets.shape} for {n} rows")
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return log_probs, np.arange(0, n * k, k) + targets
@@ -166,7 +160,7 @@ def sgd_momentum_step(
     v <- momentum * v + grad + wd * param;  param <- param - lr * v.
     """
     if params.shape != grads.shape or params.shape != velocity.shape:
-        raise TrainerError("SHAPE_MISMATCH", "params, grads, velocity must share a shape")
+        raise BatchforgeError("SHAPE_MISMATCH", "params, grads, velocity must share a shape")
     velocity = momentum * velocity + grads + weight_decay * params
     return params - lr * velocity, velocity
 
@@ -174,7 +168,7 @@ def sgd_momentum_step(
 def ema_update(shadow: np.ndarray, params: np.ndarray, decay: float) -> np.ndarray:
     """shadow <- decay * shadow + (1 - decay) * params."""
     if shadow.shape != params.shape:
-        raise TrainerError("SHAPE_MISMATCH", "shadow and params must share a shape")
+        raise BatchforgeError("SHAPE_MISMATCH", "shadow and params must share a shape")
     return decay * shadow + (1.0 - decay) * params
 
 
@@ -227,7 +221,7 @@ class PooledLinearModel:
         try:
             return self._factors[resolution]
         except KeyError:
-            raise TrainerError(
+            raise BatchforgeError(
                 "UNKNOWN_RESOLUTION", f"{resolution} is not in the model's resolution set"
             ) from None
 
@@ -237,7 +231,7 @@ class PooledLinearModel:
         if features.shape[1:] == (self.grid, self.grid):
             features = _pool(features, factor)
         elif features.shape[1:] != (self.grid // factor,) * 2:
-            raise TrainerError("SHAPE_MISMATCH", f"grids {features.shape[1:]} are neither raw nor pooled by {factor}")
+            raise BatchforgeError("SHAPE_MISMATCH", f"grids {features.shape[1:]} are neither raw nor pooled by {factor}")
         return features.repeat(factor, axis=1).repeat(factor, axis=2).reshape(len(features), self.grid * self.grid)
 
     def forward(self, features: np.ndarray, resolution: Resolution) -> np.ndarray:
@@ -330,11 +324,11 @@ def make_synthetic_task(
     three-band class means need ``grid`` to be 2 or a multiple of 4.
     """
     if not (grid == 2 or (grid > 0 and grid % 4 == 0)):
-        raise TrainerError("BAD_GRID", f"grid must be 2 or a positive multiple of 4, got {grid}")
+        raise BatchforgeError("BAD_GRID", f"grid must be 2 or a positive multiple of 4, got {grid}")
     if num_classes < 2:
-        raise TrainerError("BAD_CLASSES", f"need at least two classes, got {num_classes}")
+        raise BatchforgeError("BAD_CLASSES", f"need at least two classes, got {num_classes}")
     if not math.isfinite(noise_scale):
-        raise TrainerError("NON_FINITE_SETTING", f"noise_scale must be finite, got {noise_scale}")
+        raise BatchforgeError("NON_FINITE_SETTING", f"noise_scale must be finite, got {noise_scale}")
     means = _class_means(num_classes, grid, np.random.default_rng(derive_seed(seed, 1)))
 
     def split(count: int, stream: int) -> SyntheticDataset:
@@ -418,12 +412,12 @@ def train(
     """
     ensure_valid(sampler_config)
     if sampler_config.epochs != trainer_config.total_epochs:
-        raise TrainerError(
+        raise BatchforgeError(
             "EPOCH_MISMATCH",
             f"sampler epochs {sampler_config.epochs} != trainer total_epochs {trainer_config.total_epochs}",
         )
     if len(dataset) != sampler_config.dataset_size:
-        raise TrainerError(
+        raise BatchforgeError(
             "SIZE_MISMATCH",
             f"dataset has {len(dataset)} samples, config says {sampler_config.dataset_size}",
         )
@@ -432,12 +426,12 @@ def train(
         if data is None:
             continue
         if data.features.shape[1:] != (model.grid, model.grid):
-            raise TrainerError(
+            raise BatchforgeError(
                 "SHAPE_MISMATCH", f"{name} grids {data.features.shape[1:]} are not the model's {model.grid}x{model.grid}"
             )
         outside = np.unique(data.labels[(data.labels < 0) | (data.labels >= model.num_classes)])
         if len(outside):
-            raise TrainerError(
+            raise BatchforgeError(
                 "BAD_LABELS",
                 f"{name} labels {outside[:8].tolist()}{' ...' if len(outside) > 8 else ''} are outside the model's"
                 f" classes [0, {model.num_classes})",
@@ -559,13 +553,13 @@ def read_run_report(fp: IO[str]) -> tuple[dict | None, list[dict]]:
     try:
         payload = json.load(fp)
     except ValueError as err:
-        raise TrainerError("BAD_JSON", f"not a JSON document: {err}") from None
+        raise BatchforgeError("BAD_JSON", f"not a JSON document: {err}") from None
     ours = isinstance(payload, dict) and (payload.get("kind"), payload.get("schema_version")) == ("run_report", RUN_REPORT_SCHEMA)
     rows = payload.get("per_epoch") if ours else None
     if not isinstance(rows, list) or not all(
         isinstance(row, dict) and all(type(row.get(c, "absent")) in (int, float, type(None)) for c in EPOCH_COLUMNS) for row in rows
     ):
-        raise TrainerError("BAD_SCHEMA", f"not a schema {RUN_REPORT_SCHEMA} run report with rows of {', '.join(EPOCH_COLUMNS)}")
+        raise BatchforgeError("BAD_SCHEMA", f"not a schema {RUN_REPORT_SCHEMA} run report with rows of {', '.join(EPOCH_COLUMNS)}")
     return payload.get("config"), rows
 
 

@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from batchforge.set_training import EpochTransition, SetConfig, SetError
+from batchforge.core import BatchforgeError
+from batchforge.set_training import EpochTransition, SetConfig
 
 SCHEMA_VERSION = 1  # to_payload writes the per-sample history checkpoint
 
@@ -49,9 +50,9 @@ class DequeSetState:
 
     def record_prediction(self, sample_id: int, correct: bool, confidence: float) -> None:
         if sample_id not in self.records:
-            raise SetError("UNKNOWN_SAMPLE", f"sample {sample_id} not tracked")
+            raise BatchforgeError("UNKNOWN_SAMPLE", f"sample {sample_id} not tracked")
         if not (0.0 <= confidence <= 1.0):
-            raise SetError(
+            raise BatchforgeError(
                 "CONFIDENCE_OUT_OF_RANGE", f"confidence {confidence} outside [0, 1]"
             )
         self.records[sample_id].history.append((self.epoch, bool(correct), float(confidence)))
@@ -104,7 +105,7 @@ class DequeSetState:
                 if last is not None and not self._is_easy(last):
                     readded.append(sid)
         if missing:
-            raise SetError("MISSING_RECORDS", f"active samples without epoch-{epoch} records")
+            raise BatchforgeError("MISSING_RECORDS", f"active samples without epoch-{epoch} records")
         for sid in newly_removed:
             self.records[sid].status = SampleStatus.REMOVED
         for sid in readded:

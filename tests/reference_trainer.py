@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from batchforge.core import BatchforgeError
 from batchforge.samplers import plan_epoch
 from batchforge.set_training import SetConfig, SetState
-from batchforge.trainer import TrainerError, ema_update, lr_at_epoch_fraction, sgd_momentum_step
+from batchforge.trainer import ema_update, lr_at_epoch_fraction, sgd_momentum_step
 
 
 def reference_batch_label_smoothed_ce(
@@ -23,7 +24,7 @@ def reference_batch_label_smoothed_ce(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean loss, mean-logit gradient, and per-sample true-class probability."""
     if not np.all(np.isfinite(logits)):
-        raise TrainerError("NON_FINITE_INPUT", "logits must be finite")
+        raise BatchforgeError("NON_FINITE_INPUT", "logits must be finite")
     n, k = logits.shape
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

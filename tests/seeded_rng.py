@@ -7,7 +7,8 @@ them draw for draw against this straight-line Python walk of one stream.
 
 from __future__ import annotations
 
-from batchforge.rng import _GOLDEN, _MASK64, RngError, StreamKey, _mix64, stream_state
+from batchforge.core import BatchforgeError
+from batchforge.rng import _GOLDEN, _MASK64, StreamKey, _mix64, stream_state
 
 
 class SeededRng:
@@ -34,5 +35,5 @@ class SeededRng:
     def choice(self, set_size: int) -> int:
         """Uniform index in [0, set_size), by the same plain modulo reduction as ``choice_at``."""
         if set_size < 1:
-            raise RngError("ZERO_SET_SIZE", "choice() requires set_size >= 1")
+            raise BatchforgeError("ZERO_SET_SIZE", "choice() requires set_size >= 1")
         return self.next_u64() % set_size

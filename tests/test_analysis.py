@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from batchforge.analysis import (
-    AnalysisError,
     compare_strategies,
     cost_reports_payload,
     count_updates,
@@ -16,7 +15,7 @@ from batchforge.analysis import (
     with_ratios,
     write_cost_csv,
 )
-from batchforge.core import Resolution, ResolutionSet, SamplerConfig, Strategy, VideoClipSpec
+from batchforge.core import BatchforgeError, Resolution, ResolutionSet, SamplerConfig, Strategy, VideoClipSpec
 from batchforge.samplers import EpochSchedule, plan_epoch
 
 STANDARD = ResolutionSet.squares([128, 192, 224, 288, 320])
@@ -83,7 +82,7 @@ def test_memory_proxy_trivial_single_plan():
 
 
 def test_memory_proxy_empty_schedule():
-    with pytest.raises(AnalysisError) as err:
+    with pytest.raises(BatchforgeError) as err:
         none = np.zeros(1, dtype=np.int64)
         input_memory_proxy(EpochSchedule(0, ids=none[1:], offsets=none, shape_idx=none[1:], shapes=()))
     assert err.value.code == "EMPTY_SCHEDULE"
@@ -156,7 +155,7 @@ def test_simulation_mean_matches_closed_form():
 
 
 def test_simulation_rejects_zero_trials():
-    with pytest.raises(AnalysisError):
+    with pytest.raises(BatchforgeError):
         simulate_updates(make_config(), trials=0)
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from batchforge.cli import build_parser, run
-from batchforge.core import Resolution, ResolutionSet, SamplerConfig, Strategy, VideoClipSpec
-from batchforge.presets import PresetError, load_preset, preset_names
+from batchforge.core import BatchforgeError, Resolution, ResolutionSet, SamplerConfig, Strategy, VideoClipSpec
+from batchforge.presets import load_preset, preset_names
 from batchforge.samplers import plan_epoch
 from batchforge.schedule_io import write_schedules
 from batchforge.set_training import SetConfig, SetState
@@ -430,7 +430,7 @@ def test_preset_values_match_published_recipes():
 
 
 def test_unknown_preset():
-    with pytest.raises(PresetError) as err:
+    with pytest.raises(BatchforgeError) as err:
         load_preset("bogus")
     assert err.value.code == "UNKNOWN_PRESET"
 
@@ -613,3 +613,59 @@ def test_schedule_header_errors_are_coded_json(damage, command, exit_code, code,
     errors = json.loads(capsys.readouterr().err)["errors"]
     assert [e["code"] for e in errors] == [code] and ("strategy" in errors[0]["message"]) == (damage != "no_header")
     assert not out.exists()
+
+
+def test_train_opens_its_output_before_any_epoch(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("train ran although its output cannot be opened")
+
+    monkeypatch.setattr("batchforge.cli.train", no_run)
+    out = tmp_path / "missing" / "run.json"
+    assert run_cli(["train", "--samples", "200", "-o", str(out), "--errors-json"]) == 1
+    [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert error["code"] == "BAD_PATH" and error["message"].startswith("--output: ")
+    # bad settings are still found first, and exit 2
+    assert run_cli(["train", "--samples", "200", "--tau", "2", "-o", str(out), "--errors-json"]) == 2
+    assert [e["code"] for e in json.loads(capsys.readouterr().err)["errors"]] == ["TAU_OUT_OF_RANGE"]
+
+
+@pytest.fixture
+def artifacts(tmp_path):
+    """A schedule file and a run report that every command can read."""
+    sched, report = tmp_path / "s.jsonl", tmp_path / "run.json"
+    assert run_cli(["plan", "--dataset-size", "1000", "--base-batch", "100", "--epochs", "1", "-o", str(sched)]) == 0
+    assert run_cli(["train", "--samples", "200", "--epochs", "2", "--warmup-epochs", "1", "--eval-samples", "50", "-o", str(report)]) == 0
+    return {"schedule": str(sched), "report": str(report)}
+
+
+_MISSING = "missing/x"
+_SMALL_PLAN = ["--dataset-size", "1000", "--base-batch", "100", "--epochs", "1"]
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--config", ["plan", "--config", _MISSING]),
+        ("--config", ["train", "--config", _MISSING]),
+        ("--schedule", ["analyze", "--schedule", _MISSING]),
+        ("--schedule", ["export", "--schedule", _MISSING]),
+        ("--run-report", ["set-report", "--run-report", _MISSING]),
+        ("--state", ["set-report", "--state", _MISSING]),
+        ("--output", ["plan", *_SMALL_PLAN, "-o", _MISSING]),
+        ("--output", ["analyze", *_SMALL_PLAN, "-o", _MISSING]),
+        ("--output", ["analyze", "--schedule", "{schedule}", "-o", _MISSING]),
+        ("--output", ["train", "--samples", "200", "-o", _MISSING]),
+        ("--output", ["set-report", "--run-report", "{report}", "-o", _MISSING]),
+        ("--output", ["export", "--schedule", "{schedule}", "-o", _MISSING]),
+    ],
+)
+def test_a_path_that_cannot_be_opened_is_bad_path(flag, argv, artifacts, tmp_path, capsys):
+    argv = [str(tmp_path / arg) if arg == _MISSING else arg.format(**artifacts) for arg in argv]
+    capsys.readouterr()
+    assert run_cli(argv + ["--errors-json"]) == 1
+    [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert error["code"] == "BAD_PATH"
+    assert error["message"] == f"{flag}: cannot open {str(tmp_path / _MISSING)!r}: No such file or directory"
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: BAD_PATH: {error['message']}\n"
+    assert not (tmp_path / "missing").exists()

@@ -1,10 +1,17 @@
 import dataclasses
+import importlib
+import io
+import pkgutil
 
 import numpy as np
 import pytest
 
+import batchforge
+from batchforge import analysis, presets, rng, samplers, schedule_io, set_training, trainer
 from batchforge.core import (
+    BatchforgeError,
     BatchRounding,
+    ConfigValidationError,
     Resolution,
     ResolutionSet,
     SamplerConfig,
@@ -164,6 +171,48 @@ def test_public_names_resolve_once():
 
     assert len(batchforge.__all__) == len(set(batchforge.__all__))
     assert [name for name in batchforge.__all__ if not hasattr(batchforge, name)] == []
+
+
+# One failure of each module that raises coded errors, with its code.
+CODED_FAILURES = {
+    "BAD_SIZE": lambda: rng.stream_fill(0, rng.StreamKey(), -1),
+    "RANK_OUT_OF_RANGE": lambda: samplers.shard_for_rank(plan_epoch(make_config(epochs=1), 0), 1, 1),
+    "ZERO_TRIALS": lambda: analysis.simulate_updates(make_config(), 0),
+    "ZERO_WINDOW": lambda: set_training.SetConfig(tau=0.5, window=0),
+    "BAD_GRID": lambda: trainer.make_synthetic_task(100, grid=3),
+    "UNKNOWN_PRESET": lambda: presets.load_preset("bogus"),
+    "BAD_JSON": lambda: schedule_io.read_schedules(io.StringIO("{\n")),
+}
+
+
+@pytest.mark.parametrize("code", sorted(CODED_FAILURES))
+def test_every_module_raises_the_one_coded_error(code):
+    with pytest.raises(BatchforgeError) as err:
+        CODED_FAILURES[code]()
+    assert type(err.value) is BatchforgeError
+    assert err.value.code == code
+    assert str(err.value) == f"{err.value.code}: {err.value.message}"
+
+
+def test_config_error_is_the_coded_error_of_its_first_violation():
+    with pytest.raises(ConfigValidationError) as err:
+        ensure_valid(make_config(resolutions=ResolutionSet([]), base_batch=0, epochs=0))
+    first = err.value.violations[0]
+    assert (err.value.code, err.value.codes[0]) == (first.code, first.code)
+    assert str(err.value) == "; ".join(str(v) for v in err.value.violations)
+    assert str(err.value) == f"{err.value.code}: {err.value.message}"
+
+
+def test_no_module_defines_another_exception():
+    names = [f"batchforge.{m.name}" for m in pkgutil.iter_modules(batchforge.__path__)]
+    defined = {
+        obj
+        for module in map(importlib.import_module, names)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+    }
+    assert defined == {BatchforgeError, ConfigValidationError}
+    assert batchforge.BatchforgeError is BatchforgeError
 
 
 def test_flat_config_parsing():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import batchforge.rng as rng_module
+from batchforge.core import BatchforgeError
 from batchforge.rng import (
     MAX_PERMUTATION_SIZE,
-    RngError,
     StreamKey,
     choice_at,
     derive_seed,
@@ -99,10 +99,10 @@ def test_choice_deterministic():
 
 
 def test_choice_rejects_empty_set():
-    with pytest.raises(RngError) as err:
+    with pytest.raises(BatchforgeError) as err:
         SeededRng(0).choice(0)
     assert err.value.code == "ZERO_SET_SIZE"
-    with pytest.raises(RngError):
+    with pytest.raises(BatchforgeError):
         choice_at(0, 0, np.arange(3), "res", 0)
 
 
@@ -150,7 +150,7 @@ def test_permutation_ties_keep_index_order(monkeypatch):
 
 def test_permutation_size_is_bounded():
     assert MAX_PERMUTATION_SIZE == 2**24
-    with pytest.raises(RngError) as err:
+    with pytest.raises(BatchforgeError) as err:
         permutation(0, StreamKey(), MAX_PERMUTATION_SIZE + 1)
     assert err.value.code == "PERMUTATION_TOO_LARGE"
 
@@ -253,7 +253,7 @@ def test_permutation_calls_stream_fill_once(monkeypatch):
     ids=["perm_fraction", "perm_negative", "perm_float", "perm_str", "fill_negative", "fill_fraction", "fill_np_float"],
 )
 def test_draw_sizes_must_be_non_negative_integers(draw):
-    with pytest.raises(RngError) as err:
+    with pytest.raises(BatchforgeError) as err:
         draw()
     assert err.value.code == "BAD_SIZE"
 
@@ -314,7 +314,7 @@ def test_keyed_draws_match_the_scalar_stream_and_the_plain_modulo(grid, seed, ta
     ids=["fraction", "float", "np_float", "str", "past_uint64", "zero", "negative", "np_zero"],
 )
 def test_choice_set_size_must_be_an_integer_from_1_below_2_64(set_size, code):
-    with pytest.raises(RngError) as err:
+    with pytest.raises(BatchforgeError) as err:
         choice_at(1, 0, np.arange(4), "res", set_size)
     assert err.value.code == code
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from batchforge import presets
 from batchforge.core import (
+    BatchforgeError,
     BatchRounding,
     ConfigValidationError,
     Resolution,
@@ -19,7 +20,6 @@ from batchforge.core import (
 from batchforge.rng import StreamKey, permutation
 from batchforge.samplers import (
     PERMUTATION_TAG,
-    ScheduleError,
     VideoClipSpec,
     batch_table,
     epoch_batch_shapes,
@@ -238,7 +238,7 @@ def test_active_ids_out_of_range_rejected():
     config = make_config(dataset_size=100, base_batch=10, drop_last=False)
     # Sorted or not; out of range wins over a duplicate.
     for active in ([5, 100], [100, 5], [-1, 5], [5, -1], [7, 100, 7]):
-        with pytest.raises(ScheduleError) as err:
+        with pytest.raises(BatchforgeError) as err:
             plan_epoch(config, 0, active_ids=np.array(active))
         assert err.value.code == "ID_OUT_OF_RANGE"
 
@@ -246,7 +246,7 @@ def test_active_ids_out_of_range_rejected():
 def test_duplicate_active_ids_rejected():
     config = make_config(dataset_size=100, base_batch=10, drop_last=False)
     for active in ([1, 1, 1, 2], [1, 2, 2, 3], [3, 1, 2, 1]):
-        with pytest.raises(ScheduleError) as err:
+        with pytest.raises(BatchforgeError) as err:
             plan_epoch(config, 0, active_ids=active)
         assert err.value.code == "DUPLICATE_ID"
 
@@ -436,7 +436,7 @@ def test_shard_resolution_sequence_synchronized_across_ranks():
 
 def test_shard_rank_out_of_range():
     schedule = plan_epoch(make_config(dataset_size=1000, base_batch=50, drop_last=True), 0)
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         shard_for_rank(schedule, 4, 4)
     assert err.value.code == "RANK_OUT_OF_RANGE"
 
@@ -446,7 +446,7 @@ def test_shard_indivisible_batch():
         strategy=Strategy.SSC_FBS, dataset_size=10, base_batch=5, drop_last=True
     )
     schedule = plan_epoch(config, 0)
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         shard_for_rank(schedule, 0, 2)
     assert err.value.code == "INDIVISIBLE_BATCH"
 

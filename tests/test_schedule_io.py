@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import batchforge.schedule_io as schedule_io
 from batchforge.core import (
+    BatchforgeError,
     Resolution,
     ResolutionSet,
     SamplerConfig,
@@ -15,7 +16,7 @@ from batchforge.core import (
     sampler_config_from_mapping,
     validate_config,
 )
-from batchforge.samplers import EpochSchedule, ScheduleError, VideoClipSpec, plan_epoch, plan_video_vbs
+from batchforge.samplers import EpochSchedule, VideoClipSpec, plan_epoch, plan_video_vbs
 from batchforge.schedule_io import read_schedules, write_schedules
 from reference_schedule_io import reference_write_schedules
 
@@ -110,7 +111,7 @@ def read_records(records):
 def test_reader_rejects_batch_size_that_differs_from_ids():
     records = exported_records(make_config(epochs=1))
     records[2]["batch_size"] += 1
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         read_records(records)
     assert err.value.code == "BATCH_SIZE_MISMATCH"
 
@@ -120,7 +121,7 @@ def test_reader_rejects_iterations_out_of_order():
     swapped = [records[0], records[2], records[1], *records[3:]]
     gap = [records[0], records[1], *records[3:]]
     for bad in (swapped, gap):
-        with pytest.raises(ScheduleError) as err:
+        with pytest.raises(BatchforgeError) as err:
             read_records(bad)
         assert err.value.code == "ITERATION_ORDER"
 
@@ -130,7 +131,7 @@ def test_reader_rejects_plans_without_sample_ids():
     records = exported_records(make_config(epochs=1))
     records[1] = {k: v for k, v in records[1].items() if k != "sample_ids"}
     records[1]["id_runs"] = [[0, records[1]["batch_size"]]]
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         read_records(records)
     assert err.value.code == "MISSING_IDS"
 
@@ -219,7 +220,7 @@ def test_writer_formats_every_int64_width_and_empty_plans():
 
 def test_writer_rejects_negative_ids():
     schedule = EpochSchedule(0, np.array([3, -1]), np.array([0, 2]), np.array([0]), (Resolution(8, 8),))
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         written_text([schedule])
     assert err.value.code == "BAD_IDS"
 
@@ -276,20 +277,20 @@ def read_lines(*lines):
     ],
 )
 def test_reader_rejects_ids_that_are_not_canonical_non_negative_integers(ids_text):
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         read_lines(plan_line(ids_text))
     assert err.value.code == "BAD_IDS"
 
 
 def test_reader_rejects_a_bad_id_whatever_the_batch_size():
     for batch_size in (1, 2, 3):
-        with pytest.raises(ScheduleError) as err:
+        with pytest.raises(BatchforgeError) as err:
             read_lines(plan_line("007,2,", batch_size=batch_size))
         assert err.value.code == "BAD_IDS"
 
 
 def test_reader_rejects_a_bad_id_in_a_later_plan_of_the_epoch():
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         read_lines(plan_line("1,2"), plan_line("3,04", iteration=1))
     assert err.value.code == "BAD_IDS"
 
@@ -318,7 +319,7 @@ def test_reader_accepts_json_whitespace_and_int64_max_in_id_lists():
     ids=["zero_height", "negative_width", "bool_height", "float_width", "zero_frames", "negative_clips"],
 )
 def test_reader_rejects_bad_shapes(fields):
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         read_lines(plan_line("1,2", **fields))
     assert err.value.code == "BAD_SHAPE"
 
@@ -333,14 +334,14 @@ def test_reader_rejects_bad_shapes(fields):
 )
 def test_reader_names_the_line_that_is_not_json(bad_line):
     # header, a blank line and a good plan come first, so the bad line is line 4 of the file
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         read_lines("\n", plan_line("1,2"), bad_line)
     assert err.value.code == "BAD_JSON"
     assert "line 4 " in str(err.value)
 
 
 def test_reader_rejects_a_header_cut_mid_line():
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         read_schedules(io.StringIO('{"schema_version":1,"ki\n'))
     assert err.value.code == "BAD_JSON" and "line 1" in str(err.value)
 
@@ -348,7 +349,7 @@ def test_reader_rejects_a_header_cut_mid_line():
 @pytest.mark.parametrize("version", [9, 0, "1", None])
 def test_reader_codes_an_unsupported_schema_version(version):
     header = json.dumps({"schema_version": version, "kind": "header"})
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         read_schedules(io.StringIO(header + "\n" + plan_line("1,2")))
     assert err.value.code == "BAD_SCHEMA"
 
@@ -371,7 +372,7 @@ def test_reader_codes_an_unsupported_schema_version(version):
          "clip_without_clips_per_video", "clip_not_an_object"],
 )
 def test_reader_codes_records_that_are_not_plans(line):
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         read_lines(line)
     assert err.value.code == "BAD_RECORD"
 
@@ -383,6 +384,6 @@ def test_reader_codes_records_that_are_not_plans(line):
 )
 def test_reader_parses_lists_before_the_ids_as_json(clip, code):
     # the ids are cut out from the bracket that opens sample_ids, not from the line's first bracket
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(BatchforgeError) as err:
         read_lines(plan_line("1,2", clip=clip))
     assert err.value.code == code

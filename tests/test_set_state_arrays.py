@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchforge.set_training import SetConfig, SetError, SetState
+from batchforge.core import BatchforgeError
+from batchforge.set_training import SetConfig, SetState
 from deque_set_state import DequeSetState
 
 
@@ -19,10 +20,10 @@ from deque_set_state import DequeSetState
 def test_second_record_for_an_id_in_one_epoch_rejected():
     state = SetState(3, SetConfig(tau=0.5, window=2, start_epoch=0))
     state.record_prediction(0, True, 0.9)
-    with pytest.raises(SetError) as err:
+    with pytest.raises(BatchforgeError) as err:
         state.record_prediction(0, False, 0.1)
     assert err.value.code == "DUPLICATE_RECORD"
-    with pytest.raises(SetError) as err:
+    with pytest.raises(BatchforgeError) as err:
         state.record_batch([1, 0], [True, True], [0.9, 0.9])
     assert err.value.code == "DUPLICATE_RECORD"
     assert state.forward_passes == 1
@@ -36,7 +37,7 @@ def test_second_record_for_an_id_in_one_epoch_rejected():
 
 def test_id_twice_in_one_batch_rejected():
     state = SetState(4, SetConfig(tau=0.5, window=2, start_epoch=0))
-    with pytest.raises(SetError) as err:
+    with pytest.raises(BatchforgeError) as err:
         state.record_batch(np.array([2, 1, 2]), [True, True, False], [0.9, 0.8, 0.1])
     assert err.value.code == "DUPLICATE_RECORD"
     assert state.forward_passes == 0
@@ -49,7 +50,7 @@ def test_duplicate_check_survives_a_mid_epoch_checkpoint():
     buf = io.StringIO()
     state.dump(buf)
     restored = SetState.load(io.StringIO(buf.getvalue()))
-    with pytest.raises(SetError) as err:
+    with pytest.raises(BatchforgeError) as err:
         restored.record_batch([0, 1], [True, True], [0.9, 0.9])
     assert err.value.code == "DUPLICATE_RECORD"
 
@@ -65,7 +66,7 @@ def test_record_batch_validates_before_writing():
         (([0, 1], [True, True], [0.9, 1.5]), "CONFIDENCE_OUT_OF_RANGE"),
     ]
     for args, code in cases:
-        with pytest.raises(SetError) as err:
+        with pytest.raises(BatchforgeError) as err:
             state.record_batch(*args)
         assert err.value.code == code
     assert state.forward_passes == 0
@@ -174,7 +175,7 @@ def test_from_payload_rejects_inconsistent_checkpoints(mutate):
     payload = _checkpoint_state().to_payload()
     assert SetState.from_payload(copy.deepcopy(payload)).to_payload() == payload
     mutate(payload)
-    with pytest.raises(SetError) as err:
+    with pytest.raises(BatchforgeError) as err:
         SetState.from_payload(payload)
     assert err.value.code == "BAD_STATE"
 
@@ -185,7 +186,7 @@ def test_v1_checkpoint_rejected():
     payload = old.to_payload()
     assert payload["schema_version"] == 1 and "samples" in payload
     for bad in (payload, {k: v for k, v in payload.items() if k != "schema_version"}):
-        with pytest.raises(SetError) as err:
+        with pytest.raises(BatchforgeError) as err:
             SetState.from_payload(bad)
         assert err.value.code == "BAD_SCHEMA"
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchforge.set_training import SetConfig, SetError, SetState
+from batchforge.core import BatchforgeError
+from batchforge.set_training import SetConfig, SetState
 
 
 def feed_epoch(state, easy_ids=(), conf_easy=0.9, conf_hard=0.3, correct_hard=False):
@@ -21,14 +22,16 @@ def feed_epoch(state, easy_ids=(), conf_easy=0.9, conf_hard=0.3, correct_hard=Fa
 
 
 def test_config_validation():
-    with pytest.raises(SetError):
+    with pytest.raises(BatchforgeError) as err:
         SetConfig(tau=1.5, window=1)
-    with pytest.raises(SetError):
+    assert err.value.code == "TAU_OUT_OF_RANGE"
+    with pytest.raises(BatchforgeError) as err:
         SetConfig(tau=0.5, window=0)
+    assert err.value.code == "ZERO_WINDOW"
     assert SetConfig(tau=0.5, window=3).start_epoch == 3
     assert SetConfig(tau=0.5, window=3, start_epoch=0).start_epoch == 0
     for bad in (dict(window=2.0), dict(window=True), dict(window=2, start_epoch=1.0), dict(window=2, reeval_stride=1.5)):
-        with pytest.raises(SetError) as err:
+        with pytest.raises(BatchforgeError) as err:
             SetConfig(tau=0.5, **bad)
         assert err.value.code == "NOT_INTEGER", bad
     assert type(SetConfig(tau=0.5, window=np.int64(2)).window) is int  # checkpoints write it as JSON
@@ -44,14 +47,14 @@ def test_record_appends_and_counts_forward_passes():
 
 def test_record_rejects_bad_confidence():
     state = SetState(2, SetConfig(tau=0.5, window=1))
-    with pytest.raises(SetError) as err:
+    with pytest.raises(BatchforgeError) as err:
         state.record_prediction(0, True, 1.3)
     assert err.value.code == "CONFIDENCE_OUT_OF_RANGE"
 
 
 def test_record_rejects_unknown_sample():
     state = SetState(2, SetConfig(tau=0.5, window=1))
-    with pytest.raises(SetError) as err:
+    with pytest.raises(BatchforgeError) as err:
         state.record_prediction(7, True, 0.5)
     assert err.value.code == "UNKNOWN_SAMPLE"
 
@@ -114,7 +117,7 @@ def test_removal_requires_full_window_and_start_epoch_gate():
 def test_missing_records_error_lists_ids():
     state = SetState(3, SetConfig(tau=0.5, window=1, start_epoch=0))
     state.record_prediction(0, True, 0.9)
-    with pytest.raises(SetError) as err:
+    with pytest.raises(BatchforgeError) as err:
         state.finalize_epoch()
     assert err.value.code == "MISSING_RECORDS"
     assert "1" in str(err.value) and "2" in str(err.value)

@@ -8,14 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from batchforge.core import ConfigValidationError, Resolution, ResolutionSet, SamplerConfig, Strategy, VideoClipSpec
+from batchforge.core import (
+    BatchforgeError,
+    ConfigValidationError,
+    Resolution,
+    ResolutionSet,
+    SamplerConfig,
+    Strategy,
+    VideoClipSpec,
+)
 from batchforge.set_training import SetConfig
 from batchforge.trainer import (
     EPOCH_COLUMNS,
     PooledLinearModel,
     RunReport,
     TrainerConfig,
-    TrainerError,
     _forward_only,
     _pool,
     batch_label_smoothed_ce,
@@ -102,23 +109,23 @@ def test_lr_non_increasing_after_warmup():
 
 
 def test_lr_step_out_of_range():
-    with pytest.raises(TrainerError) as err:
+    with pytest.raises(BatchforgeError) as err:
         lr_at_epoch_fraction(-0.01, RESNET)
     assert err.value.code == "STEP_OUT_OF_RANGE"
-    with pytest.raises(TrainerError) as err:
+    with pytest.raises(BatchforgeError) as err:
         lr_at_epoch_fraction(150.01, RESNET)
     assert err.value.code == "STEP_OUT_OF_RANGE"
 
 
 def test_trainer_config_invariants():
-    with pytest.raises(TrainerError):
+    with pytest.raises(BatchforgeError):
         TrainerConfig(max_lr=0.1, warmup_epochs=10, total_epochs=10)
-    with pytest.raises(TrainerError):
+    with pytest.raises(BatchforgeError):
         TrainerConfig(max_lr=0.1, warmup_epochs=0, total_epochs=10, label_smoothing=1.0)
-    with pytest.raises(TrainerError):
+    with pytest.raises(BatchforgeError):
         TrainerConfig(max_lr=0.1, warmup_epochs=0, total_epochs=10, ema_decay=1.5)
     for name in ("max_lr", "min_lr", "momentum", "weight_decay"):
-        with pytest.raises(TrainerError) as err:
+        with pytest.raises(BatchforgeError) as err:
             TrainerConfig(**{"max_lr": 0.1, "warmup_epochs": 0, "total_epochs": 10, name: float("inf")})
         assert err.value.code == "NON_FINITE_SETTING", name
 
@@ -167,7 +174,7 @@ def central_difference(f, x, h=1e-6):
 
 
 def test_loss_rejects_non_finite():
-    with pytest.raises(TrainerError) as err:
+    with pytest.raises(BatchforgeError) as err:
         label_smoothed_ce(np.array([np.inf, 0.0]), 0, 0.1)
     assert err.value.code == "NON_FINITE_INPUT"
 
@@ -197,7 +204,7 @@ def test_batch_ce_matches_per_sample():
 
 
 def assert_rejected(call):
-    with pytest.raises(TrainerError) as err:
+    with pytest.raises(BatchforgeError) as err:
         call()
     assert err.value.code == "NON_FINITE_INPUT"
 
@@ -300,7 +307,7 @@ def test_sgd_weight_decay_coupled():
 
 
 def test_sgd_shape_mismatch():
-    with pytest.raises(TrainerError) as err:
+    with pytest.raises(BatchforgeError) as err:
         sgd_momentum_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9)
     assert err.value.code == "SHAPE_MISMATCH"
 
@@ -317,7 +324,7 @@ def test_ema_extremes_and_convergence():
 
 
 def test_ema_shape_mismatch():
-    with pytest.raises(TrainerError):
+    with pytest.raises(BatchforgeError):
         ema_update(np.zeros(2), np.zeros(3), 0.9)
 
 
@@ -352,7 +359,7 @@ def test_pooling_factors_coarsest_blurs_most():
     model = PooledLinearModel(10, 8, TOY_RESOLUTIONS)
     factors = [model.pool_factor(r) for r in TOY_RESOLUTIONS]
     assert factors == [4, 2, 1]
-    with pytest.raises(TrainerError):
+    with pytest.raises(BatchforgeError):
         model.pool_factor(Resolution(64, 64))
 
 
@@ -385,10 +392,10 @@ def test_pooled_grids_give_the_same_inputs_as_raw_grids(grid):
 def test_inputs_of_another_width_are_rejected():
     model = PooledLinearModel(10, 8, TOY_RESOLUTIONS)
     for side in (4, 3, 16):  # pooled by 2 (not 4), no factor at all, too wide
-        with pytest.raises(TrainerError) as err:
+        with pytest.raises(BatchforgeError) as err:
             model.forward(np.zeros((2, side, side)), Resolution(8, 8))
         assert err.value.code == "SHAPE_MISMATCH"
-    with pytest.raises(TrainerError) as err:
+    with pytest.raises(BatchforgeError) as err:
         model.inputs_at(np.zeros((2, 8, 4)), Resolution(8, 8))
     assert err.value.code == "SHAPE_MISMATCH"
 
@@ -498,7 +505,7 @@ def test_sampler_resolution_missing_from_model_is_rejected():
     sampler = toy_sampler(epochs=3)
     dataset, eval_dataset = make_synthetic_task(sampler.dataset_size, 10, 8, seed=0)
     model = PooledLinearModel(10, 8, ResolutionSet.parse("16x16,32x32"))  # no 8x8
-    with pytest.raises(TrainerError) as err:
+    with pytest.raises(BatchforgeError) as err:
         train(model, dataset, sampler, toy_trainer(warmup_epochs=1, total_epochs=3), None, eval_dataset)
     assert err.value.code == "UNKNOWN_RESOLUTION"
 
@@ -599,7 +606,7 @@ def test_epoch_mismatch_rejected():
     sampler = toy_sampler(epochs=5)
     dataset, eval_dataset = make_synthetic_task(sampler.dataset_size, 10, 8, seed=0)
     model = PooledLinearModel(10, 8, sampler.resolutions)
-    with pytest.raises(TrainerError) as err:
+    with pytest.raises(BatchforgeError) as err:
         train(model, dataset, sampler, toy_trainer(total_epochs=10), None, eval_dataset)
     assert err.value.code == "EPOCH_MISMATCH"
 
@@ -612,7 +619,7 @@ def test_a_set_of_another_grid_is_rejected_before_any_work(which, monkeypatch):
     train_set, eval_set = (narrow[0], wide[1]) if which == "train" else (wide[0], narrow[1])
     monkeypatch.setattr("batchforge.trainer.plan_epoch", None)  # planning an epoch would raise TypeError
     model = PooledLinearModel(10, 8, TOY_RESOLUTIONS)
-    with pytest.raises(TrainerError) as err:
+    with pytest.raises(BatchforgeError) as err:
         train(model, train_set, sampler, toy_trainer(warmup_epochs=1, total_epochs=3), None, eval_set)
     assert err.value.code == "SHAPE_MISMATCH"
     assert which in str(err.value)
@@ -626,7 +633,7 @@ def test_labels_outside_the_model_classes_are_rejected_before_any_work(which, mo
         train_set = replace(train_set, labels=train_set.labels % 5)
     monkeypatch.setattr("batchforge.trainer.plan_epoch", None)  # planning an epoch would raise TypeError
     model = PooledLinearModel(5, 8, TOY_RESOLUTIONS)  # labels 5..9 are not its classes
-    with pytest.raises(TrainerError) as err:
+    with pytest.raises(BatchforgeError) as err:
         train(model, train_set, sampler, toy_trainer(warmup_epochs=1, total_epochs=3), None, eval_set)
     assert err.value.code == "BAD_LABELS"
     assert f"{which} labels [5, 6, 7, 8, 9]" in str(err.value)
@@ -668,7 +675,7 @@ def test_run_report_reader_rejects_truncated_or_padded_files():
     header, rows = read_run_report(io.StringIO(text))
     assert header == {"seed": 0} and rows == run_report_payload(report)["per_epoch"]
     for damaged in (text[:-16], text + "\0" * 8, text[:10], ""):
-        with pytest.raises(TrainerError) as err:
+        with pytest.raises(BatchforgeError) as err:
             read_run_report(io.StringIO(damaged))
         assert err.value.code == "BAD_JSON"
 

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import batchforge.samplers as samplers
-from batchforge.analysis import AnalysisError, compare_strategies, count_updates, simulate_updates, strategy_cost
+from batchforge.analysis import compare_strategies, count_updates, simulate_updates, strategy_cost
 from batchforge.core import (
+    BatchforgeError,
     BatchRounding,
     Resolution,
     ResolutionSet,
@@ -68,8 +69,9 @@ def test_blocked_walk_equals_the_per_epoch_reference(config, block_entries):
             cost = strategy_cost(config)
             assert (cost.total_updates, cost.peak_input_pixels, cost.mean_input_pixels) == (updates, peak, mean)
         else:  # drop_last with batches above dataset_size can leave every epoch empty
-            with pytest.raises(AnalysisError):
+            with pytest.raises(BatchforgeError) as err:
                 strategy_cost(config)
+            assert err.value.code == "EMPTY_SCHEDULE"
         simulation = simulate_updates(config, 3)
         assert (simulation.mean, simulation.stderr) == reference_simulation(config, 3)
         for epoch, n_active in ((0, config.dataset_size), (config.epochs, config.dataset_size // 3), (1, 0)):
