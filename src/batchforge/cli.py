@@ -23,6 +23,7 @@ import contextlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields
 from typing import Callable, NamedTuple
 
@@ -198,13 +199,35 @@ def _config_header(config: dict) -> str:
 
 
 def _open(flag: str, path: str | None, mode: str = "r"):
-    """The file at ``path``, or standard output for an output of no path or ``-``; an ``OSError`` is ``BAD_PATH``."""
+    """The file at ``path``, or standard output for an output of no path or ``-``; an ``OSError`` is ``BAD_PATH``.
+
+    A regular or new output file is written to a temporary file beside it (in the mode a plain open leaves the file
+    in), which replaces it only when the command succeeds.
+    """
     if mode == "w" and path in (None, "-"):
         return contextlib.nullcontext(sys.stdout)
     try:
+        target = os.path.realpath(path)  # through a link, the file it names is replaced
+        if mode == "w" and (os.path.isfile(target) or not os.path.exists(target)):
+            fp = open(os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(6).hex()}"), "x")
+            if os.path.exists(target):
+                os.chmod(fp.name, os.stat(target).st_mode & 0o7777)
+            return _replacing(fp, target)
         return open(path, mode)
     except OSError as err:
         raise BatchforgeError("BAD_PATH", f"{flag}: cannot open {path!r}: {err.strerror or err}") from None
+
+
+@contextlib.contextmanager
+def _replacing(fp, target: str):
+    """``fp``, a temporary file that replaces ``target`` when the block succeeds and is removed otherwise."""
+    try:
+        with fp:
+            yield fp
+        os.replace(fp.name, target)
+    except BaseException:
+        os.unlink(fp.name)
+        raise
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -378,7 +401,11 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with warnings.catch_warnings(record=True) as caught:
+            code = args.handler(args)
+        for w in caught:  # a failed command drops its warnings: its error alone goes to stderr
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        return code
     except BatchforgeError as err:  # exit 2 for invalid settings, 1 for a coded runtime failure
         invalid = isinstance(err, ConfigValidationError)
         errors = err.violations if invalid else [err]

@@ -1,9 +1,14 @@
 """JSONL export/import of epoch schedules.
 
 One JSON object per line. The first line is a header carrying the schema
-version and the effective config; each following line is one iteration:
-its shape, its batch size and its ``sample_ids``. Export of an imported
-schedule reproduces the original bytes.
+version and the effective config, if the writer is given one. An epoch the
+header config re-plans exactly is one ``replan`` line, ``{"kind":"replan",
+"epoch":e,"updates":T,"samples":S,"digest":"<8 hex>"}`` (:func:`id_digest`
+of its ids), which the reader re-plans and checks. Any other epoch (of a
+header-less write or a config ``validate_config`` rejects, a shard, an
+active-set subset, a hand-built schedule) is one ``plan`` line per
+iteration: its shape, its batch size and its ``sample_ids``. Export of an
+imported schedule reproduces the original bytes.
 
 Ids never pass through Python ints or the ``json`` module. The writer
 formats a block of whole plans, about ``WRITE_BLOCK_IDS`` ids, at a time:
@@ -23,13 +28,17 @@ The reader raises ``BatchforgeError`` with a code: ``BAD_JSON`` for a line
 that is not JSON (a file cut mid-line), naming the line's 1-based number;
 ``BAD_SCHEMA`` for a header whose ``schema_version`` is not this module's;
 ``BAD_RECORD`` for a line that is not a JSON object, has no or an unknown
-``kind``, or lacks a plan key (``epoch``, ``iteration``, ``height``,
+``kind``, lacks a plan key (``epoch``, ``iteration``, ``height``,
 ``width``, ``batch_size``, or a clip's ``num_frames`` or
-``clips_per_video``); ``MISSING_IDS`` for a plan without ``sample_ids``;
-``BAD_IDS`` for ids that are not canonical non-negative int64 decimals (a
-sign, fraction, exponent, quote, leading zero, empty element, trailing
-comma, value past int64, or any byte other than digits, ``,``, space and
-tab); ``BATCH_SIZE_MISMATCH`` for a
+``clips_per_video``), is a ``replan`` without integer ``epoch`` >= 0,
+``updates`` and ``samples`` and an 8 lowercase hex digit ``digest``, or is
+a second record of one epoch; ``MISSING_HEADER`` for a ``replan`` under no
+header config; ``DIGEST_MISMATCH`` for a ``replan`` the header config does
+not reproduce, naming the epoch and both digests; ``MISSING_IDS`` for a
+plan without ``sample_ids``; ``BAD_IDS`` for ids that are not canonical
+non-negative int64 decimals (a sign, fraction, exponent, quote, leading
+zero, empty element, trailing comma, value past int64, or any byte other
+than digits, ``,``, space and tab); ``BATCH_SIZE_MISMATCH`` for a
 ``batch_size`` that is not the id count; ``ITERATION_ORDER`` for iterations
 that do not run 0, 1, 2, ... within an epoch; ``BAD_SHAPE`` for a height,
 width, frame count or clips per video that is not an integer >= 1.
@@ -37,13 +46,17 @@ width, frame count or clips per video that is not an integer >= 1.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import re
 import warnings
+import zlib
 from typing import IO, Iterable
 
 import numpy as np
 
-from .core import BatchforgeError, Resolution, SamplerConfig, sampler_config_to_mapping
+from . import samplers
+from .core import BatchforgeError, Resolution, SamplerConfig, ensure_valid, sampler_config_from_mapping, sampler_config_to_mapping
 from .samplers import EpochSchedule, VideoClipSpec
 
 SCHEMA_VERSION = 1
@@ -61,6 +74,12 @@ _COMMA, _END = np.frombuffer(b",\0\n\0", dtype=np.uint16)
 _POWERS = [10**k for k in range(1, 19)]
 _PLAN_KEYS = ("epoch", "iteration", "height", "width", "batch_size")
 _CLIP_KEYS = ("num_frames", "clips_per_video")
+_EPOCHS = range(1 << 63)  # the epochs a replan record may name: the shape walk holds them as int64
+
+
+def id_digest(ids: np.ndarray) -> str:
+    """crc32 of ``ids`` as little-endian int64, as 8 lowercase hex digits."""
+    return f"{zlib.crc32(np.ascontiguousarray(ids, dtype='<i8')):08x}"
 
 
 def _format_ids(ids: np.ndarray, ends: np.ndarray) -> list[str]:
@@ -81,17 +100,23 @@ def _format_ids(ids: np.ndarray, ends: np.ndarray) -> list[str]:
     return cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")
 
 
-def write_schedules(
-    fp: IO[str],
-    schedules: Iterable[EpochSchedule],
-    config: SamplerConfig | None = None,
-) -> None:
-    """Write the JSONL lines for a sequence of epoch schedules."""
+def write_schedules(fp: IO[str], schedules: Iterable[EpochSchedule], config: SamplerConfig | None = None) -> None:
+    """Write the JSONL lines for a sequence of epoch schedules: a ``replan`` line per epoch ``config`` re-plans, else plans."""
     header: dict = {"schema_version": SCHEMA_VERSION, "kind": "header"}
+    replan, full = None, range(0)
     if config is not None:
         header["config"] = sampler_config_to_mapping(config)
+        with contextlib.suppress(BatchforgeError):  # the config a reader re-plans from; one it rejects writes plans
+            replan = ensure_valid(sampler_config_from_mapping(header["config"]))
+            n, most = replan.dataset_size, int(samplers.batch_table(replan)[1].max())
+            full = range(n - most + 1 if replan.drop_last else n, n + 1)  # the id counts a full-dataset epoch can have
     fp.write(json.dumps(header, separators=(",", ":")) + "\n")
     for schedule in schedules:
+        epoch, samples = schedule.epoch, schedule.total_samples
+        if samples in full and type(epoch) is int and epoch in _EPOCHS and samplers.plan_epoch(replan, epoch) == schedule:
+            record = {"kind": "replan", "epoch": epoch, "updates": schedule.total_updates, "samples": samples}
+            fp.write(json.dumps({**record, "digest": id_digest(schedule.ids)}, separators=(",", ":")) + "\n")
+            continue
         offsets, count = schedule.offsets, schedule.total_updates
         start = 0
         while start < count:
@@ -182,6 +207,25 @@ def _shape(record: dict, where: str) -> Resolution | VideoClipSpec:
     return shape if clip is None else VideoClipSpec(dims[2], dims[3], shape)
 
 
+def _replan(record, header_config, per_epoch: dict, number: int) -> None:
+    """Re-plan the ``replan`` record of line ``number`` from the header config, check it, and add it to ``per_epoch``."""
+    where = f"line {number}"
+    epoch, updates, samples, digest = (record.get(key) for key in ("epoch", "updates", "samples", "digest"))
+    if not (all(type(v) is int for v in (epoch, updates, samples)) and epoch in _EPOCHS
+            and isinstance(digest, str) and re.fullmatch("[0-9a-f]{8}", digest)):
+        raise BatchforgeError("BAD_RECORD", f"{where}: a replan needs integer epoch (>= 0), updates, samples and 8 hex digits")
+    if epoch in per_epoch:
+        raise BatchforgeError("BAD_RECORD", f"{where}: a second record for epoch {epoch}")
+    if not isinstance(header_config, dict):
+        raise BatchforgeError("MISSING_HEADER", f"{where}: a replan record needs a header config to re-plan from")
+    schedule = samplers.plan_epoch(sampler_config_from_mapping(header_config), epoch)
+    planned = schedule.total_updates, schedule.total_samples, id_digest(schedule.ids)
+    if (updates, samples, digest) != planned:
+        raise BatchforgeError("DIGEST_MISMATCH", f"epoch {epoch}: the file has digest {digest} ({updates} updates, {samples} "
+                              f"samples), the header config re-plans {planned[2]} ({planned[0]} updates, {planned[1]} samples)")
+    per_epoch[epoch] = schedule
+
+
 def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
     """Parse a schedule JSONL stream back into EpochSchedule objects.
 
@@ -190,8 +234,8 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
     of the codes the module docstring lists.
     """
     header_config: dict | None = None
-    # per epoch: ids, offsets, shape indices, the shape table as {shape: index}, and digits per plan
-    per_epoch: dict[int, tuple[np.ndarray, list[int], list[int], dict, list[int]]] = {}
+    # per epoch: its replan's schedule, or its plans' ids, offsets, shape indices, shapes as {shape: index}, digits per plan
+    per_epoch: dict[int, EpochSchedule | tuple[np.ndarray, list[int], list[int], dict, list[int]]] = {}
     with warnings.catch_warnings():
         # numpy < 2 warns where numpy 2 raises; _parse_ids rejects those ids either way.
         warnings.filterwarnings("ignore", "string or file could not be read to its end", DeprecationWarning)
@@ -213,6 +257,9 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
                     raise BatchforgeError("BAD_SCHEMA", f"line {number}: unsupported schedule schema_version {version!r}")
                 header_config = record.get("config")
                 continue
+            if kind == "replan":
+                _replan(record, header_config, per_epoch, number)
+                continue
             if kind != "plan":
                 raise BatchforgeError("BAD_RECORD", f"line {number}: unexpected record kind {kind!r}")
             _require(record, _PLAN_KEYS, f"line {number}")
@@ -229,6 +276,8 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
                 # glibc's largest mmap threshold: the buffer is mapped apart from the heap,
                 # the OS backs only the pages written, and it grows and shrinks in place.
                 per_epoch[epoch] = (np.empty(1 << 22, dtype=np.int64), [0], [], {}, [])
+            elif isinstance(per_epoch[epoch], EpochSchedule):
+                raise BatchforgeError("BAD_RECORD", f"{where}: epoch {epoch} already has a replan record")
             epoch_ids, offsets, shape_idx, shapes, id_digits = per_epoch[epoch]
             if iteration != len(shape_idx):
                 raise BatchforgeError(
@@ -243,16 +292,11 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
             offsets.append(end)
             id_digits.append(digits)
             shape_idx.append(shapes.setdefault(shape, len(shapes)))
-    for epoch, (epoch_ids, offsets, _, _, id_digits) in per_epoch.items():
-        epoch_ids.resize(offsets[-1], refcheck=False)
-        _check_digits(epoch_ids, sum(id_digits), f"epoch {epoch}")
-    return header_config, [
-        EpochSchedule(
-            epoch,
-            epoch_ids,
-            np.asarray(offsets, dtype=np.int64),
-            np.asarray(shape_idx, dtype=np.int64),
-            tuple(shapes),
-        )
-        for epoch, (epoch_ids, offsets, shape_idx, shapes, _) in per_epoch.items()
-    ]
+    for epoch, entry in per_epoch.items():
+        if not isinstance(entry, EpochSchedule):
+            epoch_ids, offsets, shape_idx, shapes, id_digits = entry
+            epoch_ids.resize(offsets[-1], refcheck=False)
+            _check_digits(epoch_ids, sum(id_digits), f"epoch {epoch}")
+            bounds, shape_idx = np.asarray(offsets, dtype=np.int64), np.asarray(shape_idx, dtype=np.int64)
+            per_epoch[epoch] = EpochSchedule(epoch, epoch_ids, bounds, shape_idx, tuple(shapes))
+    return header_config, list(per_epoch.values())

@@ -2,12 +2,15 @@
 
 Each plan line is ``json.dumps`` of its record with ``sample_ids`` as a list
 of Python ints. ``test_schedule_io.py`` checks the block-formatted writer of
-``batchforge.schedule_io`` against it byte for byte.
+``batchforge.schedule_io`` against it byte for byte, and its ``replan``
+lines against :func:`reference_replan_line`.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 from typing import IO, Iterable
 
 from batchforge.core import SamplerConfig, sampler_config_to_mapping
@@ -40,3 +43,11 @@ def reference_write_schedules(
                 }
             record["sample_ids"] = plan.sample_ids.tolist()
             fp.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
+def reference_replan_line(schedule: EpochSchedule) -> str:
+    """The ``replan`` line of an epoch; its digest is the crc32 of its ids packed one by one as little-endian int64."""
+    packed = b"".join(struct.pack("<q", i) for i in schedule.ids.tolist())
+    record = {"kind": "replan", "epoch": schedule.epoch, "updates": schedule.total_updates,
+              "samples": schedule.total_samples, "digest": f"{zlib.crc32(packed):08x}"}
+    return json.dumps(record, separators=(",", ":")) + "\n"

@@ -1,10 +1,18 @@
 import argparse
 import base64
 import json
+import os
+import stat
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import batchforge
+import batchforge.cli as cli
 from batchforge.cli import build_parser, run
 from batchforge.core import BatchforgeError, Resolution, ResolutionSet, SamplerConfig, Strategy, VideoClipSpec
 from batchforge.presets import load_preset, preset_names
@@ -523,7 +531,8 @@ def test_world_size_from_a_file_ties_min_batch_like_the_flag(base_batch, file_te
 @pytest.mark.parametrize("command", [["export", "--format", "csv"], ["analyze"]])
 def test_reader_errors_are_coded_json_with_errors_json(tmp_path, capsys, command):
     sched = tmp_path / "s.jsonl"
-    assert run_cli(["plan", "--dataset-size", "2048", "--base-batch", "128", "--epochs", "1", "-o", str(sched)]) == 0
+    # three epochs are three replan lines after the header, so the file has a line 4
+    assert run_cli(["plan", "--dataset-size", "2048", "--base-batch", "128", "--epochs", "3", "-o", str(sched)]) == 0
     lines = sched.read_text().splitlines(keepends=True)
     cut = tmp_path / "cut.jsonl"
     cut.write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
@@ -669,3 +678,79 @@ def test_a_path_that_cannot_be_opened_is_bad_path(flag, argv, artifacts, tmp_pat
     assert run_cli(argv) == 1
     assert capsys.readouterr().err == f"error: BAD_PATH: {error['message']}\n"
     assert not (tmp_path / "missing").exists()
+
+
+def test_plan_and_export_write_one_replan_line_per_epoch(tmp_path):
+    plan, copy = tmp_path / "plan.jsonl", tmp_path / "copy.jsonl"
+    assert run_cli(["plan", "--preset", "resnet50", "--dataset-size", "50000", "--epochs", "3", "-o", str(plan)]) == 0
+    header, *records = [json.loads(line) for line in plan.read_text().splitlines()]
+    assert header["config"]["dataset_size"] == 50000
+    assert [(r["kind"], r["epoch"]) for r in records] == [("replan", 0), ("replan", 1), ("replan", 2)]
+    assert run_cli(["export", "--schedule", str(plan), "-o", str(copy)]) == 0
+    assert copy.read_bytes() == plan.read_bytes()
+    assert run_cli(["analyze", "--schedule", str(plan), "-o", str(tmp_path / "cost.csv")]) == 0
+
+
+_DIVERGING = ["train", "--samples", "200", "--epochs", "3", "--warmup-epochs", "1", "--max-lr", "1e300"]
+
+
+def test_a_failed_command_leaves_its_old_output(tmp_path, capsys):
+    out = tmp_path / "fail.json"
+    out.write_bytes(b'{"previous":1}')
+    out.chmod(0o640)
+    with np.errstate(all="ignore"):
+        assert run_cli([*_DIVERGING, "-o", str(out), "--errors-json"]) == 1
+    assert [e["code"] for e in json.loads(capsys.readouterr().err)["errors"]] == ["NON_FINITE_INPUT"]
+    assert out.read_bytes() == b'{"previous":1}'
+    assert [p.name for p in tmp_path.iterdir()] == ["fail.json"]  # no temporary file is left behind
+    # a run that succeeds replaces the file, which keeps its mode
+    assert run_cli(["train", "--samples", "200", "--epochs", "2", "--warmup-epochs", "1", "--eval-samples", "50",
+                    "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["schema_version"] == 2
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["fail.json"]
+
+
+def test_outputs_are_created_as_a_plain_open_creates_them(tmp_path):
+    old = os.umask(0o027)
+    try:
+        assert run_cli(["plan", *_SMALL_PLAN, "-o", str(tmp_path / "new.jsonl")]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "new.jsonl").stat().st_mode) == 0o640
+    # through a link, the file it names is replaced and the link stays
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / "new.jsonl")
+    assert run_cli(["plan", *_SMALL_PLAN, "--seed", "5", "-o", str(tmp_path / "link.jsonl")]) == 0
+    assert (tmp_path / "link.jsonl").is_symlink()
+    assert json.loads((tmp_path / "new.jsonl").read_text().splitlines()[0])["config"]["seed"] == 5
+    # a target that is not a regular file is written in place
+    assert run_cli(["plan", *_SMALL_PLAN, "-o", os.devnull]) == 0
+
+
+def test_warnings_of_a_failed_command_are_dropped_and_of_a_good_one_kept(monkeypatch):
+    def warn_then(outcome):
+        def handler(args):
+            warnings.warn("overflow in a step", RuntimeWarning)
+            if outcome == "fail":
+                raise BatchforgeError("NON_FINITE_INPUT", "the run diverged")
+            return 0
+        return handler
+
+    for outcome, code, shown in (("fail", 1, 0), ("succeed", 0, 1)):
+        monkeypatch.setitem(cli._COMMANDS, "plan", ("plan", warn_then(outcome), ()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["plan", "--errors-json"]) == code
+        assert [str(w.message) for w in caught] == ["overflow in a step"] * shown
+
+
+def test_stderr_of_a_diverging_run_is_only_its_error():
+    env = {**os.environ, "PYTHONPATH": str(Path(batchforge.__file__).parents[1])}
+    for flags in (["--errors-json"], []):
+        done = subprocess.run([sys.executable, "-m", "batchforge.cli", *_DIVERGING, "-o", os.devnull, *flags],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        if flags:
+            assert [e["code"] for e in json.loads(done.stderr)["errors"]] == ["NON_FINITE_INPUT"]
+        else:
+            assert done.stderr.startswith("error: NON_FINITE_INPUT: ") and done.stderr.count("\n") == 1

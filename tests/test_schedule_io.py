@@ -1,11 +1,13 @@
 import io
 import json
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import batchforge.samplers as samplers
 import batchforge.schedule_io as schedule_io
 from batchforge.core import (
     BatchforgeError,
@@ -16,9 +18,9 @@ from batchforge.core import (
     sampler_config_from_mapping,
     validate_config,
 )
-from batchforge.samplers import EpochSchedule, VideoClipSpec, plan_epoch, plan_video_vbs
+from batchforge.samplers import EpochSchedule, VideoClipSpec, plan_epoch, plan_video_vbs, shard_for_rank
 from batchforge.schedule_io import read_schedules, write_schedules
-from reference_schedule_io import reference_write_schedules
+from reference_schedule_io import reference_replan_line, reference_write_schedules
 
 
 def make_config(**overrides):
@@ -100,7 +102,8 @@ def test_reader_rejects_unknown_schema():
 
 
 def exported_records(config):
-    text = export_text([plan_epoch(config, 0)], config)
+    # header-less, so the epoch is written as plan lines
+    text = export_text([plan_epoch(config, 0)], None)
     return [json.loads(line) for line in text.splitlines()]
 
 
@@ -156,6 +159,21 @@ def written_text(schedules, config=None, block_ids=schedule_io.WRITE_BLOCK_IDS):
     return buf.getvalue()
 
 
+def plan_lines(schedules):
+    """The oracle's plan lines of ``schedules``, without its header."""
+    return reference_text(schedules).split("\n", 1)[1]
+
+
+def replanned_text(schedules, config):
+    """The oracle of a write with a valid ``config``: its header, then per epoch a replan line when
+    ``plan_epoch(config, epoch)`` equals the epoch, else the epoch's plan lines."""
+    assert not validate_config(config)
+    return reference_text([], config) + "".join(
+        reference_replan_line(s) if s.total_updates and plan_epoch(config, s.epoch) == s else plan_lines([s])
+        for s in schedules
+    )
+
+
 @st.composite
 def planned_epochs(draw):
     clips = (VideoClipSpec(8, 1, Resolution(112, 112)), VideoClipSpec(16, 2, Resolution(112, 112)))
@@ -186,8 +204,13 @@ def planned_epochs(draw):
 @given(planned=planned_epochs(), block_ids=st.sampled_from(BLOCK_SIZES))
 def test_writer_matches_the_json_dumps_oracle_for_planned_epochs(planned, block_ids):
     config, schedules = planned
+    text = written_text(schedules, None, block_ids)
+    assert text == reference_text(schedules)
+    _, back = read_schedules(io.StringIO(text))
+    assert back == [s for s in schedules if s.total_updates]
+    # with the config in the header, an epoch it re-plans is one replan line
     text = written_text(schedules, config, block_ids)
-    assert text == reference_text(schedules, config)
+    assert text == replanned_text(schedules, config)
     _, back = read_schedules(io.StringIO(text))
     assert back == [s for s in schedules if s.total_updates]
 
@@ -231,9 +254,140 @@ def test_video_and_subset_epochs_match_the_oracle():
                                        base_resolution=Resolution(112, 112)), specs, specs[0], 0)
     config = make_config(dataset_size=100_000, base_batch=256)
     subset = plan_epoch(config, 1, np.flatnonzero(np.random.default_rng(3).random(config.dataset_size) < 0.7))
-    for schedules in ([video], [plan_epoch(config, 0), subset]):
+    full = plan_epoch(config, 0)
+    for schedules in ([video], [full, subset]):
         for block_ids in BLOCK_SIZES:
-            assert written_text(schedules, config, block_ids) == reference_text(schedules, config)
+            assert written_text(schedules, None, block_ids) == reference_text(schedules)
+    # with the config in the header, only the full epoch is a replan line
+    for block_ids in BLOCK_SIZES:
+        assert written_text([video], config, block_ids) == reference_text([video], config)
+        expected = reference_text([], config) + reference_replan_line(full) + plan_lines([subset])
+        assert written_text([full, subset], config, block_ids) == expected
+
+
+# -- regenerable epochs: replan records -------------------------------------------------------
+
+CLIPS = (VideoClipSpec(8, 1, Resolution(112, 112)), VideoClipSpec(16, 2, Resolution(112, 112)))
+
+
+@pytest.mark.parametrize("drop_last", [False, True])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_full_dataset_epochs_are_one_replan_line_each(strategy, drop_last):
+    config = make_config(strategy=strategy, dataset_size=3000, base_batch=48, drop_last=drop_last,
+                         resolutions=ResolutionSet.squares([112, 128, 224, 320]), clips=CLIPS, base_clip=CLIPS[0])
+    assert not validate_config(config)
+    schedules = [plan_epoch(config, 0), plan_epoch(config, 1, []), plan_epoch(config, 2)]
+    assert schedules[1].total_updates == 0  # an epoch with no updates writes nothing
+    text = export_text(schedules, config)
+    assert text == reference_text([], config) + reference_replan_line(schedules[0]) + reference_replan_line(schedules[2])
+    header, back = read_schedules(io.StringIO(text))
+    assert sampler_config_from_mapping(header) == config
+    assert back == [schedules[0], schedules[2]]
+    assert export_text(back, config) == text
+
+
+def test_epochs_the_header_config_does_not_replan_keep_the_oracle_bytes():
+    config = make_config(world_size=2, drop_last=True, base_batch=64)
+    full = plan_epoch(config, 0)
+    shard = shard_for_rank(full, 1, 2)
+    subset = plan_epoch(config, 1, np.flatnonzero(np.random.default_rng(5).random(config.dataset_size) < 0.7))
+    relabeled = EpochSchedule(2, full.ids, full.offsets, full.shape_idx, full.shapes)  # epoch 0's plan as epoch 2
+    video_config = make_config(strategy=Strategy.VIDEO_VBS, dataset_size=512, base_batch=8,
+                               base_resolution=Resolution(112, 112), resolutions=ResolutionSet.squares([112]))
+    video = plan_video_vbs(video_config, list(CLIPS), CLIPS[0], 0)  # the header config has no clip table
+    cases = [
+        ([shard], config),
+        ([subset], config),
+        ([relabeled], config),
+        ([full], replace(config, epochs=0)),  # a config validate_config rejects
+        ([video], video_config),
+    ]
+    for schedules, header_config in cases:
+        assert validate_config(header_config) or plan_epoch(header_config, schedules[0].epoch) != schedules[0]
+        for block_ids in BLOCK_SIZES:
+            assert written_text(schedules, header_config, block_ids) == reference_text(schedules, header_config)
+    # the id count rules out a full-dataset epoch, so shards and subsets cost no re-plan
+    with mock.patch.object(samplers, "plan_epoch", wraps=samplers.plan_epoch) as replans:
+        written_text([shard, subset], config)
+    assert replans.call_count == 0
+
+
+def replan_file(epochs=1):
+    """The header line and the replan lines of ``make_config()``'s first ``epochs`` epochs."""
+    config = make_config()
+    return export_text([plan_epoch(config, e) for e in range(epochs)], config).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("damage", ["digest", "updates", "samples", "seed"])
+def test_reader_rejects_a_replan_the_header_config_does_not_reproduce(damage):
+    header, line = replan_file()
+    record = json.loads(line)
+    if damage == "seed":
+        header = header.replace('"seed":21,', '"seed":22,')
+    else:
+        record[damage] = f"{int(record[damage], 16) ^ 1:08x}" if damage == "digest" else record[damage] + 1
+        line = json.dumps(record, separators=(",", ":")) + "\n"
+    with pytest.raises(BatchforgeError) as err:
+        read_schedules(io.StringIO(header + line))
+    assert err.value.code == "DIGEST_MISMATCH"
+    digest = json.loads(line)["digest"]
+    replanned = schedule_io.id_digest(plan_epoch(sampler_config_from_mapping(json.loads(header)["config"]), 0).ids)
+    assert err.value.message.startswith("epoch 0: ") and digest in err.value.message and replanned in err.value.message
+    assert (digest == replanned) == (damage in ("updates", "samples"))
+
+
+def test_reader_needs_a_header_config_to_replan():
+    _, line = replan_file()
+    for text in (line, '{"schema_version":1,"kind":"header"}\n' + line):
+        with pytest.raises(BatchforgeError) as err:
+            read_schedules(io.StringIO(text))
+        assert err.value.code == "MISSING_HEADER"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        *({key: None} for key in ("epoch", "updates", "samples", "digest")),
+        {"epoch": "0"},
+        {"epoch": 0.0},
+        {"epoch": True},
+        {"epoch": -1},
+        {"epoch": 2**63},
+        {"updates": 1.5},
+        {"samples": "4096"},
+        {"digest": "1234567"},
+        {"digest": "123456789"},
+        {"digest": "1234567g"},
+        {"digest": "ABCDEF01"},
+        {"digest": 12345678},
+    ],
+    ids=["no_epoch", "no_updates", "no_samples", "no_digest", "epoch_text", "epoch_float", "epoch_bool",
+         "negative_epoch", "epoch_past_int64", "updates_float", "samples_text", "digest_7_digits", "digest_9_digits",
+         "digest_not_hex", "digest_upper_case", "digest_number"],
+)
+def test_reader_codes_replan_records_with_a_bad_key(fields):
+    header, line = replan_file()
+    record = {key: value for key, value in {**json.loads(line), **fields}.items() if value is not None}
+    with pytest.raises(BatchforgeError) as err:
+        read_schedules(io.StringIO(header + json.dumps(record) + "\n"))
+    assert err.value.code == "BAD_RECORD"
+
+
+def test_reader_rejects_a_second_record_for_an_epoch():
+    header, line = replan_file()
+    plans = plan_lines([plan_epoch(make_config(), 0)])
+    for body in (line + line, line + plans, plans + line):
+        with pytest.raises(BatchforgeError) as err:
+            read_schedules(io.StringIO(header + body))
+        assert err.value.code == "BAD_RECORD"
+
+
+def test_reader_names_a_replan_line_cut_mid_way():
+    lines = replan_file(epochs=3)
+    for cut in (lines[3][:20], lines[3][:-3]):
+        with pytest.raises(BatchforgeError) as err:
+            read_schedules(io.StringIO("".join(lines[:3]) + cut))
+        assert err.value.code == "BAD_JSON" and str(err.value).startswith("BAD_JSON: line 4 ")
 
 
 # -- what the reader rejects ------------------------------------------------------------------
