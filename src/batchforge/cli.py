@@ -348,10 +348,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
             video = any(isinstance(shape, VideoClipSpec) for schedule in schedules for shape in schedule.shapes)
             fp.write(f"epoch,iteration,height,width,{'frames,clips_per_video,' if video else ''}batch_size\n")
             for schedule in schedules:
-                for plan in schedule.plans:
-                    res, clip = plan.resolution, plan.clip
-                    shape = f"{res.height},{res.width}" + (f",{clip.num_frames},{clip.clips_per_video}" if video else "")
-                    fp.write(f"{schedule.epoch},{plan.iteration},{shape},{plan.batch_size}\n")
+                cells = [f"{s.height},{s.width}" if not video else
+                         f"{s.resolution.height},{s.resolution.width},{s.num_frames},{s.clips_per_video}" for s in schedule.shapes]
+                rows = zip(schedule.shape_idx.tolist(), (schedule.offsets[1:] - schedule.offsets[:-1]).tolist())
+                fp.writelines(f"{schedule.epoch},{t},{cells[k]},{size}\n" for t, (k, size) in enumerate(rows))
         else:
             schedule_io.write_schedules(fp, schedules, config=config)
     return 0

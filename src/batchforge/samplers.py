@@ -27,12 +27,14 @@ An :class:`EpochSchedule` stores the epoch as arrays for every strategy,
 video included: the scheduled ids in order, per-iteration offsets into
 them, and per-iteration indices into a table of shapes (resolutions, or
 clip specs for video). :class:`BatchPlan` objects are read-only views of
-one iteration, built on first use of :attr:`EpochSchedule.plans`.
+one iteration, built on first use of :attr:`EpochSchedule.plans`. A
+schedule :func:`plan_epoch` makes, or a shard of one, carries the
+:class:`ScheduleOrigin` it re-plans from, and its arrays are read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -89,6 +91,20 @@ def unit_volume(shape: Resolution | VideoClipSpec) -> int:
 
 
 @dataclass(frozen=True, eq=False)
+class ScheduleOrigin:
+    """What a schedule re-plans from: ``plan_epoch(config, epoch, active)``, then the shard of ``rank`` of ``world_size``.
+
+    ``active`` is the sorted active ids :func:`plan_epoch` planned over, a
+    reference rather than a copy, or None for the whole dataset.
+    """
+
+    config: SamplerConfig
+    active: np.ndarray | None
+    rank: int = 0
+    world_size: int = 1
+
+
+@dataclass(frozen=True, eq=False)
 class EpochSchedule:
     """One pass over the active samples, stored as arrays.
 
@@ -102,6 +118,12 @@ class EpochSchedule:
     offsets: np.ndarray  # int64[T + 1], from 0 to len(ids)
     shape_idx: np.ndarray  # int64[T]
     shapes: tuple[Resolution | VideoClipSpec, ...]
+    origin: ScheduleOrigin | None = field(default=None, repr=False)  # None for a hand-built schedule; equality ignores it
+
+    def __post_init__(self):
+        if self.origin is not None:
+            for array in (self.ids, self.offsets, self.shape_idx):
+                array.flags.writeable = False
 
     @property
     def total_samples(self) -> int:
@@ -263,7 +285,7 @@ def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSched
     order = permutation(config.seed, StreamKey(epoch, 0, PERMUTATION_TAG), n)[: offsets[-1]]
     # The whole dataset's ids are arange(N), so the permutation already is the id order.
     scheduled = order if ids is None else ids[order]
-    return EpochSchedule(epoch, scheduled, offsets, shape_idx, shape_table(config)[0])
+    return EpochSchedule(epoch, scheduled, offsets, shape_idx, shape_table(config)[0], ScheduleOrigin(config, ids))
 
 
 def plan_video_vbs(
@@ -281,7 +303,9 @@ def shard_for_rank(schedule: EpochSchedule, rank: int, world_size: int) -> Epoch
     and shapes are identical across ranks, and the rank shards of an
     iteration partition its ids. Every batch is a multiple of
     ``world_size``, so one stride over the whole id array is each
-    iteration's stride; the shard's ids are a view, not a copy.
+    iteration's stride; the shard's ids are a view, not a copy. The shard
+    of a planned, unsharded schedule carries its rank and world size in its
+    origin; a shard of anything else has no origin.
     """
     if not (0 <= rank < world_size):
         raise BatchforgeError("RANK_OUT_OF_RANGE", f"rank {rank} not in [0, {world_size})")
@@ -293,10 +317,14 @@ def shard_for_rank(schedule: EpochSchedule, rank: int, world_size: int) -> Epoch
             "INDIVISIBLE_BATCH",
             f"iteration {t} batch {sizes[t]} is not divisible by {world_size}",
         )
+    origin = schedule.origin
+    if origin is not None:
+        origin = replace(origin, rank=rank, world_size=world_size) if origin.world_size == 1 else None
     return EpochSchedule(
         schedule.epoch,
         schedule.ids[rank::world_size],
         schedule.offsets // world_size,
         schedule.shape_idx,
         schedule.shapes,
+        origin,
     )

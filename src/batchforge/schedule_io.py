@@ -1,63 +1,56 @@
 """JSONL export/import of epoch schedules.
 
-One JSON object per line. The first line is a header carrying the schema
-version and the effective config, if the writer is given one. An epoch the
-header config re-plans exactly is one ``replan`` line, ``{"kind":"replan",
-"epoch":e,"updates":T,"samples":S,"digest":"<8 hex>"}`` (:func:`id_digest`
-of its ids), which the reader re-plans and checks. Any other epoch (of a
-header-less write or a config ``validate_config`` rejects, a shard, an
-active-set subset, a hand-built schedule) is one ``plan`` line per
-iteration: its shape, its batch size and its ``sample_ids``. Export of an
-imported schedule reproduces the original bytes.
+One JSON object per line. The first line is a header carrying
+``schema_version`` 1 and the effective config, if the writer is given one.
+A schedule :func:`~batchforge.samplers.plan_epoch` made (``plan_video_vbs``
+included), or a ``shard_for_rank`` shard of one, carries its origin. When
+the origin's config is the header config, the epoch is one ``replan``
+record, ``{"kind":"replan","epoch":e,"updates":T,"samples":S,"digest":"<8
+hex>"}`` (:func:`id_digest` of its ids). A shard adds ``"rank"`` and
+``"world_size"``; an active-set subset adds ``"active"``, base64 of
+``np.packbits`` of its active mask over the config's ``dataset_size`` ids.
+The reader re-plans each record, takes its shard, and checks the numbers and
+the digest. An epoch with no updates writes nothing.
 
-Ids never pass through Python ints or the ``json`` module. The writer
-formats a block of whole plans, about ``WRITE_BLOCK_IDS`` ids, at a time:
-each id becomes two-byte cells of digit pairs from a table, its leading zero
-digits NUL bytes that one ``bytes.translate`` deletes, and the last id of a
-plan carries a line marker in place of its comma, so one ``split`` yields
-the plan bodies. Each plan's head is ``json.dumps`` of its record without
-the ids, so a line's bytes are those of ``json.dumps`` of the whole record.
-The reader parses each line once with ``json.loads`` after cutting out the
-text between the ``[`` that opens its ``sample_ids`` value and its last
-``]`` (a line without ``sample_ids``, such as the header, is parsed whole),
-so a list or object earlier in the record, a clip's included, is parsed as
-JSON; ``np.fromstring`` parses the cut text, which is copied into the
-epoch's one id buffer, and a count of its characters checks it is canonical.
+Any other schedule (a hand-built one, one planned from another config, or
+any schedule of a header-less write) is one ``plan`` line per iteration:
+its shape, its batch size and its ``sample_ids``, the bytes of
+``json.dumps`` of the record. These verbatim ids are an export-only format,
+for data loaders outside Python; the reader does not read them. The writer
+formats a block of whole plans, about ``WRITE_BLOCK_IDS`` ids, at a time
+with numpy: each id becomes two-byte cells of digit pairs from a table, its
+leading zero digits NUL bytes that one ``bytes.translate`` deletes, and the
+last id of a plan carries a line marker in place of its comma, so one
+``split`` yields the plan bodies. A negative id is ``BAD_IDS``.
 
 The reader raises ``BatchforgeError`` with a code: ``BAD_JSON`` for a line
 that is not JSON (a file cut mid-line), naming the line's 1-based number;
-``BAD_SCHEMA`` for a header whose ``schema_version`` is not this module's;
+``BAD_SCHEMA`` for a header whose ``schema_version`` is not 1;
 ``BAD_RECORD`` for a line that is not a JSON object, has no or an unknown
-``kind``, lacks a plan key (``epoch``, ``iteration``, ``height``,
-``width``, ``batch_size``, or a clip's ``num_frames`` or
-``clips_per_video``), is a ``replan`` without integer ``epoch`` >= 0,
-``updates`` and ``samples`` and an 8 lowercase hex digit ``digest``, or is
-a second record of one epoch; ``MISSING_HEADER`` for a ``replan`` under no
-header config; ``DIGEST_MISMATCH`` for a ``replan`` the header config does
-not reproduce, naming the epoch and both digests; ``MISSING_IDS`` for a
-plan without ``sample_ids``; ``BAD_IDS`` for ids that are not canonical
-non-negative int64 decimals (a sign, fraction, exponent, quote, leading
-zero, empty element, trailing comma, value past int64, or any byte other
-than digits, ``,``, space and tab); ``BATCH_SIZE_MISMATCH`` for a
-``batch_size`` that is not the id count; ``ITERATION_ORDER`` for iterations
-that do not run 0, 1, 2, ... within an epoch; ``BAD_SHAPE`` for a height,
-width, frame count or clips per video that is not an integer >= 1.
+``kind``, is a ``plan`` line, is a ``replan`` without integer ``epoch`` >=
+0, ``updates`` and ``samples`` and an 8 lowercase hex digit ``digest``, has
+an ``active`` that is not base64 of the mask's bytes with its padding bits
+clear, has ``rank`` or ``world_size`` without the other or outside ``0 <=
+rank < world_size < 2**63``, or is a second record of one epoch;
+``MISSING_HEADER`` for a ``replan`` under no header config;
+``DIGEST_MISMATCH`` for a ``replan`` the header config does not reproduce,
+naming the epoch and both digests. Re-planning raises what planning and
+sharding raise, such as ``INDIVISIBLE_BATCH``.
 """
 
 from __future__ import annotations
 
-import contextlib
+import base64
 import json
 import re
-import warnings
 import zlib
 from typing import IO, Iterable
 
 import numpy as np
 
 from . import samplers
-from .core import BatchforgeError, Resolution, SamplerConfig, ensure_valid, sampler_config_from_mapping, sampler_config_to_mapping
-from .samplers import EpochSchedule, VideoClipSpec
+from .core import BatchforgeError, SamplerConfig, sampler_config_from_mapping, sampler_config_to_mapping
+from .samplers import EpochSchedule
 
 SCHEMA_VERSION = 1
 
@@ -71,10 +64,7 @@ _LEAD = "\0\0" + "".join(f"{v:2d}".replace(" ", "\0") for v in range(1, 100))
 # cell of the id 0 is "\0" "0", where the cells before it are NUL NUL.
 _CELLS = tuple(np.frombuffer((lead + _FULL).encode(), np.uint16) for lead in (_LEAD, "\0" "0" + _LEAD[2:]))
 _COMMA, _END = np.frombuffer(b",\0\n\0", dtype=np.uint16)
-_POWERS = [10**k for k in range(1, 19)]
-_PLAN_KEYS = ("epoch", "iteration", "height", "width", "batch_size")
-_CLIP_KEYS = ("num_frames", "clips_per_video")
-_EPOCHS = range(1 << 63)  # the epochs a replan record may name: the shape walk holds them as int64
+_INT64 = range(1 << 63)  # the epochs and world sizes a replan record may name: planning holds them as int64
 
 
 def id_digest(ids: np.ndarray) -> str:
@@ -101,21 +91,23 @@ def _format_ids(ids: np.ndarray, ends: np.ndarray) -> list[str]:
 
 
 def write_schedules(fp: IO[str], schedules: Iterable[EpochSchedule], config: SamplerConfig | None = None) -> None:
-    """Write the JSONL lines for a sequence of epoch schedules: a ``replan`` line per epoch ``config`` re-plans, else plans."""
+    """Write the JSONL lines of ``schedules``: a ``replan`` record per epoch planned from ``config``, else plan lines."""
     header: dict = {"schema_version": SCHEMA_VERSION, "kind": "header"}
-    replan, full = None, range(0)
     if config is not None:
         header["config"] = sampler_config_to_mapping(config)
-        with contextlib.suppress(BatchforgeError):  # the config a reader re-plans from; one it rejects writes plans
-            replan = ensure_valid(sampler_config_from_mapping(header["config"]))
-            n, most = replan.dataset_size, int(samplers.batch_table(replan)[1].max())
-            full = range(n - most + 1 if replan.drop_last else n, n + 1)  # the id counts a full-dataset epoch can have
     fp.write(json.dumps(header, separators=(",", ":")) + "\n")
     for schedule in schedules:
-        epoch, samples = schedule.epoch, schedule.total_samples
-        if samples in full and type(epoch) is int and epoch in _EPOCHS and samplers.plan_epoch(replan, epoch) == schedule:
-            record = {"kind": "replan", "epoch": epoch, "updates": schedule.total_updates, "samples": samples}
-            fp.write(json.dumps({**record, "digest": id_digest(schedule.ids)}, separators=(",", ":")) + "\n")
+        origin = schedule.origin
+        if schedule.total_updates and origin is not None and origin.config == config:
+            record = {"kind": "replan", "epoch": schedule.epoch, "updates": schedule.total_updates,
+                      "samples": schedule.total_samples, "digest": id_digest(schedule.ids)}
+            if origin.world_size > 1:
+                record.update(rank=origin.rank, world_size=origin.world_size)
+            if origin.active is not None:
+                mask = np.zeros(config.dataset_size, dtype=bool)
+                mask[origin.active] = True
+                record["active"] = base64.b64encode(np.packbits(mask)).decode("ascii")
+            fp.write(json.dumps(record, separators=(",", ":")) + "\n")
             continue
         offsets, count = schedule.offsets, schedule.total_updates
         start = 0
@@ -146,79 +138,38 @@ def write_schedules(fp: IO[str], schedules: Iterable[EpochSchedule], config: Sam
             start = stop
 
 
-def _parse_ids(text: str, where: str) -> tuple[np.ndarray, int]:
-    """The ids in the text between a ``sample_ids`` list's brackets, and the characters of that
-    text other than spaces, tabs and the ``len(ids) - 1`` commas the ids need.
-
-    Those characters are the ids' canonical digits when the text is canonical, and
-    :func:`_check_digits` compares them per epoch. They are more when the text has a leading
-    zero, a sign, a fraction, any other character or a comma too many (an empty element, a trailing
-    comma, or the text numpy < 2 leaves unparsed where numpy 2 raises).
-    """
-    if not text.strip(" \t"):
-        return np.empty(0, dtype=np.int64), 0
+def _active_ids(text, n: int, where: str) -> np.ndarray:
+    """The ids an ``active`` field marks: base64 of ``np.packbits`` of a mask over ``n`` ids, its padding bits clear."""
     try:
-        ids = np.fromstring(text, dtype=np.uint64, sep=",").view(np.int64)
-    except ValueError:
-        raise BatchforgeError("BAD_IDS", f"{where}: sample_ids must be integers separated by commas") from None
-    spaces = sum(text.count(c) for c in " \t" if c in text)
-    return ids, len(text) - spaces - max(len(ids) - 1, 0)
+        packed = np.frombuffer(base64.b64decode(text, validate=True), dtype=np.uint8)
+    except (TypeError, ValueError):  # not a string, not ASCII, or not base64: no bytes
+        packed = np.zeros(0, dtype=np.uint8)
+    mask = np.unpackbits(packed)
+    if len(packed) != (n + 7) // 8 or mask[n:].any():
+        raise BatchforgeError("BAD_RECORD", f"{where}: active must be base64 of a {n}-id mask's {(n + 7) // 8} packed bytes")
+    return np.flatnonzero(mask)
 
 
-def _check_digits(ids: np.ndarray, digits: int, where: str) -> None:
-    """Reject ids past int64 (they parse as negative) and id text with more than their canonical ``digits``."""
-    canonical = len(ids)
-    for power in _POWERS:
-        above = np.count_nonzero(ids >= power)
-        if not above:
-            break
-        canonical += above
-    if canonical != digits or ids.min(initial=0) < 0:
-        raise BatchforgeError("BAD_IDS", f"{where}: sample_ids must be canonical non-negative int64 integers")
-
-
-def _loads(text: str, number: int):
-    """``json.loads`` of a line, or ``BAD_JSON`` naming its 1-based ``number``."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise BatchforgeError("BAD_JSON", f"line {number} is not valid JSON: {err.msg}") from None
-
-
-def _require(record, keys: tuple[str, ...], where: str) -> None:
-    """``BAD_RECORD`` unless ``record`` is a JSON object with every one of ``keys``."""
-    if not isinstance(record, dict):
-        raise BatchforgeError("BAD_RECORD", f"{where}: expected a JSON object, got {type(record).__name__}")
-    missing = [key for key in keys if key not in record]
-    if missing:
-        raise BatchforgeError("BAD_RECORD", f"{where}: the record has no {missing[0]!r}")
-
-
-def _shape(record: dict, where: str) -> Resolution | VideoClipSpec:
-    """The plan's resolution, or its clip spec when it has one."""
-    clip = record.get("clip")
-    dims = [record["height"], record["width"]]
-    if clip is not None:
-        _require(clip, _CLIP_KEYS, f"{where} clip")
-        dims += [clip["num_frames"], clip["clips_per_video"]]
-    if not all(type(d) is int and d >= 1 for d in dims):
-        raise BatchforgeError("BAD_SHAPE", f"{where}: shape dimensions must be integers >= 1, got {dims}")
-    shape = Resolution(dims[0], dims[1])
-    return shape if clip is None else VideoClipSpec(dims[2], dims[3], shape)
-
-
-def _replan(record, header_config, per_epoch: dict, number: int) -> None:
+def _replan(record: dict, header_config, per_epoch: dict, number: int) -> None:
     """Re-plan the ``replan`` record of line ``number`` from the header config, check it, and add it to ``per_epoch``."""
     where = f"line {number}"
     epoch, updates, samples, digest = (record.get(key) for key in ("epoch", "updates", "samples", "digest"))
-    if not (all(type(v) is int for v in (epoch, updates, samples)) and epoch in _EPOCHS
+    if not (all(type(v) is int for v in (epoch, updates, samples)) and epoch in _INT64
             and isinstance(digest, str) and re.fullmatch("[0-9a-f]{8}", digest)):
         raise BatchforgeError("BAD_RECORD", f"{where}: a replan needs integer epoch (>= 0), updates, samples and 8 hex digits")
+    sharded = "rank" in record or "world_size" in record
+    rank, world_size = record.get("rank"), record.get("world_size")
+    if sharded and not (type(rank) is int and type(world_size) is int and 0 <= rank < world_size and world_size in _INT64):
+        raise BatchforgeError("BAD_RECORD", f"{where}: a shard needs integer rank and world_size, 0 <= rank < world_size")
     if epoch in per_epoch:
         raise BatchforgeError("BAD_RECORD", f"{where}: a second record for epoch {epoch}")
     if not isinstance(header_config, dict):
         raise BatchforgeError("MISSING_HEADER", f"{where}: a replan record needs a header config to re-plan from")
-    schedule = samplers.plan_epoch(sampler_config_from_mapping(header_config), epoch)
+    config = sampler_config_from_mapping(header_config)
+    active = _active_ids(record["active"], config.dataset_size, where) if "active" in record else None
+    schedule = samplers.plan_epoch(config, epoch, active)
+    if sharded:
+        schedule = samplers.shard_for_rank(schedule, rank, world_size)
     planned = schedule.total_updates, schedule.total_samples, id_digest(schedule.ids)
     if (updates, samples, digest) != planned:
         raise BatchforgeError("DIGEST_MISMATCH", f"epoch {epoch}: the file has digest {digest} ({updates} updates, {samples} "
@@ -229,74 +180,31 @@ def _replan(record, header_config, per_epoch: dict, number: int) -> None:
 def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
     """Parse a schedule JSONL stream back into EpochSchedule objects.
 
-    Returns the header's config mapping (if present) and one schedule per
-    epoch, in file order. A malformed plan raises ``BatchforgeError`` with one
-    of the codes the module docstring lists.
+    Returns the header's config mapping (if present) and one re-planned
+    schedule per ``replan`` record, in file order. A malformed file raises
+    ``BatchforgeError`` with one of the codes the module docstring lists.
     """
     header_config: dict | None = None
-    # per epoch: its replan's schedule, or its plans' ids, offsets, shape indices, shapes as {shape: index}, digits per plan
-    per_epoch: dict[int, EpochSchedule | tuple[np.ndarray, list[int], list[int], dict, list[int]]] = {}
-    with warnings.catch_warnings():
-        # numpy < 2 warns where numpy 2 raises; _parse_ids rejects those ids either way.
-        warnings.filterwarnings("ignore", "string or file could not be read to its end", DeprecationWarning)
-        for number, raw in enumerate(fp, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            key = line.find('"sample_ids"')  # in the head: the writer puts the ids last
-            first, last = (line.find("[", key) if key >= 0 else -1), line.rfind("]")
-            cut = first >= 0 and last > first
-            record = _loads(line[: first + 1] + line[last:] if cut else line, number)
-            _require(record, ("kind",), f"line {number}")
-            kind = record["kind"]
-            if kind == "header":
-                if cut:
-                    record = _loads(line, number)
-                version = record.get("schema_version")
-                if version != SCHEMA_VERSION:
-                    raise BatchforgeError("BAD_SCHEMA", f"line {number}: unsupported schedule schema_version {version!r}")
-                header_config = record.get("config")
-                continue
-            if kind == "replan":
-                _replan(record, header_config, per_epoch, number)
-                continue
-            if kind != "plan":
-                raise BatchforgeError("BAD_RECORD", f"line {number}: unexpected record kind {kind!r}")
-            _require(record, _PLAN_KEYS, f"line {number}")
-            epoch, iteration, batch_size = record["epoch"], record["iteration"], record["batch_size"]
-            where = f"epoch {epoch} iteration {iteration}"
-            if record.get("sample_ids") != []:
-                raise BatchforgeError("MISSING_IDS", f"{where}: the plan has no sample_ids")
-            ids, digits = _parse_ids(line[first + 1 : last], where)
-            if batch_size != len(ids):
-                _check_digits(ids, digits, where)  # malformed id text is BAD_IDS, whatever its batch_size
-                raise BatchforgeError("BATCH_SIZE_MISMATCH", f"{where}: batch_size {batch_size} but {len(ids)} ids")
-            if epoch not in per_epoch:
-                # One id buffer, so an epoch's ids are never held twice. 4M ids (32 MiB) is
-                # glibc's largest mmap threshold: the buffer is mapped apart from the heap,
-                # the OS backs only the pages written, and it grows and shrinks in place.
-                per_epoch[epoch] = (np.empty(1 << 22, dtype=np.int64), [0], [], {}, [])
-            elif isinstance(per_epoch[epoch], EpochSchedule):
-                raise BatchforgeError("BAD_RECORD", f"{where}: epoch {epoch} already has a replan record")
-            epoch_ids, offsets, shape_idx, shapes, id_digits = per_epoch[epoch]
-            if iteration != len(shape_idx):
-                raise BatchforgeError(
-                    "ITERATION_ORDER",
-                    f"epoch {epoch}: iteration {iteration} where {len(shape_idx)} was expected",
-                )
-            shape = _shape(record, where)
-            end = offsets[-1] + len(ids)
-            if end > len(epoch_ids):
-                epoch_ids.resize(2 * end, refcheck=False)
-            epoch_ids[offsets[-1] : end] = ids
-            offsets.append(end)
-            id_digits.append(digits)
-            shape_idx.append(shapes.setdefault(shape, len(shapes)))
-    for epoch, entry in per_epoch.items():
-        if not isinstance(entry, EpochSchedule):
-            epoch_ids, offsets, shape_idx, shapes, id_digits = entry
-            epoch_ids.resize(offsets[-1], refcheck=False)
-            _check_digits(epoch_ids, sum(id_digits), f"epoch {epoch}")
-            bounds, shape_idx = np.asarray(offsets, dtype=np.int64), np.asarray(shape_idx, dtype=np.int64)
-            per_epoch[epoch] = EpochSchedule(epoch, epoch_ids, bounds, shape_idx, tuple(shapes))
+    per_epoch: dict[int, EpochSchedule] = {}
+    for number, raw in enumerate(fp, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise BatchforgeError("BAD_JSON", f"line {number} is not valid JSON: {err.msg}") from None
+        kind = record.get("kind") if isinstance(record, dict) else None
+        if kind == "header":
+            version = record.get("schema_version")
+            if version != SCHEMA_VERSION:
+                raise BatchforgeError("BAD_SCHEMA", f"line {number}: unsupported schedule schema_version {version!r}")
+            header_config = record.get("config")
+        elif kind == "replan":
+            _replan(record, header_config, per_epoch, number)
+        elif kind == "plan":
+            raise BatchforgeError("BAD_RECORD", f"line {number}: a plan line holds verbatim ids, an export-only format "
+                                  "the reader does not read; write the schedule with the config it was planned from")
+        else:
+            raise BatchforgeError("BAD_RECORD", f"line {number}: expected a JSON object with a known kind, got {kind!r}")
     return header_config, list(per_epoch.values())

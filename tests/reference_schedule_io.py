@@ -3,11 +3,13 @@
 Each plan line is ``json.dumps`` of its record with ``sample_ids`` as a list
 of Python ints. ``test_schedule_io.py`` checks the block-formatted writer of
 ``batchforge.schedule_io`` against it byte for byte, and its ``replan``
-lines against :func:`reference_replan_line`.
+lines against :func:`reference_replan_line`, which packs a subset's active
+mask bit by bit in Python.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import struct
 import zlib
@@ -45,9 +47,19 @@ def reference_write_schedules(
             fp.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def reference_replan_line(schedule: EpochSchedule) -> str:
-    """The ``replan`` line of an epoch; its digest is the crc32 of its ids packed one by one as little-endian int64."""
+def reference_replan_line(schedule: EpochSchedule, active=None, rank=None, world_size=None) -> str:
+    """The ``replan`` line of an epoch; its digest is the crc32 of its ids packed one by one as little-endian int64.
+
+    A shard adds ``rank`` and ``world_size``. A subset adds ``active``, the base64 of its mask (one bool per
+    dataset id) eight ids to a byte, the first id in the high bit and the last byte padded with 0 bits.
+    """
     packed = b"".join(struct.pack("<q", i) for i in schedule.ids.tolist())
     record = {"kind": "replan", "epoch": schedule.epoch, "updates": schedule.total_updates,
               "samples": schedule.total_samples, "digest": f"{zlib.crc32(packed):08x}"}
+    if world_size is not None:
+        record.update(rank=rank, world_size=world_size)
+    if active is not None:
+        bits = "".join("1" if keep else "0" for keep in active)
+        bits += "0" * (-len(bits) % 8)
+        record["active"] = base64.b64encode(bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))).decode()
     return json.dumps(record, separators=(",", ":")) + "\n"

@@ -691,6 +691,19 @@ def test_plan_and_export_write_one_replan_line_per_epoch(tmp_path):
     assert run_cli(["analyze", "--schedule", str(plan), "-o", str(tmp_path / "cost.csv")]) == 0
 
 
+def test_plan_plans_each_epoch_once(tmp_path, monkeypatch):
+    epochs = []
+
+    def recording(config, epoch, active_ids=None):
+        epochs.append(epoch)
+        return plan_epoch(config, epoch, active_ids)
+
+    for name in ("batchforge.cli.plan_epoch", "batchforge.samplers.plan_epoch"):
+        monkeypatch.setattr(name, recording)
+    assert run_cli(["plan", "--preset", "resnet50", "--epochs", "3", "-o", str(tmp_path / "plan.jsonl")]) == 0
+    assert epochs == [0, 1, 2]
+
+
 _DIVERGING = ["train", "--samples", "200", "--epochs", "3", "--warmup-epochs", "1", "--max-lr", "1e300"]
 
 
