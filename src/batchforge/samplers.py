@@ -21,7 +21,8 @@ epoch ends when it runs out (a final short batch is kept unless
 ``drop_last``). Active ids are sorted first, unless they already increase;
 when they are the whole dataset (``active_ids=None`` included) the
 permutation itself is the id order, so no id array is built and no gather
-is made.
+is made. A subset's ids are gathered into the permutation's own buffer,
+``rng.FILL_BLOCK`` at a time, so either way a plan holds one id-sized array.
 
 An :class:`EpochSchedule` stores the epoch as arrays for every strategy,
 video included: the scheduled ids in order, per-iteration offsets into
@@ -34,12 +35,14 @@ schedule :func:`plan_epoch` makes, or a shard of one, carries the
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import rng
 from .core import (
     BatchforgeError,
     BatchRounding,
@@ -88,6 +91,11 @@ class BatchPlan:
 def unit_volume(shape: Resolution | VideoClipSpec) -> int:
     """Input volume of one sample: H x W, times frames x clips for video."""
     return shape.volume() if isinstance(shape, VideoClipSpec) else shape.pixel_count()
+
+
+def shape_resolution(shape: Resolution | VideoClipSpec) -> Resolution:
+    """The spatial resolution of a shape: a clip's, or the resolution itself."""
+    return shape.resolution if isinstance(shape, VideoClipSpec) else shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +149,7 @@ class EpochSchedule:
         for t, k in enumerate(self.shape_idx.tolist()):
             clip = self.shapes[k] if isinstance(self.shapes[k], VideoClipSpec) else None
             ids = self.ids[bounds[t] : bounds[t + 1]]
-            plans.append(BatchPlan(t, clip.resolution if clip else self.shapes[k], len(ids), ids, clip))
+            plans.append(BatchPlan(t, shape_resolution(self.shapes[k]), len(ids), ids, clip))
         return tuple(plans)
 
     def __eq__(self, other) -> bool:
@@ -275,17 +283,28 @@ def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray | None:
 
 
 def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSchedule:
-    """Generate one epoch's schedule for any strategy."""
+    """Generate one epoch's schedule for any strategy; ``epoch`` is an integer in [0, 2**63), else ``BAD_EPOCH``."""
     ensure_valid(config)
+    try:
+        index = -1 if isinstance(epoch, (bool, np.bool_)) else operator.index(epoch)
+    except TypeError:
+        index = -1
+    if not 0 <= index < 1 << 63:
+        raise BatchforgeError("BAD_EPOCH", f"epoch must be an integer in [0, 2**63), got {epoch!r}")
+    epoch = index
     ids = _resolve_active_ids(config, active_ids)
     n = config.dataset_size if ids is None else len(ids)
     shape_idx, batch_sizes = epoch_batch_shapes(config, epoch, n)
     offsets = np.zeros(len(batch_sizes) + 1, dtype=np.int64)
     np.cumsum(batch_sizes, out=offsets[1:])
     order = permutation(config.seed, StreamKey(epoch, 0, PERMUTATION_TAG), n)[: offsets[-1]]
-    # The whole dataset's ids are arange(N), so the permutation already is the id order.
-    scheduled = order if ids is None else ids[order]
-    return EpochSchedule(epoch, scheduled, offsets, shape_idx, shape_table(config)[0], ScheduleOrigin(config, ids))
+    # The whole dataset's ids are arange(N), so the permutation already is the id order; a subset's ids
+    # replace their indices in the permutation's own buffer, a block at a time.
+    if ids is not None:
+        for lo in range(0, len(order), rng.FILL_BLOCK):
+            part = order[lo : lo + rng.FILL_BLOCK]
+            part[...] = ids.take(part)
+    return EpochSchedule(epoch, order, offsets, shape_idx, shape_table(config)[0], ScheduleOrigin(config, ids))
 
 
 def plan_video_vbs(

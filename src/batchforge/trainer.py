@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import BatchforgeError, Resolution, ResolutionSet, SamplerConfig, ensure_valid
 from .rng import derive_seed
-from .samplers import plan_epoch
+from .samplers import plan_epoch, shape_resolution
 from .set_training import EpochTransition, SetConfig, SetState
 
 RUN_REPORT_SCHEMA = 2
@@ -459,10 +459,10 @@ def train(
         correct = np.empty(schedule.total_samples, dtype=bool)
         confidence = np.empty(schedule.total_samples)
         batch_losses = []
-        for plan in schedule.plans:
-            lr = lr_at_epoch_fraction(epoch + plan.iteration / schedule.total_updates, trainer_config)
-            ids, res = plan.sample_ids, plan.resolution
-            lo, hi = bounds[plan.iteration], bounds[plan.iteration + 1]
+        for t, k in enumerate(schedule.shape_idx.tolist()):
+            lr = lr_at_epoch_fraction(epoch + t / schedule.total_updates, trainer_config)
+            res, lo, hi = shape_resolution(schedule.shapes[k]), bounds[t], bounds[t + 1]
+            ids = schedule.ids[lo:hi]
             loss, grad, correct[lo:hi], confidence[lo:hi] = model.loss_and_grad(
                 pooled_at(res)[ids], dataset.labels[ids], res, trainer_config.label_smoothing
             )

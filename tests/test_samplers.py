@@ -1,13 +1,15 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchforge import presets
+from batchforge import presets, rng
 from batchforge.core import (
     BatchforgeError,
     BatchRounding,
@@ -261,6 +263,75 @@ def test_active_id_order_and_type_do_not_change_the_plan():
     assert plan_epoch(config, 2, active_ids=active.astype(np.int32)) == expected
     assert plan_epoch(config, 2, active_ids=active.tolist()) == expected
     assert np.array_equal(shuffled, before)
+
+
+@pytest.mark.parametrize("epoch", [-1, True, False, np.True_, 2.5, "3", None, 2**63, np.uint64(2**63)], ids=repr)
+def test_epochs_that_are_not_integers_in_int64_range_are_rejected(epoch):
+    with pytest.raises(BatchforgeError) as err:
+        plan_epoch(make_config(dataset_size=1000, base_batch=16, drop_last=False), epoch)
+    assert err.value.code == "BAD_EPOCH"
+
+
+def test_numpy_integer_epochs_plan_as_python_ints():
+    config = make_config(dataset_size=1000, base_batch=16, drop_last=False)
+    for epoch in (np.int64(3), np.uint8(3), np.int32(3)):
+        schedule = plan_epoch(config, epoch, np.arange(0, 1000, 3))
+        assert type(schedule.epoch) is int
+        assert schedule == plan_epoch(config, 3, np.arange(0, 1000, 3))
+    assert plan_epoch(config, 2**63 - 1).epoch == 2**63 - 1
+
+
+@st.composite
+def subset_plans(draw, block):
+    """(config, epoch, active ids as passed, the same ids sorted): ``m`` active ids within 2 of 0-3 blocks."""
+    strategy = draw(st.sampled_from(list(Strategy)))
+    m = max(0, draw(st.integers(0, 3)) * block + draw(st.integers(-2, 2)))
+    size = m + draw(st.integers(0, 40)) + 64  # the largest batch is 4 x 16 ids: a drop_last config stays valid
+    common = dict(
+        dataset_size=size,
+        base_batch=draw(st.integers(1, 16)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        drop_last=draw(st.booleans()),
+        base_resolution=Resolution(16, 16),
+        resolutions=ResolutionSet.squares([8, 16, 32]),
+        epochs=1,
+    )
+    if strategy is Strategy.VIDEO_VBS:
+        clips = (VideoClipSpec(4, 1, Resolution(16, 16)), VideoClipSpec(8, 1, Resolution(16, 16)))
+        common.update(clips=clips, base_clip=clips[1])
+    sorted_ids = np.sort(np.random.default_rng(draw(st.integers(0, 2**32))).choice(size, m, replace=False))
+    active = sorted_ids if draw(st.booleans()) else np.random.default_rng(m).permutation(sorted_ids)
+    active = active.astype(draw(st.sampled_from([np.int64, np.int32])))
+    return SamplerConfig(strategy=strategy, **common), draw(st.integers(0, 50)), active, sorted_ids
+
+
+@pytest.mark.parametrize("block", [1, 7, rng.FILL_BLOCK])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_subset_plans_are_the_sorted_active_ids_in_permutation_order(block, data):
+    config, epoch, active, sorted_ids = data.draw(subset_plans(block))
+    with mock.patch.object(rng, "FILL_BLOCK", block):
+        schedule = plan_epoch(config, epoch, active)
+        order = permutation(config.seed, StreamKey(epoch, 0, PERMUTATION_TAG), len(sorted_ids))
+    assert schedule.ids.dtype == np.int64
+    assert np.array_equal(schedule.ids, sorted_ids[order][: schedule.total_samples])
+    assert not schedule.ids.flags.writeable
+
+
+def test_a_subset_plan_holds_one_id_sized_array():
+    # The gathered ids share the permutation's 8m bytes; a second id array would take the peak to ~2 x 8m.
+    # rng's fill blocks add a fixed ~0.5 MiB, a third of 8m at 200k ids, so m is large enough to bound the ratio.
+    m = 500_000
+    config = make_config(dataset_size=700_000, base_batch=64, drop_last=False)
+    active = np.sort(np.random.default_rng(0).choice(config.dataset_size, m, replace=False))
+    plan_epoch(config, 0, active)  # one-time allocations happen outside the trace
+    tracemalloc.start()
+    try:
+        plan_epoch(config, 1, active)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * m
 
 
 @pytest.mark.parametrize("drop_last", [False, True])

@@ -64,6 +64,18 @@ def test_import_reconstructs_equal_schedules():
     assert all(a == b for a, b in zip(schedules, back))
 
 
+def test_a_numpy_integer_epoch_round_trips_as_its_python_int():
+    config = make_config()
+    active = np.arange(0, config.dataset_size, 3)
+    schedules = [plan_epoch(config, np.int64(3)), plan_epoch(config, np.int64(4), active)]
+    assert schedules == [plan_epoch(config, 3), plan_epoch(config, 4, active)]
+    text = export_text(schedules, config)
+    assert text == export_text([plan_epoch(config, 3), plan_epoch(config, 4, active)], config)
+    _, back = read_schedules(io.StringIO(text))
+    assert back == schedules
+    assert [type(s.epoch) for s in back] == [int, int]
+
+
 def test_video_clip_round_trip():
     specs = [VideoClipSpec(8, 1, Resolution(112, 112)), VideoClipSpec(16, 2, Resolution(112, 112))]
     config = make_config(

@@ -501,6 +501,13 @@ def assert_train_matches_reference(sampler, set_config, **trainer_overrides):
     return report
 
 
+def test_video_train_matches_the_frozen_trainer():
+    # train() reads each iteration's resolution from the schedule's shape table; a clip trains at its resolution
+    specs = (VideoClipSpec(8, 1, Resolution(8, 8)), VideoClipSpec(8, 1, Resolution(16, 16)), VideoClipSpec(16, 1, Resolution(32, 32)))
+    sampler = toy_sampler(strategy=Strategy.VIDEO_VBS, dataset_size=1000, base_batch=32, epochs=4, clips=specs, base_clip=specs[1])
+    assert_train_matches_reference(sampler, SetConfig(tau=0.7, window=2), total_epochs=4)
+
+
 def test_sampler_resolution_missing_from_model_is_rejected():
     sampler = toy_sampler(epochs=3)
     dataset, eval_dataset = make_synthetic_task(sampler.dataset_size, 10, 8, seed=0)
