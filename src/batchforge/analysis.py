@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import BatchforgeError, SamplerConfig, Strategy, ensure_valid
 from .rng import derive_seed
-from .samplers import EpochSchedule, batch_table, epoch_batch_shapes, shape_table, unit_volume, walk_shapes
+from .samplers import EpochSchedule, as_integer, batch_table, epoch_batch_shapes, shape_table, unit_volume, walk_shapes
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,17 @@ def count_updates(config: SamplerConfig) -> UpdateCount:
 
 
 def simulate_updates(config: SamplerConfig, trials: int) -> UpdateSimulation:
-    """Monte-Carlo oracle: exact counts over ``trials`` independent seeds."""
-    if trials < 1:
+    """Monte-Carlo oracle: exact counts over ``trials`` independent seeds.
+
+    ``trials`` is an integer (numpy ones included): below 1 raises
+    ``ZERO_TRIALS``; a bool or a non-integer raises ``BAD_SIZE``.
+    """
+    count = as_integer(trials)
+    if count is None:
+        raise BatchforgeError("BAD_SIZE", f"trials must be an integer, got {trials!r}")
+    if count < 1:
         raise BatchforgeError("ZERO_TRIALS", "trials must be >= 1")
+    trials = count
     counts = np.array(
         [
             count_updates(replace(config, seed=derive_seed(config.seed, trial))).exact

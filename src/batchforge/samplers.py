@@ -223,13 +223,17 @@ def walk_shapes(config: SamplerConfig, epochs, n_active: int) -> Iterator[tuple[
     draw) until the ids run out; the final batch is trimmed unless
     ``drop_last`` drops it. Rows draw the expected count plus 8 % and 16; a
     block where a row runs short is redrawn at a bound no epoch can outrun,
-    which repeats the same keyed draws, so the width never shows.
+    which repeats the same keyed draws, so the width never shows. The first
+    ``expected * 0.92 - 16`` entries of a row, its head, are summed once; the
+    prefix sum, the short-row check and the trim run over the crossing window
+    after it. A head serving at most ``n_active`` ids holds nothing either
+    trim changes; a block where some row's head serves more walks the full width.
     """
     (shape_idx, sizes), tag = batch_table(config), shape_table(config)[1]
     identity = np.array_equal(shape_idx, np.arange(len(sizes)))  # then a draw is its own shape index
     epochs = np.asarray(epochs, dtype=np.int64)
-    bound = n_active // int(sizes.min()) + 2
-    width = min(int(n_active / sizes.mean() * 1.08) + 16, bound)
+    bound, expected = n_active // int(sizes.min()) + 2, n_active / sizes.mean()
+    width, head = min(int(expected * 1.08) + 16, bound), max(0, int(expected * 0.92) - 16)
     step = max(1, WALK_BLOCK_ENTRIES // width)
     for block in np.split(epochs, range(step, len(epochs), step)):
         for span in (width, bound):
@@ -237,16 +241,20 @@ def walk_shapes(config: SamplerConfig, epochs, n_active: int) -> Iterator[tuple[
                 draws = np.zeros((len(block), span), dtype=np.int64)
             else:
                 draws = choice_at(config.seed, block, np.arange(span), tag, len(sizes))
-            batches = sizes[draws]
-            served = np.cumsum(batches, axis=1)
+            batches = sizes.take(draws, mode="clip")  # draws lie in [0, len(sizes)): clip only skips the bounds check
+            tail, start = batches[:, head:], batches[:, :head].sum(axis=1)
+            if (start > n_active).any():  # a row that crosses inside its head: the block walks its full width
+                tail, start = batches, np.zeros_like(start)
+            served = np.cumsum(tail, axis=1)
+            served += start[:, None]
             if (served[:, -1] > n_active).all():
                 break
         if config.drop_last:
-            batches[served > n_active] = 0
+            np.copyto(tail, 0, where=served > n_active)
         else:  # trim the final batch: each entry becomes what it serves of the n_active ids
             np.minimum(served, n_active, out=served)
-            batches[:, 0] = served[:, 0]
-            np.subtract(served[:, 1:], served[:, :-1], out=batches[:, 1:])
+            tail[:, 0] = served[:, 0] - start
+            np.subtract(served[:, 1:], served[:, :-1], out=tail[:, 1:])
         yield draws if identity else shape_idx[draws], batches
 
 
@@ -259,6 +267,16 @@ def epoch_batch_shapes(config: SamplerConfig, epoch: int, n_active: int) -> tupl
     shape_idx, batches = next(walk_shapes(config, [epoch], n_active))
     count = np.count_nonzero(batches)
     return shape_idx[0, :count], batches[0, :count]
+
+
+def as_integer(value) -> int | None:
+    """``value`` as a Python int through ``operator.index``; None for a bool or a non-integer."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray | None:
@@ -285,11 +303,8 @@ def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray | None:
 def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSchedule:
     """Generate one epoch's schedule for any strategy; ``epoch`` is an integer in [0, 2**63), else ``BAD_EPOCH``."""
     ensure_valid(config)
-    try:
-        index = -1 if isinstance(epoch, (bool, np.bool_)) else operator.index(epoch)
-    except TypeError:
-        index = -1
-    if not 0 <= index < 1 << 63:
+    index = as_integer(epoch)
+    if index is None or not 0 <= index < 1 << 63:
         raise BatchforgeError("BAD_EPOCH", f"epoch must be an integer in [0, 2**63), got {epoch!r}")
     epoch = index
     ids = _resolve_active_ids(config, active_ids)
@@ -324,10 +339,15 @@ def shard_for_rank(schedule: EpochSchedule, rank: int, world_size: int) -> Epoch
     ``world_size``, so one stride over the whole id array is each
     iteration's stride; the shard's ids are a view, not a copy. The shard
     of a planned, unsharded schedule carries its rank and world size in its
-    origin; a shard of anything else has no origin.
+    origin; a shard of anything else has no origin. ``rank`` and
+    ``world_size`` are integers (numpy ones included) with ``0 <= rank <
+    world_size < 2**63``; anything else, a bool included, raises
+    ``RANK_OUT_OF_RANGE``.
     """
-    if not (0 <= rank < world_size):
-        raise BatchforgeError("RANK_OUT_OF_RANGE", f"rank {rank} not in [0, {world_size})")
+    index, world = as_integer(rank), as_integer(world_size)
+    if index is None or world is None or not 0 <= index < world < 1 << 63:
+        raise BatchforgeError("RANK_OUT_OF_RANGE", f"rank {rank!r} not an integer in [0, {world_size!r}), world_size < 2**63")
+    rank, world_size = index, world
     sizes = np.diff(schedule.offsets)
     indivisible = np.flatnonzero(sizes % world_size)
     if len(indivisible):

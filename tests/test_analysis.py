@@ -159,6 +159,27 @@ def test_simulation_rejects_zero_trials():
         simulate_updates(make_config(), trials=0)
 
 
+@pytest.mark.parametrize("trials", [2.5, True, np.True_, "3", None, np.float64(3)])
+def test_simulation_rejects_trials_that_are_not_integers(trials):
+    with pytest.raises(BatchforgeError) as err:
+        simulate_updates(make_config(), trials)
+    assert err.value.code == "BAD_SIZE"
+
+
+@pytest.mark.parametrize("trials", [0, -1, np.int64(0)])
+def test_simulation_below_one_trial_is_zero_trials(trials):
+    with pytest.raises(BatchforgeError) as err:
+        simulate_updates(make_config(), trials)
+    assert err.value.code == "ZERO_TRIALS"
+
+
+def test_simulation_reports_numpy_integer_trials_as_a_python_int():
+    config = make_config(strategy=Strategy.MSC_VBS, dataset_size=50_000, epochs=1)
+    sim = simulate_updates(config, np.int64(2))
+    assert type(sim.trials) is int
+    assert sim == simulate_updates(config, 2)
+
+
 def test_schedule_cost_agrees_with_strategy_cost():
     config = make_config(strategy=Strategy.MSC_VBS, dataset_size=65_536, epochs=3)
     schedules = [plan_epoch(config, e) for e in range(config.epochs)]

@@ -512,6 +512,26 @@ def test_shard_rank_out_of_range():
     assert err.value.code == "RANK_OUT_OF_RANGE"
 
 
+@pytest.mark.parametrize(
+    "rank, world_size",
+    [(True, 2), (np.True_, 2), (0, True), (1.0, 2), (0, 2.0), ("1", 2), (None, 2), (np.float64(1), 2), (0, 2**63)],
+)
+def test_shard_rank_and_world_size_that_are_not_int64_integers_are_rejected(rank, world_size):
+    schedule = plan_epoch(make_config(dataset_size=1000, base_batch=50, world_size=2, drop_last=True), 0)
+    with pytest.raises(BatchforgeError) as err:
+        shard_for_rank(schedule, rank, world_size)
+    assert err.value.code == "RANK_OUT_OF_RANGE"
+
+
+def test_numpy_integer_ranks_shard_as_python_ints():
+    schedule = plan_epoch(make_config(dataset_size=1000, base_batch=50, world_size=2, drop_last=True), 0)
+    for rank, world_size in ((np.int64(1), np.int64(2)), (np.uint8(1), np.int32(2))):
+        shard = shard_for_rank(schedule, rank, world_size)
+        assert (shard.origin.rank, shard.origin.world_size) == (1, 2)
+        assert type(shard.origin.rank) is int and type(shard.origin.world_size) is int
+        assert shard == shard_for_rank(schedule, 1, 2)
+
+
 def test_shard_indivisible_batch():
     config = make_config(
         strategy=Strategy.SSC_FBS, dataset_size=10, base_batch=5, drop_last=True

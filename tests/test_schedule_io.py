@@ -332,6 +332,15 @@ def test_epochs_the_header_config_does_not_replan_keep_the_oracle_bytes():
     assert read_schedules(io.StringIO(text))[1] == planned
 
 
+def test_a_shard_of_numpy_integer_rank_round_trips():
+    config = make_config(world_size=2, drop_last=True, base_batch=64)
+    shard = shard_for_rank(plan_epoch(config, 0), np.int64(1), np.int64(2))
+    text = export_text([shard], config)
+    assert text == export_text([shard_for_rank(plan_epoch(config, 0), 1, 2)], config)
+    assert '"rank":1,"world_size":2' in text.replace(" ", "")
+    assert read_schedules(io.StringIO(text))[1] == [shard]
+
+
 def replan_file(epochs=1):
     """The header line and the replan lines of ``make_config()``'s first ``epochs`` epochs."""
     config = make_config()

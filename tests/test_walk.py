@@ -144,3 +144,58 @@ def test_preset_cost_comparisons_keep_their_pinned_digests(name, seed, digest):
     reports = compare_strategies(config, [Strategy.SSC_FBS, Strategy.MSC_FBS, Strategy.MSC_VBS])
     text = repr((reports, simulate_updates(config, 3)))
     assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
+
+
+# sizes 2000 and 1: side 256 floors to one sample at base batch 2000 for side 8
+TWO_SIZES = SamplerConfig(
+    strategy=Strategy.MSC_VBS,
+    dataset_size=200_000,
+    base_batch=2000,
+    base_resolution=Resolution(8, 8),
+    resolutions=ResolutionSet.squares([8, 256]),
+    epochs=1,
+    seed=0,
+    batch_rounding=BatchRounding.FLOOR,
+    min_batch=1,
+)
+
+
+def walked_heads(config, epochs, n_active):
+    """The walk's blocks and, per block, the entries its prefix sum skipped: the width minus that of the cumsum."""
+    with mock.patch.object(np, "cumsum", wraps=np.cumsum) as cumsum:
+        blocks = list(walk_shapes(config, epochs, n_active))
+    assert cumsum.call_count == len(blocks)  # no block ran short
+    return blocks, [batches.shape[1] - call.args[0].shape[1] for (_, batches), call in zip(blocks, cumsum.call_args_list)]
+
+
+@pytest.mark.parametrize("block_entries", [1, 50, samplers.WALK_BLOCK_ENTRIES])
+@pytest.mark.parametrize("drop_last", [False, True])
+@pytest.mark.parametrize(
+    "case, n_active, epochs",
+    [
+        ("served equals n_active at the last head entry", 82_018, [59, 0, 1, 2]),
+        ("served equals n_active inside the tail", 118_037, [7, 0, 1]),
+        ("a row crosses n_active inside its head", 200_000, [731, 0, 1]),
+    ],
+)
+def test_the_head_window_walk_equals_the_reference(case, n_active, epochs, drop_last, block_entries):
+    config = replace(TWO_SIZES, drop_last=drop_last)
+    assert sorted(batch_table(config)[1].tolist()) == [1, 2000]
+    with mock.patch.object(samplers, "WALK_BLOCK_ENTRIES", block_entries):
+        blocks, heads = walked_heads(config, epochs, n_active)
+        own_heads = walked_heads(config, epochs[1:], n_active)[1]  # the other rows alone skip a head
+    rows = [(head, s, b) for head, (shape_idx, batches) in zip(heads, blocks) for s, b in zip(shape_idx, batches)]
+    for epoch, (_, shape_idx, batches) in zip(epochs, rows, strict=True):
+        expected_shapes, expected_batches = reference_epoch_shapes(config, epoch, n_active)
+        count = len(expected_batches)
+        assert np.array_equal(shape_idx[:count], expected_shapes) and np.array_equal(batches[:count], expected_batches)
+        assert not batches[count:].any()
+    head, _, batches = rows[0]
+    draws = samplers.choice_at(config.seed, epochs[0], np.arange(batches.shape[0]), "res", 2)
+    served = np.cumsum(batch_table(config)[1][draws])
+    if case == "a row crosses n_active inside its head":
+        assert head == 0 and min(own_heads) > 0 and served[min(own_heads) - 1] > n_active  # the fallback ran
+    elif case == "served equals n_active at the last head entry":
+        assert head > 0 and served[head - 1] == n_active
+    else:
+        assert head > 0 and n_active in served[head + 1 :]
