@@ -26,9 +26,9 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import BatchforgeError, SamplerConfig, Strategy, ensure_valid
+from .core import BatchforgeError, SamplerConfig, Strategy, as_integer, ensure_valid
 from .rng import derive_seed
-from .samplers import EpochSchedule, as_integer, batch_table, epoch_batch_shapes, shape_table, unit_volume, walk_shapes
+from .samplers import EpochSchedule, batch_table, epoch_batch_shapes, shape_table, unit_volume, walk_shapes
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,32 @@ problem at once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Callable, Iterable, Mapping, TypeVar
+
+import numpy as np
 
 # Largest n :func:`batchforge.rng.permutation` accepts (so the largest dataset_size); see its docstring for why.
 MAX_PERMUTATION_SIZE = 1 << 24
 
 _MAX_SEED = (1 << 64) - 1
 
+# The SamplerConfig fields that hold integers.
+_INTEGER_FIELDS = ("dataset_size", "base_batch", "epochs", "world_size", "seed", "min_batch")
+
 _T = TypeVar("_T")
+
+
+def as_integer(value) -> int | None:
+    """``value`` as a Python int through ``operator.index``; None for a bool or a non-integer."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 class Strategy(str, Enum):
@@ -164,6 +180,9 @@ class SamplerConfig:
     base_clip: VideoClipSpec | None = None
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:  # a numpy integer is stored as its Python int
+            if isinstance(getattr(self, name), np.integer):
+                object.__setattr__(self, name, int(getattr(self, name)))
         if self.min_batch is None:
             object.__setattr__(self, "min_batch", self.world_size)
         object.__setattr__(self, "clips", tuple(self.clips))
@@ -243,7 +262,14 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
         if outside:
             flag("CLIP_RES_NOT_IN_SET", f"clips {', '.join(outside)} have a resolution outside the resolution set")
 
-    if config.base_batch < 1 or (config.min_batch or 0) < 1:
+    # The checks below compare and multiply the integer fields, so a field that is not one ends them.
+    for name in _INTEGER_FIELDS:
+        if as_integer(getattr(config, name)) is None:
+            flag("NOT_INTEGER", f"{name} must be an integer, got {getattr(config, name)!r}")
+    if any(v.code == "NOT_INTEGER" for v in bad):
+        return bad
+
+    if config.base_batch < 1 or config.min_batch < 1:
         flag("ZERO_BATCH", "base_batch and min_batch must be >= 1")
     elif config.world_size >= 1 and config.effective_batch() < config.min_batch:
         flag(

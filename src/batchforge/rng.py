@@ -33,12 +33,11 @@ with a code: ``BAD_SIZE``, ``ZERO_SET_SIZE`` or ``PERMUTATION_TOO_LARGE``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_PERMUTATION_SIZE, BatchforgeError
+from .core import MAX_PERMUTATION_SIZE, BatchforgeError, as_integer
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -87,12 +86,11 @@ def _size(count, what: str, least: int = 0, below: str = "BAD_SIZE") -> int:
     """``count`` as a Python int in [least, 2**64).
 
     An integer under ``least`` raises ``below``; anything else out of range,
-    or not an integer at all, raises ``BAD_SIZE``.
+    or not an integer at all (a bool included), raises ``BAD_SIZE``.
     """
-    try:
-        size = operator.index(count)
-    except TypeError:
-        raise BatchforgeError("BAD_SIZE", f"{what} must be an integer, got {count!r}") from None
+    size = as_integer(count)
+    if size is None:
+        raise BatchforgeError("BAD_SIZE", f"{what} must be an integer, got {count!r}")
     if size < least:
         raise BatchforgeError(below, f"{what} must be >= {least}, got {size}")
     if size > _MASK64:
@@ -181,7 +179,7 @@ def choice_at(seed: int, epoch, iterations: np.ndarray, tag: str, set_size: int)
     2**-44 for any set size below 2**20, which is unobservable.
 
     ``set_size`` must be an integer: below 1 raises ``ZERO_SET_SIZE``, and
-    2**64 or more, or a non-integer such as 2.5, raises ``BAD_SIZE``.
+    2**64 or more, or a non-integer such as 2.5 or True, raises ``BAD_SIZE``.
     """
     k = np.uint64(_size(set_size, "set_size", least=1, below="ZERO_SET_SIZE"))
     draws = stream_at(seed, epoch, iterations, tag)

@@ -35,7 +35,6 @@ schedule :func:`plan_epoch` makes, or a shard of one, carries the
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -50,6 +49,7 @@ from .core import (
     SamplerConfig,
     Strategy,
     VideoClipSpec,
+    as_integer,
     ensure_valid,
 )
 from .rng import StreamKey, choice_at, permutation
@@ -267,16 +267,6 @@ def epoch_batch_shapes(config: SamplerConfig, epoch: int, n_active: int) -> tupl
     shape_idx, batches = next(walk_shapes(config, [epoch], n_active))
     count = np.count_nonzero(batches)
     return shape_idx[0, :count], batches[0, :count]
-
-
-def as_integer(value) -> int | None:
-    """``value`` as a Python int through ``operator.index``; None for a bool or a non-integer."""
-    if isinstance(value, (bool, np.bool_)):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
 
 
 def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray | None:

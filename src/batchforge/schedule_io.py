@@ -16,12 +16,8 @@ Any other schedule (a hand-built one, one planned from another config, or
 any schedule of a header-less write) is one ``plan`` line per iteration:
 its shape, its batch size and its ``sample_ids``, the bytes of
 ``json.dumps`` of the record. These verbatim ids are an export-only format,
-for data loaders outside Python; the reader does not read them. The writer
-formats a block of whole plans, about ``WRITE_BLOCK_IDS`` ids, at a time
-with numpy: each id becomes two-byte cells of digit pairs from a table, its
-leading zero digits NUL bytes that one ``bytes.translate`` deletes, and the
-last id of a plan carries a line marker in place of its comma, so one
-``split`` yields the plan bodies. A negative id is ``BAD_IDS``.
+for data loaders outside Python; the reader does not read them. A negative id
+is ``BAD_IDS``.
 
 The reader raises ``BatchforgeError`` with a code: ``BAD_JSON`` for a line
 that is not JSON (a file cut mid-line), naming the line's 1-based number;
@@ -54,40 +50,12 @@ from .samplers import EpochSchedule
 
 SCHEMA_VERSION = 1
 
-# Ids per block of write_schedules, in whole plans; bounds the writer's memory.
-WRITE_BLOCK_IDS = 1 << 15
-
-# A digit pair v as two bytes: "00".."99" in full, or with its leading zero digits as NUL bytes.
-_FULL = "".join(f"{v:02d}" for v in range(100))
-_LEAD = "\0\0" + "".join(f"{v:2d}".replace(" ", "\0") for v in range(1, 100))
-# _CELLS[ones][v + 100 * more]: the cell of pair v, in full when more digits come before it. The ones
-# cell of the id 0 is "\0" "0", where the cells before it are NUL NUL.
-_CELLS = tuple(np.frombuffer((lead + _FULL).encode(), np.uint16) for lead in (_LEAD, "\0" "0" + _LEAD[2:]))
-_COMMA, _END = np.frombuffer(b",\0\n\0", dtype=np.uint16)
 _INT64 = range(1 << 63)  # the epochs and world sizes a replan record may name: planning holds them as int64
 
 
 def id_digest(ids: np.ndarray) -> str:
     """crc32 of ``ids`` as little-endian int64, as 8 lowercase hex digits."""
     return f"{zlib.crc32(np.ascontiguousarray(ids, dtype='<i8')):08x}"
-
-
-def _format_ids(ids: np.ndarray, ends: np.ndarray) -> list[str]:
-    """Comma-separated decimal ``ids``, split after each position in ``ends``."""
-    if ids.min(initial=0) < 0:
-        raise BatchforgeError("BAD_IDS", f"id {ids.min()} is negative")
-    width = (len(str(ids.max(initial=0))) + 1) // 2
-    cells = np.empty((len(ids), width + 1), dtype=np.uint16)
-    rest = ids
-    for c in range(width - 1, -1, -1):
-        more = rest // 100
-        pair = rest - 100 * more
-        pair += 100 * (more > 0)
-        cells[:, c] = _CELLS[c == width - 1][pair]
-        rest = more
-    cells[:, width] = _COMMA
-    cells[ends, width] = _END
-    return cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")
 
 
 def write_schedules(fp: IO[str], schedules: Iterable[EpochSchedule], config: SamplerConfig | None = None) -> None:
@@ -109,33 +77,15 @@ def write_schedules(fp: IO[str], schedules: Iterable[EpochSchedule], config: Sam
                 record["active"] = base64.b64encode(np.packbits(mask)).decode("ascii")
             fp.write(json.dumps(record, separators=(",", ":")) + "\n")
             continue
-        offsets, count = schedule.offsets, schedule.total_updates
-        start = 0
-        while start < count:
-            stop = int(np.searchsorted(offsets, offsets[start] + WRITE_BLOCK_IDS, side="right")) - 1
-            stop = max(stop, start + 1)
-            sizes = np.diff(offsets[start : stop + 1])
-            ends = (offsets[start + 1 : stop + 1] - offsets[start] - 1)[sizes > 0]
-            bodies = iter(_format_ids(schedule.ids[offsets[start] : offsets[stop]], ends))
-            lines = []
-            for plan in schedule.plans[start:stop]:
-                record: dict = {
-                    "kind": "plan",
-                    "epoch": schedule.epoch,
-                    "iteration": plan.iteration,
-                    "height": plan.resolution.height,
-                    "width": plan.resolution.width,
-                    "batch_size": plan.batch_size,
-                }
-                if plan.clip is not None:
-                    record["clip"] = {
-                        "num_frames": plan.clip.num_frames,
-                        "clips_per_video": plan.clip.clips_per_video,
-                    }
-                body = next(bodies) if plan.batch_size else ""
-                lines.append(f'{json.dumps(record, separators=(",", ":"))[:-1]},"sample_ids":[{body}]}}\n')
-            fp.write("".join(lines))
-            start = stop
+        if schedule.ids.min(initial=0) < 0:
+            raise BatchforgeError("BAD_IDS", f"epoch {schedule.epoch}: id {schedule.ids.min()} is negative")
+        for plan in schedule.plans:
+            record = {"kind": "plan", "epoch": schedule.epoch, "iteration": plan.iteration, "height": plan.resolution.height,
+                      "width": plan.resolution.width, "batch_size": plan.batch_size}
+            if plan.clip is not None:
+                record["clip"] = {"num_frames": plan.clip.num_frames, "clips_per_video": plan.clip.clips_per_video}
+            record["sample_ids"] = plan.sample_ids.tolist()
+            fp.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def _active_ids(text, n: int, where: str) -> np.ndarray:

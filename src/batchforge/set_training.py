@@ -64,7 +64,7 @@ from typing import IO
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import BatchforgeError
+from .core import BatchforgeError, as_integer
 
 SCHEMA_VERSION = 2
 
@@ -91,10 +91,10 @@ class SetConfig:
         if self.start_epoch is None:
             object.__setattr__(self, "start_epoch", self.window)
         for name in ("window", "start_epoch", "reeval_stride"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise BatchforgeError("NOT_INTEGER", f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            value = as_integer(getattr(self, name))
+            if value is None:
+                raise BatchforgeError("NOT_INTEGER", f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if self.window < 1:
             raise BatchforgeError("ZERO_WINDOW", "window must be >= 1")
         if self.start_epoch < 0:

@@ -1,7 +1,7 @@
 """Test oracle: the plain schedule writer, ``json.dumps`` of each whole record.
 
 Each plan line is ``json.dumps`` of its record with ``sample_ids`` as a list
-of Python ints. ``test_schedule_io.py`` checks the block-formatted writer of
+of Python ints. ``test_schedule_io.py`` checks the writer of
 ``batchforge.schedule_io`` against it byte for byte, and its ``replan``
 lines against :func:`reference_replan_line`, which packs a subset's active
 mask bit by bit in Python.

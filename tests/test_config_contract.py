@@ -24,6 +24,7 @@ from batchforge.core import (
     validate_config,
 )
 from batchforge.analysis import count_updates
+from batchforge.presets import load_preset
 from batchforge.samplers import batch_table, plan_epoch, shard_for_rank
 from batchforge.schedule_io import read_schedules, write_schedules
 
@@ -109,3 +110,52 @@ def test_video_configs_without_a_usable_clip_table_are_rejected(config):
         with pytest.raises(ConfigValidationError) as err:
             plan_epoch(bad, 0)
         assert code in err.value.codes
+
+
+# resnet50 at 5,000 ids: a valid base for one field at a time
+RESNET50 = replace(load_preset("resnet50").sampler, dataset_size=5000)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"dataset_size": np.int64(5000)},
+        {"seed": np.uint64(3)},
+        {"seed": np.uint64(2**64 - 1)},
+        {"base_batch": np.int32(64), "epochs": np.int16(2), "world_size": np.uint8(1), "min_batch": np.int64(1)},
+    ],
+    ids=["np_dataset_size", "np_uint64_seed", "np_largest_seed", "np_small_ints"],
+)
+def test_numpy_integer_fields_are_stored_as_ints_and_round_trip(fields):
+    config = replace(RESNET50, **fields)
+    assert all(type(getattr(config, name)) is int and getattr(config, name) == value for name, value in fields.items())
+    assert not validate_config(config)
+    schedule = plan_epoch(config, 0)
+    buf = io.StringIO()
+    write_schedules(buf, [schedule], config)
+    header, back = read_schedules(io.StringIO(buf.getvalue()))
+    assert sampler_config_from_mapping(header) == config
+    assert back == [schedule]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epochs", True),
+        ("base_batch", 64.0),
+        ("world_size", True),
+        ("seed", 1.5),
+        ("min_batch", False),
+        ("dataset_size", "5000"),
+        ("seed", np.float64(3)),
+        ("dataset_size", np.True_),
+    ],
+    ids=["bool_epochs", "float_base_batch", "bool_world_size", "fraction_seed", "bool_min_batch", "text_dataset_size",
+         "np_float_seed", "np_bool_dataset_size"],
+)
+def test_integer_fields_reject_bools_and_non_integers(field, value):
+    config = replace(RESNET50, **{field: value})
+    assert [v.code for v in validate_config(config)] == ["NOT_INTEGER"]
+    with pytest.raises(ConfigValidationError) as err:
+        plan_epoch(config, 0)
+    assert err.value.code == "NOT_INTEGER" and field in err.value.message

@@ -246,11 +246,14 @@ def test_permutation_calls_stream_fill_once(monkeypatch):
         lambda: permutation(1, StreamKey(), -3),
         lambda: permutation(1, StreamKey(), 3.0),
         lambda: permutation(1, StreamKey(), "3"),
+        lambda: permutation(1, StreamKey(), True),
         lambda: stream_fill(1, StreamKey(), -1),
         lambda: stream_fill(1, StreamKey(), 1.5),
         lambda: stream_fill(1, StreamKey(), np.float64(4)),
+        lambda: stream_fill(1, StreamKey(), False),
     ],
-    ids=["perm_fraction", "perm_negative", "perm_float", "perm_str", "fill_negative", "fill_fraction", "fill_np_float"],
+    ids=["perm_fraction", "perm_negative", "perm_float", "perm_str", "perm_bool", "fill_negative", "fill_fraction",
+         "fill_np_float", "fill_bool"],
 )
 def test_draw_sizes_must_be_non_negative_integers(draw):
     with pytest.raises(BatchforgeError) as err:
@@ -306,12 +309,14 @@ def test_keyed_draws_match_the_scalar_stream_and_the_plain_modulo(grid, seed, ta
         (3.0, "BAD_SIZE"),
         (np.float64(3), "BAD_SIZE"),
         ("3", "BAD_SIZE"),
+        (True, "BAD_SIZE"),
+        (False, "BAD_SIZE"),
         (2**64, "BAD_SIZE"),
         (0, "ZERO_SET_SIZE"),
         (-3, "ZERO_SET_SIZE"),
         (np.int64(0), "ZERO_SET_SIZE"),
     ],
-    ids=["fraction", "float", "np_float", "str", "past_uint64", "zero", "negative", "np_zero"],
+    ids=["fraction", "float", "np_float", "str", "true", "false", "past_uint64", "zero", "negative", "np_zero"],
 )
 def test_choice_set_size_must_be_an_integer_from_1_below_2_64(set_size, code):
     with pytest.raises(BatchforgeError) as err:

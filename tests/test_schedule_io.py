@@ -159,9 +159,8 @@ def test_reader_rejects_plans_without_sample_ids():
     assert_export_only(records_text(records))
 
 
-# -- the block-formatted writer against the json.dumps oracle ---------------------------------
+# -- the writer against the json.dumps oracle ------------------------------------------------
 
-BLOCK_SIZES = [1, 7, schedule_io.WRITE_BLOCK_IDS]
 # 0, 9, 10, 99, 100, ..., and the largest id a config can have
 DIGIT_BOUNDARIES = sorted({0, 2**24 - 1} | {10**k + d for k in range(1, 8) for d in (-1, 0)})
 
@@ -172,10 +171,9 @@ def reference_text(schedules, config=None):
     return buf.getvalue()
 
 
-def written_text(schedules, config=None, block_ids=schedule_io.WRITE_BLOCK_IDS):
+def written_text(schedules, config=None):
     buf = io.StringIO()
-    with mock.patch.object(schedule_io, "WRITE_BLOCK_IDS", block_ids):
-        write_schedules(buf, schedules, config=config)
+    write_schedules(buf, schedules, config=config)
     return buf.getvalue()
 
 
@@ -224,30 +222,29 @@ def planned_epochs(draw):
 
 
 @settings(max_examples=60, deadline=None, print_blob=False)
-@given(planned=planned_epochs(), block_ids=st.sampled_from(BLOCK_SIZES))
-def test_writer_matches_the_json_dumps_oracle_for_planned_epochs(planned, block_ids):
+@given(planned=planned_epochs())
+def test_writer_matches_the_json_dumps_oracle_for_planned_epochs(planned):
     config, schedules, fields = planned
     # header-less, each epoch is its plan lines
-    assert written_text(schedules, None, block_ids) == reference_text(schedules)
+    assert written_text(schedules) == reference_text(schedules)
     # with their config in the header, each epoch with updates is one replan line, which reads back and re-exports
-    text = written_text(schedules, config, block_ids)
+    text = written_text(schedules, config)
     assert text == replanned_text(config, schedules, fields)
     header, back = read_schedules(io.StringIO(text))
     assert back == [s for s in schedules if s.total_updates]
-    assert written_text(back, sampler_config_from_mapping(header), block_ids) == text
+    assert written_text(back, sampler_config_from_mapping(header)) == text
 
 
 @settings(max_examples=150, deadline=None, print_blob=False)
 @given(
     ids=st.lists(st.sampled_from(DIGIT_BOUNDARIES) | st.integers(0, 2**24 - 1), min_size=1, max_size=300),
     cuts=st.lists(st.integers(0, 300), max_size=40),
-    block_ids=st.sampled_from(BLOCK_SIZES),
 )
-def test_writer_matches_the_oracle_at_every_digit_boundary(ids, cuts, block_ids):
+def test_writer_matches_the_oracle_at_every_digit_boundary(ids, cuts):
     offsets = np.array(sorted({0, len(ids), *(c for c in cuts if c < len(ids))}), dtype=np.int64)
     shapes = (Resolution(128, 128), Resolution(224, 224))
     schedule = EpochSchedule(5, np.array(ids, dtype=np.int64), offsets, np.arange(len(offsets) - 1) % 2, shapes)
-    assert written_text([schedule], None, block_ids) == reference_text([schedule])
+    assert written_text([schedule]) == reference_text([schedule])
 
 
 def test_writer_formats_every_int64_width_and_empty_plans():
@@ -273,14 +270,12 @@ def test_video_and_subset_epochs_match_the_oracle():
     subset = plan_epoch(config, 1, np.flatnonzero(keep))
     full = plan_epoch(config, 0)
     for schedules in ([video], [full, subset]):
-        for block_ids in BLOCK_SIZES:
-            assert written_text(schedules, None, block_ids) == reference_text(schedules)
+        assert written_text(schedules) == reference_text(schedules)
     # with the config in the header, the full and the subset epoch are a replan line each; the video epoch,
     # planned from another config, is its plan lines
     expected = reference_text([], config) + reference_replan_line(full) + reference_replan_line(subset, keep.tolist())
-    for block_ids in BLOCK_SIZES:
-        assert written_text([video], config, block_ids) == reference_text([video], config)
-        assert written_text([full, subset], config, block_ids) == expected
+    assert written_text([video], config) == reference_text([video], config)
+    assert written_text([full, subset], config) == expected
 
 
 # -- regenerable epochs: replan records -------------------------------------------------------
@@ -321,8 +316,7 @@ def test_epochs_the_header_config_does_not_replan_keep_the_oracle_bytes():
     ]
     for schedules, header_config in cases:
         assert validate_config(header_config) or plan_epoch(header_config, schedules[0].epoch) != schedules[0]
-        for block_ids in BLOCK_SIZES:
-            assert written_text(schedules, header_config, block_ids) == reference_text(schedules, header_config)
+        assert written_text(schedules, header_config) == reference_text(schedules, header_config)
     # a planned epoch carries its origin, so writing full, subset and shard epochs re-plans nothing
     planned = [full, subset, shard_for_rank(plan_epoch(config, 2), 1, 2)]
     with mock.patch.object(samplers, "plan_epoch", wraps=samplers.plan_epoch) as replans:
