@@ -26,7 +26,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import BatchforgeError, SamplerConfig, Strategy, as_integer, ensure_valid
+from .core import BatchforgeError, SamplerConfig, Strategy, check_integer, ensure_valid
 from .rng import derive_seed
 from .samplers import EpochSchedule, batch_table, epoch_batch_shapes, shape_table, unit_volume, walk_shapes
 
@@ -115,14 +115,9 @@ def simulate_updates(config: SamplerConfig, trials: int) -> UpdateSimulation:
     """Monte-Carlo oracle: exact counts over ``trials`` independent seeds.
 
     ``trials`` is an integer (numpy ones included): below 1 raises
-    ``ZERO_TRIALS``; a bool or a non-integer raises ``BAD_SIZE``.
+    ``ZERO_TRIALS``; a bool, a non-integer or 2**63 or more raises ``BAD_SIZE``.
     """
-    count = as_integer(trials)
-    if count is None:
-        raise BatchforgeError("BAD_SIZE", f"trials must be an integer, got {trials!r}")
-    if count < 1:
-        raise BatchforgeError("ZERO_TRIALS", "trials must be >= 1")
-    trials = count
+    trials = check_integer(trials, "trials", "BAD_SIZE", least=1, low_code="ZERO_TRIALS")
     counts = np.array(
         [
             count_updates(replace(config, seed=derive_seed(config.seed, trial))).exact

@@ -28,12 +28,29 @@ _T = TypeVar("_T")
 
 def as_integer(value) -> int | None:
     """``value`` as a Python int through ``operator.index``; None for a bool or a non-integer."""
+    if type(value) is int:  # the common case, checked first: validate_config runs this on every side of every shape
+        return value
     if isinstance(value, (bool, np.bool_)):
         return None
     try:
         return operator.index(value)
     except TypeError:
         return None
+
+
+def check_integer(value, what: str, code: str, least: int = 0, below: int = 1 << 63, low_code: str | None = None) -> int:
+    """``value`` as a Python int in ``[least, below)``, through :func:`as_integer`.
+
+    A bool, a non-integer or a value out of range raises ``BatchforgeError(code)``; with ``low_code``, an
+    integer below ``least`` raises ``low_code`` instead.
+    """
+    number = as_integer(value)
+    if number is not None and least <= number < below:
+        return number
+    if low_code is not None and number is not None and number < least:
+        code = low_code
+    bound = f"2**{below.bit_length() - 1}" if below > 1 << 32 and below & (below - 1) == 0 else below
+    raise BatchforgeError(code, f"{what} must be an integer in [{least}, {bound}), got {value!r}")
 
 
 class Strategy(str, Enum):
@@ -183,6 +200,8 @@ class SamplerConfig:
         for name in _INTEGER_FIELDS:  # a numpy integer is stored as its Python int
             if isinstance(getattr(self, name), np.integer):
                 object.__setattr__(self, name, int(getattr(self, name)))
+        if isinstance(self.drop_last, np.bool_):  # and a numpy bool as its Python bool
+            object.__setattr__(self, "drop_last", bool(self.drop_last))
         if self.min_batch is None:
             object.__setattr__(self, "min_batch", self.world_size)
         object.__setattr__(self, "clips", tuple(self.clips))
@@ -233,6 +252,21 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
     def flag(code: str, message: str):
         bad.append(ConfigViolation(code, message))
 
+    # Every check below compares or multiplies these integers, so a value of another type ends them.
+    for name in _INTEGER_FIELDS:
+        if as_integer(getattr(config, name)) is None:
+            flag("NOT_INTEGER", f"{name} must be an integer, got {getattr(config, name)!r}")
+    clips = (*config.clips, config.base_clip) if config.base_clip is not None else config.clips
+    for shape in (config.base_resolution, *config.resolutions, *clips):
+        sides = (shape.height, shape.width) if isinstance(shape, Resolution) else (
+            shape.num_frames, shape.clips_per_video, shape.resolution.height, shape.resolution.width)
+        if None in map(as_integer, sides):
+            flag("NOT_INTEGER", f"{shape!r} must hold integers")
+    if not isinstance(config.drop_last, bool):
+        flag("NOT_BOOL", f"drop_last must be a bool, got {config.drop_last!r}")
+    if bad:
+        return bad
+
     for res in (config.base_resolution, *config.resolutions):
         if res.height < 1 or res.width < 1:
             flag("NONPOSITIVE_RESOLUTION", f"resolution {res} has a dimension < 1")
@@ -261,13 +295,6 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
         outside = [str(c) for c in config.clips if c.resolution not in config.resolutions.entries]
         if outside:
             flag("CLIP_RES_NOT_IN_SET", f"clips {', '.join(outside)} have a resolution outside the resolution set")
-
-    # The checks below compare and multiply the integer fields, so a field that is not one ends them.
-    for name in _INTEGER_FIELDS:
-        if as_integer(getattr(config, name)) is None:
-            flag("NOT_INTEGER", f"{name} must be an integer, got {getattr(config, name)!r}")
-    if any(v.code == "NOT_INTEGER" for v in bad):
-        return bad
 
     if config.base_batch < 1 or config.min_batch < 1:
         flag("ZERO_BATCH", "base_batch and min_batch must be >= 1")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_PERMUTATION_SIZE, BatchforgeError, as_integer
+from .core import MAX_PERMUTATION_SIZE, BatchforgeError, check_integer
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -82,22 +82,6 @@ def _mix64_tail(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return x
 
 
-def _size(count, what: str, least: int = 0, below: str = "BAD_SIZE") -> int:
-    """``count`` as a Python int in [least, 2**64).
-
-    An integer under ``least`` raises ``below``; anything else out of range,
-    or not an integer at all (a bool included), raises ``BAD_SIZE``.
-    """
-    size = as_integer(count)
-    if size is None:
-        raise BatchforgeError("BAD_SIZE", f"{what} must be an integer, got {count!r}")
-    if size < least:
-        raise BatchforgeError(below, f"{what} must be >= {least}, got {size}")
-    if size > _MASK64:
-        raise BatchforgeError("BAD_SIZE", f"{what} must be below 2**64, got {size}")
-    return size
-
-
 def tag_hash(tag: str) -> int:
     """FNV-1a hash of a purpose tag, fixed across platforms."""
     h = _FNV_OFFSET
@@ -131,7 +115,7 @@ def stream_fill(seed: int, key: StreamKey, count: int) -> np.ndarray:
     state plus ``k`` times the golden-ratio increment, modulo 2**64. The
     draws are made ``FILL_BLOCK`` at a time, straight into the output.
     """
-    count = _size(count, "count")
+    count = check_integer(count, "count", "BAD_SIZE", below=1 << 64)
     state = stream_state(seed, key.epoch, key.iteration, key.tag)
     draws = np.empty(count, dtype=np.uint64)
     block = FILL_BLOCK
@@ -181,7 +165,7 @@ def choice_at(seed: int, epoch, iterations: np.ndarray, tag: str, set_size: int)
     ``set_size`` must be an integer: below 1 raises ``ZERO_SET_SIZE``, and
     2**64 or more, or a non-integer such as 2.5 or True, raises ``BAD_SIZE``.
     """
-    k = np.uint64(_size(set_size, "set_size", least=1, below="ZERO_SET_SIZE"))
+    k = np.uint64(check_integer(set_size, "set_size", "BAD_SIZE", least=1, below=1 << 64, low_code="ZERO_SET_SIZE"))
     draws = stream_at(seed, epoch, iterations, tag)
     quotients = np.floor_divide(draws, k)
     quotients *= k
@@ -206,7 +190,7 @@ def permutation(seed: int, key: StreamKey, n: int) -> np.ndarray:
     their index ``FILL_BLOCK`` at a time, so the sort is the only pass that
     needs more than the key array itself.
     """
-    n = _size(n, "n")
+    n = check_integer(n, "n", "BAD_SIZE", below=1 << 64)
     if n > MAX_PERMUTATION_SIZE:
         raise BatchforgeError(
             "PERMUTATION_TOO_LARGE",

@@ -49,7 +49,7 @@ from .core import (
     SamplerConfig,
     Strategy,
     VideoClipSpec,
-    as_integer,
+    check_integer,
     ensure_valid,
 )
 from .rng import StreamKey, choice_at, permutation
@@ -293,10 +293,7 @@ def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray | None:
 def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSchedule:
     """Generate one epoch's schedule for any strategy; ``epoch`` is an integer in [0, 2**63), else ``BAD_EPOCH``."""
     ensure_valid(config)
-    index = as_integer(epoch)
-    if index is None or not 0 <= index < 1 << 63:
-        raise BatchforgeError("BAD_EPOCH", f"epoch must be an integer in [0, 2**63), got {epoch!r}")
-    epoch = index
+    epoch = check_integer(epoch, "epoch", "BAD_EPOCH")
     ids = _resolve_active_ids(config, active_ids)
     n = config.dataset_size if ids is None else len(ids)
     shape_idx, batch_sizes = epoch_batch_shapes(config, epoch, n)
@@ -334,10 +331,8 @@ def shard_for_rank(schedule: EpochSchedule, rank: int, world_size: int) -> Epoch
     world_size < 2**63``; anything else, a bool included, raises
     ``RANK_OUT_OF_RANGE``.
     """
-    index, world = as_integer(rank), as_integer(world_size)
-    if index is None or world is None or not 0 <= index < world < 1 << 63:
-        raise BatchforgeError("RANK_OUT_OF_RANGE", f"rank {rank!r} not an integer in [0, {world_size!r}), world_size < 2**63")
-    rank, world_size = index, world
+    world_size = check_integer(world_size, "world_size", "RANK_OUT_OF_RANGE", least=1)
+    rank = check_integer(rank, "rank", "RANK_OUT_OF_RANGE", below=world_size)
     sizes = np.diff(schedule.offsets)
     indivisible = np.flatnonzero(sizes % world_size)
     if len(indivisible):

@@ -23,8 +23,8 @@ The reader raises ``BatchforgeError`` with a code: ``BAD_JSON`` for a line
 that is not JSON (a file cut mid-line), naming the line's 1-based number;
 ``BAD_SCHEMA`` for a header whose ``schema_version`` is not 1;
 ``BAD_RECORD`` for a line that is not a JSON object, has no or an unknown
-``kind``, is a ``plan`` line, is a ``replan`` without integer ``epoch`` >=
-0, ``updates`` and ``samples`` and an 8 lowercase hex digit ``digest``, has
+``kind``, is a ``plan`` line, is a ``replan`` without integer ``epoch``,
+``updates`` and ``samples`` in [0, 2**63) and an 8 lowercase hex digit ``digest``, has
 an ``active`` that is not base64 of the mask's bytes with its padding bits
 clear, has ``rank`` or ``world_size`` without the other or outside ``0 <=
 rank < world_size < 2**63``, or is a second record of one epoch;
@@ -45,12 +45,10 @@ from typing import IO, Iterable
 import numpy as np
 
 from . import samplers
-from .core import BatchforgeError, SamplerConfig, sampler_config_from_mapping, sampler_config_to_mapping
+from .core import BatchforgeError, SamplerConfig, check_integer, sampler_config_from_mapping, sampler_config_to_mapping
 from .samplers import EpochSchedule
 
 SCHEMA_VERSION = 1
-
-_INT64 = range(1 << 63)  # the epochs and world sizes a replan record may name: planning holds them as int64
 
 
 def id_digest(ids: np.ndarray) -> str:
@@ -103,14 +101,15 @@ def _active_ids(text, n: int, where: str) -> np.ndarray:
 def _replan(record: dict, header_config, per_epoch: dict, number: int) -> None:
     """Re-plan the ``replan`` record of line ``number`` from the header config, check it, and add it to ``per_epoch``."""
     where = f"line {number}"
-    epoch, updates, samples, digest = (record.get(key) for key in ("epoch", "updates", "samples", "digest"))
-    if not (all(type(v) is int for v in (epoch, updates, samples)) and epoch in _INT64
-            and isinstance(digest, str) and re.fullmatch("[0-9a-f]{8}", digest)):
-        raise BatchforgeError("BAD_RECORD", f"{where}: a replan needs integer epoch (>= 0), updates, samples and 8 hex digits")
+    epoch, updates, samples = (check_integer(record.get(key), f"{where}: {key}", "BAD_RECORD")
+                               for key in ("epoch", "updates", "samples"))
+    digest = record.get("digest")
+    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{8}", digest)):
+        raise BatchforgeError("BAD_RECORD", f"{where}: a replan needs a digest of 8 lowercase hex digits, got {digest!r}")
     sharded = "rank" in record or "world_size" in record
-    rank, world_size = record.get("rank"), record.get("world_size")
-    if sharded and not (type(rank) is int and type(world_size) is int and 0 <= rank < world_size and world_size in _INT64):
-        raise BatchforgeError("BAD_RECORD", f"{where}: a shard needs integer rank and world_size, 0 <= rank < world_size")
+    if sharded:
+        world_size = check_integer(record.get("world_size"), f"{where}: world_size", "BAD_RECORD", least=1)
+        rank = check_integer(record.get("rank"), f"{where}: rank", "BAD_RECORD", below=world_size)
     if epoch in per_epoch:
         raise BatchforgeError("BAD_RECORD", f"{where}: a second record for epoch {epoch}")
     if not isinstance(header_config, dict):

@@ -46,7 +46,7 @@ Errors are ``BatchforgeError`` with a code:
 - ``BAD_SCHEMA``, ``BAD_STATE``: a checkpoint of another schema version, or
   one that is malformed or inconsistent (not a JSON object, such as an
   empty or truncated file; a size, epoch or counter that is
-  not an integer >= 0, an array that is not base64 of the right length, a
+  not an integer in [0, 2**63), an array that is not base64 of the right length, a
   streak above ``window`` or above the epochs recorded so far, a removed
   sample whose streak no run can produce);
 - ``TAU_OUT_OF_RANGE``, ``NOT_INTEGER``, ``ZERO_WINDOW``,
@@ -64,7 +64,7 @@ from typing import IO
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import BatchforgeError, as_integer
+from .core import BatchforgeError, check_integer
 
 SCHEMA_VERSION = 2
 
@@ -90,17 +90,10 @@ class SetConfig:
             raise BatchforgeError("TAU_OUT_OF_RANGE", f"tau must be in [0, 1], got {self.tau}")
         if self.start_epoch is None:
             object.__setattr__(self, "start_epoch", self.window)
-        for name in ("window", "start_epoch", "reeval_stride"):
-            value = as_integer(getattr(self, name))
-            if value is None:
-                raise BatchforgeError("NOT_INTEGER", f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, least, low_code in (("window", 1, "ZERO_WINDOW"), ("start_epoch", 0, "NEGATIVE_START"),
+                                      ("reeval_stride", 1, "ZERO_STRIDE")):
+            value = check_integer(getattr(self, name), name, "NOT_INTEGER", least=least, low_code=low_code)
             object.__setattr__(self, name, value)
-        if self.window < 1:
-            raise BatchforgeError("ZERO_WINDOW", "window must be >= 1")
-        if self.start_epoch < 0:
-            raise BatchforgeError("NEGATIVE_START", "start_epoch must be >= 0")
-        if self.reeval_stride < 1:
-            raise BatchforgeError("ZERO_STRIDE", "reeval_stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -295,13 +288,6 @@ class SetState:
                 raise BatchforgeError("BAD_SCHEMA", f"unsupported set_state schema_version {version!r}")
             cfg = payload["config"]
             counters = payload["counters"]
-            counts = [payload["num_samples"], payload["epoch"]] + [
-                counters[key] for key in ("removed_count", "readded_count", "forward_passes")
-            ]
-            if not all(type(c) is int and c >= 0 for c in counts):
-                raise BatchforgeError(
-                    "BAD_STATE", f"num_samples, epoch and counters must be integers >= 0: {counts}"
-                )
             try:
                 config = SetConfig(
                     tau=cfg["tau"],
@@ -311,11 +297,10 @@ class SetState:
                 )
             except BatchforgeError as exc:
                 raise BatchforgeError("BAD_STATE", f"invalid filter settings: {exc}") from exc
-            state = cls(payload["num_samples"], config)
-            state.epoch = payload["epoch"]
-            state.removed_count = counters["removed_count"]
-            state.readded_count = counters["readded_count"]
-            state.forward_passes = counters["forward_passes"]
+            state = cls(check_integer(payload["num_samples"], "num_samples", "BAD_STATE"), config)
+            state.epoch = check_integer(payload["epoch"], "epoch", "BAD_STATE")
+            for key in ("removed_count", "readded_count", "forward_passes"):
+                setattr(state, key, check_integer(counters[key], key, "BAD_STATE"))
             n, streak = state.num_samples, state.streak
             state.removed[:] = _unpack_bits(payload["removed"], n, "removed")
             state.recorded[:] = _unpack_bits(payload["recorded"], n, "recorded")

@@ -37,7 +37,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import BatchforgeError, Resolution, ResolutionSet, SamplerConfig, ensure_valid
+from .core import BatchforgeError, Resolution, ResolutionSet, SamplerConfig, check_integer, ensure_valid
 from .rng import derive_seed
 from .samplers import plan_epoch, shape_resolution
 from .set_training import EpochTransition, SetConfig, SetState
@@ -323,10 +323,10 @@ def make_synthetic_task(
     parameters move, which is what exercises removal and re-adding. The
     three-band class means need ``grid`` to be 2 or a multiple of 4.
     """
-    if not (grid == 2 or (grid > 0 and grid % 4 == 0)):
+    grid = check_integer(grid, "grid", "BAD_GRID", least=2)
+    if not (grid == 2 or grid % 4 == 0):
         raise BatchforgeError("BAD_GRID", f"grid must be 2 or a positive multiple of 4, got {grid}")
-    if num_classes < 2:
-        raise BatchforgeError("BAD_CLASSES", f"need at least two classes, got {num_classes}")
+    num_classes = check_integer(num_classes, "num_classes", "BAD_CLASSES", least=2)
     if not math.isfinite(noise_scale):
         raise BatchforgeError("NON_FINITE_SETTING", f"noise_scale must be finite, got {noise_scale}")
     means = _class_means(num_classes, grid, np.random.default_rng(derive_seed(seed, 1)))

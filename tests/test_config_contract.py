@@ -159,3 +159,65 @@ def test_integer_fields_reject_bools_and_non_integers(field, value):
     with pytest.raises(ConfigValidationError) as err:
         plan_epoch(config, 0)
     assert err.value.code == "NOT_INTEGER" and field in err.value.message
+
+
+def _round_trips(config):
+    schedule = plan_epoch(config, 0)
+    buf = io.StringIO()
+    write_schedules(buf, [schedule], config)
+    header, back = read_schedules(io.StringIO(buf.getvalue()))
+    return sampler_config_from_mapping(header) == config and back == [schedule]
+
+
+@pytest.mark.parametrize("value", [np.True_, np.False_], ids=["np_true", "np_false"])
+def test_numpy_bool_drop_last_is_stored_as_a_bool_and_round_trips(value):
+    config = replace(RESNET50, drop_last=value)
+    assert type(config.drop_last) is bool and config.drop_last == value
+    assert not validate_config(config)
+    assert _round_trips(config)
+
+
+@pytest.mark.parametrize("value", ["no", None, 1, 0, "false"], ids=repr)
+def test_drop_last_rejects_anything_but_a_bool(value):
+    config = replace(RESNET50, drop_last=value)
+    assert [v.code for v in validate_config(config)] == ["NOT_BOOL"]
+    with pytest.raises(ConfigValidationError) as err:
+        plan_epoch(config, 0)
+    assert err.value.code == "NOT_BOOL" and "drop_last" in err.value.message
+
+
+R224, R320 = Resolution(224, 224), Resolution(320, 320)
+# a valid video config over resnet50's resolutions, at 5,000 ids
+VIDEO = replace(
+    RESNET50,
+    strategy=Strategy.VIDEO_VBS,
+    clips=(VideoClipSpec(8, 1, R224), VideoClipSpec(4, 1, R320)),
+    base_clip=VideoClipSpec(8, 1, R224),
+)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        replace(RESNET50, base_resolution=Resolution(224.0, 224.0), resolutions=ResolutionSet.squares([128.0, 224.0])),
+        replace(RESNET50, base_resolution=Resolution(224.0, 224.0)),
+        replace(RESNET50, base_resolution=Resolution("224", 224)),
+        replace(RESNET50, resolutions=ResolutionSet([*RESNET50.resolutions.entries[:-1], Resolution(320, 320.5)])),
+        replace(VIDEO, clips=(VideoClipSpec(8.0, 1, R224), VIDEO.clips[1]), base_clip=VideoClipSpec(8.0, 1, R224)),
+        replace(VIDEO, base_clip=VideoClipSpec(8.0, 1, R224)),
+        replace(VIDEO, clips=(VIDEO.clips[0], VideoClipSpec(4, "1", R320))),
+        replace(VIDEO, clips=(VIDEO.clips[0], VideoClipSpec(4, 1, Resolution(320.0, 320.0)))),
+    ],
+    ids=["float_resolutions", "float_base_resolution", "text_base_height", "fraction_width", "float_clip_frames",
+         "float_base_clip_frames", "text_clips_per_video", "float_clip_sides"],
+)
+def test_shape_fields_reject_non_integers(config):
+    assert {v.code for v in validate_config(config)} == {"NOT_INTEGER"}
+    with pytest.raises(ConfigValidationError) as err:
+        plan_epoch(config, 0)
+    assert err.value.code == "NOT_INTEGER"
+
+
+def test_the_video_base_of_the_shape_cases_is_valid_and_round_trips():
+    assert not validate_config(VIDEO)
+    assert _round_trips(VIDEO)

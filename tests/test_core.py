@@ -17,6 +17,7 @@ from batchforge.core import (
     SamplerConfig,
     Strategy,
     VideoClipSpec,
+    check_integer,
     ensure_valid,
     parse_flat_config,
     sampler_config_from_mapping,
@@ -183,6 +184,53 @@ CODED_FAILURES = {
     "UNKNOWN_PRESET": lambda: presets.load_preset("bogus"),
     "BAD_JSON": lambda: schedule_io.read_schedules(io.StringIO("{\n")),
 }
+
+
+# check_integer(value, "count", "BAD", least=2, below=10, low_code=low_code): the int it returns, or the code it raises
+@pytest.mark.parametrize(
+    "value, low_code, expected",
+    [
+        (2, None, 2),
+        (9, "LOW", 9),
+        (np.int64(5), None, 5),
+        (np.uint8(9), None, 9),
+        (10, None, "BAD"),
+        (10, "LOW", "BAD"),
+        (np.uint64(2**64 - 1), "LOW", "BAD"),
+        (1, None, "BAD"),
+        (1, "LOW", "LOW"),
+        (-3, "LOW", "LOW"),
+        (np.int8(-3), "LOW", "LOW"),
+        (True, "LOW", "BAD"),
+        (False, "LOW", "BAD"),
+        (np.True_, None, "BAD"),
+        (3.0, "LOW", "BAD"),
+        (1.5, "LOW", "BAD"),
+        (np.float64(3), None, "BAD"),
+        ("3", None, "BAD"),
+        (None, "LOW", "BAD"),
+    ],
+    ids=repr,
+)
+def test_check_integer_returns_an_int_in_range_or_raises_its_code(value, low_code, expected):
+    if isinstance(expected, str):
+        with pytest.raises(BatchforgeError) as err:
+            check_integer(value, "count", "BAD", least=2, below=10, low_code=low_code)
+        assert err.value.code == expected and err.value.message.startswith("count must be an integer in [2, 10)")
+    else:
+        got = check_integer(value, "count", "BAD", least=2, below=10, low_code=low_code)
+        assert type(got) is int and got == expected
+
+
+@pytest.mark.parametrize("value, ok", [(0, True), (2**63 - 1, True), (np.uint64(2**63 - 1), True), (-1, False),
+                                       (2**63, False), (np.uint64(2**63), False)], ids=repr)
+def test_check_integer_defaults_to_zero_below_2_63(value, ok):
+    if ok:
+        assert check_integer(value, "epoch", "BAD") == value
+    else:
+        with pytest.raises(BatchforgeError) as err:
+            check_integer(value, "epoch", "BAD")
+        assert err.value.code == "BAD" and "[0, 2**63)" in err.value.message
 
 
 @pytest.mark.parametrize("code", sorted(CODED_FAILURES))

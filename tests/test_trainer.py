@@ -455,6 +455,18 @@ def test_synthetic_task_balanced_and_reproducible():
     assert len(eval_ds) == 2000
 
 
+@pytest.mark.parametrize(
+    "kwargs, code",
+    [(dict(grid=8.0), "BAD_GRID"), (dict(grid="8"), "BAD_GRID"), (dict(num_classes=2.5), "BAD_CLASSES"),
+     (dict(num_classes=np.float64(3)), "BAD_CLASSES")],
+    ids=["float_grid", "text_grid", "fraction_classes", "np_float_classes"],
+)
+def test_synthetic_task_rejects_non_integer_grid_and_classes(kwargs, code):
+    with pytest.raises(BatchforgeError) as err:
+        make_synthetic_task(100, **kwargs)
+    assert err.value.code == code
+
+
 # -- training loop ----------------------------------------------------------------
 
 
