@@ -8,8 +8,11 @@ summary of a state checkpoint), and ``export`` (re-emit a schedule file).
 Configuration precedence, highest first: explicit flags, then a
 ``--config`` file of flat ``key = value`` pairs, then a ``--preset``,
 then the ``BATCHFORGE_SEED`` environment variable (seed only), then
-built-in defaults. Every setting is one row of :data:`SETTINGS`. Every
-artifact embeds the effective configuration in its header. Exit codes:
+built-in defaults. Every setting is one row of :data:`SETTINGS`; its
+sampler rows, the video ``clips`` and ``base_clip`` among them, come from
+:data:`batchforge.core.SAMPLER_FIELDS`, one per ``SamplerConfig`` field,
+so a sampler setting parses the same from a flag, a file and a header.
+Every artifact embeds the effective configuration in its header. Exit codes:
 0 success, 2 invalid configuration or arguments, 1 runtime failure.
 A file a command cannot open is the runtime failure ``BAD_PATH``. With
 ``--errors-json``, every :class:`~batchforge.core.BatchforgeError` is
@@ -24,25 +27,24 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Callable, NamedTuple
 
 from . import analysis, schedule_io
 from .core import (
-    SAMPLER_PARSERS,
+    SAMPLER_FIELDS,
     BatchforgeError,
     ConfigValidationError,
     ConfigViolation,
     SamplerConfig,
     Strategy,
-    VideoClipSpec,
     ensure_valid,
     parse_flat_config,
     parse_value,
     sampler_config_from_mapping,
     sampler_config_to_mapping,
 )
-from .presets import IMAGENET_TRAIN_SIZE, STANDARD_BASE, STANDARD_RESOLUTIONS, load_preset, preset_names
+from .presets import load_preset, preset_names
 from .samplers import plan_epoch
 from .set_training import SetConfig, SetState
 from .trainer import (
@@ -78,22 +80,24 @@ class Setting(NamedTuple):
 
 _PLAN, _TRAIN, _ANALYZE = ("plan", "analyze"), ("train",), ("analyze",)
 _ALL = _PLAN + _TRAIN
+# ``train`` plans for one rank, so it takes no flag for these sampler fields.
+_PLAN_ONLY = ("world_size", "drop_last", "batch_rounding", "min_batch")
+_SAMPLER_HELP = {
+    "strategy": "ssc_fbs | msc_fbs | msc_vbs | video_vbs",
+    "base_resolution": "e.g. 224x224",
+    "resolutions": "comma list, e.g. 128x128,192x192,224x224",
+    "drop_last": "drop the final short batch: true | false",
+    "batch_rounding": "floor | nearest | multiple_of_world",
+    "clips": "video_vbs clip table, comma list of frames x clips per video x resolution, e.g. 8x1x128x128,16x2x224x224",
+    "base_clip": "the clip base_batch is given at, e.g. 8x1x224x224",
+}
 
 SETTINGS: dict[str, Setting] = {
     "preset": Setting(load_preset, _PLAN, help=f"start from a shipped recipe: {' | '.join(preset_names())}"),
     "config": Setting(str, _ALL, help="flat key=value config file"),
-    # the sampler; ``train`` plans for one rank, so it takes no world_size, drop_last, batch_rounding or min_batch flag
-    "strategy": Setting(SAMPLER_PARSERS["strategy"], _ALL, in_file=True, help="ssc_fbs | msc_fbs | msc_vbs"),
-    "dataset_size": Setting(SAMPLER_PARSERS["dataset_size"], _ALL, in_file=True),
-    "base_batch": Setting(SAMPLER_PARSERS["base_batch"], _ALL, in_file=True),
-    "base_resolution": Setting(SAMPLER_PARSERS["base_resolution"], _ALL, in_file=True, help="e.g. 224x224"),
-    "resolutions": Setting(SAMPLER_PARSERS["resolutions"], _ALL, in_file=True, help="comma list, e.g. 128x128,192x192,224x224"),
-    "epochs": Setting(SAMPLER_PARSERS["epochs"], _ALL, in_file=True),
-    "world_size": Setting(SAMPLER_PARSERS["world_size"], _PLAN, in_file=True),
-    "seed": Setting(SAMPLER_PARSERS["seed"], _ALL, in_file=True),
-    "drop_last": Setting(SAMPLER_PARSERS["drop_last"], _PLAN, in_file=True, help="drop the final short batch: true | false"),
-    "batch_rounding": Setting(SAMPLER_PARSERS["batch_rounding"], _PLAN, in_file=True, help="floor | nearest | multiple_of_world"),
-    "min_batch": Setting(SAMPLER_PARSERS["min_batch"], _PLAN, in_file=True),
+    # the sampler: one row per SamplerConfig field, from core's table
+    **{key: Setting(field.parse, _PLAN if key in _PLAN_ONLY else _ALL, in_file=True, help=_SAMPLER_HELP.get(key))
+       for key, field in SAMPLER_FIELDS.items()},
     # the synthetic task
     "classes": Setting(int, _TRAIN, default=10),
     "grid": Setting(int, _TRAIN, default=8, help="2 or a multiple of 4"),
@@ -138,16 +142,9 @@ _TRAIN_DEFAULTS = {
 
 
 def _default_sampler() -> SamplerConfig:
+    """The resnet50 recipe's sampler for one epoch, seeded from ``BATCHFORGE_SEED``."""
     seed = parse_value(SEED_ENV_VAR, int, os.environ.get(SEED_ENV_VAR, "0"))
-    return SamplerConfig(
-        strategy=Strategy.MSC_VBS,
-        dataset_size=IMAGENET_TRAIN_SIZE,
-        base_batch=1024,
-        base_resolution=STANDARD_BASE,
-        resolutions=STANDARD_RESOLUTIONS,
-        epochs=1,
-        seed=seed,
-    )
+    return replace(load_preset("resnet50").sampler, epochs=1, seed=seed)
 
 
 def _read_config(args: argparse.Namespace) -> dict[str, str]:
@@ -186,7 +183,7 @@ def _sampler(args: argparse.Namespace, mapping: dict[str, str], defaults: dict[s
     """Flags over the ``--config`` ``mapping`` over ``defaults`` over a preset or the default sampler."""
     preset = _values(args, mapping, "preset")["preset"]
     config = preset.sampler if preset else _default_sampler()
-    flags = {key: getattr(args, key) for key in SAMPLER_PARSERS if getattr(args, key, None) is not None}
+    flags = {key: getattr(args, key) for key in SAMPLER_FIELDS if getattr(args, key, None) is not None}
     given = {**(defaults or {}), **mapping, **flags}
     if config.min_batch == config.world_size:  # a min_batch tied to world_size moves with it
         given.setdefault("min_batch", given.get("world_size"))
@@ -289,9 +286,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
             sampler.dataset_size, task["classes"], task["grid"], sampler.seed, task["eval_samples"],
             noise_scale=task["noise_scale"],
         )
+        model = PooledLinearModel(task["classes"], task["grid"], sampler.resolutions)
     except BatchforgeError as err:  # bad settings, not a failed run
         raise ConfigValidationError([ConfigViolation(err.code, err.message)]) from err
-    model = PooledLinearModel(task["classes"], task["grid"], sampler.resolutions)
     # The output opens before the run, so a bad path fails before any epoch is trained.
     with _open("--output", args.output, "w") as fp:
         report = train(model, dataset, sampler, trainer_config, set_config, eval_dataset)
@@ -345,7 +342,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         if args.output_format == "csv":
             if header:
                 fp.write(_config_header(header))
-            video = any(isinstance(shape, VideoClipSpec) for schedule in schedules for shape in schedule.shapes)
+            video = config is not None and config.strategy is Strategy.VIDEO_VBS
             fp.write(f"epoch,iteration,height,width,{'frames,clips_per_video,' if video else ''}batch_size\n")
             for schedule in schedules:
                 cells = [f"{s.height},{s.width}" if not video else

@@ -8,10 +8,11 @@ problem at once.
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -19,9 +20,6 @@ import numpy as np
 MAX_PERMUTATION_SIZE = 1 << 24
 
 _MAX_SEED = (1 << 64) - 1
-
-# The SamplerConfig fields that hold integers.
-_INTEGER_FIELDS = ("dataset_size", "base_batch", "epochs", "world_size", "seed", "min_batch")
 
 _T = TypeVar("_T")
 
@@ -51,6 +49,19 @@ def check_integer(value, what: str, code: str, least: int = 0, below: int = 1 <<
         code = low_code
     bound = f"2**{below.bit_length() - 1}" if below > 1 << 32 and below & (below - 1) == 0 else below
     raise BatchforgeError(code, f"{what} must be an integer in [{least}, {bound}), got {value!r}")
+
+
+def check_real(value, what: str, code: str, least: float = -math.inf, most: float = math.inf, open_top: bool = False) -> float:
+    """``value`` as a finite float in ``[least, most]`` (``[least, most)`` with ``open_top``); a bool, a string, what
+    ``float`` does not take, a NaN, an infinity or a value out of range raises ``BatchforgeError(code)``."""
+    try:
+        number = math.nan if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if math.isfinite(number) and least <= number and (number < most if open_top else number <= most):
+        return number
+    span = "" if least == -math.inf and most == math.inf else f" in [{least:g}, {most:g}{')' if open_top else ']'}"
+    raise BatchforgeError(code, f"{what} must be a finite number{span}, got {value!r}")
 
 
 class Strategy(str, Enum):
@@ -197,8 +208,8 @@ class SamplerConfig:
     base_clip: VideoClipSpec | None = None
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:  # a numpy integer is stored as its Python int
-            if isinstance(getattr(self, name), np.integer):
+        for name, field in SAMPLER_FIELDS.items():  # a numpy integer is stored as its Python int
+            if field.integer and isinstance(getattr(self, name), np.integer):
                 object.__setattr__(self, name, int(getattr(self, name)))
         if isinstance(self.drop_last, np.bool_):  # and a numpy bool as its Python bool
             object.__setattr__(self, "drop_last", bool(self.drop_last))
@@ -253,8 +264,8 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
         bad.append(ConfigViolation(code, message))
 
     # Every check below compares or multiplies these integers, so a value of another type ends them.
-    for name in _INTEGER_FIELDS:
-        if as_integer(getattr(config, name)) is None:
+    for name, field in SAMPLER_FIELDS.items():
+        if field.integer and as_integer(getattr(config, name)) is None:
             flag("NOT_INTEGER", f"{name} must be an integer, got {getattr(config, name)!r}")
     clips = (*config.clips, config.base_clip) if config.base_clip is not None else config.clips
     for shape in (config.base_resolution, *config.resolutions, *clips):
@@ -389,20 +400,35 @@ def parse_value(key: str, parser: Callable[[str], _T], text: object) -> _T:
         raise ConfigValidationError([ConfigViolation("BAD_VALUE", f"{key}: {err}")]) from None
 
 
-SAMPLER_PARSERS: dict[str, Callable[[str], object]] = {
-    "strategy": Strategy.parse,
-    "dataset_size": int,
-    "base_batch": int,
-    "base_resolution": Resolution.parse,
-    "resolutions": ResolutionSet.parse,
-    "epochs": int,
-    "world_size": int,
-    "seed": int,
-    "drop_last": _parse_bool,
-    "batch_rounding": BatchRounding.parse,
-    "min_batch": int,
-    "clips": lambda text: tuple(VideoClipSpec.parse(part) for part in text.split(",") if part.strip()),
-    "base_clip": lambda text: VideoClipSpec.parse(text) if text.strip() else None,
+class SamplerField(NamedTuple):
+    """One SamplerConfig field: ``parse`` reads its flag or file text (:func:`parse_value`), ``format`` gives its
+    flat-mapping entry, and an ``integer`` field holds an integer (``NOT_INTEGER``; a numpy one is stored as an int)."""
+
+    parse: Callable[[str], object]
+    format: Callable[[object], object] = lambda value: value
+    integer: bool = False
+
+
+_INTEGER = SamplerField(int, integer=True)
+_MEMBER = operator.attrgetter("value")
+
+# One row per SamplerConfig field, in field order: the order of the mapping's keys and of every header.
+SAMPLER_FIELDS: dict[str, SamplerField] = {
+    "strategy": SamplerField(Strategy.parse, _MEMBER),
+    "dataset_size": _INTEGER,
+    "base_batch": _INTEGER,
+    "base_resolution": SamplerField(Resolution.parse, str),
+    "resolutions": SamplerField(ResolutionSet.parse, str),
+    "epochs": _INTEGER,
+    "world_size": _INTEGER,
+    "seed": _INTEGER,
+    "drop_last": SamplerField(_parse_bool),
+    "batch_rounding": SamplerField(BatchRounding.parse, _MEMBER),
+    "min_batch": _INTEGER,
+    "clips": SamplerField(lambda text: tuple(VideoClipSpec.parse(part) for part in text.split(",") if part.strip()),
+                          lambda clips: ",".join(map(str, clips))),
+    "base_clip": SamplerField(lambda text: VideoClipSpec.parse(text) if text.strip() else None,
+                              lambda clip: "" if clip is None else str(clip)),
 }
 
 
@@ -414,15 +440,13 @@ def sampler_config_from_mapping(
     Keys match the SamplerConfig field names exactly; other keys are
     ignored, so one mapping can also hold trainer settings. A value that
     does not parse raises ``BAD_VALUE`` (:func:`parse_value`); without
-    ``base``, a missing required key raises ``MISSING_KEY``.
+    ``base``, a missing key of a field with no default raises ``MISSING_KEY``.
     """
-    kwargs: dict[str, object] = {}
-    for key, parser in SAMPLER_PARSERS.items():
-        if key in mapping and mapping[key] is not None:
-            kwargs[key] = parse_value(key, parser, mapping[key])
+    kwargs = {key: parse_value(key, field.parse, mapping[key]) for key, field in SAMPLER_FIELDS.items()
+              if mapping.get(key) is not None}
     if base is not None:
         return replace(base, **kwargs)
-    missing = [k for k in ("strategy", "dataset_size", "base_batch", "base_resolution", "resolutions", "epochs") if k not in kwargs]
+    missing = [f.name for f in fields(SamplerConfig) if f.default is MISSING and f.name not in kwargs]
     if missing:
         raise ConfigValidationError([ConfigViolation("MISSING_KEY", f"config is missing required keys: {', '.join(missing)}")])
     return SamplerConfig(**kwargs)  # type: ignore[arg-type]
@@ -430,17 +454,4 @@ def sampler_config_from_mapping(
 
 def sampler_config_to_mapping(config: SamplerConfig) -> dict[str, object]:
     """Flat representation with keys matching the field names; an empty clip table and an unset base clip are ``""``."""
-    out: dict[str, object] = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, (Strategy, BatchRounding)):
-            out[f.name] = value.value
-        elif isinstance(value, (Resolution, ResolutionSet, VideoClipSpec)):
-            out[f.name] = str(value)
-        elif f.name == "clips":
-            out[f.name] = ",".join(str(c) for c in value)
-        elif f.name == "base_clip":  # unset
-            out[f.name] = ""
-        else:
-            out[f.name] = value
-    return out
+    return {name: field.format(getattr(config, name)) for name, field in SAMPLER_FIELDS.items()}

@@ -64,7 +64,7 @@ from typing import IO
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import BatchforgeError, check_integer
+from .core import BatchforgeError, check_integer, check_real
 
 SCHEMA_VERSION = 2
 
@@ -86,8 +86,7 @@ class SetConfig:
     reeval_stride: int = 1
 
     def __post_init__(self):
-        if not (0.0 <= self.tau <= 1.0):
-            raise BatchforgeError("TAU_OUT_OF_RANGE", f"tau must be in [0, 1], got {self.tau}")
+        object.__setattr__(self, "tau", check_real(self.tau, "tau", "TAU_OUT_OF_RANGE", 0, 1))
         if self.start_epoch is None:
             object.__setattr__(self, "start_epoch", self.window)
         for name, least, low_code in (("window", 1, "ZERO_WINDOW"), ("start_epoch", 0, "NEGATIVE_START"),

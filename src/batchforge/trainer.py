@@ -37,7 +37,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import BatchforgeError, Resolution, ResolutionSet, SamplerConfig, check_integer, ensure_valid
+from .core import BatchforgeError, Resolution, ResolutionSet, SamplerConfig, check_integer, check_real, ensure_valid
 from .rng import derive_seed
 from .samplers import plan_epoch, shape_resolution
 from .set_training import EpochTransition, SetConfig, SetState
@@ -64,17 +64,17 @@ class TrainerConfig:
     ema_decay: float = 0.9995
 
     def __post_init__(self):
-        bad = [k for k in ("max_lr", "min_lr", "momentum", "weight_decay") if not math.isfinite(getattr(self, k))]
-        if bad:
-            raise BatchforgeError("NON_FINITE_SETTING", f"{', '.join(bad)} must be finite")
-        if not (0 <= self.warmup_epochs < self.total_epochs):
+        for name in ("max_lr", "min_lr", "momentum", "weight_decay"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name, "NON_FINITE_SETTING"))
+        for name in ("warmup_epochs", "total_epochs"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, "NOT_INTEGER", low_code="BAD_WARMUP"))
+        if self.warmup_epochs >= self.total_epochs:
             raise BatchforgeError(
                 "BAD_WARMUP", f"need 0 <= warmup ({self.warmup_epochs}) < total ({self.total_epochs})"
             )
-        if not (0.0 <= self.label_smoothing < 1.0):
-            raise BatchforgeError("BAD_SMOOTHING", "label_smoothing must be in [0, 1)")
-        if not (0.0 <= self.ema_decay <= 1.0):
-            raise BatchforgeError("BAD_EMA", "ema_decay must be in [0, 1]")
+        smoothing = check_real(self.label_smoothing, "label_smoothing", "BAD_SMOOTHING", 0, 1, open_top=True)
+        object.__setattr__(self, "label_smoothing", smoothing)
+        object.__setattr__(self, "ema_decay", check_real(self.ema_decay, "ema_decay", "BAD_EMA", 0, 1))
 
 
 def _cos_pi(progress: float) -> float:
@@ -201,11 +201,11 @@ class PooledLinearModel:
     """
 
     def __init__(self, num_classes: int, grid: int, resolutions: ResolutionSet):
-        self.num_classes = num_classes
-        self.grid = grid
+        self.num_classes = check_integer(num_classes, "num_classes", "BAD_CLASSES", least=2)
+        self.grid = check_integer(grid, "grid", "BAD_GRID", least=2)
         self.resolutions = resolutions
-        self._factors = _pool_factors(resolutions, grid)
-        self.theta = np.zeros(num_classes * grid * grid + num_classes, dtype=np.float64)
+        self._factors = _pool_factors(resolutions, self.grid)
+        self.theta = np.zeros(self.num_classes * self.grid * self.grid + self.num_classes, dtype=np.float64)
 
     @property
     def weights(self) -> np.ndarray:
@@ -327,8 +327,9 @@ def make_synthetic_task(
     if not (grid == 2 or grid % 4 == 0):
         raise BatchforgeError("BAD_GRID", f"grid must be 2 or a positive multiple of 4, got {grid}")
     num_classes = check_integer(num_classes, "num_classes", "BAD_CLASSES", least=2)
-    if not math.isfinite(noise_scale):
-        raise BatchforgeError("NON_FINITE_SETTING", f"noise_scale must be finite, got {noise_scale}")
+    num_samples = check_integer(num_samples, "num_samples", "BAD_SAMPLES")
+    eval_samples = check_integer(eval_samples, "eval_samples", "BAD_SAMPLES")
+    noise_scale = check_real(noise_scale, "noise_scale", "NON_FINITE_SETTING")
     means = _class_means(num_classes, grid, np.random.default_rng(derive_seed(seed, 1)))
 
     def split(count: int, stream: int) -> SyntheticDataset:

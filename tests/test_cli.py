@@ -73,7 +73,7 @@ def test_plan_errors_json_is_machine_readable(capsys):
     ids=["plan", "analyze", "analyze_strategies", "train"],
 )
 def test_video_strategy_is_a_config_error(argv, capsys):
-    # No flag or file key sets a clip table, so the contract rejects video_vbs before any work.
+    # Given no --clips table, the contract rejects video_vbs before any work.
     assert run_cli(argv + ["--errors-json"]) == 2
     payload = json.loads(capsys.readouterr().err)
     assert [e["code"] for e in payload["errors"]] == ["EMPTY_SPEC_SET"]
@@ -470,7 +470,8 @@ def test_option_strings_of_each_command():
     # Every value flag comes from the settings table; this pins what each command takes.
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {name: sorted(s for a in p._actions for s in a.option_strings) for name, p in sub.choices.items()}
-    common = ["--config", "--epochs", "--errors-json", "--output", "--resolutions", "--seed", "--strategy", "-h", "-o"]
+    common = ["--base-clip", "--clips", "--config", "--epochs", "--errors-json", "--output", "--resolutions", "--seed",
+              "--strategy", "-h", "-o"]
     sampler = common + ["--base-batch", "--base-resolution", "--batch-rounding", "--dataset-size", "--drop-last",
                         "--help", "--min-batch", "--preset", "--world-size"]
     assert options == {

@@ -2,16 +2,23 @@
 every rank, round-trips through JSONL and, when its batch table has one
 size, gets its exact update count as the closed form; a config it rejects
 raises. Video configs are drawn with a clip table over the drawn
-resolutions."""
+resolutions. The command line keeps the same contract: an accepted config
+given by flags or by a --config file plans, exports, analyzes and trains."""
 
+import contextlib
 import io
-from dataclasses import replace
+import json
+import os
+import tempfile
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from batchforge.cli import SETTINGS, run
 from batchforge.core import (
+    SAMPLER_FIELDS,
     BatchRounding,
     ConfigValidationError,
     Resolution,
@@ -20,11 +27,13 @@ from batchforge.core import (
     Strategy,
     VideoClipSpec,
     ensure_valid,
+    parse_flat_config,
     sampler_config_from_mapping,
+    sampler_config_to_mapping,
     validate_config,
 )
 from batchforge.analysis import count_updates
-from batchforge.presets import load_preset
+from batchforge.presets import load_preset, preset_names
 from batchforge.samplers import batch_table, plan_epoch, shard_for_rank
 from batchforge.schedule_io import read_schedules, write_schedules
 
@@ -221,3 +230,96 @@ def test_shape_fields_reject_non_integers(config):
 def test_the_video_base_of_the_shape_cases_is_valid_and_round_trips():
     assert not validate_config(VIDEO)
     assert _round_trips(VIDEO)
+
+
+# -- the same contract through the command line ------------------------------------------------------------------------
+
+
+def _config_text(config):
+    return "".join(f"{key} = {value}\n" for key, value in sampler_config_to_mapping(config).items())
+
+
+def _cli(*argv):
+    """``batchforge argv --errors-json``: the exit code and the error codes it printed (its stderr if not coded)."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run([*argv, "--errors-json"])
+    printed = err.getvalue()
+    return code, [e["code"] for e in json.loads(printed)["errors"]] if printed.startswith('{"errors"') else printed
+
+
+def test_every_sampler_field_has_one_table_row_and_one_setting():
+    names = [f.name for f in fields(SamplerConfig)]
+    assert list(SAMPLER_FIELDS) == names  # the mapping's and every header's key order
+    assert [name for name, field in SAMPLER_FIELDS.items() if field.integer] == [
+        "dataset_size", "base_batch", "epochs", "world_size", "seed", "min_batch"]
+    for name in names:
+        assert SETTINGS[name].parse is SAMPLER_FIELDS[name].parse and SETTINGS[name].in_file, name
+
+
+# a video config over resnet50's resolutions: three clips, two of them at 224x224
+VIDEO_RESNET50 = replace(
+    load_preset("resnet50").sampler, strategy=Strategy.VIDEO_VBS, epochs=3,
+    clips=tuple(map(VideoClipSpec.parse, ("8x1x128x128", "8x1x224x224", "16x2x224x224"))),
+    base_clip=VideoClipSpec.parse("8x1x224x224"),
+)
+MAPPED = {**{name: load_preset(name).sampler for name in preset_names()}, "video": VIDEO_RESNET50}
+
+
+@pytest.mark.parametrize("config", MAPPED.values(), ids=MAPPED.keys())
+def test_mapping_as_file_text_round_trips(config):
+    assert sampler_config_from_mapping(parse_flat_config(_config_text(config))) == config
+
+
+@pytest.mark.parametrize("config", MAPPED.values(), ids=MAPPED.keys())
+def test_flags_and_config_file_plan_the_same_bytes(config, tmp_path):
+    config = replace(config, epochs=2)
+    (tmp_path / "c.cfg").write_text(_config_text(config))
+    flags = [text for key, value in sampler_config_to_mapping(config).items() for text in (f"--{key.replace('_', '-')}", str(value))]
+    assert _cli("plan", *flags, "-o", str(tmp_path / "flags.jsonl")) == (0, "")
+    assert _cli("plan", "--config", str(tmp_path / "c.cfg"), "-o", str(tmp_path / "file.jsonl")) == (0, "")
+    assert (tmp_path / "flags.jsonl").read_bytes() == (tmp_path / "file.jsonl").read_bytes()
+    assert _round_trips(config)
+
+
+def test_a_video_plan_from_flags_exports_analyzes_and_trains(tmp_path):
+    clips = ["--clips", "8x1x128x128,8x1x224x224,16x2x224x224", "--base-clip", "8x1x224x224"]
+    plan, copy = tmp_path / "plan.jsonl", tmp_path / "copy.jsonl"
+    assert _cli("plan", "--preset", "resnet50", "--strategy", "video_vbs", *clips, "--epochs", "3", "-o", str(plan)) == (0, "")
+    header = json.loads(plan.read_text().splitlines()[0])["config"]
+    assert sampler_config_from_mapping(header) == VIDEO_RESNET50 and len(plan.read_bytes()) < 4096
+    assert _cli("export", "--schedule", str(plan), "-o", str(copy)) == (0, "")
+    assert copy.read_bytes() == plan.read_bytes()
+    assert _cli("analyze", "--schedule", str(plan), "--format", "json", "-o", str(tmp_path / "cost.json")) == (0, "")
+    (row,) = json.loads((tmp_path / "cost.json").read_text())["rows"]
+    assert (row["strategy"], row["updates"]) == ("video_vbs", sum(plan_epoch(VIDEO_RESNET50, e).total_updates for e in range(3)))
+
+    video = ["--strategy", "video_vbs", "--clips", "8x1x8x8,8x1x16x16,16x2x16x16", "--base-clip", "8x1x16x16"]
+    report = tmp_path / "run.json"
+    argv = ["train", *video, "--samples", "400", "--tau", "0.7", "--epochs", "2", "--warmup-epochs", "1", "--eval-samples", "100"]
+    assert _cli(*argv, "-o", str(report))[1].startswith("trained 2 epochs: ")
+    payload = json.loads(report.read_text())
+    assert payload["config"]["sampler"]["clips"] == "8x1x8x8,8x1x16x16,16x2x16x16"
+    assert len(payload["per_epoch"]) == 2 and payload["total_updates"] > 0
+
+
+@settings(max_examples=100, deadline=None, print_blob=False)
+@given(config=sampler_configs())
+def test_configs_through_the_command_line_fail_only_with_their_codes(config):
+    # An accepted config plans, exports the same bytes, analyzes and trains one filtered epoch from its --config file;
+    # a rejected one exits 2 with the codes validate_config gives.
+    codes = [v.code for v in validate_config(config)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, plan, copy = (os.path.join(tmp, name) for name in ("c.cfg", "plan.jsonl", "copy.jsonl"))
+        with open(cfg, "w") as fp:
+            fp.write(_config_text(config))
+        if codes:
+            assert _cli("plan", "--config", cfg, "-o", plan) == (2, codes)
+            return
+        assert _cli("plan", "--config", cfg, "-o", plan) == (0, "")
+        assert _cli("export", "--schedule", plan, "-o", copy) == (0, "")
+        with open(plan, "rb") as a, open(copy, "rb") as b:
+            assert a.read() == b.read()
+        assert _cli("analyze", "--schedule", plan, "-o", os.path.join(tmp, "cost.csv")) == (0, "")
+        train = ["train", "--config", cfg, "--warmup-epochs", "0", "--tau", "0.7", "--window", "1", "--eval-samples", "50"]
+        code, printed = _cli(*train, "-o", os.path.join(tmp, "run.json"))
+        assert code == 0 and printed.startswith("trained 1 epochs: ")

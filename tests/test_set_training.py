@@ -35,6 +35,11 @@ def test_config_validation():
             SetConfig(tau=0.5, **bad)
         assert err.value.code == "NOT_INTEGER", bad
     assert type(SetConfig(tau=0.5, window=np.int64(2)).window) is int  # checkpoints write it as JSON
+    for tau in ("0.5", True, None, math.nan, -0.1, 10**400):
+        with pytest.raises(BatchforgeError) as err:
+            SetConfig(tau=tau, window=1)
+        assert err.value.code == "TAU_OUT_OF_RANGE", tau
+    assert type(SetConfig(tau=np.float64(0.5), window=1).tau) is float
 
 
 def test_record_appends_and_counts_forward_passes():

@@ -130,6 +130,32 @@ def test_trainer_config_invariants():
         assert err.value.code == "NON_FINITE_SETTING", name
 
 
+@pytest.mark.parametrize(
+    "field, value, code",
+    [
+        ("max_lr", "0.1", "NON_FINITE_SETTING"),
+        ("momentum", None, "NON_FINITE_SETTING"),
+        ("weight_decay", True, "NON_FINITE_SETTING"),
+        ("label_smoothing", "0.1", "BAD_SMOOTHING"),
+        ("ema_decay", np.True_, "BAD_EMA"),
+        ("total_epochs", True, "NOT_INTEGER"),
+        ("warmup_epochs", 0.5, "NOT_INTEGER"),
+        ("warmup_epochs", -1, "BAD_WARMUP"),
+    ],
+    ids=["text_max_lr", "none_momentum", "bool_weight_decay", "text_smoothing", "np_bool_ema", "bool_total_epochs",
+         "fraction_warmup", "negative_warmup"],
+)
+def test_trainer_config_rejects_wrong_types_with_a_code(field, value, code):
+    with pytest.raises(BatchforgeError) as err:
+        TrainerConfig(**{"max_lr": 0.1, "warmup_epochs": 0, "total_epochs": 10, field: value})
+    assert err.value.code == code and field in err.value.message
+
+
+def test_trainer_config_stores_numpy_settings_as_python_numbers():
+    config = TrainerConfig(max_lr=np.float64(0.1), warmup_epochs=np.int64(1), total_epochs=np.uint8(10), momentum=1)
+    assert [type(getattr(config, f.name)) for f in fields(config)] == [float, int, int] + [float] * 5
+
+
 # -- label-smoothed cross entropy ---------------------------------------------
 
 
@@ -464,6 +490,34 @@ def test_synthetic_task_balanced_and_reproducible():
 def test_synthetic_task_rejects_non_integer_grid_and_classes(kwargs, code):
     with pytest.raises(BatchforgeError) as err:
         make_synthetic_task(100, **kwargs)
+    assert err.value.code == code
+
+
+@pytest.mark.parametrize(
+    "kwargs, code",
+    [(dict(num_samples=2.5), "BAD_SAMPLES"), (dict(num_samples=-1), "BAD_SAMPLES"), (dict(eval_samples=2.5), "BAD_SAMPLES"),
+     (dict(eval_samples=True), "BAD_SAMPLES"), (dict(noise_scale="1.0"), "NON_FINITE_SETTING")],
+    ids=["fraction_samples", "negative_samples", "fraction_eval_samples", "bool_eval_samples", "text_noise_scale"],
+)
+def test_synthetic_task_rejects_bad_sizes_and_noise(kwargs, code):
+    with pytest.raises(BatchforgeError) as err:
+        make_synthetic_task(**{"num_samples": 100, **kwargs})
+    assert err.value.code == code
+
+
+def test_synthetic_task_of_no_samples_is_empty():
+    train_ds, eval_ds = make_synthetic_task(0, eval_samples=np.int64(0))
+    assert len(train_ds) == len(eval_ds) == 0 and train_ds.features.shape == (0, 8, 8)
+
+
+@pytest.mark.parametrize(
+    "num_classes, grid, code",
+    [(2.5, 8, "BAD_CLASSES"), (1, 8, "BAD_CLASSES"), (10, 8.0, "BAD_GRID"), (10, "8", "BAD_GRID"), (10, 0, "BAD_GRID")],
+    ids=["fraction_classes", "one_class", "float_grid", "text_grid", "zero_grid"],
+)
+def test_model_rejects_bad_classes_and_grid(num_classes, grid, code):
+    with pytest.raises(BatchforgeError) as err:
+        PooledLinearModel(num_classes, grid, TOY_RESOLUTIONS)
     assert err.value.code == code
 
 
