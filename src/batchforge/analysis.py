@@ -14,7 +14,8 @@ peaks and means its int64 volumes, summed as exact integers.
 "Memory" here means input tensors only: batch x channels x H x W x
 bytes-per-element. Activation and optimizer-state memory are deliberately
 out of scope, so measured-GPU comparisons reproduce as orderings, not
-absolute values.
+absolute values. A channel count or element width that is not an integer
+of at least 1 raises ``BAD_SIZE``.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ def closed_form_updates(config: SamplerConfig) -> float:
     return config.epochs * n / float(sizes.mean())
 
 
+def _size(value, what: str) -> int:
+    """A channel count or element width: an integer of at least 1, else ``BAD_SIZE``."""
+    return check_integer(value, what, "BAD_SIZE", least=1)
+
+
 def _walk(config: SamplerConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Every epoch's (shape indices, batch sizes) in 2-D blocks, with the epochs each row stands for."""
     if len(batch_table(config)[1]) == 1:  # a one-entry table draws nothing: one walked epoch stands for all
@@ -136,13 +142,15 @@ def input_memory_proxy(
 ) -> MemoryProxy:
     """Peak and mean input-tensor bytes over a schedule's iterations."""
     schedules = [schedule] if isinstance(schedule, EpochSchedule) else schedule
-    _, peak, mean = _volume_stats(_plan_volumes(schedules, channels * bytes_per_element))
+    scale = _size(channels, "channels") * _size(bytes_per_element, "bytes_per_element")
+    _, peak, mean = _volume_stats(_plan_volumes(schedules, scale))
     return MemoryProxy(peak_bytes=peak, mean_bytes=mean)
 
 
 def strategy_cost(config: SamplerConfig, channels: int = 3) -> CostReport:
     """Cost row for one configuration (ratios left unset)."""
     ensure_valid(config)
+    channels = _size(channels, "channels")
     unit = np.array([unit_volume(shape) * channels for shape in shape_table(config)[0]], dtype=np.int64)
     updates, peak, mean = _volume_stats(
         (batches * unit[shape_idx], int(np.count_nonzero(batches)), repeat)
@@ -182,7 +190,7 @@ def schedule_cost(
     channels: int = 3,
 ) -> CostReport:
     """Cost row computed from already-materialized schedules."""
-    updates, peak, mean = _volume_stats(_plan_volumes(schedules, channels))
+    updates, peak, mean = _volume_stats(_plan_volumes(schedules, _size(channels, "channels")))
     return CostReport(
         strategy=strategy,
         total_updates=updates,
@@ -205,6 +213,7 @@ def with_ratios(reports: Sequence[CostReport], baseline: CostReport) -> list[Cos
 
 
 def cost_reports_payload(reports: Iterable[CostReport], bytes_per_element: int = 4) -> dict:
+    bytes_per_element = _size(bytes_per_element, "bytes_per_element")
     return {
         "schema_version": 1,
         "kind": "cost_report",
@@ -225,6 +234,7 @@ def cost_reports_payload(reports: Iterable[CostReport], bytes_per_element: int =
 
 
 def write_cost_csv(fp: IO[str], reports: Iterable[CostReport], bytes_per_element: int = 4) -> None:
+    bytes_per_element = _size(bytes_per_element, "bytes_per_element")
     writer = csv.writer(fp)
     writer.writerow(["strategy", "updates", "updates_ratio", "peak_input_bytes", "peak_ratio"])
     for r in reports:

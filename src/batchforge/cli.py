@@ -45,7 +45,7 @@ from .core import (
     sampler_config_to_mapping,
 )
 from .presets import load_preset, preset_names
-from .samplers import plan_epoch
+from .samplers import EpochSchedule, plan_epoch
 from .set_training import SetConfig, SetState
 from .trainer import (
     PooledLinearModel,
@@ -227,6 +227,15 @@ def _replacing(fp, target: str):
         raise
 
 
+def _read_schedule_file(path: str) -> tuple[dict, SamplerConfig, list[EpochSchedule]]:
+    """The header config of the ``--schedule`` file, as read and as a valid config, and its re-planned epochs."""
+    with _open("--schedule", path) as fp:
+        header, schedules = schedule_io.read_schedules(fp)
+    if not isinstance(header, dict):
+        raise BatchforgeError("MISSING_HEADER", "schedule file has no config header to re-plan or cost against")
+    return header, ensure_valid(sampler_config_from_mapping(header)), schedules
+
+
 # -- subcommand handlers --------------------------------------------------
 
 
@@ -240,17 +249,16 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     values = _values(args, {}, "strategies", "channels", "bytes_per_element", "trials")
     if args.schedule:
-        with _open("--schedule", args.schedule) as fp:
-            header, schedules = schedule_io.read_schedules(fp)
-        if header is None:
-            raise BatchforgeError("MISSING_HEADER", "schedule file has no config header to analyze against")
-        config = ensure_valid(sampler_config_from_mapping(header))
+        _, config, schedules = _read_schedule_file(args.schedule)
         row = analysis.schedule_cost(schedules, config.strategy, channels=values["channels"])
         baseline = analysis.strategy_cost(config.with_strategy(Strategy.SSC_FBS), channels=values["channels"])
         reports = analysis.with_ratios([row], baseline=baseline)
     else:
         config = _sampler(args, _read_config(args))
-        reports = analysis.compare_strategies(config, values["strategies"], channels=values["channels"])
+        strategies = values["strategies"]
+        if values["trials"] and args.output_format == "json" and config.strategy not in strategies:
+            strategies = (*strategies, config.strategy)  # the simulated strategy's row
+        reports = analysis.compare_strategies(config, strategies, channels=values["channels"])
     config_echo = sampler_config_to_mapping(config)
 
     with _open("--output", args.output, "w") as fp:
@@ -335,14 +343,11 @@ def _cmd_set_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    with _open("--schedule", args.schedule) as fp:
-        header, schedules = schedule_io.read_schedules(fp)
-    config = sampler_config_from_mapping(header) if header is not None else None
+    header, config, schedules = _read_schedule_file(args.schedule)
     with _open("--output", args.output, "w") as fp:
         if args.output_format == "csv":
-            if header:
-                fp.write(_config_header(header))
-            video = config is not None and config.strategy is Strategy.VIDEO_VBS
+            fp.write(_config_header(header))
+            video = config.strategy is Strategy.VIDEO_VBS
             fp.write(f"epoch,iteration,height,width,{'frames,clips_per_video,' if video else ''}batch_size\n")
             for schedule in schedules:
                 cells = [f"{s.height},{s.width}" if not video else

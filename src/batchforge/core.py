@@ -8,6 +8,7 @@ problem at once.
 
 from __future__ import annotations
 
+import base64
 import math
 import operator
 from dataclasses import MISSING, dataclass, fields, replace
@@ -64,6 +65,36 @@ def check_real(value, what: str, code: str, least: float = -math.inf, most: floa
     raise BatchforgeError(code, f"{what} must be a finite number{span}, got {value!r}")
 
 
+def pack_array(array: np.ndarray) -> str:
+    """``array`` as base64 text: a bool array as ``np.packbits`` of its bits, any other as its little-endian bytes."""
+    array = np.asarray(array)
+    raw = np.packbits(array) if array.dtype == bool else np.ascontiguousarray(array, array.dtype.newbyteorder("<"))
+    return base64.b64encode(raw.tobytes()).decode("ascii")
+
+
+def unpack_array(text, dtype, count: int, what: str, code: str) -> np.ndarray:
+    """The ``count`` values of ``dtype`` that :func:`pack_array` wrote as ``text``.
+
+    Text that is not a base64 string of exactly the array's bytes, or a mask with a padding bit set past its
+    last value, raises ``BatchforgeError(code)``. A numeric array is a read-only view of the decoded bytes.
+    """
+    dtype = np.dtype(dtype)
+    mask = dtype == bool
+    size = (count + 7) // 8 if mask else count * dtype.itemsize
+    try:
+        raw = base64.b64decode(text, validate=True) if isinstance(text, str) else None
+    except ValueError:  # not ASCII, or not base64
+        raw = None
+    if raw is None or len(raw) != size:
+        raise BatchforgeError(code, f"{what} must be base64 of {size} bytes, {count} {dtype.name} values")
+    if not mask:
+        return np.frombuffer(raw, dtype.newbyteorder("<"))
+    packed = np.frombuffer(raw, np.uint8)
+    if count % 8 and packed[-1] & (0xFF >> count % 8):
+        raise BatchforgeError(code, f"{what} has bits set past its {count} values")
+    return np.unpackbits(packed, count=count).view(bool)
+
+
 class Strategy(str, Enum):
     """Batch scheduling strategies."""
 
@@ -112,13 +143,12 @@ class Resolution:
 
     @classmethod
     def parse(cls, text: str) -> "Resolution":
-        """Parse '224x224' (or bare '224' for a square)."""
-        text = text.strip().lower()
-        if "x" in text:
-            h, _, w = text.partition("x")
-            return cls(int(h), int(w))
-        side = int(text)
-        return cls(side, side)
+        """Parse '224x224' (or bare '224' for a square); any other text raises a ValueError naming the form."""
+        height, cross, width = text.strip().lower().partition("x")
+        try:
+            return cls(int(height), int(width if cross else height))
+        except ValueError:
+            raise ValueError(f"expected HxW (or one side for a square), such as 224x224, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -177,9 +207,12 @@ class VideoClipSpec:
 
     @classmethod
     def parse(cls, text: str) -> "VideoClipSpec":
-        """Parse '8x1x112x112': frames x clips per video x resolution."""
-        frames, clips, resolution = text.strip().lower().split("x", 2)
-        return cls(int(frames), int(clips), Resolution.parse(resolution))
+        """Parse '8x1x112x112': frames x clips per video x resolution; any other text raises a ValueError naming the form."""
+        try:
+            frames, clips, resolution = text.strip().lower().split("x", 2)
+            return cls(int(frames), int(clips), Resolution.parse(resolution))
+        except ValueError:
+            raise ValueError(f"expected frames x clips x HxW, such as 8x1x224x224, got {text!r}") from None
 
 
 @dataclass(frozen=True)

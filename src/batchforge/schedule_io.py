@@ -1,42 +1,38 @@
 """JSONL export/import of epoch schedules.
 
 One JSON object per line. The first line is a header carrying
-``schema_version`` 1 and the effective config, if the writer is given one.
-A schedule :func:`~batchforge.samplers.plan_epoch` made (``plan_video_vbs``
-included), or a ``shard_for_rank`` shard of one, carries its origin. When
-the origin's config is the header config, the epoch is one ``replan``
-record, ``{"kind":"replan","epoch":e,"updates":T,"samples":S,"digest":"<8
-hex>"}`` (:func:`id_digest` of its ids). A shard adds ``"rank"`` and
-``"world_size"``; an active-set subset adds ``"active"``, base64 of
-``np.packbits`` of its active mask over the config's ``dataset_size`` ids.
+``schema_version`` 1 and the effective config. Each epoch with updates is one
+``replan`` record, ``{"kind":"replan","epoch":e,"updates":T,"samples":S,
+"digest":"<8 hex>"}`` (:func:`id_digest` of its ids): the reader re-plans it
+from the header config instead of reading ids. A shard adds ``"rank"`` and
+``"world_size"``; an active-set subset adds ``"active"``, its active mask over
+the config's ``dataset_size`` ids packed by :func:`~batchforge.core.pack_array`.
 The reader re-plans each record, takes its shard, and checks the numbers and
 the digest. An epoch with no updates writes nothing.
 
-Any other schedule (a hand-built one, one planned from another config, or
-any schedule of a header-less write) is one ``plan`` line per iteration:
-its shape, its batch size and its ``sample_ids``, the bytes of
-``json.dumps`` of the record. These verbatim ids are an export-only format,
-for data loaders outside Python; the reader does not read them. A negative id
-is ``BAD_IDS``.
+Only a schedule :func:`~batchforge.samplers.plan_epoch` made from the
+header config (``plan_video_vbs`` included), or a ``shard_for_rank`` shard
+of one, carries the origin a record needs. The writer raises
+``NOT_REPLANNABLE``, naming the epoch, for any other schedule with updates:
+a hand-built one, one planned from another config, or a shard of a shard.
 
 The reader raises ``BatchforgeError`` with a code: ``BAD_JSON`` for a line
 that is not JSON (a file cut mid-line), naming the line's 1-based number;
 ``BAD_SCHEMA`` for a header whose ``schema_version`` is not 1;
 ``BAD_RECORD`` for a line that is not a JSON object, has no or an unknown
-``kind``, is a ``plan`` line, is a ``replan`` without integer ``epoch``,
-``updates`` and ``samples`` in [0, 2**63) and an 8 lowercase hex digit ``digest``, has
-an ``active`` that is not base64 of the mask's bytes with its padding bits
-clear, has ``rank`` or ``world_size`` without the other or outside ``0 <=
-rank < world_size < 2**63``, or is a second record of one epoch;
-``MISSING_HEADER`` for a ``replan`` under no header config;
-``DIGEST_MISMATCH`` for a ``replan`` the header config does not reproduce,
-naming the epoch and both digests. Re-planning raises what planning and
-sharding raise, such as ``INDIVISIBLE_BATCH``.
+``kind`` (a ``plan`` line of verbatim ids among them), is a ``replan`` without
+integer ``epoch``, ``updates`` and ``samples`` in [0, 2**63) and an 8 lowercase
+hex digit ``digest``, has an ``active`` that
+:func:`~batchforge.core.unpack_array` rejects, has ``rank`` or ``world_size``
+without the other or outside ``0 <= rank < world_size < 2**63``, or is a
+second record of one epoch; ``MISSING_HEADER`` for a ``replan`` under no
+header config; ``DIGEST_MISMATCH`` for a ``replan`` the header config does
+not reproduce, naming the epoch and both digests. Re-planning raises what
+planning and sharding raise, such as ``INDIVISIBLE_BATCH``.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import re
 import zlib
@@ -45,7 +41,8 @@ from typing import IO, Iterable
 import numpy as np
 
 from . import samplers
-from .core import BatchforgeError, SamplerConfig, check_integer, sampler_config_from_mapping, sampler_config_to_mapping
+from .core import (BatchforgeError, SamplerConfig, check_integer, pack_array, sampler_config_from_mapping,
+                   sampler_config_to_mapping, unpack_array)
 from .samplers import EpochSchedule
 
 SCHEMA_VERSION = 1
@@ -56,46 +53,26 @@ def id_digest(ids: np.ndarray) -> str:
     return f"{zlib.crc32(np.ascontiguousarray(ids, dtype='<i8')):08x}"
 
 
-def write_schedules(fp: IO[str], schedules: Iterable[EpochSchedule], config: SamplerConfig | None = None) -> None:
-    """Write the JSONL lines of ``schedules``: a ``replan`` record per epoch planned from ``config``, else plan lines."""
-    header: dict = {"schema_version": SCHEMA_VERSION, "kind": "header"}
-    if config is not None:
-        header["config"] = sampler_config_to_mapping(config)
+def write_schedules(fp: IO[str], schedules: Iterable[EpochSchedule], config: SamplerConfig) -> None:
+    """Write the header of ``config``, then a ``replan`` record per epoch with updates planned from it."""
+    header = {"schema_version": SCHEMA_VERSION, "kind": "header", "config": sampler_config_to_mapping(config)}
     fp.write(json.dumps(header, separators=(",", ":")) + "\n")
     for schedule in schedules:
-        origin = schedule.origin
-        if schedule.total_updates and origin is not None and origin.config == config:
-            record = {"kind": "replan", "epoch": schedule.epoch, "updates": schedule.total_updates,
-                      "samples": schedule.total_samples, "digest": id_digest(schedule.ids)}
-            if origin.world_size > 1:
-                record.update(rank=origin.rank, world_size=origin.world_size)
-            if origin.active is not None:
-                mask = np.zeros(config.dataset_size, dtype=bool)
-                mask[origin.active] = True
-                record["active"] = base64.b64encode(np.packbits(mask)).decode("ascii")
-            fp.write(json.dumps(record, separators=(",", ":")) + "\n")
+        if not schedule.total_updates:
             continue
-        if schedule.ids.min(initial=0) < 0:
-            raise BatchforgeError("BAD_IDS", f"epoch {schedule.epoch}: id {schedule.ids.min()} is negative")
-        for plan in schedule.plans:
-            record = {"kind": "plan", "epoch": schedule.epoch, "iteration": plan.iteration, "height": plan.resolution.height,
-                      "width": plan.resolution.width, "batch_size": plan.batch_size}
-            if plan.clip is not None:
-                record["clip"] = {"num_frames": plan.clip.num_frames, "clips_per_video": plan.clip.clips_per_video}
-            record["sample_ids"] = plan.sample_ids.tolist()
-            fp.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-
-def _active_ids(text, n: int, where: str) -> np.ndarray:
-    """The ids an ``active`` field marks: base64 of ``np.packbits`` of a mask over ``n`` ids, its padding bits clear."""
-    try:
-        packed = np.frombuffer(base64.b64decode(text, validate=True), dtype=np.uint8)
-    except (TypeError, ValueError):  # not a string, not ASCII, or not base64: no bytes
-        packed = np.zeros(0, dtype=np.uint8)
-    mask = np.unpackbits(packed)
-    if len(packed) != (n + 7) // 8 or mask[n:].any():
-        raise BatchforgeError("BAD_RECORD", f"{where}: active must be base64 of a {n}-id mask's {(n + 7) // 8} packed bytes")
-    return np.flatnonzero(mask)
+        origin = schedule.origin
+        if origin is None or origin.config != config:
+            raise BatchforgeError("NOT_REPLANNABLE", f"epoch {schedule.epoch} was not planned from the header config "
+                                  "or sharded once from such a plan, so no replan record reproduces it")
+        record = {"kind": "replan", "epoch": schedule.epoch, "updates": schedule.total_updates,
+                  "samples": schedule.total_samples, "digest": id_digest(schedule.ids)}
+        if origin.world_size > 1:
+            record.update(rank=origin.rank, world_size=origin.world_size)
+        if origin.active is not None:
+            mask = np.zeros(config.dataset_size, dtype=bool)
+            mask[origin.active] = True
+            record["active"] = pack_array(mask)
+        fp.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def _replan(record: dict, header_config, per_epoch: dict, number: int) -> None:
@@ -115,7 +92,8 @@ def _replan(record: dict, header_config, per_epoch: dict, number: int) -> None:
     if not isinstance(header_config, dict):
         raise BatchforgeError("MISSING_HEADER", f"{where}: a replan record needs a header config to re-plan from")
     config = sampler_config_from_mapping(header_config)
-    active = _active_ids(record["active"], config.dataset_size, where) if "active" in record else None
+    active = (np.flatnonzero(unpack_array(record["active"], bool, config.dataset_size, f"{where}: active", "BAD_RECORD"))
+              if "active" in record else None)
     schedule = samplers.plan_epoch(config, epoch, active)
     if sharded:
         schedule = samplers.shard_for_rank(schedule, rank, world_size)
@@ -151,9 +129,6 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
             header_config = record.get("config")
         elif kind == "replan":
             _replan(record, header_config, per_epoch, number)
-        elif kind == "plan":
-            raise BatchforgeError("BAD_RECORD", f"line {number}: a plan line holds verbatim ids, an export-only format "
-                                  "the reader does not read; write the schedule with the config it was planned from")
         else:
-            raise BatchforgeError("BAD_RECORD", f"line {number}: expected a JSON object with a known kind, got {kind!r}")
+            raise BatchforgeError("BAD_RECORD", f"line {number}: expected a JSON object of kind 'header' or 'replan', got {kind!r}")
     return header_config, list(per_epoch.values())

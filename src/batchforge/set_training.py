@@ -30,10 +30,11 @@ samples with ``streak >= window`` are removed. Removed samples with
 streak of 0 is their fresh window.
 
 The checkpoint (schema version 2) is text JSON holding the settings, the
-counters and the three arrays: ``removed`` and ``recorded`` as base64 of
-``np.packbits``, ``streak`` as base64 of little-endian unsigned integers of
-the smallest width that holds ``window``. Schema version 1 checkpoints
-(per-sample histories) are rejected with ``BAD_SCHEMA``.
+counters and the three arrays, each packed by
+:func:`~batchforge.core.pack_array`: ``removed`` and ``recorded`` as masks,
+``streak`` as unsigned integers of the smallest width that holds
+``window``. Schema version 1 checkpoints (per-sample histories) are
+rejected with ``BAD_SCHEMA``.
 
 Errors are ``BatchforgeError`` with a code:
 
@@ -45,10 +46,10 @@ Errors are ``BatchforgeError`` with a code:
 - ``MISSING_RECORDS``: finalize_epoch with active samples left unrecorded;
 - ``BAD_SCHEMA``, ``BAD_STATE``: a checkpoint of another schema version, or
   one that is malformed or inconsistent (not a JSON object, such as an
-  empty or truncated file; a size, epoch or counter that is
-  not an integer in [0, 2**63), an array that is not base64 of the right length, a
-  streak above ``window`` or above the epochs recorded so far, a removed
-  sample whose streak no run can produce);
+  empty or truncated file; a size, epoch or counter that is not an
+  integer in [0, 2**63), an array that :func:`~batchforge.core.unpack_array`
+  rejects, a streak above ``window`` or above the epochs recorded so far, a
+  removed sample whose streak no run can produce);
 - ``TAU_OUT_OF_RANGE``, ``NOT_INTEGER``, ``ZERO_WINDOW``,
   ``NEGATIVE_START``, ``ZERO_STRIDE``: an invalid ``SetConfig``; a
   checkpoint holding one raises ``BAD_STATE``.
@@ -56,7 +57,6 @@ Errors are ``BatchforgeError`` with a code:
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import dataclass
 from typing import IO
@@ -64,7 +64,7 @@ from typing import IO
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import BatchforgeError, check_integer, check_real
+from .core import BatchforgeError, check_integer, check_real, pack_array, unpack_array
 
 SCHEMA_VERSION = 2
 
@@ -117,24 +117,6 @@ class EpochTransition:
             and np.array_equal(self.newly_removed, other.newly_removed)
             and np.array_equal(self.readded, other.readded)
         )
-
-
-def _decode(text: str, nbytes: int, name: str) -> np.ndarray:
-    raw = base64.b64decode(text, validate=True)
-    if len(raw) != nbytes:
-        raise BatchforgeError("BAD_STATE", f"{name} holds {len(raw)} bytes, expected {nbytes}")
-    return np.frombuffer(raw, dtype=np.uint8)
-
-
-def _unpack_bits(text: str, n: int, name: str) -> np.ndarray:
-    packed = _decode(text, (n + 7) // 8, name)
-    if n % 8 and packed[-1] & (0xFF >> n % 8):
-        raise BatchforgeError("BAD_STATE", f"{name} has bits set past sample {n - 1}")
-    return np.unpackbits(packed, count=n).view(bool)
-
-
-def _b64(array: np.ndarray) -> str:
-    return base64.b64encode(array.tobytes()).decode("ascii")
 
 
 class SetState:
@@ -271,9 +253,9 @@ class SetState:
                 "readded_count": self.readded_count,
                 "forward_passes": self.forward_passes,
             },
-            "removed": _b64(np.packbits(self.removed)),
-            "recorded": _b64(np.packbits(self.recorded)),
-            "streak": _b64(self.streak.astype(self.streak.dtype.newbyteorder("<"), copy=False)),
+            "removed": pack_array(self.removed),
+            "recorded": pack_array(self.recorded),
+            "streak": pack_array(self.streak),
         }
 
     def dump(self, fp: IO[str]) -> None:
@@ -300,11 +282,9 @@ class SetState:
             state.epoch = check_integer(payload["epoch"], "epoch", "BAD_STATE")
             for key in ("removed_count", "readded_count", "forward_passes"):
                 setattr(state, key, check_integer(counters[key], key, "BAD_STATE"))
-            n, streak = state.num_samples, state.streak
-            state.removed[:] = _unpack_bits(payload["removed"], n, "removed")
-            state.recorded[:] = _unpack_bits(payload["recorded"], n, "recorded")
-            raw = _decode(payload["streak"], n * streak.itemsize, "streak")
-            streak[:] = raw.view(streak.dtype.newbyteorder("<"))
+            for key in ("removed", "recorded", "streak"):
+                array = getattr(state, key)
+                array[:] = unpack_array(payload[key], array.dtype, state.num_samples, key, "BAD_STATE")
         except BatchforgeError:
             raise
         except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:  # AttributeError: not an object

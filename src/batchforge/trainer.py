@@ -29,7 +29,6 @@ parameters and one ``per_epoch`` row of ``EPOCH_COLUMNS`` per epoch.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import BatchforgeError, Resolution, ResolutionSet, SamplerConfig, check_integer, check_real, ensure_valid
+from .core import BatchforgeError, Resolution, ResolutionSet, SamplerConfig, check_integer, check_real, ensure_valid, pack_array
 from .rng import derive_seed
 from .samplers import plan_epoch, shape_resolution
 from .set_training import EpochTransition, SetConfig, SetState
@@ -511,7 +510,8 @@ def _finite(value: float) -> float | None:
 
 
 def run_report_payload(report: RunReport) -> dict:
-    """The run report as strict-JSON types: non-finite floats become None, the parameters base64 of float64 LE."""
+    """The run report as strict-JSON types: non-finite floats become None, the float64 parameters packed
+    by :func:`~batchforge.core.pack_array`."""
     return {
         "schema_version": RUN_REPORT_SCHEMA,
         "kind": "run_report",
@@ -520,7 +520,7 @@ def run_report_payload(report: RunReport) -> dict:
         "removed_count": report.removed_count,
         "readded_count": report.readded_count,
         "final_eval_accuracy": _finite(report.final_eval_accuracy),
-        "final_params": base64.b64encode(np.ascontiguousarray(report.final_params, dtype="<f8").tobytes()).decode("ascii"),
+        "final_params": pack_array(np.asarray(report.final_params, dtype=np.float64)),
         "per_epoch": [
             {
                 "epoch": row.epoch,

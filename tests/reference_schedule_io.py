@@ -1,10 +1,11 @@
-"""Test oracle: the plain schedule writer, ``json.dumps`` of each whole record.
+"""Test oracle: schedule lines as ``json.dumps`` of each whole record.
 
-Each plan line is ``json.dumps`` of its record with ``sample_ids`` as a list
-of Python ints. ``test_schedule_io.py`` checks the writer of
-``batchforge.schedule_io`` against it byte for byte, and its ``replan``
-lines against :func:`reference_replan_line`, which packs a subset's active
-mask bit by bit in Python.
+``test_schedule_io.py`` checks the header and the ``replan`` lines of
+``batchforge.schedule_io``'s writer against :func:`reference_write_schedules`
+and :func:`reference_replan_line` byte for byte; the latter packs a subset's
+active mask bit by bit in Python. The plan lines of
+:func:`reference_write_schedules` (``sample_ids`` as a list of Python ints)
+are verbatim ids, a kind the reader refuses; its tests take them from here.
 """
 
 from __future__ import annotations

@@ -227,3 +227,39 @@ def test_video_rows_get_no_peak_ratio_against_the_image_baseline():
     buf = io.StringIO()
     write_cost_csv(buf, [video])
     assert buf.getvalue().splitlines()[1].endswith(",")
+
+
+SMALL = make_config(strategy=Strategy.MSC_VBS, dataset_size=10_000, epochs=2, base_batch=256)
+NOT_A_SIZE = [0, -3, 2.5, True, "3", None]
+
+
+@pytest.mark.parametrize("channels", NOT_A_SIZE, ids=repr)
+def test_cost_functions_reject_a_channel_count_that_is_not_a_positive_integer(channels):
+    schedule = plan_epoch(SMALL, 0)
+    for cost in (lambda: compare_strategies(SMALL, [Strategy.MSC_VBS], channels=channels),
+                 lambda: strategy_cost(SMALL, channels=channels),
+                 lambda: schedule_cost([schedule], Strategy.MSC_VBS, channels=channels),
+                 lambda: input_memory_proxy(schedule, channels=channels)):
+        with pytest.raises(BatchforgeError) as err:
+            cost()
+        assert err.value.code == "BAD_SIZE" and err.value.message.startswith("channels ")
+
+
+@pytest.mark.parametrize("bytes_per_element", NOT_A_SIZE + [-1], ids=repr)
+def test_cost_outputs_reject_an_element_width_that_is_not_a_positive_integer(bytes_per_element):
+    reports = compare_strategies(SMALL, [Strategy.MSC_VBS])
+    for emit in (lambda: cost_reports_payload(reports, bytes_per_element),
+                 lambda: write_cost_csv(io.StringIO(), reports, bytes_per_element),
+                 lambda: input_memory_proxy(plan_epoch(SMALL, 0), bytes_per_element=bytes_per_element)):
+        with pytest.raises(BatchforgeError) as err:
+            emit()
+        assert err.value.code == "BAD_SIZE" and err.value.message.startswith("bytes_per_element ")
+
+
+def test_numpy_integer_sizes_give_the_rows_of_python_ints():
+    rows = compare_strategies(SMALL, [Strategy.SSC_FBS, Strategy.MSC_VBS], channels=np.int64(3))
+    assert rows == compare_strategies(SMALL, [Strategy.SSC_FBS, Strategy.MSC_VBS])
+    assert all(type(row.peak_input_pixels) is int for row in rows)
+    payload = cost_reports_payload(rows, np.uint8(4))
+    assert payload == cost_reports_payload(rows, 4) and type(payload["bytes_per_element"]) is int
+    json.dumps(payload)

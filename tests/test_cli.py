@@ -231,6 +231,48 @@ def test_analyze_json_with_simulation(tmp_path):
     assert {row["strategy"] for row in payload["rows"]} == {"ssc_fbs", "msc_fbs", "msc_vbs"}
 
 
+_VIDEO = ["--strategy", "video_vbs", "--clips", "8x1x128x128,8x1x224x224", "--base-clip", "8x1x224x224"]
+
+
+def test_analyze_json_has_a_row_for_the_simulated_strategy(tmp_path):
+    out = tmp_path / "table.json"
+    argv = ["analyze", "--preset", "resnet50", "--epochs", "10", *_VIDEO, "--trials", "3", "--format", "json"]
+    assert run_cli(argv + ["-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert [row["strategy"] for row in payload["rows"]] == ["ssc_fbs", "msc_fbs", "msc_vbs", "video_vbs"]
+    assert payload["simulation"]["strategy"] == "video_vbs"
+    expected = payload["rows"][-1]["expected_updates"]
+    assert abs(payload["simulation"]["mean_updates"] / expected - 1) < 0.01
+    # a simulated strategy among the compared ones keeps its place, and without a simulation no row is added
+    for extra in (["--strategies", "video_vbs,ssc_fbs"], ["--trials", "0"]):
+        assert run_cli(argv + extra + ["-o", str(out)]) == 0
+        rows = [row["strategy"] for row in json.loads(out.read_text())["rows"]]
+        assert rows == (["video_vbs", "ssc_fbs"] if "--strategies" in extra else ["ssc_fbs", "msc_fbs", "msc_vbs"])
+
+
+@pytest.mark.parametrize(
+    "flag, text, form",
+    [
+        ("--clips", "8x1", "frames x clips x HxW"),
+        ("--clips", "8x1x224x224,8", "frames x clips x HxW"),
+        ("--clips", "8x1x224x22x", "frames x clips x HxW"),
+        ("--base-clip", "axbx224", "frames x clips x HxW"),
+        ("--base-resolution", "22y", "HxW"),
+        ("--resolutions", "128,x", "HxW"),
+        ("--resolutions", "128x128x3", "HxW"),
+    ],
+    ids=["two_clip_parts", "second_clip_short", "clip_side_text", "clip_frames_text", "resolution_text",
+         "resolutions_bare_x", "resolution_three_parts"],
+)
+def test_a_malformed_shape_names_the_form_it_expects(flag, text, form, tmp_path, capsys):
+    argv = ["plan", "--strategy", "video_vbs", flag, text, "-o", str(tmp_path / "out"), "--errors-json"]
+    assert run_cli(argv) == 2
+    [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert error["code"] == "BAD_VALUE" and form in error["message"]
+    assert "unpack" not in error["message"] and "literal" not in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_round_trip_plan_export_import_analyze(tmp_path):
     sched1 = tmp_path / "direct.jsonl"
     common = [
@@ -622,6 +664,21 @@ def test_schedule_header_errors_are_coded_json(damage, command, exit_code, code,
     assert run_cli([*command, "--schedule", str(sched), "-o", str(out), "--errors-json"]) == exit_code
     errors = json.loads(capsys.readouterr().err)["errors"]
     assert [e["code"] for e in errors] == [code] and ("strategy" in errors[0]["message"]) == (damage != "no_header")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"schema_version":1,"kind":"header"}\n', "", '{"schema_version":1,"kind":"header","config":[1]}\n'],
+    ids=["header_only", "empty", "config_a_list"],
+)
+@pytest.mark.parametrize("command", [["export"], ["export", "--format", "csv"], ["analyze"]], ids=" ".join)
+def test_export_and_analyze_need_a_header_config(text, command, tmp_path, capsys):
+    sched = tmp_path / "s.jsonl"
+    sched.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli([*command, "--schedule", str(sched), "-o", str(out), "--errors-json"]) == 1
+    assert [e["code"] for e in json.loads(capsys.readouterr().err)["errors"]] == ["MISSING_HEADER"]
     assert not out.exists()
 
 

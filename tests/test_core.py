@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import importlib
 import io
@@ -19,9 +20,11 @@ from batchforge.core import (
     VideoClipSpec,
     check_integer,
     ensure_valid,
+    pack_array,
     parse_flat_config,
     sampler_config_from_mapping,
     sampler_config_to_mapping,
+    unpack_array,
     validate_config,
 )
 from batchforge.rng import derive_seed
@@ -325,3 +328,64 @@ def test_derived_seeds_give_different_schedules():
     a = plan_epoch(config, 0)
     b = plan_epoch(dataclasses.replace(config, seed=derive_seed(config.seed, 1)), 0)
     assert a != b
+
+
+# -- the packed-array codec ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", range(18))
+def test_a_mask_round_trips_as_its_packed_bits(count):
+    for mask in (np.random.default_rng(count).random(count) < 0.5, np.ones(count, dtype=bool)):
+        text = pack_array(mask)
+        assert base64.b64decode(text) == np.packbits(mask).tobytes()
+        back = unpack_array(text, bool, count, "mask", "SOME_CODE")
+        assert back.dtype == bool and back.shape == (count,) and np.array_equal(back, mask)
+
+
+@pytest.mark.parametrize("dtype", ["uint8", "uint16", "float64"])
+def test_a_numeric_array_round_trips_as_its_little_endian_bytes(dtype):
+    values = np.array([0, 1, 7, 200, 255], dtype=dtype)
+    if dtype == "float64":
+        values = np.array([0.0, -0.0, 1.5, np.nan, -np.inf, 1e-300], dtype=dtype)
+    little = values.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+    for array in (values, values.astype(np.dtype(dtype).newbyteorder(">"))):  # whatever the byte order it is given
+        text = pack_array(array)
+        assert base64.b64decode(text) == little
+        back = unpack_array(text, dtype, len(values), "values", "SOME_CODE")
+        assert back.tobytes() == little and back.dtype == np.dtype(dtype)
+    assert pack_array(values[:0]) == "" and unpack_array("", dtype, 0, "values", "SOME_CODE").shape == (0,)
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode()
+
+
+@pytest.mark.parametrize(
+    "text, dtype, count",
+    [
+        (_b64(b"\xf8\x04"), bool, 13),  # the first padding bit
+        (_b64(b"\x01"), bool, 7),  # the last padding bit
+        (_b64(b"\xff"), bool, 9),  # a byte short
+        (_b64(b"\xff\x80\x00"), bool, 9),  # a byte long
+        (_b64(b""), bool, 1),
+        (_b64(b"\x00"), bool, 0),
+        (_b64(bytes(5)), "uint16", 3),
+        (_b64(bytes(7)), "uint16", 3),
+        (_b64(bytes(15)), "float64", 2),
+        (_b64(bytes(17)), "float64", 2),
+        ("not base64!", bool, 8),
+        ("AAA", "uint8", 2),  # unpadded
+        (7, bool, 8),
+        (None, "uint8", 0),
+        (b"AA==", "uint8", 1),
+        ("\u00e9" * 4, bool, 8),
+    ],
+    ids=["padding_bit_first", "padding_bit_last", "mask_byte_short", "mask_byte_long", "mask_empty", "empty_mask_a_byte",
+         "uint16_byte_short", "uint16_byte_long", "float64_byte_short", "float64_byte_long", "not_base64", "unpadded",
+         "a_number", "none", "bytes_not_text", "not_ascii"],
+)
+def test_unpack_array_raises_the_callers_code(text, dtype, count):
+    for code in ("BAD_RECORD", "BAD_STATE"):
+        with pytest.raises(BatchforgeError) as err:
+            unpack_array(text, dtype, count, "the field", code)
+        assert err.value.code == code and err.value.message.startswith("the field ")
