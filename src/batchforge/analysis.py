@@ -84,7 +84,10 @@ def _size(value, what: str) -> int:
 
 
 def _walk(config: SamplerConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Every epoch's (shape indices, batch sizes) in 2-D blocks, with the epochs each row stands for."""
+    """Every epoch's (shape indices, batch sizes) in 2-D blocks, with the epochs each row stands for.
+
+    A block's arrays hold until the next block is drawn: callers reduce each block as it comes.
+    """
     if len(batch_table(config)[1]) == 1:  # a one-entry table draws nothing: one walked epoch stands for all
         shape_idx, batches = epoch_batch_shapes(config, 0, config.dataset_size)
         return iter([(shape_idx[None], batches[None], config.epochs)])

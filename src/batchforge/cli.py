@@ -110,7 +110,7 @@ SETTINGS: dict[str, Setting] = {
     "reeval_stride": Setting(int, _TRAIN, default=1),
     # the optimizer (TrainerConfig)
     "max_lr": Setting(float, _TRAIN, in_file=True, default=0.2),
-    "warmup_epochs": Setting(int, _TRAIN, in_file=True, default=3),
+    "warmup_epochs": Setting(int, _TRAIN, in_file=True),  # unset: min(3, epochs - 1), see _cmd_train
     "min_lr": Setting(float, _TRAIN, in_file=True, default=0.0),
     "momentum": Setting(float, _TRAIN, in_file=True, default=0.9),
     "weight_decay": Setting(float, _TRAIN, in_file=True, default=1e-4),
@@ -287,6 +287,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     task = {"samples": sampler.dataset_size, **_values(args, mapping, "classes", "grid", "eval_samples", "noise_scale")}
     set_values = _values(args, mapping, *(f.name for f in fields(SetConfig)))
     trainer_values = _values(args, mapping, *(f.name for f in fields(TrainerConfig) if f.name != "total_epochs"))
+    if trainer_values["warmup_epochs"] is None:  # three warmup epochs, fewer when the run is shorter than four
+        trainer_values["warmup_epochs"] = min(3, sampler.epochs - 1)
     try:
         trainer_config = TrainerConfig(total_epochs=sampler.epochs, **trainer_values)
         set_config = SetConfig(**set_values)

@@ -25,7 +25,8 @@ input: it runs on the two 1-D factors before they are broadcast, and the
 grid takes the remaining steps in place through one scratch buffer.
 :func:`choice_at` reduces each draw ``d`` to ``d - (d // k) * k``, the
 plain modulo by ``set_size`` ``k``, where numpy divides by the scalar
-without a hardware divide per element.
+without a hardware divide per element; the quotients reuse that scratch
+buffer, so a grid of draws costs two grid-sized arrays, not three.
 
 An invalid draw request raises :class:`~batchforge.core.BatchforgeError`
 with a code: ``BAD_SIZE``, ``ZERO_SET_SIZE`` or ``PERMUTATION_TOO_LARGE``.
@@ -129,6 +130,22 @@ def stream_fill(seed: int, key: StreamKey, count: int) -> np.ndarray:
     return draws
 
 
+def _grid_draws(seed: int, epoch, iterations: np.ndarray, tag: str, out=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`stream_at`'s draws, in ``out`` when given, and the scratch buffer both finalizers used, ``scratch`` when given."""
+    head = _mix64(_mix64(seed & _MASK64) ^ tag_hash(tag))
+    heads = np.asarray(epoch).astype(np.uint64)  # a copy we own; negative epochs wrap like ``& _MASK64``
+    heads ^= np.uint64(head)
+    _mix64_array(heads)
+    heads ^= heads >> np.uint64(30)
+    steps = np.asarray(iterations, dtype=np.uint64)
+    steps = steps ^ (steps >> np.uint64(30))  # a new array: the caller's iterations stay unchanged
+    states = np.bitwise_xor(heads[..., None], steps, out=out)
+    scratch = np.empty_like(states) if scratch is None else scratch
+    _mix64_tail(states, scratch)
+    states += np.uint64(_GOLDEN)
+    return _mix64_array(states, scratch), scratch
+
+
 def stream_at(seed: int, epoch, iterations: np.ndarray, tag: str) -> np.ndarray:
     """Draw #0 of the stream (epoch, t, tag) for every t in ``iterations``.
 
@@ -139,35 +156,30 @@ def stream_at(seed: int, epoch, iterations: np.ndarray, tag: str) -> np.ndarray:
     are broadcast (see the module docstring); the grid is built once and
     both of its finalizers share one scratch buffer.
     """
-    head = _mix64(_mix64(seed & _MASK64) ^ tag_hash(tag))
-    heads = np.asarray(epoch).astype(np.uint64)  # a copy we own; negative epochs wrap like ``& _MASK64``
-    heads ^= np.uint64(head)
-    _mix64_array(heads)
-    heads ^= heads >> np.uint64(30)
-    steps = np.asarray(iterations, dtype=np.uint64)
-    steps = steps ^ (steps >> np.uint64(30))  # a new array: the caller's iterations stay unchanged
-    states = np.bitwise_xor(heads[..., None], steps)
-    scratch = np.empty_like(states)
-    _mix64_tail(states, scratch)
-    states += np.uint64(_GOLDEN)
-    return _mix64_array(states, scratch)
+    return _grid_draws(seed, epoch, iterations, tag)[0]
 
 
-def choice_at(seed: int, epoch, iterations: np.ndarray, tag: str, set_size: int) -> np.ndarray:
+def choice_at(seed: int, epoch, iterations: np.ndarray, tag: str, set_size: int, out=None, scratch=None) -> np.ndarray:
     """One uniform index in [0, set_size) per key: draw #0 of :func:`stream_at` modulo ``set_size``.
 
     The modulo is exact: each draw ``d`` becomes ``d - (d // k) * k`` for
     ``k = set_size``, in place, and the result is the draws' int64 view (an
     index of 2**63 or more, possible only for such set sizes, reads negative
-    as in any int64 cast). The plain modulo reduction is biased by under
-    2**-44 for any set size below 2**20, which is unobservable.
+    as in any int64 cast). The quotient goes into the scratch buffer the
+    hash's finalizers already used, so a call holds two grid-sized uint64
+    arrays, the draws and that scratch, and allocates no third. A caller
+    that draws grid after grid passes both: ``out`` receives the draws (the
+    result is its int64 view) and ``scratch`` is the hash's, each a uint64
+    array of the grid's shape; either left out is made. The plain modulo
+    reduction is biased by under 2**-44 for any set size below 2**20, which
+    is unobservable.
 
     ``set_size`` must be an integer: below 1 raises ``ZERO_SET_SIZE``, and
     2**64 or more, or a non-integer such as 2.5 or True, raises ``BAD_SIZE``.
     """
     k = np.uint64(check_integer(set_size, "set_size", "BAD_SIZE", least=1, below=1 << 64, low_code="ZERO_SET_SIZE"))
-    draws = stream_at(seed, epoch, iterations, tag)
-    quotients = np.floor_divide(draws, k)
+    draws, quotients = _grid_draws(seed, epoch, iterations, tag, out, scratch)
+    np.floor_divide(draws, k, out=quotients)
     quotients *= k
     draws -= quotients
     return draws.view(np.int64)

@@ -10,6 +10,15 @@ image strategies, frames x clips x pixels for the config's clip table
 (``SamplerConfig.clips``) under video. Planning validates the config first
 (:func:`batchforge.core.ensure_valid`).
 
+The cost accounting walks many epochs' shape sequences at once
+(:func:`walk_shapes`), a block of epochs at a time. A block holds about
+``WALK_BLOCK_ENTRIES`` (2**15) entries per array, so its two uint64
+arrays stay in a 2 MiB L2 while each block pays the hash's fixed numpy
+dispatch once, and the blocks of a walk reuse those arrays. A block where
+some epoch runs short is redrawn at a bound no epoch can outrun, in
+sub-blocks of about as many entries, or of one row where a row alone holds
+more, never whole.
+
 A schedule is a pure function of (config, epoch, active id set). Resolution
 draws are keyed by (epoch, iteration) only, never by rank, so every rank
 regenerates the same shape sequence; ids are dealt round-robin to ranks by
@@ -58,8 +67,9 @@ RESOLUTION_DRAW_TAG = "res"
 CLIP_DRAW_TAG = "clip"
 PERMUTATION_TAG = "perm"
 
-# Entries per array in one block of :func:`walk_shapes`; bounds the walk's memory.
-WALK_BLOCK_ENTRIES = 1 << 14
+# Entries per array in one block of :func:`walk_shapes`; bounds the walk's memory. Its two uint64 arrays take
+# 512 KiB of a 2 MiB L2; 2**14 paid the per-block dispatch twice as often, 2**16 cost ~2 MiB more peak RSS.
+WALK_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,39 +233,69 @@ def walk_shapes(config: SamplerConfig, epochs, n_active: int) -> Iterator[tuple[
     draw) until the ids run out; the final batch is trimmed unless
     ``drop_last`` drops it. Rows draw the expected count plus 8 % and 16; a
     block where a row runs short is redrawn at a bound no epoch can outrun,
-    which repeats the same keyed draws, so the width never shows. The first
-    ``expected * 0.92 - 16`` entries of a row, its head, are summed once; the
-    prefix sum, the short-row check and the trim run over the crossing window
-    after it. A head serving at most ``n_active`` ids holds nothing either
-    trim changes; a block where some row's head serves more walks the full width.
+    in sub-blocks of ``WALK_BLOCK_ENTRIES // bound`` rows (at least one), so
+    a redraw holds about as many entries as a block, or one row. It repeats the
+    same keyed draws, so neither the width nor the sub-blocks show. The
+    first ``expected * 0.92 - 16`` entries of a row, its head, are summed
+    once; the prefix sum, the short-row check and the trim run over the
+    crossing window after it. A head serving at most ``n_active`` ids holds
+    nothing either trim changes; a block where some row's head serves more
+    walks the full width.
+
+    Blocks are sized to the cache: a block lives in two uint64 arrays, the
+    draws and the hash's scratch, which then receives the batches; at 2**15
+    entries they take 512 KiB of a 2 MiB L2, and each block pays
+    :func:`~batchforge.rng.choice_at`'s fixed numpy dispatch once. The
+    blocks of a walk, and the sub-blocks of a redraw, reuse those two
+    arrays, so a yielded block's arrays are overwritten by the next: a
+    caller that keeps a block copies it.
     """
     (shape_idx, sizes), tag = batch_table(config), shape_table(config)[1]
     identity = np.array_equal(shape_idx, np.arange(len(sizes)))  # then a draw is its own shape index
     epochs = np.asarray(epochs, dtype=np.int64)
     bound, expected = n_active // int(sizes.min()) + 2, n_active / sizes.mean()
     width, head = min(int(expected * 1.08) + 16, bound), max(0, int(expected * 0.92) - 16)
-    step = max(1, WALK_BLOCK_ENTRIES // width)
-    for block in np.split(epochs, range(step, len(epochs), step)):
-        for span in (width, bound):
+
+    def walk(blocks: list[np.ndarray], span: int) -> Iterator[tuple[np.ndarray, np.ndarray] | None]:
+        """Each block of rows drawn ``span`` entries wide in one pair of arrays, or None where some row runs short."""
+        work, iterations = np.empty((2, max(map(len, blocks)) * span), dtype=np.uint64), np.arange(span)
+        for rows in blocks:
+            draws, scratch = (part[: len(rows) * span].reshape(len(rows), span) for part in work)
             if len(sizes) == 1:
-                draws = np.zeros((len(block), span), dtype=np.int64)
+                draws = draws.view(np.int64)
+                draws.fill(0)
             else:
-                draws = choice_at(config.seed, block, np.arange(span), tag, len(sizes))
-            batches = sizes.take(draws, mode="clip")  # draws lie in [0, len(sizes)): clip only skips the bounds check
+                draws = choice_at(config.seed, rows, iterations, tag, len(sizes), out=draws, scratch=scratch)
+            # draws lie in [0, len(sizes)): clip only skips the bounds check
+            batches = sizes.take(draws, mode="clip", out=scratch.view(np.int64))
             tail, start = batches[:, head:], batches[:, :head].sum(axis=1)
             if (start > n_active).any():  # a row that crosses inside its head: the block walks its full width
                 tail, start = batches, np.zeros_like(start)
             served = np.cumsum(tail, axis=1)
             served += start[:, None]
-            if (served[:, -1] > n_active).all():
-                break
-        if config.drop_last:
-            np.copyto(tail, 0, where=served > n_active)
-        else:  # trim the final batch: each entry becomes what it serves of the n_active ids
-            np.minimum(served, n_active, out=served)
-            tail[:, 0] = served[:, 0] - start
-            np.subtract(served[:, 1:], served[:, :-1], out=tail[:, 1:])
-        yield draws if identity else shape_idx[draws], batches
+            if not (served[:, -1] > n_active).all():
+                yield None
+                continue
+            if config.drop_last:
+                np.copyto(tail, 0, where=served > n_active)
+            else:  # trim the final batch: each entry becomes what it serves of the n_active ids
+                np.minimum(served, n_active, out=served)
+                tail[:, 0] = served[:, 0] - start
+                np.subtract(served[:, 1:], served[:, :-1], out=tail[:, 1:])
+            yield draws if identity else shape_idx[draws], batches
+
+    blocks = _row_blocks(epochs, WALK_BLOCK_ENTRIES // width)
+    for block, walked in zip(blocks, walk(blocks, width)):
+        if walked is not None:
+            yield walked
+        else:  # at the bound every row covers n_active: each entry is at least min(sizes)
+            yield from walk(_row_blocks(block, WALK_BLOCK_ENTRIES // bound), bound)
+
+
+def _row_blocks(rows: np.ndarray, step: int) -> list[np.ndarray]:
+    """``rows`` split into blocks of ``step`` rows, at least one each."""
+    step = max(1, step)
+    return np.split(rows, range(step, len(rows), step))
 
 
 def epoch_batch_shapes(config: SamplerConfig, epoch: int, n_active: int) -> tuple[np.ndarray, np.ndarray]:

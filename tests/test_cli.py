@@ -82,7 +82,7 @@ def test_video_strategy_is_a_config_error(argv, capsys):
 @pytest.mark.parametrize(
     "flags, code",
     [
-        (["--epochs", "2"], "BAD_WARMUP"),  # the default warmup is 3 epochs; it is not clamped
+        (["--epochs", "2", "--warmup-epochs", "2"], "BAD_WARMUP"),  # a warmup that is set is not clamped
         (["--tau", "1.5"], "TAU_OUT_OF_RANGE"),
         (["--tau", "0.7", "--window", "0"], "ZERO_WINDOW"),
         (["--grid", "3"], "BAD_GRID"),
@@ -101,6 +101,14 @@ def test_bad_trainer_and_filter_settings_are_config_errors(flags, code, tmp_path
     assert run_cli(argv + ["--errors-json"]) == 2
     assert [e["code"] for e in json.loads(capsys.readouterr().err)["errors"]] == [code]
     assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("epochs, warmup", [(1, 0), (3, 2), (5, 3)])
+def test_an_unset_warmup_is_three_epochs_or_one_less_than_the_run(epochs, warmup, tmp_path):
+    report = tmp_path / "run.json"
+    argv = ["train", "--epochs", str(epochs), "--tau", "0.7", "--samples", "200", "--eval-samples", "50"]
+    assert run_cli(argv + ["-o", str(report)]) == 0
+    assert json.loads(report.read_text())["config"]["trainer"]["warmup_epochs"] == warmup
 
 
 _SMALL_TRAIN = ["--samples", "200", "--epochs", "4", "--batch", "20", "--warmup-epochs", "1"]

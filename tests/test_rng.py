@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -161,6 +162,23 @@ def test_stream_at_leaves_its_input_unchanged():
     assert np.array_equal(iters, np.arange(16, dtype=np.uint64))
 
 
+def test_choice_at_holds_two_grid_sized_arrays():
+    # the draws and the hash's scratch; the quotient reuses the scratch instead of a third grid-sized array
+    epochs, iterations = np.arange(31), np.arange(1057)
+    grid_bytes = 31 * 1057 * 8
+    choice_at(2, epochs, iterations, "res", 9)  # one-time allocations happen outside the trace
+    with mock.patch.object(np, "floor_divide", wraps=np.floor_divide) as divide:
+        tracemalloc.start()
+        try:
+            choices = choice_at(2, epochs, iterations, "res", 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 * grid_bytes + 64 * 1024
+    [call] = divide.call_args_list
+    assert call.kwargs["out"].shape == choices.shape and not np.shares_memory(call.kwargs["out"], choices)
+
+
 def test_permutation_changes_with_epoch():
     a = permutation(5, StreamKey(0, 0, "perm"), 500)
     b = permutation(5, StreamKey(1, 0, "perm"), 500)
@@ -300,6 +318,9 @@ def test_keyed_draws_match_the_scalar_stream_and_the_plain_modulo(grid, seed, ta
     assert (streams.shape, streams.dtype, choices.shape, choices.dtype) == (shape, np.uint64, shape, np.int64)
     assert streams.reshape(len(rows), len(iterations)).tolist() == expected
     assert choices.reshape(len(rows), len(iterations)).tolist() == [[d % set_size for d in row] for row in expected]
+    out, scratch = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
+    into = choice_at(seed, epoch, iterations, tag, set_size, out=out, scratch=scratch)
+    assert np.array_equal(into, choices) and into.base is out
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ update counts, input-volume peaks and means, Monte-Carlo simulations and
 single epochs, over random valid configs of all four strategies."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -59,7 +60,7 @@ def walk_configs(draw):
 
 
 @settings(max_examples=300, deadline=None, print_blob=False)
-@given(config=walk_configs(), block_entries=st.sampled_from([1, 50, samplers.WALK_BLOCK_ENTRIES]))
+@given(config=walk_configs(), block_entries=st.sampled_from([1, 50, 1 << 14, samplers.WALK_BLOCK_ENTRIES]))
 def test_blocked_walk_equals_the_per_epoch_reference(config, block_entries):
     assume(not validate_config(config))
     updates, peak, mean = reference_cost(config)
@@ -160,15 +161,30 @@ TWO_SIZES = SamplerConfig(
 )
 
 
+def test_a_short_block_is_redrawn_in_sub_blocks_of_block_size():
+    # bound is 200,002 entries a row: redrawn whole, a 2**14-entry block of 70 rows peaked at ~334 MB
+    config = replace(TWO_SIZES, epochs=100)
+    count_updates(replace(config, epochs=1))  # one-time allocations happen outside the trace
+    tracemalloc.start()
+    try:
+        updates = count_updates(config).exact
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert updates == reference_cost(config)[0]
+
+
 def walked_heads(config, epochs, n_active):
-    """The walk's blocks and, per block, the entries its prefix sum skipped: the width minus that of the cumsum."""
+    """The walk's blocks, copied before the walk reuses their workspace, and, per block, the entries its prefix sum
+    skipped: the width minus that of the cumsum."""
     with mock.patch.object(np, "cumsum", wraps=np.cumsum) as cumsum:
-        blocks = list(walk_shapes(config, epochs, n_active))
+        blocks = [(shape_idx.copy(), batches.copy()) for shape_idx, batches in walk_shapes(config, epochs, n_active)]
     assert cumsum.call_count == len(blocks)  # no block ran short
     return blocks, [batches.shape[1] - call.args[0].shape[1] for (_, batches), call in zip(blocks, cumsum.call_args_list)]
 
 
-@pytest.mark.parametrize("block_entries", [1, 50, samplers.WALK_BLOCK_ENTRIES])
+@pytest.mark.parametrize("block_entries", [1, 50, 1 << 14, samplers.WALK_BLOCK_ENTRIES])
 @pytest.mark.parametrize("drop_last", [False, True])
 @pytest.mark.parametrize(
     "case, n_active, epochs",
