@@ -113,6 +113,12 @@ def _plan_volumes(schedules: Iterable[EpochSchedule], scale: int) -> Iterator[tu
         yield np.diff(schedule.offsets) * unit[schedule.shape_idx] * scale, schedule.total_updates, 1
 
 
+def _cost_row(strategy: Strategy, blocks: Iterable[tuple[np.ndarray, int, int]], expected: float | None = None) -> CostReport:
+    """The cost row of :func:`_volume_stats` ``blocks``; ``expected`` defaults to the row's own update count."""
+    updates, peak, mean = _volume_stats(blocks)
+    return CostReport(strategy, updates, float(updates) if expected is None else expected, peak, mean)
+
+
 def count_updates(config: SamplerConfig) -> UpdateCount:
     """Exact (generated) and closed-form total optimizer updates."""
     ensure_valid(config)
@@ -155,17 +161,11 @@ def strategy_cost(config: SamplerConfig, channels: int = 3) -> CostReport:
     ensure_valid(config)
     channels = _size(channels, "channels")
     unit = np.array([unit_volume(shape) * channels for shape in shape_table(config)[0]], dtype=np.int64)
-    updates, peak, mean = _volume_stats(
+    blocks = (
         (batches * unit[shape_idx], int(np.count_nonzero(batches)), repeat)
         for shape_idx, batches, repeat in _walk(config)
     )
-    return CostReport(
-        strategy=config.strategy,
-        total_updates=updates,
-        expected_updates=closed_form_updates(config),
-        peak_input_pixels=peak,
-        mean_input_pixels=mean,
-    )
+    return _cost_row(config.strategy, blocks, closed_form_updates(config))
 
 
 def compare_strategies(
@@ -193,14 +193,7 @@ def schedule_cost(
     channels: int = 3,
 ) -> CostReport:
     """Cost row computed from already-materialized schedules."""
-    updates, peak, mean = _volume_stats(_plan_volumes(schedules, _size(channels, "channels")))
-    return CostReport(
-        strategy=strategy,
-        total_updates=updates,
-        expected_updates=float(updates),
-        peak_input_pixels=peak,
-        mean_input_pixels=mean,
-    )
+    return _cost_row(strategy, _plan_volumes(schedules, _size(channels, "channels")))
 
 
 def with_ratios(reports: Sequence[CostReport], baseline: CostReport) -> list[CostReport]:
@@ -237,16 +230,12 @@ def cost_reports_payload(reports: Iterable[CostReport], bytes_per_element: int =
 
 
 def write_cost_csv(fp: IO[str], reports: Iterable[CostReport], bytes_per_element: int = 4) -> None:
-    bytes_per_element = _size(bytes_per_element, "bytes_per_element")
+    """Columns of :func:`cost_reports_payload`'s rows; a ratio is written ``.6f``, and a None as an empty field."""
+    rows = cost_reports_payload(reports, bytes_per_element)["rows"]
+    columns = ("strategy", "updates", "updates_ratio", "peak_input_bytes", "peak_ratio")
     writer = csv.writer(fp)
-    writer.writerow(["strategy", "updates", "updates_ratio", "peak_input_bytes", "peak_ratio"])
-    for r in reports:
+    writer.writerow(columns)
+    for row in rows:
         writer.writerow(
-            [
-                r.strategy.value,
-                r.total_updates,
-                "" if r.updates_ratio is None else f"{r.updates_ratio:.6f}",
-                r.peak_input_pixels * bytes_per_element,
-                "" if r.peak_pixels_ratio is None else f"{r.peak_pixels_ratio:.6f}",
-            ]
+            ["" if row[key] is None else f"{row[key]:.6f}" if key.endswith("_ratio") else row[key] for key in columns]
         )

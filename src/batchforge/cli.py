@@ -247,6 +247,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    # A schedule file is costed under its own header config, so a flag that would choose another is refused.
+    flags = ("preset", "config", *SAMPLER_FIELDS, "strategies") if args.schedule else ()
+    ignored = [f"--{key.replace('_', '-')}" for key in flags if getattr(args, key) is not None]
+    if ignored:
+        message = f"{', '.join(ignored)}: --schedule costs the file's own header config, which these flags would not change"
+        raise ConfigValidationError([ConfigViolation("IGNORED_FLAG", message)])
     values = _values(args, {}, "strategies", "channels", "bytes_per_element", "trials")
     if args.schedule:
         _, config, schedules = _read_schedule_file(args.schedule)

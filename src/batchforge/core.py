@@ -65,6 +65,14 @@ def check_real(value, what: str, code: str, least: float = -math.inf, most: floa
     raise BatchforgeError(code, f"{what} must be a finite number{span}, got {value!r}")
 
 
+def fields_equal(record, other):
+    """Whether ``other`` holds ``record``'s dataclass fields, arrays compared by value; ``NotImplemented`` for another type."""
+    if not isinstance(other, type(record)):
+        return NotImplemented
+    pairs = ((getattr(record, f.name), getattr(other, f.name)) for f in fields(record))
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b for a, b in pairs)
+
+
 def pack_array(array: np.ndarray) -> str:
     """``array`` as base64 text: a bool array as ``np.packbits`` of its bits, any other as its little-endian bytes."""
     array = np.asarray(array)

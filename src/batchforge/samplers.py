@@ -60,6 +60,7 @@ from .core import (
     VideoClipSpec,
     check_integer,
     ensure_valid,
+    fields_equal,
 )
 from .rng import StreamKey, choice_at, permutation
 
@@ -87,15 +88,7 @@ class BatchPlan:
         return self.batch_size * unit_volume(self.clip or self.resolution)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, BatchPlan):
-            return NotImplemented
-        return (
-            self.iteration == other.iteration
-            and self.resolution == other.resolution
-            and self.batch_size == other.batch_size
-            and self.clip == other.clip
-            and np.array_equal(self.sample_ids, other.sample_ids)
-        )
+        return fields_equal(self, other)
 
 
 def unit_volume(shape: Resolution | VideoClipSpec) -> int:

@@ -24,8 +24,9 @@ that is not JSON (a file cut mid-line), naming the line's 1-based number;
 integer ``epoch``, ``updates`` and ``samples`` in [0, 2**63) and an 8 lowercase
 hex digit ``digest``, has an ``active`` that
 :func:`~batchforge.core.unpack_array` rejects, has ``rank`` or ``world_size``
-without the other or outside ``0 <= rank < world_size < 2**63``, or is a
-second record of one epoch; ``MISSING_HEADER`` for a ``replan`` under no
+without the other or outside ``0 <= rank < world_size < 2**63``, is a
+second record of one epoch, or is a second header, which would re-plan the
+records after it from another config; ``MISSING_HEADER`` for a ``replan`` under no
 header config; ``DIGEST_MISMATCH`` for a ``replan`` the header config does
 not reproduce, naming the epoch and both digests. Re-planning raises what
 planning and sharding raise, such as ``INDIVISIBLE_BATCH``.
@@ -112,6 +113,7 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
     ``BatchforgeError`` with one of the codes the module docstring lists.
     """
     header_config: dict | None = None
+    seen_header = False
     per_epoch: dict[int, EpochSchedule] = {}
     for number, raw in enumerate(fp, 1):
         line = raw.strip()
@@ -123,6 +125,9 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
             raise BatchforgeError("BAD_JSON", f"line {number} is not valid JSON: {err.msg}") from None
         kind = record.get("kind") if isinstance(record, dict) else None
         if kind == "header":
+            if seen_header:
+                raise BatchforgeError("BAD_RECORD", f"line {number}: a second header; a file holds one config")
+            seen_header = True
             version = record.get("schema_version")
             if version != SCHEMA_VERSION:
                 raise BatchforgeError("BAD_SCHEMA", f"line {number}: unsupported schedule schema_version {version!r}")

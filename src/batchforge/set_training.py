@@ -44,7 +44,8 @@ Errors are ``BatchforgeError`` with a code:
 - ``DUPLICATE_RECORD``: a second record for one id in one epoch, whether
   across calls or twice in one batch;
 - ``MISSING_RECORDS``: finalize_epoch with active samples left unrecorded;
-- ``BAD_SCHEMA``, ``BAD_STATE``: a checkpoint of another schema version, or
+- ``BAD_SCHEMA``, ``BAD_STATE``: a payload of another ``kind`` than
+  ``set_state`` (a run report among them) or of another schema version, or
   one that is malformed or inconsistent (not a JSON object, such as an
   empty or truncated file; a size, epoch or counter that is not an
   integer in [0, 2**63), an array that :func:`~batchforge.core.unpack_array`
@@ -58,15 +59,18 @@ Errors are ``BatchforgeError`` with a code:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import IO
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import BatchforgeError, check_integer, check_real, pack_array, unpack_array
+from .core import BatchforgeError, check_integer, check_real, fields_equal, pack_array, unpack_array
 
 SCHEMA_VERSION = 2
+# What a checkpoint holds besides the settings and the epoch: the counters, and the arrays it packs.
+_COUNTERS = ("removed_count", "readded_count", "forward_passes")
+_ARRAYS = ("removed", "recorded", "streak")
 
 
 @dataclass(frozen=True)
@@ -107,16 +111,7 @@ class EpochTransition:
     forward_passes: int  # cumulative
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, EpochTransition):
-            return NotImplemented
-        return (
-            self.epoch == other.epoch
-            and self.active_count == other.active_count
-            and self.active_next == other.active_next
-            and self.forward_passes == other.forward_passes
-            and np.array_equal(self.newly_removed, other.newly_removed)
-            and np.array_equal(self.readded, other.readded)
-        )
+        return fields_equal(self, other)
 
 
 class SetState:
@@ -242,20 +237,9 @@ class SetState:
             "kind": "set_state",
             "epoch": self.epoch,
             "num_samples": self.num_samples,
-            "config": {
-                "tau": self.config.tau,
-                "window": self.config.window,
-                "start_epoch": self.config.start_epoch,
-                "reeval_stride": self.config.reeval_stride,
-            },
-            "counters": {
-                "removed_count": self.removed_count,
-                "readded_count": self.readded_count,
-                "forward_passes": self.forward_passes,
-            },
-            "removed": pack_array(self.removed),
-            "recorded": pack_array(self.recorded),
-            "streak": pack_array(self.streak),
+            "config": asdict(self.config),
+            "counters": {key: getattr(self, key) for key in _COUNTERS},
+            **{key: pack_array(getattr(self, key)) for key in _ARRAYS},
         }
 
     def dump(self, fp: IO[str]) -> None:
@@ -264,25 +248,23 @@ class SetState:
     @classmethod
     def from_payload(cls, payload: dict) -> "SetState":
         try:
+            kind = payload.get("kind")
+            if kind != "set_state":
+                raise BatchforgeError("BAD_SCHEMA", f"not a set_state payload: kind {kind!r}")
             version = payload.get("schema_version")
             if version != SCHEMA_VERSION:
                 raise BatchforgeError("BAD_SCHEMA", f"unsupported set_state schema_version {version!r}")
             cfg = payload["config"]
             counters = payload["counters"]
             try:
-                config = SetConfig(
-                    tau=cfg["tau"],
-                    window=cfg["window"],
-                    start_epoch=cfg["start_epoch"],
-                    reeval_stride=cfg["reeval_stride"],
-                )
+                config = SetConfig(**{f.name: cfg[f.name] for f in fields(SetConfig)})
             except BatchforgeError as exc:
                 raise BatchforgeError("BAD_STATE", f"invalid filter settings: {exc}") from exc
             state = cls(check_integer(payload["num_samples"], "num_samples", "BAD_STATE"), config)
             state.epoch = check_integer(payload["epoch"], "epoch", "BAD_STATE")
-            for key in ("removed_count", "readded_count", "forward_passes"):
+            for key in _COUNTERS:
                 setattr(state, key, check_integer(counters[key], key, "BAD_STATE"))
-            for key in ("removed", "recorded", "streak"):
+            for key in _ARRAYS:
                 array = getattr(state, key)
                 array[:] = unpack_array(payload[key], array.dtype, state.num_samples, key, "BAD_STATE")
         except BatchforgeError:

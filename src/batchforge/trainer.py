@@ -273,9 +273,6 @@ class SyntheticDataset:
 
     features: np.ndarray  # (N, grid, grid)
     labels: np.ndarray  # (N,)
-    num_classes: int
-    grid: int
-    seed: int
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -336,7 +333,7 @@ def make_synthetic_task(
         labels = np.arange(count, dtype=np.int64) % num_classes
         labels = labels[rng.permutation(count)]
         features = means[labels] + noise_scale * rng.standard_normal((count, grid, grid))
-        return SyntheticDataset(features, labels, num_classes, grid, seed)
+        return SyntheticDataset(features, labels)
 
     return split(num_samples, 2), split(eval_samples, 3)
 

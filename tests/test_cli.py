@@ -193,6 +193,16 @@ def test_failure_while_training_exits_1(tmp_path, capsys):
     assert "NON_FINITE_INPUT" in capsys.readouterr().err
 
 
+def test_an_uncoded_failure_exits_1_with_one_error_line(monkeypatch, capsys):
+    def handler(args):
+        raise RuntimeError("the handler broke")
+
+    monkeypatch.setitem(cli._COMMANDS, "plan", ("plan", handler, ()))
+    for flags in ([], ["--errors-json"]):
+        assert run_cli(["plan", *flags]) == 1
+        assert capsys.readouterr().err == "error: the handler broke\n"
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["plan", "--bogus-flag", "1"])
@@ -309,6 +319,51 @@ def test_round_trip_plan_export_import_analyze(tmp_path):
     assert run_cli(["analyze", *common, "--strategies", "msc_vbs", "-o", str(direct)]) == 0
     assert run_cli(["analyze", "--schedule", str(sched2), "-o", str(via_file)]) == 0
     assert direct.read_bytes() == via_file.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--seed", "99"], ["--seed"]),
+        (["--preset", "mobilenetv3"], ["--preset"]),
+        (["--strategies", "msc_fbs"], ["--strategies"]),
+        (["--clips", "8x1x128x128"], ["--clips"]),
+        (["--seed", "99", "--epochs", "7", "--strategies", "msc_fbs", "--preset", "mobilenetv3"],
+         ["--preset", "--epochs", "--seed", "--strategies"]),
+        (["--config", "absent.cfg", "--drop-last", "true"], ["--config", "--drop-last"]),
+    ],
+    ids=["seed", "preset", "strategies", "clips", "four_flags", "config_file"],
+)
+def test_analyze_schedule_refuses_flags_it_would_ignore(flags, named, tmp_path, capsys):
+    sched = tmp_path / "s.jsonl"
+    assert run_cli(["plan", *_SMALL_PLAN, "-o", str(sched)]) == 0
+    out = tmp_path / "cost.csv"
+    assert run_cli(["analyze", "--schedule", str(sched), *flags, "-o", str(out), "--errors-json"]) == 2
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert [e["code"] for e in errors] == ["IGNORED_FLAG"]
+    assert errors[0]["message"].startswith(", ".join(named) + ": ")
+    assert not out.exists()
+
+
+def test_analyze_schedule_takes_its_output_flags(tmp_path):
+    sched = tmp_path / "s.jsonl"
+    assert run_cli(["plan", *_SMALL_PLAN, "--strategy", "msc_vbs", "-o", str(sched)]) == 0
+    plain, scaled = tmp_path / "plain.json", tmp_path / "scaled.json"
+    assert run_cli(["analyze", "--schedule", str(sched), "--format", "json", "-o", str(plain)]) == 0
+    argv = ["--channels", "1", "--bytes-per-element", "2", "--trials", "2", "--format", "json", "--errors-json"]
+    assert run_cli(["analyze", "--schedule", str(sched), *argv, "-o", str(scaled)]) == 0
+    plain, scaled = json.loads(plain.read_text()), json.loads(scaled.read_text())
+    assert scaled["bytes_per_element"] == 2 and scaled["simulation"]["trials"] == 2 and "simulation" not in plain
+    assert scaled["rows"][0]["peak_input_bytes"] * 3 * 4 == plain["rows"][0]["peak_input_bytes"] * 2
+
+
+def test_set_report_state_refuses_a_run_report(tmp_path, capsys):
+    report = tmp_path / "run.json"
+    assert run_cli(["train", "--samples", "200", "--epochs", "2", "-o", str(report)]) == 0
+    capsys.readouterr()
+    assert run_cli(["set-report", "--state", str(report), "--errors-json"]) == 1
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert [e["code"] for e in errors] == ["BAD_SCHEMA"] and "'run_report'" in errors[0]["message"]
 
 
 def test_export_csv_lists_iterations(tmp_path):

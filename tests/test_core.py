@@ -389,3 +389,21 @@ def test_unpack_array_raises_the_callers_code(text, dtype, count):
         with pytest.raises(BatchforgeError) as err:
             unpack_array(text, dtype, count, "the field", code)
         assert err.value.code == code and err.value.message.startswith("the field ")
+
+
+def _records():
+    plan = samplers.BatchPlan(3, Resolution(8, 8), 2, np.array([4, 9]), VideoClipSpec(8, 1, Resolution(8, 8)))
+    transition = set_training.EpochTransition(2, np.array([1, 5]), np.array([7]), 10, 9, 40)
+    return plan, transition
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["BatchPlan", "EpochTransition"])
+def test_records_compare_field_by_field_with_arrays_by_value(index):
+    record = _records()[index]
+    assert record == _records()[index]  # equal arrays that are not the same objects
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        other = value + 1 if isinstance(value, (int, np.ndarray)) else None
+        assert record != dataclasses.replace(record, **{field.name: other}), field.name
+    assert record.__eq__(_records()[1 - index]) is NotImplemented and record != _records()[1 - index]
+    assert record.__eq__((record,)) is NotImplemented and record != "record"

@@ -390,6 +390,17 @@ def test_reader_rejects_a_second_record_for_an_epoch():
         assert err.value.code == "BAD_RECORD" and "a second record for epoch 0" in err.value.message
 
 
+def test_reader_rejects_a_second_header():
+    # Records after a second header would re-plan from its config, so one file would cost two configs as one.
+    header, line = replan_file()
+    other = make_config(strategy=Strategy.MSC_FBS, seed=5)
+    other_header, _, other_line = export_text([plan_epoch(other, e) for e in range(2)], other).splitlines(keepends=True)
+    for text, number in ((header + line + other_header + other_line, 3), (header + header + line, 2)):
+        with pytest.raises(BatchforgeError) as err:
+            read_schedules(io.StringIO(text))
+        assert err.value.code == "BAD_RECORD" and err.value.message.startswith(f"line {number}: a second header")
+
+
 def test_reader_names_a_replan_line_cut_mid_way():
     lines = replan_file(epochs=3)
     for cut in (lines[3][:20], lines[3][:-3]):

@@ -191,6 +191,16 @@ def test_v1_checkpoint_rejected():
         assert err.value.code == "BAD_SCHEMA"
 
 
+@pytest.mark.parametrize("kind", ["run_report", "cost_report", None])
+def test_a_payload_of_another_kind_is_bad_schema(kind):
+    # A run report is schema 2 too: only its kind tells it from a checkpoint.
+    payload = _checkpoint_state().to_payload()
+    payload["kind"] = kind
+    with pytest.raises(BatchforgeError) as err:
+        SetState.from_payload(payload)
+    assert err.value.code == "BAD_SCHEMA" and repr(kind) in err.value.message
+
+
 def test_imagenet_size_checkpoint_round_trips_under_10_mb():
     n = 1_281_167
     state = SetState(n, SetConfig(tau=0.7, window=2, start_epoch=0))

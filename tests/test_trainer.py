@@ -712,6 +712,17 @@ def test_labels_outside_the_model_classes_are_rejected_before_any_work(which, mo
     assert f"{which} labels [5, 6, 7, 8, 9]" in str(err.value)
 
 
+def test_a_train_set_of_another_size_than_the_config_is_rejected_before_any_work(monkeypatch):
+    sampler = toy_sampler(epochs=3)
+    train_set, eval_set = make_synthetic_task(sampler.dataset_size - 1, 10, 8, seed=0)
+    monkeypatch.setattr("batchforge.trainer.plan_epoch", None)  # planning an epoch would raise TypeError
+    model = PooledLinearModel(10, 8, TOY_RESOLUTIONS)
+    with pytest.raises(BatchforgeError) as err:
+        train(model, train_set, sampler, toy_trainer(warmup_epochs=1, total_epochs=3), None, eval_set)
+    assert err.value.code == "SIZE_MISMATCH"
+    assert f"dataset has {sampler.dataset_size - 1} samples, config says {sampler.dataset_size}" in str(err.value)
+
+
 def _report_text(report, header=None):
     buf = io.StringIO()
     write_run_report_json(buf, report, header=header)
