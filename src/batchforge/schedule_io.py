@@ -1,14 +1,17 @@
 """JSONL export/import of epoch schedules.
 
 One JSON object per line. The first line is a header carrying
-``schema_version`` 1 and the effective config. Each epoch with updates is one
+``schema_version`` 2 and the effective config. Each epoch with updates is one
 ``replan`` record, ``{"kind":"replan","epoch":e,"updates":T,"samples":S,
 "digest":"<8 hex>"}`` (:func:`id_digest` of its ids): the reader re-plans it
 from the header config instead of reading ids. A shard adds ``"rank"`` and
 ``"world_size"``; an active-set subset adds ``"active"``, its active mask over
 the config's ``dataset_size`` ids packed by :func:`~batchforge.core.pack_array`.
 The reader re-plans each record, takes its shard, and checks the numbers and
-the digest. An epoch with no updates writes nothing.
+the digest. An epoch with no updates writes nothing. The last line,
+``{"kind":"end","records":N}``, counts the ``replan`` records, so a file cut
+at a line boundary does not read as a shorter schedule. Schema 1 files, which
+have no such line, do not read: re-plan them from their header config.
 
 Only a schedule :func:`~batchforge.samplers.plan_epoch` made from the
 header config (``plan_video_vbs`` included), or a ``shard_for_rank`` shard
@@ -18,18 +21,22 @@ a hand-built one, one planned from another config, or a shard of a shard.
 
 The reader raises ``BatchforgeError`` with a code: ``BAD_JSON`` for a line
 that is not JSON (a file cut mid-line), naming the line's 1-based number;
-``BAD_SCHEMA`` for a header whose ``schema_version`` is not 1;
+``TRUNCATED`` for a file that ends before its ``end`` line (a file cut at a
+line boundary, an empty one among them);
+``BAD_SCHEMA`` for a header whose ``schema_version`` is not 2;
 ``BAD_RECORD`` for a line that is not a JSON object, has no or an unknown
 ``kind`` (a ``plan`` line of verbatim ids among them), is a ``replan`` without
 integer ``epoch``, ``updates`` and ``samples`` in [0, 2**63) and an 8 lowercase
 hex digit ``digest``, has an ``active`` that
 :func:`~batchforge.core.unpack_array` rejects, has ``rank`` or ``world_size``
 without the other or outside ``0 <= rank < world_size < 2**63``, is a
-second record of one epoch, or is a second header, which would re-plan the
-records after it from another config; ``MISSING_HEADER`` for a ``replan`` under no
-header config; ``DIGEST_MISMATCH`` for a ``replan`` the header config does
-not reproduce, naming the epoch and both digests. Re-planning raises what
-planning and sharding raise, such as ``INDIVISIBLE_BATCH``.
+second record of one epoch, is a second header, which would re-plan the
+records after it from another config, is an ``end`` whose ``records`` is not
+the number of ``replan`` records before it, or comes after the ``end``;
+``MISSING_HEADER`` for a ``replan`` under no header config; ``DIGEST_MISMATCH``
+for a ``replan`` the header config does not reproduce, naming the epoch and
+both digests. Re-planning raises what planning and sharding raise, such as
+``INDIVISIBLE_BATCH``.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from .core import (BatchforgeError, SamplerConfig, check_integer, pack_array, sa
                    sampler_config_to_mapping, unpack_array)
 from .samplers import EpochSchedule
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def id_digest(ids: np.ndarray) -> str:
@@ -55,9 +62,11 @@ def id_digest(ids: np.ndarray) -> str:
 
 
 def write_schedules(fp: IO[str], schedules: Iterable[EpochSchedule], config: SamplerConfig) -> None:
-    """Write the header of ``config``, then a ``replan`` record per epoch with updates planned from it."""
+    """Write the header of ``config``, a ``replan`` record per epoch with updates planned from it, and the
+    ``end`` line counting the records."""
     header = {"schema_version": SCHEMA_VERSION, "kind": "header", "config": sampler_config_to_mapping(config)}
     fp.write(json.dumps(header, separators=(",", ":")) + "\n")
+    records = 0
     for schedule in schedules:
         if not schedule.total_updates:
             continue
@@ -74,6 +83,8 @@ def write_schedules(fp: IO[str], schedules: Iterable[EpochSchedule], config: Sam
             mask[origin.active] = True
             record["active"] = pack_array(mask)
         fp.write(json.dumps(record, separators=(",", ":")) + "\n")
+        records += 1
+    fp.write(json.dumps({"kind": "end", "records": records}, separators=(",", ":")) + "\n")
 
 
 def _replan(record: dict, header_config, per_epoch: dict, number: int) -> None:
@@ -114,11 +125,14 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
     """
     header_config: dict | None = None
     seen_header = False
+    end_line = None
     per_epoch: dict[int, EpochSchedule] = {}
     for number, raw in enumerate(fp, 1):
         line = raw.strip()
         if not line:
             continue
+        if end_line is not None:
+            raise BatchforgeError("BAD_RECORD", f"line {number}: a line after the end line {end_line}")
         try:
             record = json.loads(line)
         except json.JSONDecodeError as err:
@@ -134,6 +148,15 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
             header_config = record.get("config")
         elif kind == "replan":
             _replan(record, header_config, per_epoch, number)
+        elif kind == "end":
+            records = check_integer(record.get("records"), f"line {number}: records", "BAD_RECORD")
+            if records != len(per_epoch):
+                raise BatchforgeError("BAD_RECORD", f"line {number}: the end line counts {records} records, "
+                                      f"the file holds {len(per_epoch)}")
+            end_line = number
         else:
-            raise BatchforgeError("BAD_RECORD", f"line {number}: expected a JSON object of kind 'header' or 'replan', got {kind!r}")
+            raise BatchforgeError("BAD_RECORD", f"line {number}: expected a JSON object of kind 'header', 'replan' "
+                                  f"or 'end', got {kind!r}")
+    if end_line is None:
+        raise BatchforgeError("TRUNCATED", f"the file ends after {len(per_epoch)} records without its end line")
     return header_config, list(per_epoch.values())

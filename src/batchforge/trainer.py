@@ -5,18 +5,25 @@ The learner is multinomial logistic regression over a synthetic feature
 grid. Resolution enters through a pooling trick: before the linear layer,
 the grid is average-pooled by a factor tied to the sampled resolution's
 rank in the resolution set (coarsest resolution = heaviest blur), then
-re-expanded. Pooling is per sample, so ``train`` pools the train and eval
-sets once per factor per run; each batch gathers its pooled rows and
-re-expands them. The synthetic classes carry both a blocky pattern that
-survives blurring and a high-frequency pattern that does not, so coarse
-iterations genuinely see less class detail.
+re-expanded. Pooling is per sample, so ``train`` pools the train set once
+per factor per run, and each batch gathers its pooled rows and re-expands
+them with one ``take`` through the model's column map for that factor (the
+pooled cell of each of the grid² columns, built once in ``__init__``).
+The eval set is pooled and expanded once per run, eval samples x grid² x 8
+bytes (1 MB for 2,000 samples on an 8x8 grid), and every per-epoch eval
+reads those rows. Pooling sums by ordered strided adds in numpy's own order
+for ``mean``, so it equals ``reshape(...).mean(axis=(2, 4))`` bit for bit.
+The synthetic classes carry both a blocky pattern that survives blurring
+and a high-frequency pattern that does not, so coarse iterations genuinely
+see less class detail.
 
 Recipe ingredients implemented here: linear-warmup cosine annealing,
 label-smoothed cross entropy, SGD with momentum and coupled weight decay,
 and an exponential moving average of the parameters. Sample filtering is
 always on; an unfiltered run is a tau 1.0 run, which removes nothing.
 Forward-only passes (re-evaluated removed samples and the ``drop_last``
-tail) compute only the forward pass and the true-class probability.
+tail) compute only the forward pass and the true-class probability, the
+log-softmax of the target column alone.
 Training is bit-deterministic given its seeds. Its forward-only GEMMs
 (``forward``: ``predict``, the per-epoch eval and the forward-only passes)
 run in row blocks of at most ``FORWARD_MACS`` = 2**18 multiply-adds, which
@@ -98,8 +105,12 @@ def lr_at_epoch_fraction(fraction: float, config: TrainerConfig) -> float:
     return config.min_lr + 0.5 * (config.max_lr - config.min_lr) * (1.0 + _cos_pi(progress))
 
 
-def _log_softmax(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise log-softmax of ``(n, K)`` logits and the flat index of each row's target: the loss's one input check."""
+def _log_softmax(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shifted ``(n, K)`` logits, their ``(n, 1)`` log-sum-exp and the flat index of each row's target.
+
+    The log-softmax is ``shifted - lse``. The row max is taken column by column, which is exact and,
+    for few classes, faster than a reduction along each short row. This is the loss's one input check.
+    """
     if not np.all(np.isfinite(logits)):
         raise BatchforgeError("NON_FINITE_INPUT", "logits must be finite")
     n, k = logits.shape
@@ -107,9 +118,11 @@ def _log_softmax(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, n
         raise BatchforgeError("NON_FINITE_INPUT", "need at least two classes")
     if targets.shape != (n,) or not np.all((targets >= 0) & (targets < k)):
         raise BatchforgeError("NON_FINITE_INPUT", f"need one target in [0, {k}) per row, got {targets.shape} for {n} rows")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return log_probs, np.arange(0, n * k, k) + targets
+    row_max = logits[:, 0].copy()
+    for j in range(1, k):
+        np.maximum(row_max, logits[:, j], out=row_max)
+    shifted = logits - row_max[:, None]
+    return shifted, np.log(np.exp(shifted).sum(axis=1, keepdims=True)), np.arange(0, n * k, k) + targets
 
 
 def batch_label_smoothed_ce(
@@ -120,7 +133,8 @@ def batch_label_smoothed_ce(
     With smoothing eps the target distribution is (1 - eps) * onehot + eps / K;
     the gradient is softmax(logits) minus that distribution, over the row count.
     """
-    log_probs, at_target = _log_softmax(logits, targets)
+    shifted, lse, at_target = _log_softmax(logits, targets)
+    log_probs = shifted - lse
     n, k = log_probs.shape
     smooth = label_smoothing / k
     true_log_probs = log_probs.ravel()[at_target]
@@ -141,9 +155,9 @@ def label_smoothed_ce(logits: np.ndarray, target: int, label_smoothing: float) -
 
 
 def _forward_only(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample correctness and true-class probability: no loss, gradient or target matrix."""
-    log_probs, at_target = _log_softmax(logits, targets)
-    return logits.argmax(axis=1) == targets, np.exp(log_probs.ravel()[at_target])
+    """Per-sample correctness and true-class probability: the log-softmax of the target column only."""
+    shifted, lse, at_target = _log_softmax(logits, targets)
+    return logits.argmax(axis=1) == targets, np.exp(shifted.ravel()[at_target] - lse[:, 0])
 
 
 def sgd_momentum_step(
@@ -184,11 +198,35 @@ def _pool_factors(resolutions: ResolutionSet, grid: int) -> dict[Resolution, int
 
 
 def _pool(features: np.ndarray, factor: int) -> np.ndarray:
-    """Average-pool ``(B, g, g)`` grids by ``factor`` to ``(B, g/f, g/f)``."""
+    """Average-pool ``(B, g, g)`` grids by ``factor`` to ``(B, g/f, g/f)``.
+
+    Bit for bit ``reshape(B, g/f, f, g/f, f).mean(axis=(2, 4))``, summed in that mean's own order by
+    strided adds: each block row along its contiguous axis (in sequence below 8 values, numpy's
+    pairwise ``sum(axis=-1)`` from 8), then the block's rows in order, over f². A block that is the
+    whole grid is one contiguous sum.
+    """
     if factor == 1:
         return features
     b, g, _ = features.shape
-    return features.reshape(b, g // factor, factor, g // factor, factor).mean(axis=(2, 4))
+    if factor == g:
+        return (features.reshape(b, g * g).sum(axis=1) / (g * g)).reshape(b, 1, 1)
+    blocks = features.reshape(b, g // factor, factor, g // factor, factor)
+
+    def block_row(j: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Row ``j`` of every block summed along its contiguous axis."""
+        if factor >= 8:
+            return blocks[:, :, j].sum(axis=-1, out=out)
+        out = np.add(blocks[:, :, j, :, 0], blocks[:, :, j, :, 1], out=out)
+        for k in range(2, factor):
+            out += blocks[:, :, j, :, k]
+        return out
+
+    pooled, row = block_row(0), None
+    for j in range(1, factor):  # one block row at a time: the temporaries stay at one pooled size
+        row = block_row(j, row)
+        pooled += row
+    pooled /= factor * factor
+    return pooled
 
 
 class PooledLinearModel:
@@ -204,6 +242,11 @@ class PooledLinearModel:
         self.grid = check_integer(grid, "grid", "BAD_GRID", least=2)
         self.resolutions = resolutions
         self._factors = _pool_factors(resolutions, self.grid)
+        # per factor, the pooled cell of each expanded column: one take re-expands a batch C-ordered
+        self._columns = {}
+        for f in set(self._factors.values()):
+            cells = np.arange(self.grid) // f
+            self._columns[f] = (cells[:, None] * (self.grid // f) + cells).ravel()
         self.theta = np.zeros(self.num_classes * self.grid * self.grid + self.num_classes, dtype=np.float64)
 
     @property
@@ -225,13 +268,16 @@ class PooledLinearModel:
             ) from None
 
     def inputs_at(self, features: np.ndarray, resolution: Resolution) -> np.ndarray:
-        """Flat inputs from raw ``grid``-wide grids or grids already pooled for ``resolution``."""
+        """Flat ``(n, grid²)`` inputs from raw ``grid``-wide grids, grids already pooled for ``resolution``,
+        or rows already expanded (returned as they are)."""
         factor = self.pool_factor(resolution)
+        if features.ndim == 2 and features.shape[1] == self.grid * self.grid:
+            return features
         if features.shape[1:] == (self.grid, self.grid):
             features = _pool(features, factor)
         elif features.shape[1:] != (self.grid // factor,) * 2:
             raise BatchforgeError("SHAPE_MISMATCH", f"grids {features.shape[1:]} are neither raw nor pooled by {factor}")
-        return features.repeat(factor, axis=1).repeat(factor, axis=2).reshape(len(features), self.grid * self.grid)
+        return features.reshape(len(features), (self.grid // factor) ** 2).take(self._columns[factor], axis=1)
 
     def forward(self, features: np.ndarray, resolution: Resolution) -> np.ndarray:
         """``(n, K)`` logits, expanded and multiplied ``max(1, FORWARD_MACS // (grid² K))`` rows at a time.
@@ -442,7 +488,7 @@ def train(
         return pooled[factor]
 
     base = sampler_config.base_resolution
-    eval_inputs = _pool(eval_dataset.features, model.pool_factor(base)) if eval_dataset else None
+    eval_inputs = model.inputs_at(eval_dataset.features, base) if eval_dataset else None  # expanded once per run
     state = SetState(len(dataset), set_config or SetConfig(tau=1.0, window=1))
     velocity = np.zeros_like(model.theta)
     shadow = model.theta.copy()

@@ -1,9 +1,9 @@
 """Test oracle: schedule lines as ``json.dumps`` of each whole record.
 
-``test_schedule_io.py`` checks the header and the ``replan`` lines of
-``batchforge.schedule_io``'s writer against :func:`reference_write_schedules`
-and :func:`reference_replan_line` byte for byte; the latter packs a subset's
-active mask bit by bit in Python. The plan lines of
+``test_schedule_io.py`` checks the header, ``replan`` and ``end`` lines of
+``batchforge.schedule_io``'s writer against :func:`reference_write_schedules`,
+:func:`reference_replan_line` (which packs a subset's active mask bit by bit
+in Python) and :func:`reference_end_line` byte for byte. The plan lines of
 :func:`reference_write_schedules` (``sample_ids`` as a list of Python ints)
 are verbatim ids, a kind the reader refuses; its tests take them from here.
 """
@@ -64,3 +64,8 @@ def reference_replan_line(schedule: EpochSchedule, active=None, rank=None, world
         bits += "0" * (-len(bits) % 8)
         record["active"] = base64.b64encode(bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))).decode()
     return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def reference_end_line(records: int) -> str:
+    """The last line of a schedule file that holds ``records`` replan records."""
+    return json.dumps({"kind": "end", "records": records}, separators=(",", ":")) + "\n"

@@ -732,7 +732,11 @@ def test_schedule_header_errors_are_coded_json(damage, command, exit_code, code,
 
 @pytest.mark.parametrize(
     "text",
-    ['{"schema_version":1,"kind":"header"}\n', "", '{"schema_version":1,"kind":"header","config":[1]}\n'],
+    [
+        '{"schema_version":2,"kind":"header"}\n{"kind":"end","records":0}\n',
+        '{"kind":"end","records":0}\n',  # no header and no records
+        '{"schema_version":2,"kind":"header","config":[1]}\n{"kind":"end","records":0}\n',
+    ],
     ids=["header_only", "empty", "config_a_list"],
 )
 @pytest.mark.parametrize("command", [["export"], ["export", "--format", "csv"], ["analyze"]], ids=" ".join)
@@ -804,9 +808,10 @@ def test_a_path_that_cannot_be_opened_is_bad_path(flag, argv, artifacts, tmp_pat
 def test_plan_and_export_write_one_replan_line_per_epoch(tmp_path):
     plan, copy = tmp_path / "plan.jsonl", tmp_path / "copy.jsonl"
     assert run_cli(["plan", "--preset", "resnet50", "--dataset-size", "50000", "--epochs", "3", "-o", str(plan)]) == 0
-    header, *records = [json.loads(line) for line in plan.read_text().splitlines()]
+    header, *records, end = [json.loads(line) for line in plan.read_text().splitlines()]
     assert header["config"]["dataset_size"] == 50000
     assert [(r["kind"], r["epoch"]) for r in records] == [("replan", 0), ("replan", 1), ("replan", 2)]
+    assert end == {"kind": "end", "records": 3}
     assert run_cli(["export", "--schedule", str(plan), "-o", str(copy)]) == 0
     assert copy.read_bytes() == plan.read_bytes()
     assert run_cli(["analyze", "--schedule", str(plan), "-o", str(tmp_path / "cost.csv")]) == 0

@@ -20,8 +20,8 @@ from batchforge.core import (
     validate_config,
 )
 from batchforge.samplers import EpochSchedule, VideoClipSpec, plan_epoch, plan_video_vbs, shard_for_rank
-from batchforge.schedule_io import read_schedules, write_schedules
-from reference_schedule_io import reference_replan_line, reference_write_schedules
+from batchforge.schedule_io import SCHEMA_VERSION, read_schedules, write_schedules
+from reference_schedule_io import reference_end_line, reference_replan_line, reference_write_schedules
 
 
 def make_config(**overrides):
@@ -89,7 +89,7 @@ def test_video_clip_round_trip():
     schedule = plan_video_vbs(config, specs, specs[0], 0)
     # the config plan_video_vbs planned from: config with the clip table around specs[0]
     text = export_text([schedule], replace(config, clips=tuple(specs), base_clip=specs[0]))
-    assert [json.loads(line)["kind"] for line in text.splitlines()] == ["header", "replan"]
+    assert [json.loads(line)["kind"] for line in text.splitlines()] == ["header", "replan", "end"]
     _, back = read_schedules(io.StringIO(text))
     assert back[0] == schedule
     assert back[0].plans[0].clip is not None
@@ -103,7 +103,8 @@ def test_reader_tolerates_blank_lines_and_missing_header_config():
     assert sampler_config_from_mapping(header) == config
     assert back == schedules
     # a header without a config, or no header at all, holds no epochs
-    for text in ("", "\n\n", '{"schema_version":1,"kind":"header"}\n\n'):
+    header = json.dumps({"schema_version": SCHEMA_VERSION, "kind": "header"})
+    for text in (reference_end_line(0), "\n\n" + reference_end_line(0), header + "\n\n" + reference_end_line(0)):
         assert read_schedules(io.StringIO(text)) == (None, [])
 
 
@@ -181,9 +182,8 @@ def replanned_text(config, schedules, fields):
     """The oracle of a write of planned ``schedules`` with their ``config``: its header, then a replan line
     with each epoch's ``fields`` per epoch with updates."""
     assert not validate_config(config)
-    return reference_text([], config) + "".join(
-        reference_replan_line(s, **f) for s, f in zip(schedules, fields) if s.total_updates
-    )
+    lines = [reference_replan_line(s, **f) for s, f in zip(schedules, fields) if s.total_updates]
+    return reference_text([], config) + "".join(lines) + reference_end_line(len(lines))
 
 
 @st.composite
@@ -242,7 +242,7 @@ def test_writer_rejects_a_hand_built_schedule_whatever_its_ids():
         assert err.value.code == "NOT_REPLANNABLE" and err.value.message.startswith("epoch 4 ")
     # a hand-built epoch with no updates writes nothing, as a planned one does
     empty = EpochSchedule(4, np.zeros(0, dtype=np.int64), np.array([0]), np.zeros(0, dtype=np.int64), (Resolution(8, 8),))
-    assert written_text([empty], config) == reference_text([], config)
+    assert written_text([empty], config) == reference_text([], config) + reference_end_line(0)
 
 
 def test_video_and_subset_epochs_match_the_oracle():
@@ -254,7 +254,8 @@ def test_video_and_subset_epochs_match_the_oracle():
     subset = plan_epoch(config, 1, np.flatnonzero(keep))
     full = plan_epoch(config, 0)
     # the full and the subset epoch are a replan line each; the video epoch, planned from another config, has none
-    expected = reference_text([], config) + reference_replan_line(full) + reference_replan_line(subset, keep.tolist())
+    expected = (reference_text([], config) + reference_replan_line(full) + reference_replan_line(subset, keep.tolist())
+                + reference_end_line(2))
     assert written_text([full, subset], config) == expected
     with pytest.raises(BatchforgeError) as err:
         written_text([video], config)
@@ -275,7 +276,8 @@ def test_full_dataset_epochs_are_one_replan_line_each(strategy, drop_last):
     schedules = [plan_epoch(config, 0), plan_epoch(config, 1, []), plan_epoch(config, 2)]
     assert schedules[1].total_updates == 0  # an epoch with no updates writes nothing
     text = export_text(schedules, config)
-    assert text == reference_text([], config) + reference_replan_line(schedules[0]) + reference_replan_line(schedules[2])
+    assert text == (reference_text([], config) + reference_replan_line(schedules[0]) + reference_replan_line(schedules[2])
+                    + reference_end_line(2))
     header, back = read_schedules(io.StringIO(text))
     assert sampler_config_from_mapping(header) == config
     assert back == [schedules[0], schedules[2]]
@@ -307,7 +309,7 @@ def test_epochs_the_header_config_does_not_replan_are_not_replannable():
     with mock.patch.object(samplers, "plan_epoch", wraps=samplers.plan_epoch) as replans:
         text = written_text(planned, config)
     assert replans.call_count == 0
-    assert [json.loads(line)["kind"] for line in text.splitlines()] == ["header", "replan", "replan", "replan"]
+    assert [json.loads(line)["kind"] for line in text.splitlines()] == ["header", "replan", "replan", "replan", "end"]
     assert read_schedules(io.StringIO(text))[1] == planned
 
 
@@ -321,9 +323,9 @@ def test_a_shard_of_numpy_integer_rank_round_trips():
 
 
 def replan_file(epochs=1):
-    """The header line and the replan lines of ``make_config()``'s first ``epochs`` epochs."""
+    """The header line and the replan lines of ``make_config()``'s first ``epochs`` epochs, without the end line."""
     config = make_config()
-    return export_text([plan_epoch(config, e) for e in range(epochs)], config).splitlines(keepends=True)
+    return export_text([plan_epoch(config, e) for e in range(epochs)], config).splitlines(keepends=True)[:-1]
 
 
 @pytest.mark.parametrize("damage", ["digest", "updates", "samples", "seed"])
@@ -346,7 +348,7 @@ def test_reader_rejects_a_replan_the_header_config_does_not_reproduce(damage):
 
 def test_reader_needs_a_header_config_to_replan():
     _, line = replan_file()
-    for text in (line, '{"schema_version":1,"kind":"header"}\n' + line):
+    for text in (line, json.dumps({"schema_version": SCHEMA_VERSION, "kind": "header"}) + "\n" + line):
         with pytest.raises(BatchforgeError) as err:
             read_schedules(io.StringIO(text))
         assert err.value.code == "MISSING_HEADER"
@@ -394,7 +396,7 @@ def test_reader_rejects_a_second_header():
     # Records after a second header would re-plan from its config, so one file would cost two configs as one.
     header, line = replan_file()
     other = make_config(strategy=Strategy.MSC_FBS, seed=5)
-    other_header, _, other_line = export_text([plan_epoch(other, e) for e in range(2)], other).splitlines(keepends=True)
+    other_header, _, other_line, _ = export_text([plan_epoch(other, e) for e in range(2)], other).splitlines(keepends=True)
     for text, number in ((header + line + other_header + other_line, 3), (header + header + line, 2)):
         with pytest.raises(BatchforgeError) as err:
             read_schedules(io.StringIO(text))
@@ -407,6 +409,42 @@ def test_reader_names_a_replan_line_cut_mid_way():
         with pytest.raises(BatchforgeError) as err:
             read_schedules(io.StringIO("".join(lines[:3]) + cut))
         assert err.value.code == "BAD_JSON" and str(err.value).startswith("BAD_JSON: line 4 ")
+
+
+def test_every_proper_line_prefix_of_a_plan_file_fails_with_a_code():
+    # a file cut at a line boundary must not read as a shorter schedule
+    config = make_config(world_size=2, drop_last=True)
+    active = np.flatnonzero(np.random.default_rng(3).random(config.dataset_size) < 0.7)
+    schedules = [plan_epoch(config, 0), plan_epoch(config, 1, active), shard_for_rank(plan_epoch(config, 2), 1, 2)]
+    lines = export_text(schedules, config).splitlines(keepends=True)
+    assert len(lines) == 5 and read_schedules(io.StringIO("".join(lines)))[1] == schedules
+    for count in range(len(lines)):
+        with pytest.raises(BatchforgeError) as err:
+            read_schedules(io.StringIO("".join(lines[:count])))
+        assert err.value.code == "TRUNCATED" and f"after {max(count - 1, 0)} records" in err.value.message
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        lambda lines: [*lines, lines[-1]],  # a second end line
+        lambda lines: [*lines, lines[1]],  # a record after the end
+        lambda lines: [*lines, lines[0]],  # a header after the end
+        lambda lines: [*lines[:-1], reference_end_line(2)],
+        lambda lines: [*lines[:-1], reference_end_line(4)],
+        lambda lines: [*lines[:-1], '{"kind":"end"}\n'],
+        lambda lines: [*lines[:-1], '{"kind":"end","records":"3"}\n'],
+        lambda lines: [*lines[:-1], '{"kind":"end","records":-1}\n'],
+        lambda lines: [lines[0], lines[-1], *lines[1:-1]],  # the end line before the records
+    ],
+    ids=["two_end_lines", "record_after_end", "header_after_end", "count_short", "count_long", "no_count", "count_text",
+         "negative_count", "end_first"],
+)
+def test_reader_codes_an_end_line_that_does_not_close_the_file(tail):
+    lines = replan_file(epochs=3) + [reference_end_line(3)]
+    with pytest.raises(BatchforgeError) as err:
+        read_schedules(io.StringIO("".join(tail(lines))))
+    assert err.value.code == "BAD_RECORD"
 
 
 # -- subset and shard records -----------------------------------------------------------------
@@ -432,10 +470,11 @@ def test_an_active_set_changed_after_planning_fails_to_read():
 
 
 def shard_file():
-    """The header line and the replan line of rank 1's shard of a 4090-id config's epoch 0 over a 70 % subset."""
+    """The header line and the replan line of rank 1's shard of a 4090-id config's epoch 0 over a 70 % subset,
+    without the end line."""
     config = make_config(dataset_size=4090, world_size=2, drop_last=True)
     active = np.flatnonzero(np.random.default_rng(5).random(config.dataset_size) < 0.7)
-    return export_text([shard_for_rank(plan_epoch(config, 0, active), 1, 2)], config).splitlines(keepends=True)
+    return export_text([shard_for_rank(plan_epoch(config, 0, active), 1, 2)], config).splitlines(keepends=True)[:-1]
 
 
 def _padded(line, tail):
@@ -578,7 +617,8 @@ def test_reader_rejects_a_header_cut_mid_line():
     assert err.value.code == "BAD_JSON" and "line 1" in str(err.value)
 
 
-@pytest.mark.parametrize("version", [9, 0, "1", None])
+# schema 1 had no end line, so its files cannot be told from cut ones: they do not read
+@pytest.mark.parametrize("version", [9, 0, "1", None, 1], ids=["9", "0", "1", "None", "schema_1"])
 def test_reader_codes_an_unsupported_schema_version(version):
     header = json.dumps({"schema_version": version, "kind": "header"})
     with pytest.raises(BatchforgeError) as err:

@@ -398,21 +398,39 @@ def test_blur_removes_fine_detail_but_keeps_coarse():
     assert np.allclose(model.inputs_at(coarse, Resolution(8, 8)), 1.0)
 
 
-@pytest.mark.parametrize("grid", [8, 6])
+@pytest.mark.parametrize("grid", [8, 6, 16])
 def test_pooled_grids_give_the_same_inputs_as_raw_grids(grid):
     # train pools a whole dataset once and gathers each batch's rows from it;
-    # that must equal pooling the gathered raw rows, bit for bit
-    model = PooledLinearModel(10, grid, TOY_RESOLUTIONS)
-    assert [model.pool_factor(r) for r in TOY_RESOLUTIONS] == ([4, 2, 1] if grid == 8 else [2, 2, 1])
+    # that must equal pooling the gathered raw rows, bit for bit, and the one-take
+    # expansion must equal the double repeat, C-ordered, for any row count
+    resolutions = TOY_RESOLUTIONS if grid < 16 else ResolutionSet.parse("64x64,96x96,128x128,160x160,192x192")
+    model = PooledLinearModel(10, grid, resolutions)
+    factors = {8: [4, 2, 1], 6: [2, 2, 1], 16: [16, 8, 4, 2, 1]}[grid]
+    assert [model.pool_factor(r) for r in resolutions] == factors
     rng = np.random.default_rng(grid)
     features = rng.normal(size=(500, grid, grid))
-    ids = rng.permutation(500)[:128]
-    for res in TOY_RESOLUTIONS:
-        f = model.pool_factor(res)
-        raw = model.inputs_at(features[ids], res)
-        assert np.array_equal(model.inputs_at(_pool(features, f)[ids], res), raw)
-        coarse = features[ids].reshape(128, grid // f, f, grid // f, f).mean(axis=(2, 4))
-        assert np.array_equal(raw, coarse.repeat(f, axis=1).repeat(f, axis=2).reshape(128, -1))
+    for ids in (rng.permutation(500)[:128], np.zeros(0, dtype=np.int64)):
+        n = len(ids)
+        for res in resolutions:
+            f = model.pool_factor(res)
+            raw = model.inputs_at(features[ids], res)
+            assert raw.flags.c_contiguous and raw.shape == (n, grid * grid)
+            assert np.array_equal(model.inputs_at(_pool(features, f)[ids], res), raw)
+            assert model.inputs_at(raw, res) is raw  # expanded rows pass through
+            coarse = features[ids].reshape(n, grid // f, f, grid // f, f).mean(axis=(2, 4))
+            assert np.array_equal(raw, coarse.repeat(f, axis=1).repeat(f, axis=2).reshape(n, grid * grid))
+
+
+@pytest.mark.parametrize("grid", [2, 4, 6, 8, 12, 16])
+def test_pool_is_the_block_mean_bit_for_bit(grid):
+    # the ordered strided adds follow numpy's own summation order for the mean, so no bit differs;
+    # rows of 1e-3, 1 and 1e3 scale make any other order round differently somewhere
+    rng = np.random.default_rng(grid)
+    features = rng.normal(size=(2000, grid, grid)) * rng.choice([1e-3, 1.0, 1e3], size=(2000, 1, 1))
+    for f in [f for f in range(1, grid + 1) if grid % f == 0]:
+        mean = features.reshape(2000, grid // f, f, grid // f, f).mean(axis=(2, 4))
+        pooled = _pool(features, f)
+        assert pooled.shape == mean.shape and np.array_equal(pooled.view(np.int64), mean.view(np.int64)), f
 
 
 def test_inputs_of_another_width_are_rejected():
