@@ -188,11 +188,11 @@ def compare_strategies(
 
 
 def schedule_cost(
-    schedules: Sequence[EpochSchedule],
+    schedules: Iterable[EpochSchedule],
     strategy: Strategy,
     channels: int = 3,
 ) -> CostReport:
-    """Cost row computed from already-materialized schedules."""
+    """Cost row computed from schedules in one pass, so an iterator of them is costed one epoch at a time."""
     return _cost_row(strategy, _plan_volumes(schedules, _size(channels, "channels")))
 
 

@@ -28,7 +28,7 @@ import os
 import sys
 import warnings
 from dataclasses import fields, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import analysis, schedule_io
 from .core import (
@@ -227,13 +227,16 @@ def _replacing(fp, target: str):
         raise
 
 
-def _read_schedule_file(path: str) -> tuple[dict, SamplerConfig, list[EpochSchedule]]:
-    """The header config of the ``--schedule`` file, as read and as a valid config, and its re-planned epochs."""
+@contextlib.contextmanager
+def _schedule_file(path: str) -> Iterator[tuple[dict, SamplerConfig, Iterator[EpochSchedule]]]:
+    """The header config of the ``--schedule`` file, as read and as a valid config, and an iterator that re-plans its
+    epochs one at a time while the file is open."""
     with _open("--schedule", path) as fp:
-        header, schedules = schedule_io.read_schedules(fp)
-    if not isinstance(header, dict):
-        raise BatchforgeError("MISSING_HEADER", "schedule file has no config header to re-plan or cost against")
-    return header, ensure_valid(sampler_config_from_mapping(header)), schedules
+        schedules = schedule_io.iter_schedules(fp)
+        header = next(schedules)
+        if not isinstance(header, dict):
+            raise BatchforgeError("MISSING_HEADER", "schedule file has no config header to re-plan or cost against")
+        yield header, ensure_valid(sampler_config_from_mapping(header)), schedules
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -255,8 +258,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigValidationError([ConfigViolation("IGNORED_FLAG", message)])
     values = _values(args, {}, "strategies", "channels", "bytes_per_element", "trials")
     if args.schedule:
-        _, config, schedules = _read_schedule_file(args.schedule)
-        row = analysis.schedule_cost(schedules, config.strategy, channels=values["channels"])
+        with _schedule_file(args.schedule) as (_, config, schedules):
+            row = analysis.schedule_cost(schedules, config.strategy, channels=values["channels"])
         baseline = analysis.strategy_cost(config.with_strategy(Strategy.SSC_FBS), channels=values["channels"])
         reports = analysis.with_ratios([row], baseline=baseline)
     else:
@@ -351,8 +354,8 @@ def _cmd_set_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    header, config, schedules = _read_schedule_file(args.schedule)
-    with _open("--output", args.output, "w") as fp:
+    # each epoch is written as it is read; a fault found late leaves the target as it was (_open's temporary file)
+    with _schedule_file(args.schedule) as (header, config, schedules), _open("--output", args.output, "w") as fp:
         if args.output_format == "csv":
             fp.write(_config_header(header))
             video = config.strategy is Strategy.VIDEO_VBS

@@ -8,7 +8,9 @@ from the header config instead of reading ids. A shard adds ``"rank"`` and
 ``"world_size"``; an active-set subset adds ``"active"``, its active mask over
 the config's ``dataset_size`` ids packed by :func:`~batchforge.core.pack_array`.
 The reader re-plans each record, takes its shard, and checks the numbers and
-the digest. An epoch with no updates writes nothing. The last line,
+the digest. :func:`iter_schedules` streams a file one epoch at a time and
+keeps only the epoch numbers it has seen; :func:`read_schedules` is its list
+form. An epoch with no updates writes nothing. The last line,
 ``{"kind":"end","records":N}``, counts the ``replan`` records, so a file cut
 at a line boundary does not read as a shorter schedule. Schema 1 files, which
 have no such line, do not read: re-plan them from their header config.
@@ -44,7 +46,7 @@ from __future__ import annotations
 import json
 import re
 import zlib
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -87,8 +89,8 @@ def write_schedules(fp: IO[str], schedules: Iterable[EpochSchedule], config: Sam
     fp.write(json.dumps({"kind": "end", "records": records}, separators=(",", ":")) + "\n")
 
 
-def _replan(record: dict, header_config, per_epoch: dict, number: int) -> None:
-    """Re-plan the ``replan`` record of line ``number`` from the header config, check it, and add it to ``per_epoch``."""
+def _replan(record: dict, header_config, epochs: set[int], number: int) -> EpochSchedule:
+    """The ``replan`` record of line ``number`` re-planned from the header config and checked; its epoch joins ``epochs``."""
     where = f"line {number}"
     epoch, updates, samples = (check_integer(record.get(key), f"{where}: {key}", "BAD_RECORD")
                                for key in ("epoch", "updates", "samples"))
@@ -99,7 +101,7 @@ def _replan(record: dict, header_config, per_epoch: dict, number: int) -> None:
     if sharded:
         world_size = check_integer(record.get("world_size"), f"{where}: world_size", "BAD_RECORD", least=1)
         rank = check_integer(record.get("rank"), f"{where}: rank", "BAD_RECORD", below=world_size)
-    if epoch in per_epoch:
+    if epoch in epochs:
         raise BatchforgeError("BAD_RECORD", f"{where}: a second record for epoch {epoch}")
     if not isinstance(header_config, dict):
         raise BatchforgeError("MISSING_HEADER", f"{where}: a replan record needs a header config to re-plan from")
@@ -113,20 +115,24 @@ def _replan(record: dict, header_config, per_epoch: dict, number: int) -> None:
     if (updates, samples, digest) != planned:
         raise BatchforgeError("DIGEST_MISMATCH", f"epoch {epoch}: the file has digest {digest} ({updates} updates, {samples} "
                               f"samples), the header config re-plans {planned[2]} ({planned[0]} updates, {planned[1]} samples)")
-    per_epoch[epoch] = schedule
+    epochs.add(epoch)
+    return schedule
 
 
-def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
-    """Parse a schedule JSONL stream back into EpochSchedule objects.
+def iter_schedules(fp: IO[str]) -> Iterator[dict | EpochSchedule | None]:
+    """Stream a schedule JSONL file: yield its header's config mapping (None without one), then one re-planned
+    ``EpochSchedule`` per ``replan`` record, in file order.
 
-    Returns the header's config mapping (if present) and one re-planned
-    schedule per ``replan`` record, in file order. A malformed file raises
-    ``BatchforgeError`` with one of the codes the module docstring lists.
+    Each record is read and re-planned as it is asked for, and only the epoch numbers seen are kept, so
+    reading holds one epoch at a time, not the file. The header config comes before the first record
+    (or at the ``end`` line of a file with none). A malformed file raises ``BatchforgeError`` with one of
+    the codes the module docstring lists, when the reader reaches the line at fault: a consumer may have
+    taken the epochs before it.
     """
     header_config: dict | None = None
-    seen_header = False
+    seen_header = started = False
     end_line = None
-    per_epoch: dict[int, EpochSchedule] = {}
+    epochs: set[int] = set()
     for number, raw in enumerate(fp, 1):
         line = raw.strip()
         if not line:
@@ -147,16 +153,29 @@ def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
                 raise BatchforgeError("BAD_SCHEMA", f"line {number}: unsupported schedule schema_version {version!r}")
             header_config = record.get("config")
         elif kind == "replan":
-            _replan(record, header_config, per_epoch, number)
+            if not started:
+                started = True
+                yield header_config
+            yield _replan(record, header_config, epochs, number)
         elif kind == "end":
             records = check_integer(record.get("records"), f"line {number}: records", "BAD_RECORD")
-            if records != len(per_epoch):
+            if records != len(epochs):
                 raise BatchforgeError("BAD_RECORD", f"line {number}: the end line counts {records} records, "
-                                      f"the file holds {len(per_epoch)}")
+                                      f"the file holds {len(epochs)}")
             end_line = number
         else:
             raise BatchforgeError("BAD_RECORD", f"line {number}: expected a JSON object of kind 'header', 'replan' "
                                   f"or 'end', got {kind!r}")
     if end_line is None:
-        raise BatchforgeError("TRUNCATED", f"the file ends after {len(per_epoch)} records without its end line")
-    return header_config, list(per_epoch.values())
+        raise BatchforgeError("TRUNCATED", f"the file ends after {len(epochs)} records without its end line")
+    if not started:
+        yield header_config
+
+
+def read_schedules(fp: IO[str]) -> tuple[dict | None, list[EpochSchedule]]:
+    """:func:`iter_schedules` as a list: the header's config mapping (if present) and every re-planned schedule.
+
+    A malformed file raises ``BatchforgeError`` with one of the codes the module docstring lists.
+    """
+    header_config, *schedules = iter_schedules(fp)
+    return header_config, schedules

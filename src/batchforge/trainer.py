@@ -8,11 +8,25 @@ rank in the resolution set (coarsest resolution = heaviest blur), then
 re-expanded. Pooling is per sample, so ``train`` pools the train set once
 per factor per run, and each batch gathers its pooled rows and re-expands
 them with one ``take`` through the model's column map for that factor (the
-pooled cell of each of the grid² columns, built once in ``__init__``).
+pooled cell of each of the grid² columns, built once in ``__init__``); at
+factor 1 the rows are a reshape view. Each epoch gathers its labels and
+resolves each shape's pooled rows and column map once, not per step.
 The eval set is pooled and expanded once per run, eval samples x grid² x 8
 bytes (1 MB for 2,000 samples on an 8x8 grid), and every per-epoch eval
 reads those rows. Pooling sums by ordered strided adds in numpy's own order
 for ``mean``, so it equals ``reshape(...).mean(axis=(2, 4))`` bit for bit.
+
+Each formula of a training step runs once, in place, in one kernel: the
+loss and its gradient on the step's fresh logits (one ``exp`` buffer holds
+the exponentials, then the probabilities, then the gradient), the weight
+and bias gradient into one per-run buffer, SGD-M and the EMA on the run's
+own parameter, velocity and shadow arrays. ``train`` copies
+``model.theta`` once, so the caller's array is never written; the public
+``batch_label_smoothed_ce``, ``sgd_momentum_step`` and ``ema_update`` run
+the same kernels on copies. Inputs are checked once per run: ``train``
+rejects labels outside the classes before any work, a step checks only
+that its loss is finite (any NaN or infinite logit makes it NaN or
+infinite) and each epoch's forward-only logits are checked once.
 The synthetic classes carry both a blocky pattern that survives blurring
 and a high-frequency pattern that does not, so coarse iterations genuinely
 see less class detail.
@@ -39,7 +53,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
@@ -105,12 +119,8 @@ def lr_at_epoch_fraction(fraction: float, config: TrainerConfig) -> float:
     return config.min_lr + 0.5 * (config.max_lr - config.min_lr) * (1.0 + _cos_pi(progress))
 
 
-def _log_softmax(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shifted ``(n, K)`` logits, their ``(n, 1)`` log-sum-exp and the flat index of each row's target.
-
-    The log-softmax is ``shifted - lse``. The row max is taken column by column, which is exact and,
-    for few classes, faster than a reduction along each short row. This is the loss's one input check.
-    """
+def _checked_copy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``(n, K)`` logits for the in-place kernels, after the loss's input checks."""
     if not np.all(np.isfinite(logits)):
         raise BatchforgeError("NON_FINITE_INPUT", "logits must be finite")
     n, k = logits.shape
@@ -118,33 +128,51 @@ def _log_softmax(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, n
         raise BatchforgeError("NON_FINITE_INPUT", "need at least two classes")
     if targets.shape != (n,) or not np.all((targets >= 0) & (targets < k)):
         raise BatchforgeError("NON_FINITE_INPUT", f"need one target in [0, {k}) per row, got {targets.shape} for {n} rows")
+    return logits.astype(np.float64)
+
+
+def _shift(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shift ``(n, K)`` logits by their row max in place; return ``exp`` of them, their ``(n, 1)`` log-sum-exp
+    and the flat index of each row's target.
+
+    The row max is taken column by column, which is exact and, for few classes, faster than a reduction along
+    each short row. A NaN or infinite logit leaves its row's log-sum-exp NaN or infinite.
+    """
+    n, k = logits.shape
     row_max = logits[:, 0].copy()
     for j in range(1, k):
         np.maximum(row_max, logits[:, j], out=row_max)
-    shifted = logits - row_max[:, None]
-    return shifted, np.log(np.exp(shifted).sum(axis=1, keepdims=True)), np.arange(0, n * k, k) + targets
+    logits -= row_max[:, None]
+    exp = np.exp(logits)
+    lse = exp.sum(axis=1, keepdims=True)
+    return exp, np.log(lse, out=lse), np.arange(0, n * k, k) + targets
 
 
-def batch_label_smoothed_ce(
-    logits: np.ndarray, targets: np.ndarray, label_smoothing: float
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _ce_kernel(logits: np.ndarray, targets: np.ndarray, label_smoothing: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`batch_label_smoothed_ce` in place on ``logits``, unchecked: the gradient is the ``exp`` buffer of
+    :func:`_shift`, which holds the probabilities before it. Each mean is ``sum() / n``, numpy's own ``mean``."""
+    exp, lse, at_target = _shift(logits, targets)
+    log_probs = np.subtract(logits, lse, out=logits)
+    n, k = log_probs.shape
+    smooth = label_smoothing / k
+    true_log_probs = log_probs.ravel()[at_target]
+    loss = float(-(1.0 - label_smoothing) * (true_log_probs.sum() / n) - smooth * (log_probs.sum(axis=1).sum() / n))
+    grad = np.exp(log_probs, out=exp)
+    true_probs = grad.ravel()[at_target]
+    grad -= smooth
+    grad.flat[at_target] = true_probs - (smooth + (1.0 - label_smoothing))  # .flat writes through in any memory order
+    grad /= n
+    return loss, grad, true_probs
+
+
+def batch_label_smoothed_ce(logits: np.ndarray, targets: np.ndarray,
+                            label_smoothing: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean loss, mean-logit gradient, and per-sample true-class probability.
 
     With smoothing eps the target distribution is (1 - eps) * onehot + eps / K;
     the gradient is softmax(logits) minus that distribution, over the row count.
     """
-    shifted, lse, at_target = _log_softmax(logits, targets)
-    log_probs = shifted - lse
-    n, k = log_probs.shape
-    smooth = label_smoothing / k
-    true_log_probs = log_probs.ravel()[at_target]
-    loss = float(-(1.0 - label_smoothing) * true_log_probs.mean() - smooth * log_probs.sum(axis=1).mean())
-    probs = np.exp(log_probs)
-    true_probs = probs.ravel()[at_target]
-    grad = probs - smooth
-    grad.flat[at_target] = true_probs - (smooth + (1.0 - label_smoothing))  # .flat writes through in any memory order
-    grad /= n
-    return loss, grad, true_probs
+    return _ce_kernel(_checked_copy(logits, targets), targets, label_smoothing)
 
 
 def label_smoothed_ce(logits: np.ndarray, target: int, label_smoothing: float) -> tuple[float, np.ndarray]:
@@ -154,35 +182,52 @@ def label_smoothed_ce(logits: np.ndarray, target: int, label_smoothing: float) -
     return loss, grad[0]
 
 
+def _target_probs(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_forward_only` in place on ``logits``, unchecked."""
+    correct = logits.argmax(axis=1) == targets
+    _, lse, at_target = _shift(logits, targets)
+    return correct, np.exp(logits.ravel()[at_target] - lse[:, 0])
+
+
 def _forward_only(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample correctness and true-class probability: the log-softmax of the target column only."""
-    shifted, lse, at_target = _log_softmax(logits, targets)
-    return logits.argmax(axis=1) == targets, np.exp(shifted.ravel()[at_target] - lse[:, 0])
+    return _target_probs(_checked_copy(logits, targets), targets)
 
 
-def sgd_momentum_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    velocity: np.ndarray,
-    lr: float,
-    momentum: float,
-    weight_decay: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classical SGD-M with weight decay folded into the gradient.
+def _sgd_kernel(params, grads, velocity, lr, momentum, weight_decay, scratch) -> None:
+    """:func:`sgd_momentum_step` in place on ``params`` and ``velocity``, each product in its order."""
+    velocity *= momentum
+    velocity += grads
+    velocity += np.multiply(weight_decay, params, out=scratch)
+    params -= np.multiply(lr, velocity, out=scratch)
+
+
+def _ema_kernel(shadow, params, decay, scratch) -> None:
+    """:func:`ema_update` in place on ``shadow``."""
+    shadow *= decay
+    shadow += np.multiply(1.0 - decay, params, out=scratch)
+
+
+def sgd_momentum_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray, lr: float, momentum: float,
+                      weight_decay: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Classical SGD-M with weight decay folded into the gradient, as new arrays.
 
     v <- momentum * v + grad + wd * param;  param <- param - lr * v.
     """
     if params.shape != grads.shape or params.shape != velocity.shape:
         raise BatchforgeError("SHAPE_MISMATCH", "params, grads, velocity must share a shape")
-    velocity = momentum * velocity + grads + weight_decay * params
-    return params - lr * velocity, velocity
+    params, velocity = params.astype(np.float64), velocity.astype(np.float64)
+    _sgd_kernel(params, grads, velocity, lr, momentum, weight_decay, np.empty_like(params))
+    return params, velocity
 
 
 def ema_update(shadow: np.ndarray, params: np.ndarray, decay: float) -> np.ndarray:
-    """shadow <- decay * shadow + (1 - decay) * params."""
+    """shadow <- decay * shadow + (1 - decay) * params, as a new array."""
     if shadow.shape != params.shape:
         raise BatchforgeError("SHAPE_MISMATCH", "shadow and params must share a shape")
-    return decay * shadow + (1.0 - decay) * params
+    shadow = shadow.astype(np.float64)
+    _ema_kernel(shadow, params, decay, np.empty_like(shadow))
+    return shadow
 
 
 def _pool_factors(resolutions: ResolutionSet, grid: int) -> dict[Resolution, int]:
@@ -242,9 +287,9 @@ class PooledLinearModel:
         self.grid = check_integer(grid, "grid", "BAD_GRID", least=2)
         self.resolutions = resolutions
         self._factors = _pool_factors(resolutions, self.grid)
-        # per factor, the pooled cell of each expanded column: one take re-expands a batch C-ordered
+        # per factor above 1, the pooled cell of each expanded column: one take re-expands a batch C-ordered
         self._columns = {}
-        for f in set(self._factors.values()):
+        for f in set(self._factors.values()) - {1}:
             cells = np.arange(self.grid) // f
             self._columns[f] = (cells[:, None] * (self.grid // f) + cells).ravel()
         self.theta = np.zeros(self.num_classes * self.grid * self.grid + self.num_classes, dtype=np.float64)
@@ -267,46 +312,65 @@ class PooledLinearModel:
                 "UNKNOWN_RESOLUTION", f"{resolution} is not in the model's resolution set"
             ) from None
 
+    def _expander(self, features: np.ndarray, resolution: Resolution) -> Callable[[np.ndarray], np.ndarray]:
+        """The map from a row block of ``features`` to its flat ``(n, grid²)`` inputs at ``resolution``.
+
+        Raw ``grid``-wide grids are pooled, and pooled grids are expanded with one ``take`` through the column
+        map, which keeps C order; at factor 1 the rows are a reshape view. Rows already expanded pass through.
+        """
+        g, factor = self.grid, self.pool_factor(resolution)
+        if features.ndim == 2 and features.shape[1] == g * g:
+            return lambda rows: rows
+        raw = features.shape[1:] == (g, g)
+        if not raw and features.shape[1:] != (g // factor,) * 2:
+            raise BatchforgeError("SHAPE_MISMATCH", f"grids {features.shape[1:]} are neither raw nor pooled by {factor}")
+        cols, width = self._columns.get(factor), (g // factor) ** 2
+
+        def expand(rows: np.ndarray) -> np.ndarray:
+            flat = (_pool(rows, factor) if raw else rows).reshape(len(rows), width)
+            return flat if cols is None else flat.take(cols, axis=1)
+        return expand
+
     def inputs_at(self, features: np.ndarray, resolution: Resolution) -> np.ndarray:
         """Flat ``(n, grid²)`` inputs from raw ``grid``-wide grids, grids already pooled for ``resolution``,
         or rows already expanded (returned as they are)."""
-        factor = self.pool_factor(resolution)
-        if features.ndim == 2 and features.shape[1] == self.grid * self.grid:
-            return features
-        if features.shape[1:] == (self.grid, self.grid):
-            features = _pool(features, factor)
-        elif features.shape[1:] != (self.grid // factor,) * 2:
-            raise BatchforgeError("SHAPE_MISMATCH", f"grids {features.shape[1:]} are neither raw nor pooled by {factor}")
-        return features.reshape(len(features), (self.grid // factor) ** 2).take(self._columns[factor], axis=1)
+        return self._expander(features, resolution)(features)
 
     def forward(self, features: np.ndarray, resolution: Resolution) -> np.ndarray:
         """``(n, K)`` logits, expanded and multiplied ``max(1, FORWARD_MACS // (grid² K))`` rows at a time.
 
         Each block's GEMM stays within ``FORWARD_MACS`` multiply-adds, so BLAS runs it on
-        the calling thread, and no temporary outgrows one block. Zero rows still run one
-        empty block, so their grid shape is checked.
+        the calling thread, and no temporary outgrows one block.
         """
         rows = max(1, FORWARD_MACS // (self.grid * self.grid * self.num_classes))
-        weights_t = self.weights.T
+        expand, weights_t = self._expander(features, resolution), self.weights.T
         logits = np.empty((len(features), self.num_classes))
-        for lo in range(0, max(len(features), 1), rows):
-            np.matmul(self.inputs_at(features[lo : lo + rows], resolution), weights_t, out=logits[lo : lo + rows])
+        for lo in range(0, len(features), rows):
+            np.matmul(expand(features[lo : lo + rows]), weights_t, out=logits[lo : lo + rows])
         logits += self.bias
         return logits
 
-    def loss_and_grad(
-        self,
-        features: np.ndarray,
-        targets: np.ndarray,
-        resolution: Resolution,
-        label_smoothing: float,
-    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """(loss, flat gradient, per-sample correctness, true-class prob)."""
-        x = self.inputs_at(features, resolution)
-        logits = x @ self.weights.T + self.bias
-        loss, dlogits, true_probs = batch_label_smoothed_ce(logits, targets, label_smoothing)
-        grad = np.concatenate([(dlogits.T @ x).ravel(), dlogits.sum(axis=0)])
+    def _step(self, x: np.ndarray, targets: np.ndarray, label_smoothing: float, grad: np.ndarray, loss_fn=_ce_kernel):
+        """(loss, per-sample correctness, true-class prob) of expanded rows ``x``, its flat gradient written into
+        ``grad``. A non-finite loss, which any non-finite logit makes, raises ``NON_FINITE_INPUT``. ``loss_fn`` is
+        :func:`batch_label_smoothed_ce` or its unchecked in-place kernel, which ``train`` runs on labels it checked."""
+        logits = x @ self.weights.T
+        logits += self.bias
         correct = logits.argmax(axis=1) == targets
+        loss, dlogits, true_probs = loss_fn(logits, targets, label_smoothing)
+        if not math.isfinite(loss):
+            raise BatchforgeError("NON_FINITE_INPUT", f"the loss is {loss}: logits must be finite")
+        k = self.num_classes
+        np.matmul(dlogits.T, x, out=grad[:-k].reshape(k, -1))
+        dlogits.sum(axis=0, out=grad[-k:])
+        return loss, correct, true_probs
+
+    def loss_and_grad(self, features: np.ndarray, targets: np.ndarray, resolution: Resolution,
+                      label_smoothing: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """(loss, flat gradient, per-sample correctness, true-class prob)."""
+        grad = np.empty_like(self.theta)
+        loss, correct, true_probs = self._step(self.inputs_at(features, resolution), targets, label_smoothing, grad,
+                                               batch_label_smoothed_ce)
         return loss, grad, correct, true_probs
 
     def predict(self, features: np.ndarray, resolution: Resolution) -> np.ndarray:
@@ -480,39 +544,38 @@ def train(
                 f" classes [0, {model.num_classes})",
             )
 
-    pooled: dict[int, np.ndarray] = {}  # the train set pooled once per factor
-    def pooled_at(resolution: Resolution) -> np.ndarray:
+    pooled: dict[int, tuple] = {}  # per factor, the train set pooled once and the map that expands its rows
+    def pooled_at(resolution: Resolution) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         factor = model.pool_factor(resolution)
         if factor not in pooled:
-            pooled[factor] = _pool(dataset.features, factor)
+            grids = _pool(dataset.features, factor)
+            pooled[factor] = grids, model._expander(grids, resolution)
         return pooled[factor]
 
     base = sampler_config.base_resolution
     eval_inputs = model.inputs_at(eval_dataset.features, base) if eval_dataset else None  # expanded once per run
     state = SetState(len(dataset), set_config or SetConfig(tau=1.0, window=1))
-    velocity = np.zeros_like(model.theta)
-    shadow = model.theta.copy()
+    theta = model.theta = model.theta.astype(np.float64)  # the run's own copy: the caller's array is never written
+    velocity, shadow, grad, scratch = np.zeros_like(theta), theta.copy(), np.empty_like(theta), np.empty_like(theta)
     per_epoch: list[EpochStats] = []
     transitions: list[EpochTransition] = []
 
     for epoch in range(trainer_config.total_epochs):
         active_ids = state.active_samples()
         schedule = plan_epoch(sampler_config, epoch, active_ids)
-        bounds = schedule.offsets.tolist()
+        bounds, labels = schedule.offsets.tolist(), dataset.labels[schedule.ids]
+        inputs = [pooled_at(shape_resolution(shape)) for shape in schedule.shapes]  # once per epoch, not per step
         correct = np.empty(schedule.total_samples, dtype=bool)
         confidence = np.empty(schedule.total_samples)
         batch_losses = []
         for t, k in enumerate(schedule.shape_idx.tolist()):
             lr = lr_at_epoch_fraction(epoch + t / schedule.total_updates, trainer_config)
-            res, lo, hi = shape_resolution(schedule.shapes[k]), bounds[t], bounds[t + 1]
-            ids = schedule.ids[lo:hi]
-            loss, grad, correct[lo:hi], confidence[lo:hi] = model.loss_and_grad(
-                pooled_at(res)[ids], dataset.labels[ids], res, trainer_config.label_smoothing
+            (grids, expand), lo, hi = inputs[k], bounds[t], bounds[t + 1]
+            loss, correct[lo:hi], confidence[lo:hi] = model._step(
+                expand(grids[schedule.ids[lo:hi]]), labels[lo:hi], trainer_config.label_smoothing, grad
             )
-            model.theta, velocity = sgd_momentum_step(
-                model.theta, grad, velocity, lr, trainer_config.momentum, trainer_config.weight_decay
-            )
-            shadow = ema_update(shadow, model.theta, trainer_config.ema_decay)
+            _sgd_kernel(theta, grad, velocity, lr, trainer_config.momentum, trainer_config.weight_decay, scratch)
+            _ema_kernel(shadow, theta, trainer_config.ema_decay, scratch)
             batch_losses.append(loss)
         state.record_batch(schedule.ids, correct, confidence)
 
@@ -522,26 +585,17 @@ def train(
             tail = np.setdiff1d(active_ids, schedule.ids, assume_unique=True)
             reeval = np.concatenate([reeval, tail])
         if len(reeval):
-            logits = model.forward(pooled_at(base)[reeval], base)
-            state.record_batch(reeval, *_forward_only(logits, dataset.labels[reeval]))
+            logits = model.forward(pooled_at(base)[0][reeval], base)
+            if not np.isfinite(logits).all():  # the step's loss checks its logits; these have no loss
+                raise BatchforgeError("NON_FINITE_INPUT", "logits must be finite")
+            state.record_batch(reeval, *_target_probs(logits, dataset.labels[reeval]))
         transitions.append(state.finalize_epoch())
 
-        if eval_dataset:
-            predicted = model.predict(eval_inputs, base)
-            eval_accuracy = float((predicted == eval_dataset.labels).mean())
-        else:
-            eval_accuracy = float("nan")
+        accuracy = float((model.predict(eval_inputs, base) == eval_dataset.labels).mean()) if eval_dataset else float("nan")
+        mean_loss = float(np.mean(batch_losses)) if batch_losses else float("nan")
+        per_epoch.append(EpochStats(epoch, mean_loss, accuracy, schedule.total_updates))
 
-        per_epoch.append(
-            EpochStats(
-                epoch=epoch,
-                mean_loss=float(np.mean(batch_losses)) if batch_losses else float("nan"),
-                eval_accuracy=eval_accuracy,
-                updates=schedule.total_updates,
-            )
-        )
-
-    return RunReport(per_epoch, model.theta.copy(), shadow, transitions)
+    return RunReport(per_epoch, theta.copy(), shadow, transitions)
 
 
 # -- artifacts ----------------------------------------------------------

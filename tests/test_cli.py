@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 import batchforge
 import batchforge.cli as cli
+import batchforge.schedule_io as schedule_io
 from batchforge.cli import build_parser, run
 from batchforge.core import BatchforgeError, Resolution, ResolutionSet, SamplerConfig, Strategy, VideoClipSpec
 from batchforge.presets import load_preset, preset_names
@@ -747,6 +749,47 @@ def test_export_and_analyze_need_a_header_config(text, command, tmp_path, capsys
     assert run_cli([*command, "--schedule", str(sched), "-o", str(out), "--errors-json"]) == 1
     assert [e["code"] for e in json.loads(capsys.readouterr().err)["errors"]] == ["MISSING_HEADER"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["export"], ["export", "--format", "csv"]], ids=" ".join)
+def test_schedule_file_commands_hold_about_two_epochs_of_ids(command, tmp_path):
+    # analyze --schedule and export re-plan one epoch at a time: an 8-epoch file peaks about one epoch of ids
+    # (200,000 int64 ids, 1.6 MB) above a 1-epoch file, where holding every epoch would add seven
+    epoch_bytes, peaks = 200_000 * 8, []
+    for epochs in (1, 8):
+        sched = tmp_path / f"p{epochs}.jsonl"
+        assert run_cli(["plan", "--dataset-size", "200000", "--base-batch", "1000", "--epochs", str(epochs), "-o", str(sched)]) == 0
+        tracemalloc.start()
+        try:
+            assert run_cli([*command, "--schedule", str(sched), "-o", str(tmp_path / "out")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 1.5 * epoch_bytes, [peak / epoch_bytes for peak in peaks]
+
+
+def test_export_of_a_file_truncated_late_leaves_the_target_as_it_was(tmp_path, capsys, monkeypatch):
+    # export writes each epoch as it reads it, into a temporary file beside the target; TRUNCATED at the end of the
+    # file removes that file, and an existing target keeps its bytes
+    sched, target = tmp_path / "s.jsonl", tmp_path / "out"
+    assert run_cli(["plan", "--dataset-size", "1000", "--base-batch", "100", "--epochs", "4", "-o", str(sched)]) == 0
+    lines = sched.read_text().splitlines(keepends=True)
+    assert len(lines) == 6
+    sched.write_text("".join(lines[:-1]))  # four epochs, no end line
+    target.write_bytes(b"an earlier export\n")
+    beside, replan = [], schedule_io._replan
+    def spy(*args):
+        beside.append(len(list(tmp_path.iterdir())))
+        return replan(*args)
+
+    monkeypatch.setattr(schedule_io, "_replan", spy)
+    for fmt in ("jsonl", "csv"):
+        assert run_cli(["export", "--schedule", str(sched), "--format", fmt, "-o", str(target), "--errors-json"]) == 1
+        [error] = json.loads(capsys.readouterr().err)["errors"]
+        assert error["code"] == "TRUNCATED" and "after 4 records" in error["message"]
+        assert target.read_bytes() == b"an earlier export\n"
+        assert sorted(tmp_path.iterdir()) == [target, sched]
+    assert beside == [3] * 8  # the schedule file, the target and the temporary file open while each epoch is read
 
 
 def test_train_opens_its_output_before_any_epoch(tmp_path, capsys, monkeypatch):

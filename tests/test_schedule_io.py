@@ -1,6 +1,7 @@
 import base64
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -17,10 +18,11 @@ from batchforge.core import (
     SamplerConfig,
     Strategy,
     sampler_config_from_mapping,
+    sampler_config_to_mapping,
     validate_config,
 )
 from batchforge.samplers import EpochSchedule, VideoClipSpec, plan_epoch, plan_video_vbs, shard_for_rank
-from batchforge.schedule_io import SCHEMA_VERSION, read_schedules, write_schedules
+from batchforge.schedule_io import SCHEMA_VERSION, iter_schedules, read_schedules, write_schedules
 from reference_schedule_io import reference_end_line, reference_replan_line, reference_write_schedules
 
 
@@ -422,6 +424,39 @@ def test_every_proper_line_prefix_of_a_plan_file_fails_with_a_code():
         with pytest.raises(BatchforgeError) as err:
             read_schedules(io.StringIO("".join(lines[:count])))
         assert err.value.code == "TRUNCATED" and f"after {max(count - 1, 0)} records" in err.value.message
+
+
+def test_the_reader_streams_one_epoch_at_a_time():
+    # iter_schedules keeps epoch numbers, not schedules: taking an 8-epoch file one epoch at a time peaks about one
+    # epoch of ids (200,000 int64 ids, 1.6 MB) above a 1-epoch file, where holding every epoch would add seven
+    config = make_config(dataset_size=200_000, base_batch=1000, epochs=8)
+    epoch_bytes, peaks = config.dataset_size * 8, []
+    for epochs in (1, 8):
+        text = export_text((plan_epoch(config, e) for e in range(epochs)), config)
+        tracemalloc.start()
+        try:
+            stream = iter_schedules(io.StringIO(text))
+            assert next(stream) == sampler_config_to_mapping(config)
+            assert [schedule.epoch for schedule in stream] == list(range(epochs))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 1.5 * epoch_bytes, [peak / epoch_bytes for peak in peaks]
+
+
+def test_the_reader_yields_the_epochs_before_a_fault():
+    lines = replan_file(epochs=3)
+    stream = iter_schedules(io.StringIO("".join(lines)))
+    assert isinstance(next(stream), dict)
+    assert [schedule.epoch for schedule in (next(stream), next(stream), next(stream))] == [0, 1, 2]
+    with pytest.raises(BatchforgeError) as err:
+        next(stream)
+    assert err.value.code == "TRUNCATED"
+    # a file with no records gives its header config at its end line, and a fault before that raises first
+    assert list(iter_schedules(io.StringIO(lines[0] + reference_end_line(0)))) == [json.loads(lines[0])["config"]]
+    with pytest.raises(BatchforgeError) as err:
+        next(iter_schedules(io.StringIO(lines[0] + '{"kind":"plan"}\n' + lines[1])))
+    assert err.value.code == "BAD_RECORD"
 
 
 @pytest.mark.parametrize(

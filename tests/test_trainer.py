@@ -450,6 +450,14 @@ def test_inputs_at_takes_zero_rows(resolution):
     assert inputs.shape == (0, 64)
 
 
+def test_inputs_at_factor_one_are_the_raw_grids_flattened():
+    model = PooledLinearModel(10, 8, TOY_RESOLUTIONS)
+    finest = Resolution(32, 32)
+    assert model.pool_factor(finest) == 1
+    features = np.random.default_rng(4).normal(size=(50, 8, 8))
+    assert np.array_equal(model.inputs_at(features, finest), features.reshape(50, 64))
+
+
 @pytest.mark.parametrize("resolution", list(TOY_RESOLUTIONS), ids=str)
 def test_forward_takes_zero_rows(resolution):
     assert PooledLinearModel(10, 8, TOY_RESOLUTIONS).forward(np.zeros((0, 8, 8)), resolution).shape == (0, 10)
@@ -590,6 +598,51 @@ def test_video_train_matches_the_frozen_trainer():
     specs = (VideoClipSpec(8, 1, Resolution(8, 8)), VideoClipSpec(8, 1, Resolution(16, 16)), VideoClipSpec(16, 1, Resolution(32, 32)))
     sampler = toy_sampler(strategy=Strategy.VIDEO_VBS, dataset_size=1000, base_batch=32, epochs=4, clips=specs, base_clip=specs[1])
     assert_train_matches_reference(sampler, SetConfig(tau=0.7, window=2), total_epochs=4)
+
+
+def test_grid_16_train_over_five_resolutions_matches_the_frozen_trainer():
+    # pool factors 16 (the whole grid), 8, 4, 2 and 1: every pooling path and column map against the oracle's loop
+    resolutions = ResolutionSet.parse("64x64,96x96,128x128,160x160,192x192")
+    sampler = toy_sampler(dataset_size=1000, base_batch=64, base_resolution=Resolution(128, 128), resolutions=resolutions,
+                          epochs=4)
+    tc, set_config = toy_trainer(warmup_epochs=1, total_epochs=4), SetConfig(tau=0.7, window=2)
+    dataset, eval_dataset = make_synthetic_task(1000, 10, 16, seed=2, eval_samples=500)
+    model = PooledLinearModel(10, 16, resolutions)
+    assert [model.pool_factor(r) for r in resolutions] == [16, 8, 4, 2, 1]
+    report = train(model, dataset, sampler, tc, set_config, eval_dataset)
+    params, ema, losses, accuracies, transitions = reference_train(
+        PooledLinearModel(10, 16, resolutions), dataset, sampler, tc, set_config, eval_dataset
+    )
+    assert np.array_equal(report.final_params, params)
+    assert np.array_equal(report.ema_params, ema)
+    assert report.losses() == losses
+    assert [row.eval_accuracy for row in report.per_epoch] == accuracies
+    assert report.transitions == transitions
+    assert report.removed_count > 0
+
+
+def test_train_leaves_the_callers_parameters_unchanged():
+    # train updates its own copy of the parameters in place; the array the caller set is never written
+    sampler = toy_sampler(epochs=3)
+    dataset, eval_dataset = make_synthetic_task(sampler.dataset_size, 10, 8, seed=0)
+    model = PooledLinearModel(10, 8, TOY_RESOLUTIONS)
+    start = np.random.default_rng(6).normal(size=model.theta.size) * 0.01
+    model.theta, kept = start, start.copy()
+    report = train(model, dataset, sampler, toy_trainer(warmup_epochs=1, total_epochs=3), SetConfig(tau=0.7, window=2),
+                   eval_dataset)
+    assert np.array_equal(start, kept)
+    assert model.theta is not start and np.array_equal(model.theta, report.final_params)
+    assert not np.array_equal(report.final_params, kept) and report.final_params is not report.ema_params
+
+
+def test_a_diverging_run_fails_with_non_finite_input():
+    # a step checks only that its loss is finite: parameters blown up by the learning rate make the logits overflow
+    sampler = toy_sampler(epochs=3)
+    dataset, eval_dataset = make_synthetic_task(sampler.dataset_size, 10, 8, seed=0)
+    tc = toy_trainer(max_lr=1e300, warmup_epochs=1, total_epochs=3)
+    with np.errstate(all="ignore"), pytest.raises(BatchforgeError) as err:
+        train(PooledLinearModel(10, 8, TOY_RESOLUTIONS), dataset, sampler, tc, SetConfig(tau=0.7, window=2), eval_dataset)
+    assert err.value.code == "NON_FINITE_INPUT"
 
 
 def test_sampler_resolution_missing_from_model_is_rejected():
