@@ -25,13 +25,14 @@ regenerates the same shape sequence; ids are dealt round-robin to ranks by
 :func:`shard_for_rank`.
 
 One id permutation is drawn per epoch (:func:`batchforge.rng.permutation`,
-one sort of composite draw-and-index keys) and consumed sequentially; the
+one sort of composite draw-and-id keys) and consumed sequentially; the
 epoch ends when it runs out (a final short batch is kept unless
-``drop_last``). Active ids are sorted first, unless they already increase;
-when they are the whole dataset (``active_ids=None`` included) the
-permutation itself is the id order, so no id array is built and no gather
-is made. A subset's ids are gathered into the permutation's own buffer,
-``rng.FILL_BLOCK`` at a time, so either way a plan holds one id-sized array.
+``drop_last``). Active ids are a 1-D integer array or list, else
+``BAD_ACTIVE_IDS``; they are sorted first, unless they already increase.
+The whole dataset (``active_ids=None`` included) is permuted as its
+positions, and a subset as its ids, which the sort keys carry: the masked
+keys are the scheduled ids, so no id is gathered and a plan's ids are a
+view of its one id-sized array, the key buffer.
 
 An :class:`EpochSchedule` stores the epoch as arrays for every strategy,
 video included: the scheduled ids in order, per-iteration offsets into
@@ -50,7 +51,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import rng
 from .core import (
     BatchforgeError,
     BatchRounding,
@@ -306,7 +306,11 @@ def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray | None:
     """Active ids in increasing order, or None when they are the whole dataset; an increasing input is used as is."""
     if active_ids is None:
         return None
-    ids = np.asarray(active_ids, dtype=np.int64)
+    ids = np.asarray(active_ids)
+    if ids.ndim != 1 or not (ids.dtype.kind in "iu" or ids.size == 0):  # no cast may read a mask, floats or strings as ids
+        raise BatchforgeError("BAD_ACTIVE_IDS", f"active ids must be a 1-D array or list of integers, got {ids.dtype} "
+                              f"of shape {ids.shape}")
+    ids = ids.astype(np.int64, copy=False)
     presorted = bool((ids[1:] > ids[:-1]).all())
     if not presorted:
         ids = np.sort(ids)
@@ -324,7 +328,11 @@ def _resolve_active_ids(config: SamplerConfig, active_ids) -> np.ndarray | None:
 
 
 def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSchedule:
-    """Generate one epoch's schedule for any strategy; ``epoch`` is an integer in [0, 2**63), else ``BAD_EPOCH``."""
+    """Generate one epoch's schedule for any strategy; ``epoch`` is an integer in [0, 2**63), else ``BAD_EPOCH``.
+
+    ``active_ids`` that are not a 1-D integer array or list (a bool mask, floats, strings) raise
+    ``BAD_ACTIVE_IDS``; an id outside the dataset raises ``ID_OUT_OF_RANGE``, a repeated one ``DUPLICATE_ID``.
+    """
     ensure_valid(config)
     epoch = check_integer(epoch, "epoch", "BAD_EPOCH")
     ids = _resolve_active_ids(config, active_ids)
@@ -332,13 +340,7 @@ def plan_epoch(config: SamplerConfig, epoch: int, active_ids=None) -> EpochSched
     shape_idx, batch_sizes = epoch_batch_shapes(config, epoch, n)
     offsets = np.zeros(len(batch_sizes) + 1, dtype=np.int64)
     np.cumsum(batch_sizes, out=offsets[1:])
-    order = permutation(config.seed, StreamKey(epoch, 0, PERMUTATION_TAG), n)[: offsets[-1]]
-    # The whole dataset's ids are arange(N), so the permutation already is the id order; a subset's ids
-    # replace their indices in the permutation's own buffer, a block at a time.
-    if ids is not None:
-        for lo in range(0, len(order), rng.FILL_BLOCK):
-            part = order[lo : lo + rng.FILL_BLOCK]
-            part[...] = ids.take(part)
+    order = permutation(config.seed, StreamKey(epoch, 0, PERMUTATION_TAG), n, ids)[: offsets[-1]]
     return EpochSchedule(epoch, order, offsets, shape_idx, shape_table(config)[0], ScheduleOrigin(config, ids))
 
 

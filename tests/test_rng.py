@@ -257,6 +257,34 @@ def test_permutation_calls_stream_fill_once(monkeypatch):
     assert calls == [(3, key, 50)]
 
 
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("m, width", [(64, 60), (300, 56), (3000, 50)])
+def test_permutation_of_wide_ids_reorders_tied_keys_by_draw_then_position(m, width, block):
+    # Ids of `width` bits leave a key 64 - width draw bits, far fewer than the 64 - b that decide the
+    # order, so keys tie in runs of 3 and more, across block edges, and the tie fix-up must restore
+    # the lexsort of (draw >> b, position).
+    seed, key = 11, StreamKey(5, 0, "perm")
+    ids = np.sort(np.random.default_rng(m).integers(0, 2**width, m))
+    ids[-1] = 2**width - 1
+    assert (np.diff(ids) > 0).all()
+    b = np.uint64(max(1, (m - 1).bit_length()))
+    draws = stream_fill(seed, key, m)
+    expected = ids[np.lexsort((np.arange(m), draws >> b))]
+    with mock.patch.object(rng_module, "FILL_BLOCK", block):
+        assert np.array_equal(permutation(seed, key, m, ids), expected)
+    # The case ties as claimed: sorted by their top 64 - width bits, neighbours i and i + 1 tie.
+    tied = np.flatnonzero(np.diff(np.sort(draws >> np.uint64(width))) == 0)
+    assert (np.diff(tied) == 1).any()  # a run of 3 or more keys
+    assert block > m or ((tied + 1) % block == 0).any()  # a tie across a block edge
+    assert not np.array_equal(expected, ids[np.lexsort((np.arange(m), draws >> np.uint64(width)))])
+
+
+def test_permutation_needs_one_id_per_position():
+    with pytest.raises(BatchforgeError) as err:
+        permutation(1, StreamKey(), 4, np.arange(3))
+    assert err.value.code == "BAD_SIZE"
+
+
 @pytest.mark.parametrize(
     "draw",
     [

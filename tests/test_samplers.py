@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -251,6 +252,33 @@ def test_duplicate_active_ids_rejected():
         with pytest.raises(BatchforgeError) as err:
             plan_epoch(config, 0, active_ids=active)
         assert err.value.code == "DUPLICATE_ID"
+
+
+@pytest.mark.parametrize(
+    "active",
+    [
+        [0.5, 1.7, 3.2, 5.9],
+        [3, 3.5],
+        [True, False, True],
+        np.array([True, False, True]),
+        ["1", "2"],
+        np.array([[1, 2], [3, 4]]),
+        [1.0, float("nan")],
+        np.arange(4, dtype=np.float64),
+        7,
+        np.array([1, 2], dtype=object),
+    ],
+    ids=["fractions", "int_and_fraction", "bool_list", "bool_mask", "strings", "2d", "nan", "whole_floats", "scalar",
+         "objects"],
+)
+def test_active_ids_that_are_not_integers_are_rejected(active):
+    # No cast reads them as ids: not a truncated float, not a mask's 0 and 1, not a parsed string.
+    config = make_config(dataset_size=100, base_batch=10, drop_last=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BatchforgeError) as err:
+            plan_epoch(config, 0, active_ids=active)
+    assert err.value.code == "BAD_ACTIVE_IDS"
 
 
 def test_active_id_order_and_type_do_not_change_the_plan():
@@ -619,15 +647,48 @@ def blake2b_digest(values: np.ndarray) -> str:
 def test_imagenet_epoch_plans_keep_their_pinned_digests(epoch, subset, digests):
     # The resnet50 msc_vbs configuration over all 1,281,167 ids at world 8, full and with a seeded
     # ~70 % active subset; the digests pin ids, offsets and shape indices bit for bit.
-    config = replace(
-        presets.load_preset("resnet50").sampler,
-        strategy=Strategy.MSC_VBS,
-        world_size=8,
-        base_batch=128,
-        min_batch=8,
-        seed=1,
-    )
-    active = np.flatnonzero(np.random.default_rng(1).random(config.dataset_size) < 0.7) if subset else None
-    schedule = plan_epoch(config, epoch, active)
+    config = imagenet_config()
+    schedule = plan_epoch(config, epoch, imagenet_subset(config) if subset else None)
     assert tuple(map(blake2b_digest, (schedule.ids, schedule.offsets, schedule.shape_idx))) == digests
+
+
+def imagenet_config() -> SamplerConfig:
+    return replace(presets.load_preset("resnet50").sampler, strategy=Strategy.MSC_VBS, world_size=8, base_batch=128,
+                   min_batch=8, seed=1)
+
+
+def imagenet_subset(config: SamplerConfig) -> np.ndarray:
+    return np.flatnonzero(np.random.default_rng(1).random(config.dataset_size) < 0.7)
+
+
+# Epoch 71 of the subset is the first whose permutation keys tie: 896,422 ids below 2**21 keep one id bit
+# more than the 20 index bits, and without the tie fix-up scheduled positions 224,425 and 224,426 swap.
+TIED_EPOCH = 71
+
+
+def test_a_tied_imagenet_subset_epoch_keeps_its_pinned_digests():
+    config = imagenet_config()
+    with mock.patch.object(rng, "_order_ties", wraps=rng._order_ties) as order_ties:
+        schedule = plan_epoch(config, TIED_EPOCH, imagenet_subset(config))
+    assert order_ties.call_count == 1
+    assert tuple(map(blake2b_digest, (schedule.ids, schedule.offsets, schedule.shape_idx))) == (
+        "22a49a84c944dda2dcc0886df50abfb2", "bc8a56ef23771e18dbb402be0f190005", "f2c807ab09eed11b8872794849285da5")
+
+
+def test_a_tied_subset_plan_holds_one_id_sized_array():
+    # The tie fix-up recomputes the draws of the tied run alone: no second id-sized array, no second permutation.
+    config = imagenet_config()
+    active = imagenet_subset(config)
+    m = len(active)
+    plan_epoch(config, TIED_EPOCH, active)  # one-time allocations happen outside the trace
+    with mock.patch.object(rng, "_order_ties", wraps=rng._order_ties) as order_ties:
+        tracemalloc.start()
+        try:
+            schedule = plan_epoch(config, TIED_EPOCH, active)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert order_ties.call_count == 1
+    assert peak < 1.25 * 8 * m
+    assert not schedule.ids.flags.writeable
 
