@@ -19,6 +19,14 @@ shifts and ids stay in cache. The blocking does not change a single draw.
 A permutation's keys carry the ids its positions stand for, so the sorted,
 masked keys are the permuted ids themselves.
 
+The keys are unique, so from ``SPLIT_SORT_MIN`` keys up, where the process
+may run on two or more CPUs, one in-place partition at ``n // 2`` leaves
+each half holding exactly the keys of its rank range: a fresh thread sorts
+the upper half while the caller sorts the lower one (``ndarray.sort``
+releases the GIL), and the result is the one sort's, bit for bit. On one
+CPU, or below the threshold, it is one sort. A fresh thread per call, not a
+pool, keeps a forked child able to plan.
+
 :func:`stream_at` keys a 2-D grid of streams, epochs by iterations, whose
 first finalizer input is ``H ^ t``: ``H`` one epoch's mixed head, ``t`` the
 iteration. A shift distributes over xor, so that finalizer's first step
@@ -31,11 +39,15 @@ without a hardware divide per element; the quotients reuse that scratch
 buffer, so a grid of draws costs two grid-sized arrays, not three.
 
 An invalid draw request raises :class:`~batchforge.core.BatchforgeError`
-with a code: ``BAD_SIZE``, ``ZERO_SET_SIZE`` or ``PERMUTATION_TOO_LARGE``.
+with a code: ``BAD_SIZE``, ``ZERO_SET_SIZE``, ``PERMUTATION_TOO_LARGE`` or
+``BAD_IDS`` (a permutation's ids that are not a 1-D int64 array strictly
+increasing from 0 or more).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -54,6 +66,11 @@ _FNV_PRIME = 0x100000001B3
 # Draws per block of :func:`stream_fill` and :func:`permutation`: a block's
 # uint64 arrays (256 KiB each) stay in L2 through all their passes.
 FILL_BLOCK = 1 << 15
+
+# Sort keys from which :func:`permutation` sorts two halves on two threads. On a 2-CPU host the split
+# (a partition, a thread start) ties one sort near 2**16 keys and saves ~25 % from 2**17 on: 8.0 against
+# 12.5 ms for ImageNet's 1,281,167. ``train``'s plans (10k ids) stay on one sort.
+SPLIT_SORT_MIN = 1 << 17
 
 
 def _mix64(x: int) -> int:
@@ -214,8 +231,13 @@ def permutation(seed: int, key: StreamKey, n: int, ids: np.ndarray | None = None
     (about n**3 / 2**65 tied pairs are expected); ``n`` is capped at
     ``MAX_PERMUTATION_SIZE`` (2**24, 128 expected tied pairs) and larger
     requests raise ``PERMUTATION_TOO_LARGE``; ``ids`` of another length
-    raise ``BAD_SIZE``. The keys are built and masked ``FILL_BLOCK`` at a
-    time, so the sort is the only pass that needs more than the key array.
+    raise ``BAD_SIZE``. ``ids`` that are not a 1-D int64 array strictly
+    increasing from 0 or more raise ``BAD_IDS``; their order is checked in
+    the pass that builds the keys. The keys are built and masked
+    ``FILL_BLOCK`` at a time, so the sort is the only pass that needs more
+    than the key array. From ``SPLIT_SORT_MIN`` keys up, on two or more
+    usable CPUs, the sort runs as two halves on two threads (module
+    docstring); the order is the same.
     """
     n = check_integer(n, "n", "BAD_SIZE", below=1 << 64)
     if n > MAX_PERMUTATION_SIZE:
@@ -223,14 +245,21 @@ def permutation(seed: int, key: StreamKey, n: int, ids: np.ndarray | None = None
             "PERMUTATION_TOO_LARGE",
             f"permutation of {n} ids exceeds the {MAX_PERMUTATION_SIZE} supported",
         )
-    if ids is not None and len(ids) != n:
-        raise BatchforgeError("BAD_SIZE", f"a permutation of {n} positions needs {n} ids, got {len(ids)}")
+    if ids is not None:
+        if not isinstance(ids, np.ndarray) or ids.ndim != 1 or ids.dtype != np.int64:
+            shape = f"{ids.dtype} array of shape {ids.shape}" if isinstance(ids, np.ndarray) else type(ids).__name__
+            raise BatchforgeError("BAD_IDS", f"ids must be a 1-D int64 array, got {shape}")
+        if len(ids) != n:
+            raise BatchforgeError("BAD_SIZE", f"a permutation of {n} positions needs {n} ids, got {len(ids)}")
+        if n and ids[0] < 0:
+            raise BatchforgeError("BAD_IDS", f"ids must be 0 or more, got {ids[0]}")
     b = max(1, (n - 1).bit_length())
     width = max(b, int(ids[-1]).bit_length()) if ids is not None and n else b
     low = np.uint64((1 << width) - 1)
     keys = stream_fill(seed, key, n)
     block, high = FILL_BLOCK, ~low
     index = np.arange(min(n, block), dtype=np.uint64) if ids is None else None
+    rising = np.empty(min(n, block), dtype=bool) if ids is not None else None
     for lo in range(0, n, block):
         out = keys[lo : lo + block]
         out &= high
@@ -238,8 +267,12 @@ def permutation(seed: int, key: StreamKey, n: int, ids: np.ndarray | None = None
             out |= index[: len(out)]
             index += np.uint64(block)
         else:
-            out |= ids[lo : lo + block].view(np.uint64)
-    keys.sort()
+            part, after = ids[lo : lo + block], ids[lo + 1 : lo + block + 1]  # after's last id is the next block's first
+            if not np.greater(after, part[: len(after)], out=rising[: len(after)]).all():
+                at = lo + int(np.argmin(rising[: len(after)]))
+                raise BatchforgeError("BAD_IDS", f"ids must strictly increase; id {ids[at + 1]} follows {ids[at]}")
+            out |= part.view(np.uint64)
+    _sort_keys(keys)
     if width == b:  # the id bits are the index bits: a draw tie already keeps position order
         keys &= low
         return keys.view(np.int64)
@@ -254,6 +287,48 @@ def permutation(seed: int, key: StreamKey, n: int, ids: np.ndarray | None = None
     if ties:
         _order_ties(keys, ties, ids, b, stream_state(seed, key.epoch, key.iteration, key.tag))
     return keys.view(np.int64)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sort_keys(keys: np.ndarray) -> None:
+    """Sort the unique ``keys`` in place, as two halves on two threads when the split pays (module docstring).
+
+    The partition at ``n // 2`` puts exactly the ``n // 2`` smallest keys in the lower half, so sorting
+    each half sorts the whole. Where no thread can be started, the caller sorts both halves; an exception
+    in the worker re-raises here once the caller's half is sorted and the worker has ended.
+    """
+    half = len(keys) // 2
+    if len(keys) < SPLIT_SORT_MIN or _usable_cpus() < 2:
+        keys.sort()
+        return
+    keys.partition(half)
+    upper, errors = keys[half:], []
+
+    def sort_upper() -> None:
+        try:
+            upper.sort()
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    worker = threading.Thread(target=sort_upper, name="batchforge-sort")
+    try:
+        worker.start()
+    except RuntimeError:  # a thread or pid limit
+        worker = None
+        sort_upper()
+    try:
+        keys[:half].sort()
+    finally:
+        if worker is not None:
+            worker.join()
+    if errors:
+        raise errors[0]
 
 
 def _order_ties(ids_out: np.ndarray, pairs: list[int], ids: np.ndarray, b: int, state: int) -> None:

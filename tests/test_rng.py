@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -285,6 +287,30 @@ def test_permutation_needs_one_id_per_position():
     assert err.value.code == "BAD_SIZE"
 
 
+@pytest.mark.parametrize("block", [2, rng_module.FILL_BLOCK])
+@pytest.mark.parametrize(
+    "ids",
+    [
+        [0, 1, 5],
+        np.array([0, 1, 5], dtype=np.int32),
+        np.array([0, 1, 5], dtype=np.uint64),
+        np.array([0.0, 1.0, 5.0]),
+        np.array([[0, 1, 5]]),
+        np.array([5, 1, 0]),
+        np.array([0, -1, 5]),
+        np.array([-3, -1, 5]),
+        np.array([0, 1, 1]),
+        np.array([0, 2, 1]),  # with 2-id blocks, the decrease is across a block edge
+    ],
+    ids=["list", "int32", "uint64", "float", "2d", "decreasing", "negative_inside", "negative_first", "repeated",
+         "decrease_at_block_edge"],
+)
+def test_permutation_ids_are_a_1d_int64_array_strictly_increasing_from_0(ids, block):
+    with mock.patch.object(rng_module, "FILL_BLOCK", block), pytest.raises(BatchforgeError) as err:
+        permutation(1, StreamKey(), 3, ids)
+    assert err.value.code == "BAD_IDS"
+
+
 @pytest.mark.parametrize(
     "draw",
     [
@@ -379,3 +405,89 @@ def test_choice_set_size_accepts_python_and_numpy_integers():
         assert np.array_equal(choice_at(6, 2, np.arange(9), "res", k), expected)
     widest = choice_at(6, 2, np.arange(9), "res", 2**64 - 1)
     assert widest.view(np.uint64).tolist() == [d % (2**64 - 1) for d in stream_at(6, 2, np.arange(9), "res").tolist()]
+
+
+# -- the split sort: two halves on two threads ------------------------------------------------
+
+SPLIT = rng_module.SPLIT_SORT_MIN
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def counted_threads(monkeypatch):
+    made = mock.Mock(wraps=threading.Thread)
+    monkeypatch.setattr(rng_module.threading, "Thread", made)
+    return made
+
+
+def lexsort_reference(seed, key, n, ids=None):
+    draws = stream_fill(seed, key, n)
+    order = np.lexsort((np.arange(n), draws >> np.uint64(max(1, (n - 1).bit_length()))))
+    return order if ids is None else ids[order]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [SPLIT - 1, SPLIT, SPLIT + 1, 3 * SPLIT // 2 + 7])
+def test_a_split_sort_is_the_lexsort_at_the_threshold(monkeypatch, n, cpus):
+    usable_cpus(monkeypatch, cpus)
+    made = counted_threads(monkeypatch)
+    key = StreamKey(4, 0, "perm")
+    assert np.array_equal(permutation(9, key, n), lexsort_reference(9, key, n))
+    assert made.call_count == (cpus > 1 and n >= SPLIT)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_split_sort_of_wide_ids_keeps_the_tie_order(monkeypatch, cpus):
+    # 40-bit ids leave 24 draw bits in a key: about m**2 / 2**25 = 512 tied pairs, ordered after the sort.
+    usable_cpus(monkeypatch, cpus)
+    m, key = SPLIT + 1, StreamKey(2, 0, "perm")
+    ids = np.unique(np.random.default_rng(5).integers(0, 2**40, m + 64))[:m]
+    ids[-1] = 2**40 - 1
+    assert len(ids) == m and (np.diff(ids) > 0).all()
+    draws = stream_fill(3, key, m)
+    assert (np.diff(np.sort(draws >> np.uint64(40))) == 0).sum() > 100
+    assert np.array_equal(permutation(3, key, m, ids), lexsort_reference(3, key, m, ids))
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    key = StreamKey(1, 0, "perm")
+    usable_cpus(monkeypatch, 1)
+    made = counted_threads(monkeypatch)
+    one = permutation(2, key, SPLIT + 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # where the platform has no affinity set
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert np.array_equal(permutation(2, key, SPLIT + 1), one)
+    assert made.call_count == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert np.array_equal(permutation(2, key, SPLIT + 1), one)
+    assert made.call_count == 1
+
+
+def test_a_thread_that_cannot_start_leaves_its_half_to_the_caller(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    key = StreamKey(6, 0, "perm")
+    assert np.array_equal(permutation(8, key, SPLIT + 3), lexsort_reference(8, key, SPLIT + 3))
+
+
+class SortFailsOffTheMainThread(np.ndarray):
+    def sort(self, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("sort failed in the worker")
+        super().sort(*args, **kwargs)
+
+
+def test_an_exception_in_the_worker_reaches_the_caller(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    fill = stream_fill
+    monkeypatch.setattr(rng_module, "stream_fill", lambda *args: fill(*args).view(SortFailsOffTheMainThread))
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="in the worker"):
+        permutation(1, StreamKey(), SPLIT)
+    assert threading.active_count() == threads  # the worker ended before the error reached the caller

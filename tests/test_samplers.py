@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import select
+import signal
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -31,6 +34,7 @@ from batchforge.samplers import (
     shard_for_rank,
     size_table,
 )
+from batchforge.schedule_io import id_digest
 
 STANDARD = ResolutionSet.squares([128, 192, 224, 288, 320])
 
@@ -360,6 +364,53 @@ def test_a_subset_plan_holds_one_id_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 8 * m
+
+
+IMAGENET = 1_281_167
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_full_imagenet_plan_holds_one_id_sized_array(monkeypatch, cpus):
+    # The key buffer is the plan's one id-sized array: the split sort partitions and sorts it in place.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    config = make_config(dataset_size=IMAGENET, base_batch=128, drop_last=False)
+    plan_epoch(config, 0)  # one-time allocations happen outside the trace
+    tracemalloc.start()
+    try:
+        plan_epoch(config, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * IMAGENET
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_plans_the_epoch_its_parent_planned(monkeypatch):
+    # A sort thread kept alive in a pool would not exist in the child, which would then wait for it forever.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    config = make_config(dataset_size=IMAGENET, base_batch=128)
+    digest = id_digest(plan_epoch(config, 5).ids)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            os.write(write_fd, id_digest(plan_epoch(config, 5).ids).encode())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        ready, _, _ = select.select([read_fd], [], [], 60)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        child_digest = os.read(read_fd, 64).decode() if ready else None
+    finally:
+        os.close(read_fd)
+        _, status = os.waitpid(pid, 0)
+    assert ready, "the forked child did not plan its epoch within 60 s"
+    assert status == 0 and child_digest == digest
 
 
 @pytest.mark.parametrize("drop_last", [False, True])
