@@ -88,7 +88,7 @@ def _walk(config: SamplerConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]
 
     A block's arrays hold until the next block is drawn: callers reduce each block as it comes.
     """
-    if len(batch_table(config)[1]) == 1:  # a one-entry table draws nothing: one walked epoch stands for all
+    if len(batch_table(config)[1]) == 1:  # a one-entry table walks every epoch alike: one walked epoch stands for all
         shape_idx, batches = epoch_batch_shapes(config, 0, config.dataset_size)
         return iter([(shape_idx[None], batches[None], config.epochs)])
     return ((s, b, 1) for s, b in walk_shapes(config, range(config.epochs), config.dataset_size))

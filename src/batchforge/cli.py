@@ -123,7 +123,7 @@ SETTINGS: dict[str, Setting] = {
     ),
     "channels": Setting(int, _ANALYZE, default=3, least=1),
     "bytes_per_element": Setting(int, _ANALYZE, default=4, least=1),
-    "trials": Setting(int, _ANALYZE, default=0, least=0, help="add a Monte-Carlo update-count section (json only)"),
+    "trials": Setting(int, _ANALYZE, default=0, least=0, help="add a Monte-Carlo update-count section (--format json only)"),
 }
 # Flags that are not settings: paths and switches a command takes only on its command line.
 _FLAG_ONLY = ("output", "schedule", "run_report", "state", "errors_json")
@@ -257,6 +257,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         message = f"{', '.join(ignored)}: --schedule costs the file's own header config, which these flags would not change"
         raise ConfigValidationError([ConfigViolation("IGNORED_FLAG", message)])
     values = _values(args, {}, "strategies", "channels", "bytes_per_element", "trials")
+    if values["trials"] and args.output_format == "csv":
+        message = "--trials: the CSV table has no simulation section; pass --format json to write it"
+        raise ConfigValidationError([ConfigViolation("IGNORED_FLAG", message)])
     if args.schedule:
         with _schedule_file(args.schedule) as (_, config, schedules):
             row = analysis.schedule_cost(schedules, config.strategy, channels=values["channels"])
@@ -265,7 +268,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         config = _sampler(args, _read_config(args))
         strategies = values["strategies"]
-        if values["trials"] and args.output_format == "json" and config.strategy not in strategies:
+        if values["trials"] and config.strategy not in strategies:
             strategies = (*strategies, config.strategy)  # the simulated strategy's row
         reports = analysis.compare_strategies(config, strategies, channels=values["channels"])
     config_echo = sampler_config_to_mapping(config)
@@ -361,10 +364,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
             video = config.strategy is Strategy.VIDEO_VBS
             fp.write(f"epoch,iteration,height,width,{'frames,clips_per_video,' if video else ''}batch_size\n")
             for schedule in schedules:
-                cells = [f"{s.height},{s.width}" if not video else
-                         f"{s.resolution.height},{s.resolution.width},{s.num_frames},{s.clips_per_video}" for s in schedule.shapes]
-                rows = zip(schedule.shape_idx.tolist(), (schedule.offsets[1:] - schedule.offsets[:-1]).tolist())
-                fp.writelines(f"{schedule.epoch},{t},{cells[k]},{size}\n" for t, (k, size) in enumerate(rows))
+                for p in schedule.plans:
+                    clip = "" if p.clip is None else f"{p.clip.num_frames},{p.clip.clips_per_video},"
+                    fp.write(f"{schedule.epoch},{p.iteration},{p.resolution.height},{p.resolution.width},{clip}{p.batch_size}\n")
         else:
             schedule_io.write_schedules(fp, schedules, config=config)
     return 0

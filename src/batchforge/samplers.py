@@ -4,11 +4,11 @@
 entry of the strategy's (shape index, global batch) table, which
 :func:`batch_table` builds and which planning, the closed-form update count
 and the config's sharding check all read; :func:`shape_table` names the
-shapes those indices point into. Variable batch rescales with
-:func:`size_table` so batch x input volume stays constant: pixels for the
-image strategies, frames x clips x pixels for the config's clip table
-(``SamplerConfig.clips``) under video. Planning validates the config first
-(:func:`batchforge.core.ensure_valid`).
+shapes those indices point into. Variable batch, image and video alike,
+is one table: :func:`size_table` over the shapes' :func:`unit_volume` keeps
+batch x input volume constant (pixels for a resolution, frames x clips x
+pixels for a clip of ``SamplerConfig.clips``). Planning validates the
+config first (:func:`batchforge.core.ensure_valid`).
 
 The cost accounting walks many epochs' shape sequences at once
 (:func:`walk_shapes`), a block of epochs at a time. A block holds about
@@ -189,25 +189,22 @@ def size_table(config: SamplerConfig, units: Iterable[int], base_units: int) -> 
 
 
 def batch_table(config: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(shape indices, global batch sizes) a strategy draws from.
+    """(shape indices, global batch sizes) a strategy draws from, indexing :func:`shape_table`'s shapes.
 
     The one place a strategy maps to its table: single scale is the base
     resolution at the base batch, multi scale fixed batch is every
-    resolution at the base batch, variable batch is every resolution at its
-    :func:`size_table` size, and video is every clip spec at its
-    :func:`size_table` size over clip volumes, anchored at ``base_clip``.
+    resolution at the base batch, and variable batch, image and video alike,
+    is every shape at its :func:`size_table` size over the shapes'
+    :func:`unit_volume`, anchored at the base shape (``base_clip`` for
+    video, else ``base_resolution``).
     """
-    strategy, batch = config.strategy, config.effective_batch()
-    every = np.arange(len(config.resolutions))
-    if strategy is Strategy.SSC_FBS:
+    shapes, batch = shape_table(config)[0], config.effective_batch()
+    if config.strategy is Strategy.SSC_FBS:
         return np.array([config.resolutions.index_of(config.base_resolution)]), np.array([batch])
-    if strategy is Strategy.MSC_FBS:
-        return every, np.full(len(every), batch)
-    if strategy is Strategy.MSC_VBS:
-        units = [r.pixel_count() for r in config.resolutions]
-        return every, size_table(config, units, config.base_resolution.pixel_count())
-    units = [clip.volume() for clip in config.clips]
-    return np.arange(len(units)), size_table(config, units, config.base_clip.volume())
+    if config.strategy is Strategy.MSC_FBS:
+        return np.arange(len(shapes)), np.full(len(shapes), batch)
+    base = config.base_clip if config.strategy is Strategy.VIDEO_VBS else config.base_resolution
+    return np.arange(len(shapes)), size_table(config, map(unit_volume, shapes), unit_volume(base))
 
 
 def shape_table(config: SamplerConfig) -> tuple[tuple[Resolution | VideoClipSpec, ...], str]:
@@ -222,18 +219,18 @@ def walk_shapes(config: SamplerConfig, epochs, n_active: int) -> Iterator[tuple[
 
     A block is two ``(epochs, width)`` arrays of about ``WALK_BLOCK_ENTRIES``
     entries, one row per epoch, batch 0 padding each row past its end.
-    Iterations draw :func:`batch_table` entries (a one-entry table needs no
-    draw) until the ids run out; the final batch is trimmed unless
-    ``drop_last`` drops it. Rows draw the expected count plus 8 % and 16; a
-    block where a row runs short is redrawn at a bound no epoch can outrun,
-    in sub-blocks of ``WALK_BLOCK_ENTRIES // bound`` rows (at least one), so
-    a redraw holds about as many entries as a block, or one row. It repeats the
-    same keyed draws, so neither the width nor the sub-blocks show. The
-    first ``expected * 0.92 - 16`` entries of a row, its head, are summed
-    once; the prefix sum, the short-row check and the trim run over the
-    crossing window after it. A head serving at most ``n_active`` ids holds
-    nothing either trim changes; a block where some row's head serves more
-    walks the full width.
+    Iterations draw :func:`batch_table` entries until the ids run out, a
+    one-entry table included (every draw is index 0); the final batch is
+    trimmed unless ``drop_last`` drops it. Rows draw the expected count plus
+    8 % and 16; a block where a row runs short is redrawn at a bound no epoch
+    can outrun, in sub-blocks of ``WALK_BLOCK_ENTRIES // bound`` rows (at
+    least one), so a redraw holds about as many entries as a block, or one
+    row. It repeats the same keyed draws, so neither the width nor the
+    sub-blocks show. The first ``expected * 0.92 - 16`` entries of a row,
+    its head, are summed once; the prefix sum, the short-row check and the
+    trim run over the crossing window after it. A head serving at most
+    ``n_active`` ids holds nothing either trim changes; a block where some
+    row's head serves more walks the full width.
 
     Blocks are sized to the cache: a block lives in two uint64 arrays, the
     draws and the hash's scratch, which then receives the batches; at 2**15
@@ -254,11 +251,7 @@ def walk_shapes(config: SamplerConfig, epochs, n_active: int) -> Iterator[tuple[
         work, iterations = np.empty((2, max(map(len, blocks)) * span), dtype=np.uint64), np.arange(span)
         for rows in blocks:
             draws, scratch = (part[: len(rows) * span].reshape(len(rows), span) for part in work)
-            if len(sizes) == 1:
-                draws = draws.view(np.int64)
-                draws.fill(0)
-            else:
-                draws = choice_at(config.seed, rows, iterations, tag, len(sizes), out=draws, scratch=scratch)
+            draws = choice_at(config.seed, rows, iterations, tag, len(sizes), out=draws, scratch=scratch)
             # draws lie in [0, len(sizes)): clip only skips the bounds check
             batches = sizes.take(draws, mode="clip", out=scratch.view(np.int64))
             tail, start = batches[:, head:], batches[:, :head].sum(axis=1)

@@ -43,7 +43,8 @@ Errors are ``BatchforgeError`` with a code:
   whose id, correctness and confidence arrays differ in shape;
 - ``DUPLICATE_RECORD``: a second record for one id in one epoch, whether
   across calls or twice in one batch;
-- ``MISSING_RECORDS``: finalize_epoch with active samples left unrecorded;
+- ``MISSING_RECORDS``: finalize_epoch with active samples left unrecorded
+  (:meth:`SetState.unrecorded_samples`);
 - ``BAD_SCHEMA``, ``BAD_STATE``: a payload of another ``kind`` than
   ``set_state`` (a run report among them) or of another schema version, or
   one that is malformed or inconsistent (not a JSON object, such as an
@@ -185,6 +186,10 @@ class SetState:
         """Sorted ids currently in the training set."""
         return np.flatnonzero(~self.removed)
 
+    def unrecorded_samples(self) -> np.ndarray:
+        """Sorted active ids that still owe this epoch a record: the ones ``finalize_epoch`` would name missing."""
+        return np.flatnonzero(~(self.removed | self.recorded))
+
     def removed_samples(self) -> np.ndarray:
         return np.flatnonzero(self.removed)
 
@@ -201,7 +206,7 @@ class SetState:
         cfg = self.config
         epoch = self.epoch
         active = ~self.removed
-        missing = np.flatnonzero(active & ~self.recorded)
+        missing = self.unrecorded_samples()
         if len(missing):
             shown = ", ".join(str(i) for i in missing[:10])
             more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""

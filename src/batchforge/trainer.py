@@ -24,9 +24,9 @@ own parameter, velocity and shadow arrays. ``train`` copies
 ``model.theta`` once, so the caller's array is never written; the public
 ``batch_label_smoothed_ce``, ``sgd_momentum_step`` and ``ema_update`` run
 the same kernels on copies. Inputs are checked once per run: ``train``
-rejects labels outside the classes before any work, a step checks only
+rejects labels outside the classes before any work, and a step checks only
 that its loss is finite (any NaN or infinite logit makes it NaN or
-infinite) and each epoch's forward-only logits are checked once.
+infinite).
 The synthetic classes carry both a blocky pattern that survives blurring
 and a high-frequency pattern that does not, so coarse iterations genuinely
 see less class detail.
@@ -35,9 +35,11 @@ Recipe ingredients implemented here: linear-warmup cosine annealing,
 label-smoothed cross entropy, SGD with momentum and coupled weight decay,
 and an exponential moving average of the parameters. Sample filtering is
 always on; an unfiltered run is a tau 1.0 run, which removes nothing.
-Forward-only passes (re-evaluated removed samples and the ``drop_last``
-tail) compute only the forward pass and the true-class probability, the
-log-softmax of the target column alone.
+Forward-only passes have one record path, ``_forward_only``: once per
+epoch, the removed ids due a check and then the active ids the step left
+unrecorded (the ``drop_last`` tail, :meth:`SetState.unrecorded_samples`)
+take the forward pass and the true-class probability, the log-softmax of
+the target column alone, and their logits are checked finite.
 Training is bit-deterministic given its seeds. Its forward-only GEMMs
 (``forward``: ``predict``, the per-epoch eval and the forward-only passes)
 run in row blocks of at most ``FORWARD_MACS`` = 2**18 multiply-adds, which
@@ -182,16 +184,16 @@ def label_smoothed_ce(logits: np.ndarray, target: int, label_smoothing: float) -
     return loss, grad[0]
 
 
-def _target_probs(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_forward_only` in place on ``logits``, unchecked."""
+def _forward_only(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample correctness and true-class probability: the log-softmax of the target column only.
+
+    The one record path of forward-only passes. A non-finite logit raises ``NON_FINITE_INPUT``, as do fewer than two
+    classes and a target outside them; the shift runs in place on a float64 copy, so ``logits`` is never written.
+    """
+    logits = _checked_copy(logits, targets)
     correct = logits.argmax(axis=1) == targets
     _, lse, at_target = _shift(logits, targets)
     return correct, np.exp(logits.ravel()[at_target] - lse[:, 0])
-
-
-def _forward_only(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample correctness and true-class probability: the log-softmax of the target column only."""
-    return _target_probs(_checked_copy(logits, targets), targets)
 
 
 def _sgd_kernel(params, grads, velocity, lr, momentum, weight_decay, scratch) -> None:
@@ -507,8 +509,9 @@ def train(
     run trains every id every epoch. Per epoch: plan batches over the active
     ids, take one SGD-M step per batch with the warmup/cosine learning rate,
     maintain the parameter EMA, record the trained samples' correctness and
-    confidence in one call, evaluate removed samples and the ``drop_last``
-    tail forward-only at the base resolution, then apply the removal/re-add rules.
+    confidence in one call, evaluate the removed samples due a check and the
+    active ones still unrecorded (the ``drop_last`` tail) forward-only at the
+    base resolution, then apply the removal/re-add rules.
 
     Any of the four strategies works; video reads its clip table from
     ``sampler_config.clips`` and ``base_clip``, and the model sees each
@@ -561,8 +564,7 @@ def train(
     transitions: list[EpochTransition] = []
 
     for epoch in range(trainer_config.total_epochs):
-        active_ids = state.active_samples()
-        schedule = plan_epoch(sampler_config, epoch, active_ids)
+        schedule = plan_epoch(sampler_config, epoch, state.active_samples())
         bounds, labels = schedule.offsets.tolist(), dataset.labels[schedule.ids]
         inputs = [pooled_at(shape_resolution(shape)) for shape in schedule.shapes]  # once per epoch, not per step
         correct = np.empty(schedule.total_samples, dtype=bool)
@@ -579,16 +581,11 @@ def train(
             batch_losses.append(loss)
         state.record_batch(schedule.ids, correct, confidence)
 
-        reeval = state.reevaluation_plan()
-        if schedule.total_samples < len(active_ids):
-            # active ids in the dropped tail still owe this epoch a record
-            tail = np.setdiff1d(active_ids, schedule.ids, assume_unique=True)
-            reeval = np.concatenate([reeval, tail])
+        # removed ids due a check, then the active ids of the dropped tail, which still owe this epoch a record
+        reeval = np.concatenate([state.reevaluation_plan(), state.unrecorded_samples()])
         if len(reeval):
             logits = model.forward(pooled_at(base)[0][reeval], base)
-            if not np.isfinite(logits).all():  # the step's loss checks its logits; these have no loss
-                raise BatchforgeError("NON_FINITE_INPUT", "logits must be finite")
-            state.record_batch(reeval, *_target_probs(logits, dataset.labels[reeval]))
+            state.record_batch(reeval, *_forward_only(logits, dataset.labels[reeval]))
         transitions.append(state.finalize_epoch())
 
         accuracy = float((model.predict(eval_inputs, base) == eval_dataset.labels).mean()) if eval_dataset else float("nan")

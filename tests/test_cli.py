@@ -156,6 +156,7 @@ _SMALL_TRAIN = ["--samples", "200", "--epochs", "4", "--batch", "20", "--warmup-
         (["plan"], "run_report = r.json\n", "UNKNOWN_KEY", "pass the --run-report flag"),
         (["plan"], "state = s.json\n", "UNKNOWN_KEY", "pass the --state flag"),
         (["plan"], "errors_json = true\n", "UNKNOWN_KEY", "pass the --errors-json flag"),
+        (["analyze", "--trials", "2"], None, "IGNORED_FLAG", "--trials: "),
     ],
     ids=[
         "plan_file", "strategy_flag", "resolutions_flag", "epochs_flag", "max_lr_flag", "train_file", "train_tau",
@@ -164,7 +165,7 @@ _SMALL_TRAIN = ["--samples", "200", "--epochs", "4", "--batch", "20", "--warmup-
         "channels_flag", "bytes_per_element_flag", "trials_flag", "zero_eval_samples", "negative_eval_samples",
         "negative_trials", "negative_channels", "zero_bytes_per_element", "strategies_flag", "drop_last_flag",
         "preset_flag", "output_key", "csv_key", "checkpoint_key", "schedule_key", "run_report_key", "state_key",
-        "errors_json_key",
+        "errors_json_key", "trials_with_csv",
     ],
 )
 def test_bad_config_values_and_keys_exit_2(argv, file_text, code, named, tmp_path, capsys):

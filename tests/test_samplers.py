@@ -22,6 +22,7 @@ from batchforge.core import (
     ResolutionSet,
     SamplerConfig,
     Strategy,
+    validate_config,
 )
 from batchforge.rng import StreamKey, permutation
 from batchforge.samplers import (
@@ -529,6 +530,32 @@ def test_video_requires_specs_and_base_membership():
     with pytest.raises(ConfigValidationError) as err:
         plan_video_vbs(video_config(), [SPECS[1], VideoClipSpec(0, 1, Resolution(224, 224))], SPECS[1], 0)
     assert err.value.codes == ["NONPOSITIVE_CLIP"]
+
+
+@pytest.mark.parametrize("world_size", [1, 2, 4])
+@pytest.mark.parametrize("rounding", list(BatchRounding), ids=lambda r: r.value)
+def test_a_video_table_of_one_frame_clips_is_the_variable_batch_table(rounding, world_size):
+    # one 1x1 clip per resolution, based at the base resolution: the same unit volumes, so the same table
+    accepted = 0
+    for sides, base, base_batch, min_batch in [
+        ((128, 192, 224, 288, 320), 224, 64, None),
+        ((128, 192, 224, 288, 320), 224, 5, 3),
+        ((64, 96, 128), 64, 3, None),
+        ((96, 128, 160), 160, 7, 1),
+        ((32,), 32, 9, None),
+    ]:
+        image = make_config(base_batch=base_batch, base_resolution=Resolution(base, base),
+                            resolutions=ResolutionSet.squares(list(sides)), world_size=world_size,
+                            batch_rounding=rounding, min_batch=min_batch)
+        video = replace(image, strategy=Strategy.VIDEO_VBS, base_clip=VideoClipSpec(1, 1, image.base_resolution),
+                        clips=tuple(VideoClipSpec(1, 1, r) for r in image.resolutions))
+        if validate_config(video):
+            continue
+        accepted += 1
+        for got, want in zip(batch_table(video), batch_table(image)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+    assert accepted
 
 
 def test_video_coverage():

@@ -128,6 +128,29 @@ def test_missing_records_error_lists_ids():
     assert "1" in str(err.value) and "2" in str(err.value)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_unrecorded_samples_are_the_ids_missing_records_names(n, seed):
+    rng = np.random.default_rng(seed)
+    state = SetState(n, SetConfig(tau=0.5, window=1, start_epoch=0))
+    feed_epoch(state, easy_ids=np.flatnonzero(rng.random(n) < 0.3).tolist())
+    state.finalize_epoch()
+    # a partial record: some active ids and some removed ones
+    ids = np.flatnonzero(rng.random(n) < 0.5)
+    state.record_batch(ids, np.ones(len(ids), dtype=bool), np.full(len(ids), 0.9))
+    owed = sorted(set(state.active_samples().tolist()) - set(ids.tolist()))
+    assert state.unrecorded_samples().tolist() == owed
+    if not owed:
+        state.finalize_epoch()
+        return
+    with pytest.raises(BatchforgeError) as err:
+        state.finalize_epoch()
+    assert err.value.code == "MISSING_RECORDS"
+    named = str(err.value).split("records: ")[1]
+    more = f" (+{len(owed) - 10} more)" if len(owed) > 10 else ""
+    assert named == ", ".join(map(str, owed[:10])) + more
+
+
 def test_readd_on_hard_evidence_and_window_reset():
     state = SetState(2, SetConfig(tau=0.5, window=1, start_epoch=0))
     feed_epoch(state, easy_ids=[0, 1])
