@@ -23,10 +23,12 @@ and bias gradient into one per-run buffer, SGD-M and the EMA on the run's
 own parameter, velocity and shadow arrays. ``train`` copies
 ``model.theta`` once, so the caller's array is never written; the public
 ``batch_label_smoothed_ce``, ``sgd_momentum_step`` and ``ema_update`` run
-the same kernels on copies. Inputs are checked once per run: ``train``
-rejects labels outside the classes before any work, and a step checks only
-that its loss is finite (any NaN or infinite logit makes it NaN or
-infinite).
+the same kernels on copies. Once per run, ``train`` rejects labels outside
+the classes before any work; per step, the unchecked kernel runs and only
+its loss is checked finite (any NaN or infinite logit makes it NaN or
+infinite); once per epoch, the forward-only pass runs ``_forward_only``'s
+full checks, so its labels are checked again and its ``(n, K)`` logits are
+checked finite and copied to float64: the price of one forward-only path.
 The synthetic classes carry both a blocky pattern that survives blurring
 and a high-frequency pattern that does not, so coarse iterations genuinely
 see less class detail.
@@ -39,7 +41,7 @@ Forward-only passes have one record path, ``_forward_only``: once per
 epoch, the removed ids due a check and then the active ids the step left
 unrecorded (the ``drop_last`` tail, :meth:`SetState.unrecorded_samples`)
 take the forward pass and the true-class probability, the log-softmax of
-the target column alone, and their logits are checked finite.
+the target column alone.
 Training is bit-deterministic given its seeds. Its forward-only GEMMs
 (``forward``: ``predict``, the per-epoch eval and the forward-only passes)
 run in row blocks of at most ``FORWARD_MACS`` = 2**18 multiply-adds, which
@@ -189,6 +191,7 @@ def _forward_only(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
 
     The one record path of forward-only passes. A non-finite logit raises ``NON_FINITE_INPUT``, as do fewer than two
     classes and a target outside them; the shift runs in place on a float64 copy, so ``logits`` is never written.
+    ``train`` runs these checks once per epoch, its labels included, although it checked them once per run.
     """
     logits = _checked_copy(logits, targets)
     correct = logits.argmax(axis=1) == targets

@@ -7,8 +7,8 @@ it is a docstring. The count reports the design-quality measure and gates nothin
 
 import ast
 import pathlib
-import sys
 
+ROOT = pathlib.Path("src/batchforge")
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -25,9 +25,9 @@ def code_lines(text: str) -> int:
     )
 
 
-def main(root: str = "src/batchforge") -> None:
+def main() -> None:
     total = 0
-    for path in sorted(pathlib.Path(root).glob("*.py")):
+    for path in sorted(ROOT.glob("*.py")):
         code = code_lines(path.read_text())
         total += code
         print(f"{code:6d} {path}")
@@ -35,4 +35,4 @@ def main(root: str = "src/batchforge") -> None:
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    main()
