@@ -19,13 +19,19 @@ shifts and ids stay in cache. The blocking does not change a single draw.
 A permutation's keys carry the ids its positions stand for, so the sorted,
 masked keys are the permuted ids themselves.
 
-The keys are unique, so from ``SPLIT_SORT_MIN`` keys up, where the process
-may run on two or more CPUs, one in-place partition at ``n // 2`` leaves
-each half holding exactly the keys of its rank range: a fresh thread sorts
-the upper half while the caller sorts the lower one (``ndarray.sort``
-releases the GIL), and the result is the one sort's, bit for bit. On one
-CPU, or below the threshold, it is one sort. A fresh thread per call, not a
-pool, keeps a forked child able to plan.
+Id-sized passes run as two lanes where the process may run on two or more
+CPUs: a fresh thread takes the upper lane while the caller takes the lower
+one (numpy's loops, ``ndarray.sort`` and ``zlib.crc32`` release the GIL),
+and the caller returns once both have ended. From ``SPLIT_MIN`` ids up, the
+lanes of :func:`stream_fill`'s blocks, of :func:`permutation`'s key pass
+and tie scan, and of :func:`~batchforge.schedule_io.id_digest`'s crc32 meet
+at the first ``FILL_BLOCK`` edge past ``n / 2``. From ``SPLIT_SORT_MIN``
+keys up, one in-place partition at that edge leaves each lane holding
+exactly the keys of its rank range (the keys are unique), and each lane
+sorts its own. Every lane computes what the one pass would over its range,
+so the result is the same bit for bit on one CPU or two; on one CPU, or
+below the thresholds, each pass runs once on the caller. A fresh thread per
+lane, not a pool, keeps a forked child able to plan.
 
 :func:`stream_at` keys a 2-D grid of streams, epochs by iterations, whose
 first finalizer input is ``H ^ t``: ``H`` one epoch's mixed head, ``t`` the
@@ -67,10 +73,15 @@ _FNV_PRIME = 0x100000001B3
 # uint64 arrays (256 KiB each) stay in L2 through all their passes.
 FILL_BLOCK = 1 << 15
 
-# Sort keys from which :func:`permutation` sorts two halves on two threads. On a 2-CPU host the split
-# (a partition, a thread start) ties one sort near 2**16 keys and saves ~25 % from 2**17 on: 8.0 against
-# 12.5 ms for ImageNet's 1,281,167. ``train``'s plans (10k ids) stay on one sort.
+# Sizes from which a pass runs as two lanes on two threads (module docstring): where two lanes, a thread start
+# included, beat one pass on a 2-vCPU host (minimum of 80 timings, each after 5 ms idle). The sort pays from
+# 2**17 keys: 1.08 against 0.84 ms, and 10.7 against 7.1 ms for ImageNet's 1,281,167 keys. The linear passes
+# cost 1-3 ns an id and pay later: the fill and the crc32 from about 2**19, the key pass and the tie scan from
+# about 800k (medians at 700k: 0.97 -> 1.18 and 1.77 -> 2.09 ms; at 900k: 0.92 -> 0.86 and 2.39 -> 2.23), so
+# one threshold, 3 * 2**18, serves all four. At ImageNet's 1,281,167 ids: fill 3.9 -> 2.5, key pass
+# 1.2 -> 1.0, tie scan 3.6 -> 3.1, crc32 2.6 -> 1.8 ms. ``train``'s plans (10k ids) run every pass once.
 SPLIT_SORT_MIN = 1 << 17
+SPLIT_MIN = 3 << 18
 
 
 def _mix64(x: int) -> int:
@@ -134,7 +145,8 @@ def stream_fill(seed: int, key: StreamKey, count: int) -> np.ndarray:
 
     Draw ``k`` (from 1) is the splitmix64 finalizer of the stream's base
     state plus ``k`` times the golden-ratio increment, modulo 2**64. The
-    draws are made ``FILL_BLOCK`` at a time, straight into the output.
+    draws are made ``FILL_BLOCK`` at a time, straight into the output, in
+    two lanes from ``SPLIT_MIN`` draws up (module docstring).
     """
     count = check_integer(count, "count", "BAD_SIZE", below=1 << 64)
     state = stream_state(seed, key.epoch, key.iteration, key.tag)
@@ -142,11 +154,15 @@ def stream_fill(seed: int, key: StreamKey, count: int) -> np.ndarray:
     block = FILL_BLOCK
     steps = np.arange(1, min(count, block) + 1, dtype=np.uint64)  # k * golden for k = 1 .. block
     steps *= np.uint64(_GOLDEN)
-    scratch = np.empty_like(steps)
-    for lo in range(0, count, block):
-        out = draws[lo : lo + block]
-        np.add(steps[: len(out)], np.uint64((state + lo * _GOLDEN) & _MASK64), out=out)
-        _mix64_array(out, scratch[: len(out)])
+
+    def fill(start: int, stop: int) -> None:
+        scratch = np.empty(min(stop - start, block), dtype=np.uint64)  # one per lane
+        for lo in range(start, stop, block):
+            out = draws[lo : min(lo + block, stop)]
+            np.add(steps[: len(out)], np.uint64((state + lo * _GOLDEN) & _MASK64), out=out)
+            _mix64_array(out, scratch[: len(out)])
+
+    _over_lanes(fill, count, _lane_edge(count, SPLIT_MIN))
     return draws
 
 
@@ -235,9 +251,9 @@ def permutation(seed: int, key: StreamKey, n: int, ids: np.ndarray | None = None
     increasing from 0 or more raise ``BAD_IDS``; their order is checked in
     the pass that builds the keys. The keys are built and masked
     ``FILL_BLOCK`` at a time, so the sort is the only pass that needs more
-    than the key array. From ``SPLIT_SORT_MIN`` keys up, on two or more
-    usable CPUs, the sort runs as two halves on two threads (module
-    docstring); the order is the same.
+    than the key array. The key pass, the sort and the tie scan run as two
+    lanes on two threads from ``SPLIT_MIN`` and ``SPLIT_SORT_MIN`` ids up, on
+    two or more usable CPUs (module docstring); the order is the same.
     """
     n = check_integer(n, "n", "BAD_SIZE", below=1 << 64)
     if n > MAX_PERMUTATION_SIZE:
@@ -258,34 +274,52 @@ def permutation(seed: int, key: StreamKey, n: int, ids: np.ndarray | None = None
     low = np.uint64((1 << width) - 1)
     keys = stream_fill(seed, key, n)
     block, high = FILL_BLOCK, ~low
-    index = np.arange(min(n, block), dtype=np.uint64) if ids is None else None
-    rising = np.empty(min(n, block), dtype=bool) if ids is not None else None
-    for lo in range(0, n, block):
-        out = keys[lo : lo + block]
-        out &= high
-        if ids is None:
-            out |= index[: len(out)]
-            index += np.uint64(block)
-        else:
-            part, after = ids[lo : lo + block], ids[lo + 1 : lo + block + 1]  # after's last id is the next block's first
-            if not np.greater(after, part[: len(after)], out=rising[: len(after)]).all():
-                at = lo + int(np.argmin(rising[: len(after)]))
-                raise BatchforgeError("BAD_IDS", f"ids must strictly increase; id {ids[at + 1]} follows {ids[at]}")
-            out |= part.view(np.uint64)
-    _sort_keys(keys)
-    if width == b:  # the id bits are the index bits: a draw tie already keeps position order
-        keys &= low
+    edge, sort_edge = _lane_edge(n, SPLIT_MIN), _lane_edge(n, SPLIT_SORT_MIN)  # the key passes' lanes, the sort's
+
+    def build(start: int, stop: int) -> None:  # the draws' top bits and the ids, whose order is checked
+        index = np.arange(start, start + min(stop - start, block), dtype=np.uint64) if ids is None else None
+        rising = np.empty(min(stop - start, block), dtype=bool) if ids is not None else None
+        for lo in range(start, stop, block):
+            out = keys[lo : min(lo + block, stop)]
+            out &= high
+            if ids is None:
+                out |= index[: len(out)]
+                index += np.uint64(block)
+            else:  # after's last id is the next block's first, the upper lane's first at the lower lane's end
+                part, after = ids[lo : lo + len(out)], ids[lo + 1 : lo + len(out) + 1]
+                if not np.greater(after, part[: len(after)], out=rising[: len(after)]).all():
+                    at = lo + int(np.argmin(rising[: len(after)]))
+                    raise BatchforgeError("BAD_IDS", f"ids must strictly increase; id {ids[at + 1]} follows {ids[at]}")
+                out |= part.view(np.uint64)
+
+    def sort(start: int, stop: int) -> None:  # a lane's keys are exactly those of its rank range
+        keys[start:stop].sort()
+        if width == b:  # the id bits are the index bits: a draw tie already keeps position order
+            keys[start:stop] &= low
+
+    _over_lanes(build, n, edge)
+    if sort_edge:
+        keys.partition(sort_edge)
+    _over_lanes(sort, n, sort_edge)
+    if width == b:
         return keys.view(np.int64)
-    ties, scratch = [], np.empty(min(n, block), dtype=np.uint64)
-    for lo in range(0, n, block):
-        out = keys[lo : lo + block]
-        after = keys[lo + 1 : lo + block + 1]  # its last key is the next block's first, not yet masked
-        step = np.bitwise_xor(out[: len(after)], after, out=scratch[: len(after)])
-        if len(step) and step.min() <= low:  # equal above bit B
-            ties.extend((np.flatnonzero(step <= low) + lo).tolist())
-        out &= low
-    if ties:
-        _order_ties(keys, ties, ids, b, stream_state(seed, key.epoch, key.iteration, key.tag))
+    # each lane's tied pairs; the pair across the lane edge is taken before the lanes mask its keys
+    ties = {0: [], edge: [edge - 1] if edge and keys[edge - 1] ^ keys[edge] <= low else []}
+
+    def scan(start: int, stop: int) -> None:
+        scratch = np.empty(min(stop - start, block), dtype=np.uint64)
+        for lo in range(start, stop, block):
+            out = keys[lo : min(lo + block, stop)]
+            after = keys[lo + 1 : min(lo + block + 1, stop)]  # its last key is the lane's next block's first, unmasked
+            step = np.bitwise_xor(out[: len(after)], after, out=scratch[: len(after)])
+            if len(step) and step.min() <= low:  # equal above bit B
+                ties[start].extend((np.flatnonzero(step <= low) + lo).tolist())
+            out &= low
+
+    _over_lanes(scan, n, edge)
+    pairs = sum(ties.values(), [])
+    if pairs:
+        _order_ties(keys, pairs, ids, b, stream_state(seed, key.epoch, key.iteration, key.tag))
     return keys.view(np.int64)
 
 
@@ -296,36 +330,50 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sort_keys(keys: np.ndarray) -> None:
-    """Sort the unique ``keys`` in place, as two halves on two threads when the split pays (module docstring).
+def _lane_edge(n: int, least: int) -> int:
+    """Where a pass over ``n`` items splits into two lanes, or 0 for one lane (module docstring).
 
-    The partition at ``n // 2`` puts exactly the ``n // 2`` smallest keys in the lower half, so sorting
-    each half sorts the whole. Where no thread can be started, the caller sorts both halves; an exception
-    in the worker re-raises here once the caller's half is sorted and the worker has ended.
+    Two lanes from ``least`` items up, where the process may run on two or more CPUs; the edge is the
+    first ``FILL_BLOCK`` edge at or past ``n / 2``, so the caller's lane is the longer one.
     """
-    half = len(keys) // 2
-    if len(keys) < SPLIT_SORT_MIN or _usable_cpus() < 2:
-        keys.sort()
-        return
-    keys.partition(half)
-    upper, errors = keys[half:], []
+    if n < least or _usable_cpus() < 2:
+        return 0
+    edge = -(-n // (2 * FILL_BLOCK)) * FILL_BLOCK
+    return edge if edge < n else n // 2
 
-    def sort_upper() -> None:
+
+def _over_lanes(run, n: int, edge: int) -> None:
+    """``run(start, stop)`` over ``[0, n)``: once on the caller when ``edge`` is 0, else as the lanes
+    ``[0, edge)`` and ``[edge, n)`` of :func:`_two_lanes`."""
+    if edge:
+        _two_lanes(lambda: run(0, edge), lambda: run(edge, n))
+    else:
+        run(0, n)
+
+
+def _two_lanes(lower, upper) -> None:
+    """Run ``upper()`` on a fresh thread and ``lower()`` on the caller, and return when both have ended.
+
+    Where no thread can be started, the caller runs both. An exception re-raises here only once the worker
+    has ended; when both lanes raise, the caller's (``lower``'s) exception wins.
+    """
+    errors = []
+
+    def run_upper() -> None:
         try:
-            upper.sort()
+            upper()
         except BaseException as exc:  # re-raised in the caller below
             errors.append(exc)
 
-    worker = threading.Thread(target=sort_upper, name="batchforge-sort")
+    worker = threading.Thread(target=run_upper, name="batchforge-lane")
     try:
         worker.start()
-    except RuntimeError:  # a thread or pid limit
-        worker = None
-        sort_upper()
+    except RuntimeError:  # a thread or pid limit: the caller runs both lanes
+        run_upper()
     try:
-        keys[:half].sort()
+        lower()
     finally:
-        if worker is not None:
+        if worker.ident is not None:  # it started
             worker.join()
     if errors:
         raise errors[0]

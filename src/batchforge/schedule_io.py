@@ -50,7 +50,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from . import samplers
+from . import rng, samplers
 from .core import (BatchforgeError, SamplerConfig, check_integer, pack_array, sampler_config_from_mapping,
                    sampler_config_to_mapping, unpack_array)
 from .samplers import EpochSchedule
@@ -58,9 +58,43 @@ from .samplers import EpochSchedule
 SCHEMA_VERSION = 2
 
 
+def _multmodp(a: int, b: int) -> int:
+    """``a * b`` modulo the crc32 polynomial, both bit-reversed (zlib's ``multmodp``)."""
+    p = 0
+    while a:  # a's bits from x**0 (bit 31) up, while any is left; b times x at each step
+        if a & 1 << 31:
+            p ^= b
+        a = (a << 1) & 0xFFFFFFFF
+        b = (b >> 1) ^ 0xEDB88320 if b & 1 else b >> 1  # zlib's polynomial, bit-reversed
+    return p
+
+
+_X2N = [1 << 30]  # x**(2**k) modulo the polynomial, k = 0 .. 31 (zlib's ``x2n_table``)
+for _ in range(31):
+    _X2N.append(_multmodp(_X2N[-1], _X2N[-1]))
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """crc32 of ``a + b`` from ``crc1 = crc32(a)``, ``crc2 = crc32(b)`` and ``len2 = len(b)`` (zlib's
+    ``crc32_combine``, which Python's ``zlib`` does not expose): ``crc1`` times ``x**(8 * len2)``, plus ``crc2``."""
+    p = 1 << 31  # x**0, times x**(8 * 2**k) = x**(2**(k + 3)) for each bit k of len2
+    for k in range(len2.bit_length()):
+        if len2 >> k & 1:
+            p = _multmodp(_X2N[(k + 3) & 31], p)
+    return _multmodp(p, crc1) ^ crc2
+
+
 def id_digest(ids: np.ndarray) -> str:
-    """crc32 of ``ids`` as little-endian int64, as 8 lowercase hex digits."""
-    return f"{zlib.crc32(np.ascontiguousarray(ids, dtype='<i8')):08x}"
+    """crc32 of ``ids`` as little-endian int64, as 8 lowercase hex digits.
+
+    From ``rng.SPLIT_MIN`` ids up, on two or more usable CPUs, the two lanes of :mod:`~batchforge.rng` take
+    the crc32 of each half (``zlib.crc32`` releases the GIL) and :func:`crc32_combine` joins them: the same
+    value as one crc32 of the whole.
+    """
+    data = np.ascontiguousarray(ids, dtype="<i8")
+    edge, crcs = rng._lane_edge(len(data), rng.SPLIT_MIN), {}
+    rng._over_lanes(lambda start, stop: crcs.__setitem__(start, zlib.crc32(data[start:stop])), len(data), edge)
+    return f"{crc32_combine(crcs[0], crcs[edge], data[edge:].nbytes) if edge else crcs[0]:08x}"
 
 
 def write_schedules(fp: IO[str], schedules: Iterable[EpochSchedule], config: SamplerConfig) -> None:

@@ -1,6 +1,8 @@
 import os
+import sys
 import threading
 import tracemalloc
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import batchforge.rng as rng_module
+import batchforge.schedule_io as schedule_io
 from batchforge.core import BatchforgeError
 from batchforge.rng import (
     MAX_PERMUTATION_SIZE,
@@ -407,9 +410,10 @@ def test_choice_set_size_accepts_python_and_numpy_integers():
     assert widest.view(np.uint64).tolist() == [d % (2**64 - 1) for d in stream_at(6, 2, np.arange(9), "res").tolist()]
 
 
-# -- the split sort: two halves on two threads ------------------------------------------------
+# -- two lanes: id-sized passes on two threads ------------------------------------------------
 
 SPLIT = rng_module.SPLIT_SORT_MIN
+LINEAR = rng_module.SPLIT_MIN
 
 
 def usable_cpus(monkeypatch, cpus):
@@ -429,13 +433,15 @@ def lexsort_reference(seed, key, n, ids=None):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("n", [SPLIT - 1, SPLIT, SPLIT + 1, 3 * SPLIT // 2 + 7])
+@pytest.mark.parametrize("n", [SPLIT - 1, SPLIT, SPLIT + 1, 3 * SPLIT // 2 + 7, LINEAR - 1, LINEAR, LINEAR + 1])
 def test_a_split_sort_is_the_lexsort_at_the_threshold(monkeypatch, n, cpus):
     usable_cpus(monkeypatch, cpus)
-    made = counted_threads(monkeypatch)
     key = StreamKey(4, 0, "perm")
-    assert np.array_equal(permutation(9, key, n), lexsort_reference(9, key, n))
-    assert made.call_count == (cpus > 1 and n >= SPLIT)
+    expected = lexsort_reference(9, key, n)
+    made = counted_threads(monkeypatch)
+    assert np.array_equal(permutation(9, key, n), expected)
+    # one lane thread for the sort from SPLIT keys up, one each for the fill and the key pass from LINEAR up
+    assert made.call_count == (cpus > 1) * ((n >= SPLIT) + 2 * (n >= LINEAR))
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -455,14 +461,14 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
     key = StreamKey(1, 0, "perm")
     usable_cpus(monkeypatch, 1)
     made = counted_threads(monkeypatch)
-    one = permutation(2, key, SPLIT + 1)
+    one = permutation(2, key, LINEAR + 1)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # where the platform has no affinity set
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert np.array_equal(permutation(2, key, SPLIT + 1), one)
+    assert np.array_equal(permutation(2, key, LINEAR + 1), one)
     assert made.call_count == 0
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert np.array_equal(permutation(2, key, SPLIT + 1), one)
-    assert made.call_count == 1
+    assert np.array_equal(permutation(2, key, LINEAR + 1), one)
+    assert made.call_count == 3  # the fill, the key pass and the sort
 
 
 def test_a_thread_that_cannot_start_leaves_its_half_to_the_caller(monkeypatch):
@@ -491,3 +497,158 @@ def test_an_exception_in_the_worker_reaches_the_caller(monkeypatch):
     with pytest.raises(MemoryError, match="in the worker"):
         permutation(1, StreamKey(), SPLIT)
     assert threading.active_count() == threads  # the worker ended before the error reached the caller
+
+
+def test_a_two_lane_fill_is_the_one_lane_fill_at_a_block_that_divides_nothing(monkeypatch):
+    n, key = 2 * LINEAR + 12345, StreamKey(3, 9, "perm")
+    monkeypatch.setattr(rng_module, "FILL_BLOCK", 1000)  # divides neither n nor the lanes' lengths
+    usable_cpus(monkeypatch, 1)
+    one = stream_fill(7, key, n)
+    usable_cpus(monkeypatch, 2)
+    made = counted_threads(monkeypatch)
+    two = stream_fill(7, key, n)
+    assert made.call_count == 1 and np.array_equal(two, one)
+    edge = rng_module._lane_edge(n, LINEAR)
+    assert edge % 1000 == 0 and n / 2 <= edge < n / 2 + 1000
+    oracle = SeededRng(7, key)
+    at = [0, edge - 1, edge, edge + 1, n - 1]
+    assert [int(two[i]) for i in at] == [oracle.draw(i + 1) for i in at]
+
+
+@pytest.mark.parametrize("where", ["upper", "both", "edge"])
+def test_bad_ids_names_the_first_decrease_whichever_lane_finds_it(monkeypatch, where):
+    n = LINEAR + 5
+    usable_cpus(monkeypatch, 2)
+    edge = rng_module._lane_edge(n, LINEAR)
+    ids = np.arange(n, dtype=np.int64)
+    swaps = {"upper": [edge + 100], "both": [10, edge + 100], "edge": [edge - 1]}[where]
+    for i in swaps:  # ids i and i + 1 trade places: id i follows id i + 1
+        ids[[i, i + 1]] = ids[[i + 1, i]]
+    first = swaps[0]
+    made = counted_threads(monkeypatch)
+    with pytest.raises(BatchforgeError) as two:
+        permutation(1, StreamKey(), n, ids)
+    assert made.call_count == 2  # the fill and the key pass
+    assert two.value.code == "BAD_IDS"
+    assert two.value.message == f"ids must strictly increase; id {first} follows {first + 1}"
+    usable_cpus(monkeypatch, 1)
+    with pytest.raises(BatchforgeError) as one:
+        permutation(1, StreamKey(), n, ids)
+    assert str(one.value) == str(two.value)
+
+
+@pytest.fixture
+def small_lanes(monkeypatch):
+    """Two usable CPUs, 16-id blocks, and two lanes from 64 ids up: lane edges in arrays of a few thousand ids."""
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(rng_module, "FILL_BLOCK", 16)
+    monkeypatch.setattr(rng_module, "SPLIT_MIN", 64)
+    monkeypatch.setattr(rng_module, "SPLIT_SORT_MIN", 64)
+
+
+def wide_ids(m, width):
+    ids = np.sort(np.random.default_rng(m).choice(2**width, m, replace=False)).astype(np.int64)
+    ids[-1] = 2**width - 1
+    return ids
+
+
+def test_a_tie_run_across_the_lane_edge_keeps_the_lexsort_order(monkeypatch, small_lanes):
+    # 50-bit ids leave a key 14 draw bits: in 3,000 keys, runs of tied keys are common. The block is chosen so
+    # that the lanes meet inside such a run: the pair across the edge is found before the lanes mask their keys.
+    m, seed, key = 3000, 11, StreamKey(5, 0, "perm")
+    ids, draws = wide_ids(m, 50), stream_fill(seed, key, m)
+    tied = set(np.flatnonzero(np.diff(np.sort(draws >> np.uint64(50))) == 0).tolist())  # sorted key i ties i + 1
+    for block in range(5, 400):
+        monkeypatch.setattr(rng_module, "FILL_BLOCK", block)
+        edge = rng_module._lane_edge(m, 64)
+        if edge - 1 in tied and (edge - 2 in tied or edge in tied):  # a run of 3 or more keys across the edge
+            break
+    else:
+        pytest.fail("no block puts the lane edge inside a tie run")
+    expected = ids[np.lexsort((np.arange(m), draws >> np.uint64((m - 1).bit_length())))]
+    made = counted_threads(monkeypatch)
+    assert np.array_equal(permutation(seed, key, m, ids), expected)
+    assert made.call_count == 4  # the fill, the key pass, the sort and the tie scan
+
+
+def fails_off_the_main_thread(function):
+    def lane(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("a lane failed in the worker")
+        return function(*args, **kwargs)
+
+    return lane
+
+
+LANE_KINDS = {  # kind: (op, the module and name of a function only that kind's lanes call)
+    "fill": (lambda: stream_fill(5, StreamKey(1, 0, "perm"), 3000), (rng_module, "_mix64_array")),
+    "key_pass": (lambda: permutation(5, StreamKey(1, 0, "perm"), 3000, wide_ids(3000, 50)), (np, "greater")),
+    "tie_scan": (lambda: permutation(5, StreamKey(1, 0, "perm"), 3000, wide_ids(3000, 50)), (np, "bitwise_xor")),
+    "digest": (lambda: schedule_io.id_digest(np.arange(3001)), (zlib, "crc32")),
+}
+
+
+@pytest.mark.parametrize("kind", list(LANE_KINDS))
+def test_a_lane_that_cannot_start_runs_on_the_caller(monkeypatch, small_lanes, kind):
+    op, _ = LANE_KINDS[kind]
+    usable_cpus(monkeypatch, 1)
+    one = op()
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert np.array_equal(op(), one)
+
+
+@pytest.mark.parametrize("kind", list(LANE_KINDS))
+def test_an_exception_in_a_lane_reaches_the_caller_after_the_worker_ends(monkeypatch, small_lanes, kind):
+    op, (module, name) = LANE_KINDS[kind]
+    monkeypatch.setattr(module, name, fails_off_the_main_thread(getattr(module, name)))
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="in the worker"):
+        op()
+    assert threading.active_count() == threads
+
+
+def test_the_caller_lane_error_wins_and_waits_for_the_worker():
+    ended = []
+
+    def lower():
+        raise ValueError("lower")
+
+    def upper():
+        threading.Event().wait(0.05)
+        ended.append(True)
+        raise KeyError("upper")
+
+    with pytest.raises(ValueError, match="lower"):
+        rng_module._two_lanes(lower, upper)
+    assert ended == [True]
+
+
+def test_lanes_under_fast_thread_switching_give_the_one_lane_results(monkeypatch, small_lanes):
+    # Four callers, each starting its own lanes (eight threads on fewer cores), switching every 10 us: every lane
+    # writes its own range of the shared key buffer and its own entry of the shared tie and crc32 tables.
+    ids, key = wide_ids(3000, 50), StreamKey(2, 0, "perm")
+    usable_cpus(monkeypatch, 1)
+    expected = permutation(4, key, 3000, ids), schedule_io.id_digest(np.arange(3001) * 7)
+    usable_cpus(monkeypatch, 2)
+    results, interval = [], sys.getswitchinterval()
+
+    def caller():
+        for _ in range(5):
+            results.append((permutation(4, key, 3000, ids), schedule_io.id_digest(np.arange(3001) * 7)))
+
+    callers = [threading.Thread(target=caller) for _ in range(4)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers) and len(results) == 20
+    assert all(np.array_equal(perm, expected[0]) and digest == expected[1] for perm, digest in results)

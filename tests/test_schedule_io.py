@@ -1,7 +1,10 @@
 import base64
 import io
 import json
+import os
+import threading
 import tracemalloc
+import zlib
 from dataclasses import replace
 from unittest import mock
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import batchforge.rng as rng
 import batchforge.samplers as samplers
 import batchforge.schedule_io as schedule_io
 from batchforge.core import (
@@ -684,3 +688,29 @@ def test_reader_codes_records_that_are_not_plans(line):
     with pytest.raises(BatchforgeError) as err:
         read_lines(line)
     assert err.value.code == "BAD_RECORD"
+
+
+# -- id_digest: the crc32 of two halves, combined ------------------------------------------------
+
+LINEAR = rng.SPLIT_MIN
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 7, LINEAR - 1, LINEAR, LINEAR + 1, LINEAR + 12345])
+@pytest.mark.parametrize("layout", ["contiguous", "strided_shard"])
+def test_id_digest_is_one_crc32_of_the_ids_on_one_or_two_cpus(monkeypatch, cpus, n, layout):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    made = mock.Mock(wraps=threading.Thread)
+    monkeypatch.setattr(rng.threading, "Thread", made)
+    source = np.random.default_rng(n).integers(0, 2**63, 2 * n if layout == "strided_shard" else n)
+    ids = source[1::2] if layout == "strided_shard" else source  # rank 1 of 2, as shard_for_rank takes it
+    assert len(ids) == n
+    assert schedule_io.id_digest(ids) == f"{zlib.crc32(ids.astype('<i8').tobytes()):08x}"
+    assert made.call_count == (cpus > 1 and n >= LINEAR)
+
+
+@settings(max_examples=200, deadline=None, print_blob=False)
+@given(a=st.binary(max_size=64), b=st.binary(max_size=64), zeros=st.sampled_from([0, 1, 2**13 + 3]) | st.integers(0, 2**20))
+def test_crc32_combine_is_the_crc32_of_the_joined_bytes(a, b, zeros):
+    b += bytes(zeros)  # lengths past 2**20 bytes, empty halves included
+    assert schedule_io.crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
