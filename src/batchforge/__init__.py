@@ -1,6 +1,8 @@
 """batchforge: deterministic multi-scale batch schedules, sample filtering,
 and training-cost accounting."""
 
+import types
+
 from .analysis import (
     CostReport,
     MemoryProxy,
@@ -46,41 +48,5 @@ from .trainer import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BatchforgeError",
-    "BatchPlan",
-    "BatchRounding",
-    "ConfigValidationError",
-    "CostReport",
-    "EpochSchedule",
-    "MemoryProxy",
-    "PooledLinearModel",
-    "Resolution",
-    "ResolutionSet",
-    "RunReport",
-    "SamplerConfig",
-    "SetConfig",
-    "SetState",
-    "Strategy",
-    "StreamKey",
-    "TrainerConfig",
-    "UpdateCount",
-    "UpdateSimulation",
-    "VideoClipSpec",
-    "compare_strategies",
-    "count_updates",
-    "ema_update",
-    "ensure_valid",
-    "input_memory_proxy",
-    "label_smoothed_ce",
-    "load_preset",
-    "make_synthetic_task",
-    "plan_epoch",
-    "plan_video_vbs",
-    "preset_names",
-    "sgd_momentum_step",
-    "shard_for_rank",
-    "simulate_updates",
-    "train",
-    "validate_config",
-]
+# The names imported above; the imports also bind the submodules, which are not public names.
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, types.ModuleType)]

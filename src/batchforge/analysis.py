@@ -70,7 +70,7 @@ def closed_form_updates(config: SamplerConfig) -> float:
     A table of equal batch sizes gives the exact count; any other table
     gives ``epochs * N / mean(batch)``.
     """
-    n, sizes = config.dataset_size, batch_table(config)[1]
+    n, sizes = config.dataset_size, batch_table(config)
     if (sizes == sizes[0]).all():
         batch = int(sizes[0])
         per_epoch = n // batch if config.drop_last else math.ceil(n / batch)
@@ -88,7 +88,7 @@ def _walk(config: SamplerConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]
 
     A block's arrays hold until the next block is drawn: callers reduce each block as it comes.
     """
-    if len(batch_table(config)[1]) == 1:  # a one-entry table walks every epoch alike: one walked epoch stands for all
+    if len(batch_table(config)) == 1:  # a one-entry table walks every epoch alike: one walked epoch stands for all
         shape_idx, batches = epoch_batch_shapes(config, 0, config.dataset_size)
         return iter([(shape_idx[None], batches[None], config.epochs)])
     return ((s, b, 1) for s, b in walk_shapes(config, range(config.epochs), config.dataset_size))

@@ -381,7 +381,7 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
     if not bad and (config.drop_last or world > 1):
         from .samplers import batch_table  # samplers imports this module
 
-        sizes = batch_table(config)[1]
+        sizes = batch_table(config)
         if config.drop_last and config.dataset_size < sizes.max():
             flag(
                 "DATASET_TOO_SMALL",

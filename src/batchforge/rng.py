@@ -12,26 +12,20 @@ arithmetic, fixed constants, no platform dependence. Draws are made over
 numpy arrays (:func:`stream_fill`, :func:`stream_at`); the key's base
 state (:func:`stream_state`) is plain Python integer arithmetic.
 
-:func:`stream_fill` fills its output ``FILL_BLOCK`` draws at a time, and
-:func:`permutation` builds and masks its sort keys over the same blocks, so
-neither makes a temporary the size of its output: each block's counters,
-shifts and ids stay in cache. The blocking does not change a single draw.
-A permutation's keys carry the ids its positions stand for, so the sorted,
-masked keys are the permuted ids themselves.
-
 Id-sized passes run as two lanes where the process may run on two or more
 CPUs: a fresh thread takes the upper lane while the caller takes the lower
 one (numpy's loops, ``ndarray.sort`` and ``zlib.crc32`` release the GIL),
 and the caller returns once both have ended. From ``SPLIT_MIN`` ids up, the
 lanes of :func:`stream_fill`'s blocks, of :func:`permutation`'s key pass
 and tie scan, and of :func:`~batchforge.schedule_io.id_digest`'s crc32 meet
-at the first ``FILL_BLOCK`` edge past ``n / 2``. From ``SPLIT_SORT_MIN``
-keys up, one in-place partition at that edge leaves each lane holding
-exactly the keys of its rank range (the keys are unique), and each lane
-sorts its own. Every lane computes what the one pass would over its range,
-so the result is the same bit for bit on one CPU or two; on one CPU, or
-below the thresholds, each pass runs once on the caller. A fresh thread per
-lane, not a pool, keeps a forked child able to plan.
+at the first ``FILL_BLOCK`` edge past ``n / 2`` (:func:`_lane_edge`), so
+the caller's lane is the longer one. From ``SPLIT_SORT_MIN`` keys up, one
+in-place partition at that edge leaves each lane holding exactly the keys
+of its rank range (the keys are unique), and each lane sorts its own. Every
+lane computes what the one pass would over its range, so the result is the
+same bit for bit on one CPU or two; on one CPU, or below the thresholds,
+each pass runs once on the caller. A fresh thread per lane, not a pool,
+keeps a forked child able to plan.
 
 :func:`stream_at` keys a 2-D grid of streams, epochs by iterations, whose
 first finalizer input is ``H ^ t``: ``H`` one epoch's mixed head, ``t`` the
@@ -39,10 +33,6 @@ iteration. A shift distributes over xor, so that finalizer's first step
 ``x ^ (x >> 30)`` is ``(H ^ (H >> 30)) ^ (t ^ (t >> 30))``, exact for every
 input: it runs on the two 1-D factors before they are broadcast, and the
 grid takes the remaining steps in place through one scratch buffer.
-:func:`choice_at` reduces each draw ``d`` to ``d - (d // k) * k``, the
-plain modulo by ``set_size`` ``k``, where numpy divides by the scalar
-without a hardware divide per element; the quotients reuse that scratch
-buffer, so a grid of draws costs two grid-sized arrays, not three.
 
 An invalid draw request raises :class:`~batchforge.core.BatchforgeError`
 with a code: ``BAD_SIZE``, ``ZERO_SET_SIZE``, ``PERMUTATION_TOO_LARGE`` or
@@ -145,8 +135,9 @@ def stream_fill(seed: int, key: StreamKey, count: int) -> np.ndarray:
 
     Draw ``k`` (from 1) is the splitmix64 finalizer of the stream's base
     state plus ``k`` times the golden-ratio increment, modulo 2**64. The
-    draws are made ``FILL_BLOCK`` at a time, straight into the output, in
-    two lanes from ``SPLIT_MIN`` draws up (module docstring).
+    draws are made ``FILL_BLOCK`` at a time, straight into the output, so
+    each block's counters and shifts stay in cache; the blocks run as two
+    lanes (module docstring).
     """
     count = check_integer(count, "count", "BAD_SIZE", below=1 << 64)
     state = stream_state(seed, key.epoch, key.iteration, key.tag)
@@ -187,10 +178,8 @@ def stream_at(seed: int, epoch, iterations: np.ndarray, tag: str) -> np.ndarray:
 
     This is the vectorised form of per-iteration draws: one independent
     stream per iteration, first value of each. ``epoch`` is one epoch, or a
-    1-D array of epochs for one row of draws per epoch. The first shift of
-    the state finalizer runs on the 1-D heads and iterations before they
-    are broadcast (see the module docstring); the grid is built once and
-    both of its finalizers share one scratch buffer.
+    1-D array of epochs for one row of draws per epoch. The grid is built
+    once (module docstring).
     """
     return _grid_draws(seed, epoch, iterations, tag)[0]
 
@@ -199,7 +188,8 @@ def choice_at(seed: int, epoch, iterations: np.ndarray, tag: str, set_size: int,
     """One uniform index in [0, set_size) per key: draw #0 of :func:`stream_at` modulo ``set_size``.
 
     The modulo is exact: each draw ``d`` becomes ``d - (d // k) * k`` for
-    ``k = set_size``, in place, and the result is the draws' int64 view (an
+    ``k = set_size``, in place (numpy divides by the scalar without a
+    hardware divide per element), and the result is the draws' int64 view (an
     index of 2**63 or more, possible only for such set sizes, reads negative
     as in any int64 cast). The quotient goes into the scratch buffer the
     hash's finalizers already used, so a call holds two grid-sized uint64
@@ -252,8 +242,7 @@ def permutation(seed: int, key: StreamKey, n: int, ids: np.ndarray | None = None
     the pass that builds the keys. The keys are built and masked
     ``FILL_BLOCK`` at a time, so the sort is the only pass that needs more
     than the key array. The key pass, the sort and the tie scan run as two
-    lanes on two threads from ``SPLIT_MIN`` and ``SPLIT_SORT_MIN`` ids up, on
-    two or more usable CPUs (module docstring); the order is the same.
+    lanes (module docstring).
     """
     n = check_integer(n, "n", "BAD_SIZE", below=1 << 64)
     if n > MAX_PERMUTATION_SIZE:
@@ -331,11 +320,7 @@ def _usable_cpus() -> int:
 
 
 def _lane_edge(n: int, least: int) -> int:
-    """Where a pass over ``n`` items splits into two lanes, or 0 for one lane (module docstring).
-
-    Two lanes from ``least`` items up, where the process may run on two or more CPUs; the edge is the
-    first ``FILL_BLOCK`` edge at or past ``n / 2``, so the caller's lane is the longer one.
-    """
+    """Where a pass over ``n`` items splits into two lanes from ``least`` items up, or 0 for one lane (module docstring)."""
     if n < least or _usable_cpus() < 2:
         return 0
     edge = -(-n // (2 * FILL_BLOCK)) * FILL_BLOCK

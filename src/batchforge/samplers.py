@@ -1,46 +1,28 @@
 """Per-epoch batch schedule generation and distributed sharding.
 
 :func:`plan_epoch` plans all four strategies: each iteration draws one
-entry of the strategy's (shape index, global batch) table, which
-:func:`batch_table` builds and which planning, the closed-form update count
-and the config's sharding check all read; :func:`shape_table` names the
-shapes those indices point into. Variable batch, image and video alike,
-is one table: :func:`size_table` over the shapes' :func:`unit_volume` keeps
-batch x input volume constant (pixels for a resolution, frames x clips x
-pixels for a clip of ``SamplerConfig.clips``). Planning validates the
-config first (:func:`batchforge.core.ensure_valid`).
-
-The cost accounting walks many epochs' shape sequences at once
-(:func:`walk_shapes`), a block of epochs at a time. A block holds about
-``WALK_BLOCK_ENTRIES`` (2**15) entries per array, so its two uint64
-arrays stay in a 2 MiB L2 while each block pays the hash's fixed numpy
-dispatch once, and the blocks of a walk reuse those arrays. A block where
-some epoch runs short is redrawn at a bound no epoch can outrun, in
-sub-blocks of about as many entries, or of one row where a row alone holds
-more, never whole.
+shape of the strategy's :func:`shape_table` at its :func:`batch_table`
+size, the one table that planning, the closed-form update count and the
+config's checks all read. Planning validates the config first
+(:func:`batchforge.core.ensure_valid`). The cost accounting walks many
+epochs' shape sequences at once (:func:`walk_shapes`).
 
 A schedule is a pure function of (config, epoch, active id set). Resolution
 draws are keyed by (epoch, iteration) only, never by rank, so every rank
 regenerates the same shape sequence; ids are dealt round-robin to ranks by
 :func:`shard_for_rank`.
 
-One id permutation is drawn per epoch (:func:`batchforge.rng.permutation`,
-one sort of composite draw-and-id keys) and consumed sequentially; the
-epoch ends when it runs out (a final short batch is kept unless
-``drop_last``). Active ids are a 1-D integer array or list, else
-``BAD_ACTIVE_IDS``; they are sorted first, unless they already increase.
-The whole dataset (``active_ids=None`` included) is permuted as its
-positions, and a subset as its ids, which the sort keys carry: the masked
-keys are the scheduled ids, so no id is gathered and a plan's ids are a
-view of its one id-sized array, the key buffer.
+One id permutation is drawn per epoch (:func:`batchforge.rng.permutation`)
+and consumed sequentially; the epoch ends when it runs out (a final short
+batch is kept unless ``drop_last``). The whole dataset is permuted as its
+positions, and a subset as its ids, which the permutation's keys carry: no
+id is gathered, and a plan's ids are a view of its one id-sized array, the
+key buffer.
 
 An :class:`EpochSchedule` stores the epoch as arrays for every strategy,
-video included: the scheduled ids in order, per-iteration offsets into
-them, and per-iteration indices into a table of shapes (resolutions, or
-clip specs for video). :class:`BatchPlan` objects are read-only views of
-one iteration, built on first use of :attr:`EpochSchedule.plans`. A
-schedule :func:`plan_epoch` makes, or a shard of one, carries the
-:class:`ScheduleOrigin` it re-plans from, and its arrays are read-only.
+video included. A schedule :func:`plan_epoch` makes, or a shard of one,
+carries the :class:`ScheduleOrigin` it re-plans from, and its arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -188,29 +170,32 @@ def size_table(config: SamplerConfig, units: Iterable[int], base_units: int) -> 
     return np.asarray(sizes, dtype=np.int64)
 
 
-def batch_table(config: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(shape indices, global batch sizes) a strategy draws from, indexing :func:`shape_table`'s shapes.
+def batch_table(config: SamplerConfig) -> np.ndarray:
+    """Global batch size per shape of :func:`shape_table`: the table a strategy's iterations draw from.
 
-    The one place a strategy maps to its table: single scale is the base
-    resolution at the base batch, multi scale fixed batch is every
-    resolution at the base batch, and variable batch, image and video alike,
-    is every shape at its :func:`size_table` size over the shapes'
-    :func:`unit_volume`, anchored at the base shape (``base_clip`` for
-    video, else ``base_resolution``).
+    The one place a strategy maps to its sizes: fixed batch, single and
+    multi scale, is the base batch at every shape, and variable batch, image
+    and video alike, is every shape at its :func:`size_table` size over the
+    shapes' :func:`unit_volume`, anchored at the base shape (``base_clip``
+    for video, else ``base_resolution``).
     """
-    shapes, batch = shape_table(config)[0], config.effective_batch()
-    if config.strategy is Strategy.SSC_FBS:
-        return np.array([config.resolutions.index_of(config.base_resolution)]), np.array([batch])
-    if config.strategy is Strategy.MSC_FBS:
-        return np.arange(len(shapes)), np.full(len(shapes), batch)
+    shapes = shape_table(config)[0]
+    if config.strategy in (Strategy.SSC_FBS, Strategy.MSC_FBS):
+        return np.full(len(shapes), config.effective_batch())
     base = config.base_clip if config.strategy is Strategy.VIDEO_VBS else config.base_resolution
-    return np.arange(len(shapes)), size_table(config, map(unit_volume, shapes), unit_volume(base))
+    return size_table(config, map(unit_volume, shapes), unit_volume(base))
 
 
 def shape_table(config: SamplerConfig) -> tuple[tuple[Resolution | VideoClipSpec, ...], str]:
-    """The shapes :func:`batch_table` indexes, and the tag that keys their draws."""
+    """A strategy's shapes, which its draws index, and the tag that keys the draws.
+
+    Single scale is the base resolution alone, multi scale every
+    resolution, and video every clip spec.
+    """
     if config.strategy is Strategy.VIDEO_VBS:
         return config.clips, CLIP_DRAW_TAG
+    if config.strategy is Strategy.SSC_FBS:
+        return (config.base_resolution,), RESOLUTION_DRAW_TAG
     return config.resolutions.entries, RESOLUTION_DRAW_TAG
 
 
@@ -232,16 +217,12 @@ def walk_shapes(config: SamplerConfig, epochs, n_active: int) -> Iterator[tuple[
     ``n_active`` ids holds nothing either trim changes; a block where some
     row's head serves more walks the full width.
 
-    Blocks are sized to the cache: a block lives in two uint64 arrays, the
-    draws and the hash's scratch, which then receives the batches; at 2**15
-    entries they take 512 KiB of a 2 MiB L2, and each block pays
-    :func:`~batchforge.rng.choice_at`'s fixed numpy dispatch once. The
-    blocks of a walk, and the sub-blocks of a redraw, reuse those two
-    arrays, so a yielded block's arrays are overwritten by the next: a
-    caller that keeps a block copies it.
+    The two arrays are uint64, the draws and the hash's scratch, which then
+    receives the batches. The blocks of a walk, and the sub-blocks of a
+    redraw, reuse them, so a yielded block's arrays are overwritten by the
+    next: a caller that keeps a block copies it.
     """
-    (shape_idx, sizes), tag = batch_table(config), shape_table(config)[1]
-    identity = np.array_equal(shape_idx, np.arange(len(sizes)))  # then a draw is its own shape index
+    sizes, tag = batch_table(config), shape_table(config)[1]
     epochs = np.asarray(epochs, dtype=np.int64)
     bound, expected = n_active // int(sizes.min()) + 2, n_active / sizes.mean()
     width, head = min(int(expected * 1.08) + 16, bound), max(0, int(expected * 0.92) - 16)
@@ -268,7 +249,7 @@ def walk_shapes(config: SamplerConfig, epochs, n_active: int) -> Iterator[tuple[
                 np.minimum(served, n_active, out=served)
                 tail[:, 0] = served[:, 0] - start
                 np.subtract(served[:, 1:], served[:, :-1], out=tail[:, 1:])
-            yield draws if identity else shape_idx[draws], batches
+            yield draws, batches
 
     blocks = _row_blocks(epochs, WALK_BLOCK_ENTRIES // width)
     for block, walked in zip(blocks, walk(blocks, width)):

@@ -87,9 +87,8 @@ def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
 def id_digest(ids: np.ndarray) -> str:
     """crc32 of ``ids`` as little-endian int64, as 8 lowercase hex digits.
 
-    From ``rng.SPLIT_MIN`` ids up, on two or more usable CPUs, the two lanes of :mod:`~batchforge.rng` take
-    the crc32 of each half (``zlib.crc32`` releases the GIL) and :func:`crc32_combine` joins them: the same
-    value as one crc32 of the whole.
+    The crc32 runs as the two lanes of :mod:`~batchforge.rng` (its module docstring), and :func:`crc32_combine`
+    joins the lanes' values: the same value as one crc32 of the whole.
     """
     data = np.ascontiguousarray(ids, dtype="<i8")
     edge, crcs = rng._lane_edge(len(data), rng.SPLIT_MIN), {}

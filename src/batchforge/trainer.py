@@ -2,51 +2,18 @@
 end to end.
 
 The learner is multinomial logistic regression over a synthetic feature
-grid. Resolution enters through a pooling trick: before the linear layer,
-the grid is average-pooled by a factor tied to the sampled resolution's
-rank in the resolution set (coarsest resolution = heaviest blur), then
-re-expanded. Pooling is per sample, so ``train`` pools the train set once
-per factor per run, and each batch gathers its pooled rows and re-expands
-them with one ``take`` through the model's column map for that factor (the
-pooled cell of each of the grid² columns, built once in ``__init__``); at
-factor 1 the rows are a reshape view. Each epoch gathers its labels and
-resolves each shape's pooled rows and column map once, not per step.
-The eval set is pooled and expanded once per run, eval samples x grid² x 8
-bytes (1 MB for 2,000 samples on an 8x8 grid), and every per-epoch eval
-reads those rows. Pooling sums by ordered strided adds in numpy's own order
-for ``mean``, so it equals ``reshape(...).mean(axis=(2, 4))`` bit for bit.
-
-Each formula of a training step runs once, in place, in one kernel: the
-loss and its gradient on the step's fresh logits (one ``exp`` buffer holds
-the exponentials, then the probabilities, then the gradient), the weight
-and bias gradient into one per-run buffer, SGD-M and the EMA on the run's
-own parameter, velocity and shadow arrays. ``train`` copies
-``model.theta`` once, so the caller's array is never written; the public
-``batch_label_smoothed_ce``, ``sgd_momentum_step`` and ``ema_update`` run
-the same kernels on copies. Once per run, ``train`` rejects labels outside
-the classes before any work; per step, the unchecked kernel runs and only
-its loss is checked finite (any NaN or infinite logit makes it NaN or
-infinite); once per epoch, the forward-only pass runs ``_forward_only``'s
-full checks, so its labels are checked again and its ``(n, K)`` logits are
-checked finite and copied to float64: the price of one forward-only path.
-The synthetic classes carry both a blocky pattern that survives blurring
-and a high-frequency pattern that does not, so coarse iterations genuinely
-see less class detail.
+grid (:func:`make_synthetic_task`). Resolution enters through a pooling
+trick: before the linear layer, the grid is average-pooled by a factor tied
+to the sampled resolution's rank in the resolution set (coarsest resolution
+= heaviest blur), then re-expanded.
 
 Recipe ingredients implemented here: linear-warmup cosine annealing,
 label-smoothed cross entropy, SGD with momentum and coupled weight decay,
-and an exponential moving average of the parameters. Sample filtering is
-always on; an unfiltered run is a tau 1.0 run, which removes nothing.
-Forward-only passes have one record path, ``_forward_only``: once per
-epoch, the removed ids due a check and then the active ids the step left
-unrecorded (the ``drop_last`` tail, :meth:`SetState.unrecorded_samples`)
-take the forward pass and the true-class probability, the log-softmax of
-the target column alone.
-Training is bit-deterministic given its seeds. Its forward-only GEMMs
-(``forward``: ``predict``, the per-epoch eval and the forward-only passes)
-run in row blocks of at most ``FORWARD_MACS`` = 2**18 multiply-adds, which
-OpenBLAS runs on the calling thread; each training step's two GEMMs are
-bounded by its batch (batch x grid² x K multiply-adds).
+and an exponential moving average of the parameters. Training is
+bit-deterministic given its seeds. Its forward-only GEMMs run in row blocks
+of at most ``FORWARD_MACS`` multiply-adds (:meth:`PooledLinearModel.forward`);
+each training step's two GEMMs are bounded by its batch (batch x grid² x K
+multiply-adds).
 
 A run's one artifact is its JSON run report: the totals, the final
 parameters and one ``per_epoch`` row of ``EPOCH_COLUMNS`` per epoch.
@@ -191,7 +158,8 @@ def _forward_only(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
 
     The one record path of forward-only passes. A non-finite logit raises ``NON_FINITE_INPUT``, as do fewer than two
     classes and a target outside them; the shift runs in place on a float64 copy, so ``logits`` is never written.
-    ``train`` runs these checks once per epoch, its labels included, although it checked them once per run.
+    ``train`` runs these checks once per epoch, its labels included, although it checked them once per run: the
+    price of one forward-only path.
     """
     logits = _checked_copy(logits, targets)
     correct = logits.argmax(axis=1) == targets
@@ -521,7 +489,15 @@ def train(
     clip's spatial resolution (frames/clips only shape the batch sizes).
     Before any work, the train and eval sets must hold ``model.grid``-wide
     grids (``SHAPE_MISMATCH``) and labels in ``[0, model.num_classes)``
-    (``BAD_LABELS``).
+    (``BAD_LABELS``); after that, a step checks only its loss, which any NaN
+    or infinite logit makes NaN or infinite (``NON_FINITE_INPUT``).
+
+    Pooling is per sample, so the train set is pooled once per factor its
+    schedules' shapes use, and the eval set is pooled and expanded once per
+    run (eval samples x grid² x 8 bytes: 1 MB for 2,000 samples on an 8x8
+    grid). Each step runs its loss, gradient, SGD-M and EMA in place on the
+    run's own copy of ``model.theta`` and buffers, so the caller's array is
+    never written.
     """
     ensure_valid(sampler_config)
     if sampler_config.epochs != trainer_config.total_epochs:

@@ -20,7 +20,7 @@ from batchforge.samplers import batch_table, shape_table, unit_volume
 
 def reference_epoch_shapes(config: SamplerConfig, epoch: int, n_active: int) -> tuple[np.ndarray, np.ndarray]:
     """(shape indices, batch sizes) of one epoch."""
-    shape_idx, sizes = batch_table(config)
+    sizes = batch_table(config)
     if n_active <= 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     bound = n_active // int(sizes.min()) + 2
@@ -36,7 +36,7 @@ def reference_epoch_shapes(config: SamplerConfig, epoch: int, n_active: int) -> 
     else:
         count = int(np.searchsorted(served, n_active, side="left")) + 1
         batches = np.diff(np.minimum(served[:count], n_active), prepend=0)
-    return shape_idx[draws[:count]], batches
+    return draws[:count], batches
 
 
 def reference_cost(config: SamplerConfig, channels: int = 3) -> tuple[int, int, float | None]:

@@ -99,7 +99,7 @@ def test_accepted_configs_plan_shard_and_round_trip(config, epoch, keep, subset_
     # an epoch without iterations writes no plan lines
     assert back == ([schedule] if schedule.total_updates else [])
 
-    sizes = batch_table(config)[1]
+    sizes = batch_table(config)
     if (sizes == sizes[0]).all():
         counts = count_updates(config)
         assert counts.closed_form == counts.exact

@@ -177,6 +177,14 @@ def test_public_names_resolve_once():
     assert [name for name in batchforge.__all__ if not hasattr(batchforge, name)] == []
 
 
+def test_public_names_are_defined_in_batchforge():
+    # __all__ is derived from the package's imports: a name imported from elsewhere must not join it.
+    import batchforge
+
+    foreign = [name for name in batchforge.__all__ if not getattr(batchforge, name).__module__.startswith("batchforge.")]
+    assert batchforge.__all__ and foreign == []
+
+
 # One failure of each module that raises coded errors, with its code.
 CODED_FAILURES = {
     "BAD_SIZE": lambda: rng.stream_fill(0, rng.StreamKey(), -1),

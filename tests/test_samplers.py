@@ -90,8 +90,7 @@ def test_scaled_batch_standard_set_table():
     for side, want in expected.items():
         frac = Fraction(1024 * 224 * 224, side * side)
         assert math.floor(frac) == want
-    shape_idx, sizes = batch_table(make_config(base_batch=1024, batch_rounding=BatchRounding.FLOOR))
-    assert shape_idx.tolist() == [0, 1, 2, 3, 4]
+    sizes = batch_table(make_config(base_batch=1024, batch_rounding=BatchRounding.FLOOR))
     assert sizes.tolist() == list(expected.values())
 
 
@@ -443,7 +442,7 @@ def test_adding_larger_resolution_raises_fbs_peak_not_vbs():
 def test_msc_vbs_update_expectation_matches_simulation():
     # closed form N / mean(scaled batch) vs >= 100 generated epochs
     config = make_config(dataset_size=100_000, base_batch=128, epochs=100, drop_last=False)
-    table = batch_table(config)[1].tolist()
+    table = batch_table(config).tolist()
     expected_per_epoch = config.dataset_size / (sum(table) / len(table))
     total = sum(
         len(epoch_batch_shapes(config, epoch, config.dataset_size)[1])
@@ -552,9 +551,9 @@ def test_a_video_table_of_one_frame_clips_is_the_variable_batch_table(rounding, 
         if validate_config(video):
             continue
         accepted += 1
-        for got, want in zip(batch_table(video), batch_table(image)):
-            np.testing.assert_array_equal(got, want)
-            assert got.dtype == want.dtype
+        got, want = batch_table(video), batch_table(image)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
     assert accepted
 
 
@@ -728,6 +727,25 @@ def test_imagenet_epoch_plans_keep_their_pinned_digests(epoch, subset, digests):
     config = imagenet_config()
     schedule = plan_epoch(config, epoch, imagenet_subset(config) if subset else None)
     assert tuple(map(blake2b_digest, (schedule.ids, schedule.offsets, schedule.shape_idx))) == digests
+
+
+@pytest.mark.parametrize(
+    "strategy, epoch, subset, digests",
+    [
+        (Strategy.SSC_FBS, 0, False, ("50d0a530ff4c1df0f18ce30609c83fa8", "6fcfbc1109c4b809247ae462aebbc9e2")),
+        (Strategy.MSC_FBS, 1, True, ("0f919a8a11804a410aa7ca2b8d06a940", "c0580fb1829c4983c5880f5bda0aa56a")),
+    ],
+    ids=["ssc_fbs_full_epoch", "msc_fbs_subset_70pct"],
+)
+def test_fixed_batch_imagenet_epoch_plans_keep_their_pinned_digests(strategy, epoch, subset, digests):
+    # The msc_vbs pins' configuration at fixed batch; the digests pin ids and offsets bit for bit.
+    config = replace(imagenet_config(), strategy=strategy)
+    schedule = plan_epoch(config, epoch, imagenet_subset(config) if subset else None)
+    assert tuple(map(blake2b_digest, (schedule.ids, schedule.offsets))) == digests
+    if strategy is Strategy.SSC_FBS:  # single scale's table is its one shape
+        assert schedule.shapes == (config.base_resolution,) and not schedule.shape_idx.any()
+    else:
+        assert schedule.shapes == tuple(config.resolutions)
 
 
 def imagenet_config() -> SamplerConfig:

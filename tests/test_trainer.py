@@ -2,12 +2,14 @@ import io
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import batchforge.trainer as trainer_module
 from batchforge.core import (
     BatchforgeError,
     ConfigValidationError,
@@ -598,6 +600,15 @@ def test_video_train_matches_the_frozen_trainer():
     specs = (VideoClipSpec(8, 1, Resolution(8, 8)), VideoClipSpec(8, 1, Resolution(16, 16)), VideoClipSpec(16, 1, Resolution(32, 32)))
     sampler = toy_sampler(strategy=Strategy.VIDEO_VBS, dataset_size=1000, base_batch=32, epochs=4, clips=specs, base_clip=specs[1])
     assert_train_matches_reference(sampler, SetConfig(tau=0.7, window=2), total_epochs=4)
+
+
+def test_single_scale_train_pools_at_the_base_factor_alone():
+    # a single-scale schedule's one shape is the base resolution, so the train set is pooled at its factor only
+    sampler = toy_sampler(strategy=Strategy.SSC_FBS, epochs=3)
+    with mock.patch.object(trainer_module, "_pool", wraps=trainer_module._pool) as pool:
+        assert_train_matches_reference(sampler, SetConfig(tau=0.7, window=2), warmup_epochs=1, total_epochs=3)
+    base_factor = PooledLinearModel(10, 8, TOY_RESOLUTIONS).pool_factor(sampler.base_resolution)
+    assert {call.args[1] for call in pool.call_args_list} == {base_factor}
 
 
 def test_grid_16_train_over_five_resolutions_matches_the_frozen_trainer():

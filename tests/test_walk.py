@@ -95,7 +95,7 @@ def test_a_block_that_runs_short_is_redrawn_at_the_bound():
         batch_rounding=BatchRounding.FLOOR,
         min_batch=1,
     )
-    assert sorted(set(batch_table(config)[1].tolist())) == [1, 64]
+    assert sorted(set(batch_table(config).tolist())) == [1, 64]
     bound = 100 // 1 + 2
     with mock.patch.object(samplers, "choice_at", side_effect=samplers.choice_at) as draw:
         blocks = list(walk_shapes(config, range(config.epochs), config.dataset_size))
@@ -196,7 +196,7 @@ def walked_heads(config, epochs, n_active):
 )
 def test_the_head_window_walk_equals_the_reference(case, n_active, epochs, drop_last, block_entries):
     config = replace(TWO_SIZES, drop_last=drop_last)
-    assert sorted(batch_table(config)[1].tolist()) == [1, 2000]
+    assert sorted(batch_table(config).tolist()) == [1, 2000]
     with mock.patch.object(samplers, "WALK_BLOCK_ENTRIES", block_entries):
         blocks, heads = walked_heads(config, epochs, n_active)
         own_heads = walked_heads(config, epochs[1:], n_active)[1]  # the other rows alone skip a head
@@ -208,7 +208,7 @@ def test_the_head_window_walk_equals_the_reference(case, n_active, epochs, drop_
         assert not batches[count:].any()
     head, _, batches = rows[0]
     draws = samplers.choice_at(config.seed, epochs[0], np.arange(batches.shape[0]), "res", 2)
-    served = np.cumsum(batch_table(config)[1][draws])
+    served = np.cumsum(batch_table(config)[draws])
     if case == "a row crosses n_active inside its head":
         assert head == 0 and min(own_heads) > 0 and served[min(own_heads) - 1] > n_active  # the fallback ran
     elif case == "served equals n_active at the last head entry":
