@@ -9,7 +9,8 @@ when every batch in the table is the same size, the exact
 
 The exact walk (:func:`~batchforge.samplers.walk_shapes`) draws a block of
 epochs as one ``(epochs, width)`` array; counts read its non-zero batches,
-peaks and means its int64 volumes, summed as exact integers.
+peaks and means its int64 volumes, summed as exact integers. A walk block
+and a materialized schedule become volumes by one rule, :func:`_volumes`.
 
 "Memory" here means input tensors only: batch x channels x H x W x
 bytes-per-element. Activation and optimizer-state memory are deliberately
@@ -83,15 +84,15 @@ def _size(value, what: str) -> int:
     return check_integer(value, what, "BAD_SIZE", least=1)
 
 
-def _walk(config: SamplerConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Every epoch's (shape indices, batch sizes) in 2-D blocks, with the epochs each row stands for.
+def _walk(config: SamplerConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int, int]]:
+    """Every epoch's (shape indices, batch sizes) in 2-D blocks, their non-zero batch count and the epochs a row stands for.
 
     A block's arrays hold until the next block is drawn: callers reduce each block as it comes.
     """
     if len(batch_table(config)) == 1:  # a one-entry table walks every epoch alike: one walked epoch stands for all
         shape_idx, batches = epoch_batch_shapes(config, 0, config.dataset_size)
-        return iter([(shape_idx[None], batches[None], config.epochs)])
-    return ((s, b, 1) for s, b in walk_shapes(config, range(config.epochs), config.dataset_size))
+        return iter([(shape_idx[None], batches[None], len(batches), config.epochs)])
+    return ((s, b, int(np.count_nonzero(b)), 1) for s, b in walk_shapes(config, range(config.epochs), config.dataset_size))
 
 
 def _volume_stats(blocks: Iterable[tuple[np.ndarray, int, int]]) -> tuple[int, int, float]:
@@ -107,10 +108,16 @@ def _volume_stats(blocks: Iterable[tuple[np.ndarray, int, int]]) -> tuple[int, i
     return count, peak, float(total) / count
 
 
+def _volumes(shapes: Sequence, scale: int, blocks: Iterable[tuple]) -> Iterator[tuple[np.ndarray, int, int]]:
+    """(volumes, iterations, repeat) of (shape indices, batch sizes, iterations, repeat) blocks over ``shapes``: an
+    iteration's volume is its batch size x its shape's :func:`~batchforge.samplers.unit_volume` x ``scale``."""
+    unit = np.array([unit_volume(shape) * scale for shape in shapes], dtype=np.int64)
+    return ((batches * unit[shape_idx], iterations, repeat) for shape_idx, batches, iterations, repeat in blocks)
+
+
 def _plan_volumes(schedules: Iterable[EpochSchedule], scale: int) -> Iterator[tuple[np.ndarray, int, int]]:
     for schedule in schedules:
-        unit = np.array([unit_volume(shape) for shape in schedule.shapes], dtype=np.int64)
-        yield np.diff(schedule.offsets) * unit[schedule.shape_idx] * scale, schedule.total_updates, 1
+        yield from _volumes(schedule.shapes, scale, [(schedule.shape_idx, np.diff(schedule.offsets), schedule.total_updates, 1)])
 
 
 def _cost_row(strategy: Strategy, blocks: Iterable[tuple[np.ndarray, int, int]], expected: float | None = None) -> CostReport:
@@ -122,7 +129,7 @@ def _cost_row(strategy: Strategy, blocks: Iterable[tuple[np.ndarray, int, int]],
 def count_updates(config: SamplerConfig) -> UpdateCount:
     """Exact (generated) and closed-form total optimizer updates."""
     ensure_valid(config)
-    exact = sum(int(np.count_nonzero(batches)) * repeat for _, batches, repeat in _walk(config))
+    exact = sum(iterations * repeat for _, _, iterations, repeat in _walk(config))
     return UpdateCount(exact=exact, closed_form=closed_form_updates(config))
 
 
@@ -159,12 +166,7 @@ def input_memory_proxy(
 def strategy_cost(config: SamplerConfig, channels: int = 3) -> CostReport:
     """Cost row for one configuration (ratios left unset)."""
     ensure_valid(config)
-    channels = _size(channels, "channels")
-    unit = np.array([unit_volume(shape) * channels for shape in shape_table(config)[0]], dtype=np.int64)
-    blocks = (
-        (batches * unit[shape_idx], int(np.count_nonzero(batches)), repeat)
-        for shape_idx, batches, repeat in _walk(config)
-    )
+    blocks = _volumes(shape_table(config)[0], _size(channels, "channels"), _walk(config))
     return _cost_row(config.strategy, blocks, closed_form_updates(config))
 
 

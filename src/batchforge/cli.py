@@ -35,7 +35,6 @@ from .core import (
     SAMPLER_FIELDS,
     BatchforgeError,
     ConfigValidationError,
-    ConfigViolation,
     SamplerConfig,
     Strategy,
     ensure_valid,
@@ -155,7 +154,7 @@ def _read_config(args: argparse.Namespace) -> dict[str, str]:
         mapping = parse_flat_config(fp.read())
     unknown = [key for key in mapping if not (key in SETTINGS and SETTINGS[key].in_file)]
     if unknown:
-        raise ConfigValidationError([ConfigViolation("UNKNOWN_KEY", _unknown_key_message(key)) for key in unknown])
+        raise ConfigValidationError([BatchforgeError("UNKNOWN_KEY", _unknown_key_message(key)) for key in unknown])
     return mapping
 
 
@@ -175,7 +174,7 @@ def _values(args: argparse.Namespace, mapping: dict[str, str], *keys: str) -> di
         text = mapping.get(key) if text is None else text
         value = values[key] = row.default if text is None else parse_value(key, row.parse, text)
         if row.least is not None and value < row.least:
-            raise ConfigValidationError([ConfigViolation("OUT_OF_RANGE", f"{key}: must be >= {row.least}, got {value}")])
+            raise ConfigValidationError([BatchforgeError("OUT_OF_RANGE", f"{key}: must be >= {row.least}, got {value}")])
     return values
 
 
@@ -255,11 +254,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     ignored = [f"--{key.replace('_', '-')}" for key in flags if getattr(args, key) is not None]
     if ignored:
         message = f"{', '.join(ignored)}: --schedule costs the file's own header config, which these flags would not change"
-        raise ConfigValidationError([ConfigViolation("IGNORED_FLAG", message)])
+        raise ConfigValidationError([BatchforgeError("IGNORED_FLAG", message)])
     values = _values(args, {}, "strategies", "channels", "bytes_per_element", "trials")
     if values["trials"] and args.output_format == "csv":
         message = "--trials: the CSV table has no simulation section; pass --format json to write it"
-        raise ConfigValidationError([ConfigViolation("IGNORED_FLAG", message)])
+        raise ConfigValidationError([BatchforgeError("IGNORED_FLAG", message)])
     if args.schedule:
         with _schedule_file(args.schedule) as (_, config, schedules):
             row = analysis.schedule_cost(schedules, config.strategy, channels=values["channels"])
@@ -310,7 +309,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         )
         model = PooledLinearModel(task["classes"], task["grid"], sampler.resolutions)
     except BatchforgeError as err:  # bad settings, not a failed run
-        raise ConfigValidationError([ConfigViolation(err.code, err.message)]) from err
+        raise ConfigValidationError([err]) from err
     # The output opens before the run, so a bad path fails before any epoch is trained.
     with _open("--output", args.output, "w") as fp:
         report = train(model, dataset, sampler, trainer_config, set_config, eval_dataset)

@@ -159,32 +159,13 @@ class Resolution:
             raise ValueError(f"expected HxW (or one side for a square), such as 224x224, got {text!r}") from None
 
 
-@dataclass(frozen=True)
-class ResolutionSet:
-    """Ordered collection of resolutions, ascending by pixel count."""
+class ResolutionSet(tuple):
+    """A tuple of resolutions, valid when strictly ascending by pixel count; ``str`` is the form :meth:`parse` reads."""
 
-    entries: tuple[Resolution, ...]
-
-    def __init__(self, entries: Iterable[Resolution]):
-        object.__setattr__(self, "entries", tuple(entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, index: int) -> Resolution:
-        return self.entries[index]
-
-    def max(self) -> Resolution:
-        return self.entries[-1]
-
-    def index_of(self, resolution: Resolution) -> int:
-        return self.entries.index(resolution)
+    __slots__ = ()
 
     def is_sorted(self) -> bool:
-        counts = [r.pixel_count() for r in self.entries]
+        counts = [r.pixel_count() for r in self]
         return all(a < b for a, b in zip(counts, counts[1:]))
 
     @classmethod
@@ -196,7 +177,7 @@ class ResolutionSet:
         return cls(Resolution.parse(part) for part in text.split(",") if part.strip())
 
     def __str__(self) -> str:
-        return ",".join(str(r) for r in self.entries)
+        return ",".join(map(str, self))
 
 
 @dataclass(frozen=True)
@@ -266,15 +247,6 @@ class SamplerConfig:
         return self.base_batch * self.world_size
 
 
-@dataclass(frozen=True)
-class ConfigViolation:
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.code}: {self.message}"
-
-
 class BatchforgeError(ValueError):
     """The package's one coded error: ``str(err)`` is ``"CODE: message"``."""
 
@@ -285,9 +257,9 @@ class BatchforgeError(ValueError):
 
 
 class ConfigValidationError(BatchforgeError):
-    """Raised by ensure_valid; carries the full violation list (``code`` is the first one's)."""
+    """Raised by ensure_valid and the config readers: ``violations`` lists the coded errors, ``code`` is the first one's."""
 
-    def __init__(self, violations: list[ConfigViolation]):
+    def __init__(self, violations: list[BatchforgeError]):
         first, *rest = violations
         super().__init__(first.code, "; ".join([first.message, *map(str, rest)]))
         self.violations = violations
@@ -297,12 +269,12 @@ class ConfigValidationError(BatchforgeError):
         return [v.code for v in self.violations]
 
 
-def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
-    """Check every SamplerConfig invariant; return all violations found."""
+def validate_config(config: SamplerConfig) -> list[BatchforgeError]:
+    """Check every SamplerConfig invariant; return a :class:`BatchforgeError` per violation found, none raised."""
     bad = []
 
     def flag(code: str, message: str):
-        bad.append(ConfigViolation(code, message))
+        bad.append(BatchforgeError(code, message))
 
     # Every check below compares or multiplies these integers, so a value of another type ends them.
     for name, field in SAMPLER_FIELDS.items():
@@ -331,7 +303,7 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
             "resolutions must be strictly ascending by pixel count with no duplicates",
         )
 
-    if len(config.resolutions) > 0 and config.base_resolution not in config.resolutions.entries:
+    if len(config.resolutions) > 0 and config.base_resolution not in config.resolutions:
         flag(
             "BASE_RES_NOT_IN_SET",
             f"base resolution {config.base_resolution} is not in the resolution set",
@@ -344,7 +316,7 @@ def validate_config(config: SamplerConfig) -> list[ConfigViolation]:
             flag("BASE_SPEC_NOT_IN_SET", f"base_clip {config.base_clip} is not in clips")
         if any(min(c.num_frames, c.clips_per_video) < 1 for c in config.clips):
             flag("NONPOSITIVE_CLIP", "every clip spec needs at least one frame and one clip per video")
-        outside = [str(c) for c in config.clips if c.resolution not in config.resolutions.entries]
+        outside = [str(c) for c in config.clips if c.resolution not in config.resolutions]
         if outside:
             flag("CLIP_RES_NOT_IN_SET", f"clips {', '.join(outside)} have a resolution outside the resolution set")
 
@@ -418,7 +390,7 @@ def parse_flat_config(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             message = f"line {lineno}: expected 'key = value', got {raw!r}"
-            raise ConfigValidationError([ConfigViolation("BAD_CONFIG_LINE", message)])
+            raise ConfigValidationError([BatchforgeError("BAD_CONFIG_LINE", message)])
         key, _, value = line.partition("=")
         mapping[key.strip()] = value.strip()
     return mapping
@@ -438,7 +410,7 @@ def parse_value(key: str, parser: Callable[[str], _T], text: object) -> _T:
     try:
         return parser(str(text))
     except ValueError as err:
-        raise ConfigValidationError([ConfigViolation("BAD_VALUE", f"{key}: {err}")]) from None
+        raise ConfigValidationError([BatchforgeError("BAD_VALUE", f"{key}: {err}")]) from None
 
 
 class SamplerField(NamedTuple):
@@ -489,7 +461,7 @@ def sampler_config_from_mapping(
         return replace(base, **kwargs)
     missing = [f.name for f in fields(SamplerConfig) if f.default is MISSING and f.name not in kwargs]
     if missing:
-        raise ConfigValidationError([ConfigViolation("MISSING_KEY", f"config is missing required keys: {', '.join(missing)}")])
+        raise ConfigValidationError([BatchforgeError("MISSING_KEY", f"config is missing required keys: {', '.join(missing)}")])
     return SamplerConfig(**kwargs)  # type: ignore[arg-type]
 
 

@@ -196,7 +196,7 @@ def shape_table(config: SamplerConfig) -> tuple[tuple[Resolution | VideoClipSpec
         return config.clips, CLIP_DRAW_TAG
     if config.strategy is Strategy.SSC_FBS:
         return (config.base_resolution,), RESOLUTION_DRAW_TAG
-    return config.resolutions.entries, RESOLUTION_DRAW_TAG
+    return config.resolutions, RESOLUTION_DRAW_TAG
 
 
 def walk_shapes(config: SamplerConfig, epochs, n_active: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -265,13 +265,14 @@ class SetState:
                 config = SetConfig(**{f.name: cfg[f.name] for f in fields(SetConfig)})
             except BatchforgeError as exc:
                 raise BatchforgeError("BAD_STATE", f"invalid filter settings: {exc}") from exc
-            state = cls(check_integer(payload["num_samples"], "num_samples", "BAD_STATE"), config)
+            state = cls(0, config)  # its empty arrays give way to the decoded ones: a huge num_samples allocates nothing
+            state.num_samples = check_integer(payload["num_samples"], "num_samples", "BAD_STATE")
             state.epoch = check_integer(payload["epoch"], "epoch", "BAD_STATE")
             for key in _COUNTERS:
                 setattr(state, key, check_integer(counters[key], key, "BAD_STATE"))
             for key in _ARRAYS:
-                array = getattr(state, key)
-                array[:] = unpack_array(payload[key], array.dtype, state.num_samples, key, "BAD_STATE")
+                dtype = getattr(state, key).dtype
+                setattr(state, key, unpack_array(payload[key], dtype, state.num_samples, key, "BAD_STATE").astype(dtype))
         except BatchforgeError:
             raise
         except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:  # AttributeError: not an object

@@ -180,11 +180,19 @@ def test_simulation_reports_numpy_integer_trials_as_a_python_int():
     assert sim == simulate_updates(config, 2)
 
 
-def test_schedule_cost_agrees_with_strategy_cost():
-    config = make_config(strategy=Strategy.MSC_VBS, dataset_size=65_536, epochs=3)
+CLIPS = tuple(map(VideoClipSpec.parse, ["4x1x128x128", "8x1x224x224", "16x2x224x224"]))
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("drop_last", [True, False])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_schedule_cost_agrees_with_strategy_cost(strategy, drop_last, channels):
+    # One volume rule for both: the walk of strategy_cost (ssc_fbs's one walked epoch standing for all) and the schedules.
+    video = dict(base_batch=64, clips=CLIPS, base_clip=CLIPS[1]) if strategy is Strategy.VIDEO_VBS else {}
+    config = make_config(strategy=strategy, dataset_size=65_536, epochs=3, drop_last=drop_last, **video)
     schedules = [plan_epoch(config, e) for e in range(config.epochs)]
-    from_schedules = schedule_cost(schedules, config.strategy)
-    direct = strategy_cost(config)
+    from_schedules = schedule_cost(schedules, config.strategy, channels=channels)
+    direct = strategy_cost(config, channels=channels)
     assert from_schedules.total_updates == direct.total_updates
     assert from_schedules.peak_input_pixels == direct.peak_input_pixels
     assert abs(from_schedules.mean_input_pixels - direct.mean_input_pixels) < 1e-6

@@ -699,6 +699,16 @@ def test_set_report_rejects_what_is_not_a_run_report_before_writing(case, tmp_pa
     assert not out.exists()
 
 
+def test_set_report_state_claiming_a_huge_num_samples_is_coded_json(tmp_path, capsys):
+    payload = SetState(4, SetConfig(tau=0.7, window=1)).to_payload()
+    payload["num_samples"] = 2**40
+    (tmp_path / "state.json").write_text(json.dumps(payload))
+    out = tmp_path / "summary.json"
+    assert run_cli(["set-report", "--state", str(tmp_path / "state.json"), "-o", str(out), "--errors-json"]) == 1
+    assert [e["code"] for e in json.loads(capsys.readouterr().err)["errors"]] == ["BAD_STATE"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["", '{"schema_version": 2, "kind": "set_st', "[1, 2]", '"x"'],
                          ids=["empty", "truncated", "list", "string"])
 def test_set_report_state_errors_are_coded_json(text, tmp_path, capsys):

@@ -211,7 +211,7 @@ VIDEO = replace(
         replace(RESNET50, base_resolution=Resolution(224.0, 224.0), resolutions=ResolutionSet.squares([128.0, 224.0])),
         replace(RESNET50, base_resolution=Resolution(224.0, 224.0)),
         replace(RESNET50, base_resolution=Resolution("224", 224)),
-        replace(RESNET50, resolutions=ResolutionSet([*RESNET50.resolutions.entries[:-1], Resolution(320, 320.5)])),
+        replace(RESNET50, resolutions=ResolutionSet([*RESNET50.resolutions[:-1], Resolution(320, 320.5)])),
         replace(VIDEO, clips=(VideoClipSpec(8.0, 1, R224), VIDEO.clips[1]), base_clip=VideoClipSpec(8.0, 1, R224)),
         replace(VIDEO, base_clip=VideoClipSpec(8.0, 1, R224)),
         replace(VIDEO, clips=(VIDEO.clips[0], VideoClipSpec(4, "1", R320))),

@@ -62,8 +62,10 @@ def test_resolution_pixels_and_parse():
 
 
 def test_resolution_set_ordering_helpers():
-    assert STANDARD.max() == Resolution(320, 320)
-    assert STANDARD.index_of(Resolution(224, 224)) == 2
+    assert isinstance(STANDARD, tuple) and len(STANDARD) == 5
+    assert STANDARD[-1] == Resolution(320, 320) and STANDARD[1:3] == (Resolution(192, 192), Resolution(224, 224))
+    assert Resolution(224, 224) in STANDARD and Resolution(256, 256) not in STANDARD
+    assert str(ResolutionSet.parse("128x128,224x160,320x320")) == "128x128,224x160,320x320"
     assert STANDARD.is_sorted()
     assert not ResolutionSet([Resolution(320, 320), Resolution(128, 128)]).is_sorted()
 
@@ -259,6 +261,8 @@ def test_config_error_is_the_coded_error_of_its_first_violation():
     first = err.value.violations[0]
     assert (err.value.code, err.value.codes[0]) == (first.code, first.code)
     assert str(err.value) == "; ".join(str(v) for v in err.value.violations)
+    for violation in err.value.violations:
+        assert type(violation) is BatchforgeError and str(violation) == f"{violation.code}: {violation.message}"
     assert str(err.value) == f"{err.value.code}: {err.value.message}"
 
 

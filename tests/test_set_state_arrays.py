@@ -180,6 +180,16 @@ def test_from_payload_rejects_inconsistent_checkpoints(mutate):
     assert err.value.code == "BAD_STATE"
 
 
+@pytest.mark.parametrize("num_samples", [2**40, 2**62], ids=["2**40", "2**62"])
+def test_a_checkpoint_claiming_a_huge_num_samples_is_bad_state(num_samples):
+    # the arrays are length-checked before anything num_samples-sized is allocated (it was an uncoded MemoryError)
+    payload = _checkpoint_state().to_payload()
+    payload["num_samples"] = num_samples
+    with pytest.raises(BatchforgeError) as err:
+        SetState.from_payload(payload)
+    assert err.value.code == "BAD_STATE" and f"{num_samples} bool values" in err.value.message
+
+
 def test_v1_checkpoint_rejected():
     old = DequeSetState(3, SetConfig(tau=0.5, window=2))
     old.record_prediction(0, True, 0.9)
